@@ -57,7 +57,6 @@ from .characters import (
     to_schur,
 )
 from .repmodels import (
-    FoulkesFamily,
     f_eval,
     foulkes,
     foulkes_series,

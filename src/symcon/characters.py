@@ -12,7 +12,6 @@ bialternant definition, fully independently of the recursion.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -77,9 +76,6 @@ class CharacterTable:
         return self.rows[self.index[tuple(nu)]][self.index[tuple(mu)]]
 
 
-_table_lock = threading.Lock()
-
-
 @lru_cache(maxsize=None)
 def _build_table(n: int) -> CharacterTable:
     parts = partitions_of(n)
@@ -96,8 +92,7 @@ def character_table(n: int, max_n: int = 20) -> CharacterTable:
         raise ParameterError(f"character table needs n >= 0, got {n}")
     if n > max_n:
         raise CapacityError(f"character table degree {n} beyond cap {max_n}")
-    with _table_lock:
-        return _build_table(n)
+    return _build_table(n)
 
 
 # ---------------------------------------------------------------------------

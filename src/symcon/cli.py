@@ -6,8 +6,7 @@ Subcommands:
   table    render a decomposition table column/block
 
 Exit codes: 0 success (no FAIL), 1 verification failure, 2 usage error.
-Output is byte-identical across runs and thread counts for identical
-(command, configuration).
+Output is byte-identical across runs for identical (command, configuration).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ ENV_MAX_N = "SYMCON_MAX_N"
 @dataclass
 class RunConfig:
     max_n: int = 12
-    threads: int = 1
     format: str = "pretty"
     out: str | None = None
 
@@ -47,6 +45,8 @@ def _resolve_config(args) -> RunConfig:
             env_val = int(env)
         except ValueError:
             raise SymconError(f"{ENV_MAX_N} must be an integer, got {env!r}")
+        if env_val < 1:
+            raise SymconError(f"{ENV_MAX_N} must be >= 1, got {env_val}")
         if env_val > HARD_CAP:
             print(
                 f"warning: {ENV_MAX_N}={env_val} exceeds the supported cap "
@@ -54,25 +54,22 @@ def _resolve_config(args) -> RunConfig:
                 file=sys.stderr,
             )
             cap = env_val
-    max_n = args.max_n if args.max_n is not None else (env_val or 12)
+    max_n = args.max_n if args.max_n is not None else (12 if env_val is None else env_val)
     if max_n < 1:
         raise SymconError("--max-n must be >= 1")
     if max_n > cap:
         raise SymconError(
             f"--max-n {max_n} exceeds the cap {cap} (raise {ENV_MAX_N} to override)"
         )
-    threads = 1
-    if getattr(args, "threads", None) is not None:
-        if args.threads == "auto":
-            threads = 0
-        else:
-            try:
-                threads = int(args.threads)
-            except ValueError:
-                raise SymconError("--threads must be an integer or 'auto'")
-            if threads < 1:
-                raise SymconError("--threads must be >= 1")
-    return RunConfig(max_n=max_n, threads=threads, format=args.format, out=args.out)
+    # --threads is validated but has no effect: the checks always run serially.
+    if getattr(args, "threads", None) not in (None, "auto"):
+        try:
+            threads = int(args.threads)
+        except ValueError:
+            raise SymconError("--threads must be an integer or 'auto'")
+        if threads < 1:
+            raise SymconError("--threads must be >= 1")
+    return RunConfig(max_n=max_n, format=args.format, out=args.out)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -119,7 +116,7 @@ def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     lines = []
     n_fail = n_pass = n_report = 0
-    for res in run_selector(args.selector, max_n=cfg.max_n, threads=cfg.threads):
+    for res in run_selector(args.selector, max_n=cfg.max_n):
         if res.status == "FAIL":
             n_fail += 1
         elif res.status == "REPORT":
@@ -212,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracles, lemmas, counterexamples, conjecture, coverage, "
         "identities, ...) or an exact id (thm4.2.6, thm5.9.5:k2, ...)"))
     p_ver.add_argument("--threads", default=None,
-                       help="worker threads for the harness (int or 'auto')")
+                       help="kept for compatibility (int >= 1 or 'auto'); "
+                       "checks always run serially, in catalog order")
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -340,11 +340,6 @@ def _parse_int(text: str) -> int:
         raise ParameterError(f"expected an integer parameter, got {text!r}") from exc
 
 
-def partition_to_json(lam: Partition) -> str:
-    """JSON form: array of decreasing positive integers."""
-    return json.dumps(list(lam))
-
-
 def partition_from_json(text: str) -> Partition:
     try:
         data = json.loads(text)

@@ -85,24 +85,6 @@ def f_eval(n: int, k: int, sign: int) -> int:
     return 0
 
 
-class FoulkesFamily:
-    """The graded family f_1, f_2, ... for one weight parameter k."""
-
-    def __init__(self, k: int):
-        if k < 0:
-            raise ParameterError(f"family parameter k must be >= 0, got {k}")
-        self.k = k
-
-    def component(self, n: int) -> PExpr:
-        return foulkes(n, self.k)
-
-    def series(self, trunc: int) -> Series:
-        return foulkes_series(self.k, trunc)
-
-    def eval(self, n: int, sign: int) -> int:
-        return f_eval(n, self.k, sign)
-
-
 @lru_cache(maxsize=None)
 def foulkes_series(k: int, trunc: int) -> Series:
     """Graded series of foulkes(i, k) for 1 <= i <= trunc (shared, read-only)."""
@@ -336,62 +318,3 @@ def exterior_from_symmetric(G: Series) -> Series:
     """G / G[p_2]: the exterior-power series of whatever G is the symmetric power of."""
     sub = G.substitute_p(2).truncate(G.trunc)
     return G * sub.inverse()
-
-
-def foulkes_products(n: int, k: int) -> list[tuple[str, int, bool, str]]:
-    """Degree-n product-form checks for the weight-k family.
-
-    Verifies that the symmetric powers collect the partitions into
-    divisors of k, that the twisted exterior powers collect the
-    odd-divisor/even-once family, the two alternating variants, and (for
-    k = 2) the Schur-nonnegativity of the half-sum combinations.
-    """
-    if n < 0 or k < 1:
-        raise ParameterError("foulkes_products needs n >= 0 and k >= 1")
-    from .symfunc import product_expansion
-
-    F = foulkes_series(k, max(n, 1))
-    out = []
-    sym = plethystic_sum(F, n, "h")
-    out.append(
-        ("divisor-family", n, sym == _pf("divides-k", n, k=k), "sum H vs family")
-    )
-    twisted = omega(plethystic_sum(F, n, "e"))
-    out.append(
-        ("even-once-family", n, twisted == _pf("thm59", n, k=k), "omega sum E vs family")
-    )
-    divs = [m for m in range(1, n + 1) if k % m == 0]
-    odd_divs = [m for m in divs if m % 2 == 1]
-    special = [m for m in range(2, n + 1, 2) if k % (m // 2) == 0 and k % m != 0]
-    alt_ext = omega(plethystic_sum(F, n, "e", signed="sign-exponent"))
-    out.append(
-        (
-            "alternating-exterior", n,
-            alt_ext == product_expansion([(m, 1, 1) for m in divs], n),
-            "distinct divisor parts",
-        )
-    )
-    alt_sym = plethystic_sum(F, n, "h", signed="sign-exponent")
-    out.append(
-        (
-            "alternating-symmetric", n,
-            alt_sym
-            == product_expansion(
-                [(m, 1, 1) for m in odd_divs] + [(m, -1, -1) for m in special], n
-            ),
-            "odd-once / even-free parts",
-        )
-    )
-    if k == 2:
-        from .characters import to_schur
-
-        w = w_route_a(n, 2)
-        out.append(("block-sum", n, sym == w, "sum H vs parts-in-{1,2}"))
-        g = product_expansion([(1, 1, 1), (4, -1, -1)], n)
-        out.append(("signed-closed-form", n, g == alt_sym, "(1+p1)/(1-p4) coefficient"))
-        for name, f in (("half-plus", HALF * (w + g)), ("half-minus", HALF * (w - g))):
-            se = to_schur(f, n)
-            out.append(
-                (name, n, se.verdict in ("POSITIVE", "NONNEGATIVE"), "Schur-nonnegative")
-            )
-    return out

@@ -30,6 +30,14 @@ def _merge_keys(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
+def _canonical_key(parts) -> Partition:
+    """The parts in decreasing order; ParameterError if any part is below 1."""
+    key = tuple(sorted(parts, reverse=True))
+    if key and key[-1] < 1:
+        raise ParameterError(f"power-sum indices must be >= 1, got {key}")
+    return key
+
+
 class PExpr:
     """Sparse symmetric function in the power-sum basis."""
 
@@ -57,14 +65,12 @@ class PExpr:
     @staticmethod
     def p(*parts: int) -> "PExpr":
         """p_{(parts)}; PExpr.p(2,1) is the monomial p_2 p_1."""
-        key = tuple(sorted(parts, reverse=True))
-        if any(k < 1 for k in key):
-            raise ParameterError(f"power-sum indices must be >= 1, got {parts}")
-        return PExpr({key: Fraction(1)})
+        return PExpr({_canonical_key(parts): Fraction(1)})
 
     @staticmethod
-    def term(lam: Partition, c: Scalar = 1) -> "PExpr":
-        return PExpr({tuple(lam): Fraction(c)})
+    def term(lam, c: Scalar = 1) -> "PExpr":
+        """c * p_lam; the parts of lam may come in any order."""
+        return PExpr({_canonical_key(lam): Fraction(c)})
 
     # -- ring structure ----------------------------------------------------
 
@@ -183,8 +189,8 @@ class PExpr:
     def from_json_dict(data: dict[str, str]) -> "PExpr":
         terms = {}
         for key, val in data.items():
-            parts = tuple(int(x) for x in key.strip("[]").split(",") if x.strip())
-            terms[parts] = Fraction(val)
+            parts = _canonical_key(int(x) for x in key.strip("[]").split(",") if x.strip())
+            terms[parts] = terms.get(parts, 0) + Fraction(val)
         return PExpr(terms)
 
 
@@ -431,8 +437,8 @@ class Series:
         return out
 
 
-def H_lambda(lam: Partition, F: Series) -> PExpr:
-    """prod over distinct parts i of h_{m_i}[f_i]; 1 for the empty partition."""
+def _lambda_product(kind: str, lam: Partition, F: Series) -> PExpr:
+    """prod over distinct parts i of h_{m_i}[f_i] ("h") or e_{m_i}[f_i] ("e")."""
     out = PExpr.one()
     i = 0
     while i < len(lam):
@@ -440,23 +446,19 @@ def H_lambda(lam: Partition, F: Series) -> PExpr:
         m = 1
         while i + m < len(lam) and lam[i + m] == part:
             m += 1
-        out = out * F._pleth("h", part, m)
+        out = out * F._pleth(kind, part, m)
         i += m
     return out
+
+
+def H_lambda(lam: Partition, F: Series) -> PExpr:
+    """prod over distinct parts i of h_{m_i}[f_i]; 1 for the empty partition."""
+    return _lambda_product("h", lam, F)
 
 
 def E_lambda(lam: Partition, F: Series) -> PExpr:
     """prod over distinct parts i of e_{m_i}[f_i]; 1 for the empty partition."""
-    out = PExpr.one()
-    i = 0
-    while i < len(lam):
-        part = lam[i]
-        m = 1
-        while i + m < len(lam) and lam[i + m] == part:
-            m += 1
-        out = out * F._pleth("e", part, m)
-        i += m
-    return out
+    return _lambda_product("e", lam, F)
 
 
 def plethystic_sum(
@@ -478,7 +480,7 @@ def plethystic_sum(
     for lam in partitions_of(n):
         if parity is not None and sign_exponent(lam) % 2 != parity:
             continue
-        term = H_lambda(lam, F) if kind == "h" else E_lambda(lam, F)
+        term = _lambda_product(kind, lam, F)
         if signed == "sign-exponent" and sign_exponent(lam) % 2 == 1:
             term = -term
         elif signed == "length" and len(lam) % 2 == 1:
@@ -487,16 +489,19 @@ def plethystic_sum(
     return total
 
 
+def _power_series(kind: str, F: Series, trunc: int | None) -> Series:
+    n = F.trunc if trunc is None else min(trunc, F.trunc)
+    return Series({d: plethystic_sum(F, d, kind) for d in range(n + 1)}, n)
+
+
 def series_H(F: Series, trunc: int | None = None) -> Series:
     """The symmetric-power series of F: degree-n component sum_{lam|-n} H_lambda[F]."""
-    n = F.trunc if trunc is None else min(trunc, F.trunc)
-    return Series({d: plethystic_sum(F, d, "h") for d in range(n + 1)}, n)
+    return _power_series("h", F, trunc)
 
 
 def series_E(F: Series, trunc: int | None = None) -> Series:
     """The exterior-power series of F: degree-n component sum_{lam|-n} E_lambda[F]."""
-    n = F.trunc if trunc is None else min(trunc, F.trunc)
-    return Series({d: plethystic_sum(F, d, "e") for d in range(n + 1)}, n)
+    return _power_series("e", F, trunc)
 
 
 def plethysm_into(f: PExpr, R: Series) -> Series:

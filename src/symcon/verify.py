@@ -4,8 +4,13 @@ Every checkable claim is an Entry: a stable id, a group tag, the degrees
 it applies to, and a runner returning a CheckResult.  Ids follow the
 external naming contract (thm/prop/cor/lem prefixes with equation-style
 suffixes, k-parameterized entries carrying ':k<k>').  Entries are
-independent and may run concurrently; results are always emitted in
+independent; they run one after another and results are emitted in
 catalog order.
+
+The generating-function identities (Theorems 4.2, 5.9 and 3.4) are rows
+of data: a plethystic sum on the left, a product form or a power-sum
+family on the right, all evaluated by one runner.  Theorem 4.2 is the
+k = 0 member of the weight-k family of Theorem 5.9, since c_d(0) = phi(d).
 
 Statuses: PASS/FAIL for theorem-backed claims, REPORT for scans that are
 observations rather than assertions (counterexample confirmations,
@@ -14,19 +19,19 @@ segment scans, per-class coverage).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
+from typing import NamedTuple
 
-from .characters import SchurExpansion, to_schur
+from .characters import SchurExpansion, alternant_oracle, mn_character, to_schur
 from .errors import CatalogError, ParameterError
 from .numbertheory import ramanujan_sum, ramanujan_sum_oracle, totient
 from .partitions import (
     FamilySpec,
     Partition,
+    conjugate,
     maj_multiplicity,
     members,
     multiplicities,
@@ -35,10 +40,12 @@ from .partitions import (
 )
 from .repmodels import (
     MODULE_IDS,
+    exterior_from_symmetric,
     f_eval,
     f_eval_direct,
     foulkes,
     foulkes_series,
+    lie_series_identities,
     module_char,
     module_char_plethystic,
     power_sum_family,
@@ -55,6 +62,8 @@ from .symfunc import (
     p1_derivative,
     plethystic_sum,
     product_expansion,
+    series_E,
+    series_H,
 )
 from . import tables_data
 
@@ -92,10 +101,11 @@ class Entry:
         )
 
 
-def _span(lo: int, hi: int, capped: bool = True):
+def _span(lo: int, hi: int, floor: int = 0):
+    """Degrees lo..hi, cut at max_n but never below `floor`."""
+
     def ns(max_n: int):
-        top = min(hi, max_n) if capped else hi
-        return range(lo, top + 1)
+        return range(lo, max(floor, min(hi, max_n)) + 1)
 
     return ns
 
@@ -133,13 +143,9 @@ def _eq(check_id: str, n: int, pairs) -> CheckResult:
     return CheckResult(check_id, n, "PASS")
 
 
-def _schur(f: PExpr, n: int) -> SchurExpansion:
-    return to_schur(f, n)
-
-
 @lru_cache(maxsize=None)
 def _module_schur(mid: str, n: int) -> SchurExpansion:
-    return _schur(module_char(mid, n), n)
+    return to_schur(module_char(mid, n), n)
 
 
 def check_positivity(
@@ -160,7 +166,7 @@ def check_positivity(
         f = power_sum_family(spec_or_expr, n)
     else:
         f = spec_or_expr
-    se = _schur(f, n)
+    se = to_schur(f, n)
     bad = []
     for nu in partitions_of(n):
         m = se.mult(nu)
@@ -200,79 +206,105 @@ def _sum_e(n, k=0, **kw) -> PExpr:
     return plethystic_sum(_F(k), n, "e", **kw)
 
 
-def _totient_factors(n: int, flavor: str):
-    """Factor lists for the four product forms of the conjugation family."""
-    if flavor == "sym":  # prod (1 - t^m p_m)^-1
-        return [(m, -1, -1) for m in range(1, n + 1)]
-    if flavor == "ext":  # prod over odd m of (1 - t^m p_m)^-1
-        return [(m, -1, -1) for m in range(1, n + 1, 2)]
-    if flavor == "alt-ext":  # prod (1 + t^m p_m)
-        return [(m, 1, 1) for m in range(1, n + 1)]
-    if flavor == "alt-sym":  # prod over odd m of (1 + t^m p_m)
-        return [(m, 1, 1) for m in range(1, n + 1, 2)]
-    raise ParameterError(flavor)
+# Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
+# as flavor -> (x, c, s_m on odd m, s_m on even m).
+_FLAVORS = {
+    "sym": (1, -1, -1, -1),  # prod (1 - t^m p_m)^(-f_m(1))
+    "ext": (-1, 1, -1, -1),  # prod (1 - t^m p_m)^(f_m(-1))
+    "omega-ext": (-1, 1, -1, 1),  # omega of ext
+    "alt-ext": (1, 1, 1, 1),  # prod (1 + t^m p_m)^(f_m(1))
+    "alt-sym": (-1, -1, 1, 1),  # prod (1 + t^m p_m)^(-f_m(-1))
+    "mixed-ext": (1, 1, 1, -1),  # omega of alt-ext
+    "mixed-sym": (-1, -1, 1, -1),  # omega of alt-sym
+}
 
 
 def _general_factors(n: int, k: int, flavor: str):
-    """Factor lists for the product forms of the weight-k family."""
-    exps = {m: f_eval(m, k, 1) for m in range(1, n + 1)}
-    exps_neg = {m: f_eval(m, k, -1) for m in range(1, n + 1)}
-    if flavor == "sym":  # prod (1 - t^m p_m)^(-f_m(1))
-        return [(m, -exps[m], -1) for m in exps if exps[m]]
-    if flavor == "ext":  # prod (1 - t^m p_m)^(f_m(-1))
-        return [(m, exps_neg[m], -1) for m in exps_neg if exps_neg[m]]
-    if flavor == "alt-ext":  # prod (1 + t^m p_m)^(f_m(1))
-        return [(m, exps[m], 1) for m in exps if exps[m]]
-    if flavor == "alt-sym":  # prod (1 + t^m p_m)^(-f_m(-1))
-        return [(m, -exps_neg[m], 1) for m in exps_neg if exps_neg[m]]
-    if flavor == "signed-sym":  # omega of alt-sym: (1 - t^m p_m)^(-f_m(-1)) on even m
-        return [
-            (m, -exps_neg[m], 1 if m % 2 else -1)
-            for m in exps_neg
-            if exps_neg[m]
-        ]
-    if flavor == "mixed-ext":  # prod (1 + (-1)^(m-1) t^m p_m)^(f_m(1))
-        return [(m, exps[m], 1 if m % 2 else -1) for m in exps if exps[m]]
-    if flavor == "mixed-sym":  # prod (1 + (-1)^(m-1) t^m p_m)^(-f_m(-1))
-        return [(m, -exps_neg[m], 1 if m % 2 else -1) for m in exps_neg if exps_neg[m]]
-    raise ParameterError(flavor)
+    """Factor list (m, exponent, sign) of one product form of the weight-k family."""
+    x, c, odd, even = _FLAVORS[flavor]
+    out = []
+    for m in range(1, n + 1):
+        f = f_eval(m, k, x)
+        if f:
+            out.append((m, c * f, odd if m % 2 else even))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Generating-function identities as data
+
+
+class _Sum(NamedTuple):
+    """sum over lam |- n of H_lam[F_k] ("h") or E_lam[F_k] ("e").
+
+    parity: keep only lam with (n - len(lam)) % 2 == parity;
+    signed: weight each lam by (-1)^(n - len(lam));
+    omega: apply omega to the sum.
+    """
+
+    kind: str
+    parity: int | None = None
+    signed: bool = False
+    omega: bool = False
+
+
+# Rows (equation, left side, right side).  A right side is a product form
+# ("product", flavor), a power-sum family ("family", kind), or the
+# half-sum ("half", a, sign, b) = (a + sign * b) / 2 of two product forms,
+# whose left side must also be Schur-nonnegative.
+_THM42 = (  # k = 0
+    (1, _Sum("h"), ("product", "sym")),
+    (2, _Sum("h"), ("family", "all")),
+    (3, _Sum("e"), ("product", "ext")),
+    (4, _Sum("e"), ("family", "odd-parts")),
+    (5, _Sum("e", signed=True, omega=True), ("product", "alt-ext")),
+    (6, _Sum("e", signed=True, omega=True), ("family", "distinct")),
+    (7, _Sum("h", signed=True, omega=True), ("product", "alt-sym")),
+    (8, _Sum("h", signed=True, omega=True), ("family", "do")),
+)
+_THM59 = (  # k >= 1
+    (1, _Sum("h"), ("product", "sym")),
+    (2, _Sum("h"), ("family", "divides-k")),
+    (3, _Sum("e"), ("product", "ext")),
+    (4, _Sum("e", omega=True), ("product", "omega-ext")),
+    (5, _Sum("e", omega=True), ("family", "thm59")),
+    (6, _Sum("e", signed=True, omega=True), ("product", "alt-ext")),
+    (7, _Sum("h", signed=True, omega=True), ("product", "alt-sym")),
+    (8, _Sum("h", signed=True), ("product", "mixed-sym")),
+)
+_THM34 = (
+    (5, _Sum("e", parity=0), ("half", "ext", 1, "mixed-ext")),
+    (6, _Sum("e", parity=1), ("half", "ext", -1, "mixed-ext")),
+    (7, _Sum("h", parity=0), ("half", "sym", 1, "mixed-sym")),
+    (8, _Sum("h", parity=1), ("half", "sym", -1, "mixed-sym")),
+)
+
+
+def _product(flavor: str, k: int, n: int) -> PExpr:
+    return product_expansion(_general_factors(n, k, flavor), n)
+
+
+def _run_gf(cid: str, k: int, lhs: _Sum, rhs: tuple, n: int) -> CheckResult:
+    signed = "sign-exponent" if lhs.signed else None
+    left = plethystic_sum(_F(k), n, lhs.kind, parity=lhs.parity, signed=signed)
+    if lhs.omega:
+        left = omega(left)
+    if rhs[0] == "half":
+        _, a, sign, b = rhs
+        right = HALF * (_product(a, k, n) + sign * _product(b, k, n))
+        res = _eq(cid, n, [("half-sum identity", left, right)])
+        if res.status != "PASS":
+            return res
+        return check_positivity(left, n, "NONNEG", check_id=cid)
+    if rhs[0] == "product":
+        right = _product(rhs[1], k, n)
+    else:  # the k = 0 families take no parameter
+        right = _pf(rhs[1], n, k=k or None)
+    return _eq(cid, n, [("lhs == rhs", left, right)])
 
 
 # ---------------------------------------------------------------------------
 # Identity runners
-
-
-def _run_thm42(eq: int, n: int) -> CheckResult:
-    cid = f"thm4.2.{eq}"
-    if eq in (1, 2):
-        lhs = _sum_h(n)
-        rhs = (
-            product_expansion(_totient_factors(n, "sym"), n)
-            if eq == 1
-            else _pf("all", n)
-        )
-    elif eq in (3, 4):
-        lhs = _sum_e(n)
-        rhs = (
-            product_expansion(_totient_factors(n, "ext"), n)
-            if eq == 3
-            else _pf("odd-parts", n)
-        )
-    elif eq in (5, 6):
-        lhs = omega(_sum_e(n, signed="sign-exponent"))
-        rhs = (
-            product_expansion(_totient_factors(n, "alt-ext"), n)
-            if eq == 5
-            else _pf("distinct", n)
-        )
-    else:
-        lhs = omega(_sum_h(n, signed="sign-exponent"))
-        rhs = (
-            product_expansion(_totient_factors(n, "alt-sym"), n)
-            if eq == 7
-            else _pf("do", n)
-        )
-    return _eq(cid, n, [("lhs == rhs", lhs, rhs)])
 
 
 def _run_thm411(eq: int, n: int) -> CheckResult:
@@ -400,56 +432,8 @@ def _run_prop65(eq: int, n: int) -> CheckResult:
     return _eq(cid, n, pairs)
 
 
-def _thm59_family(k: int, n: int) -> PExpr:
-    return _pf("thm59", n, k=k)
-
-
-def _run_thm59(eq: int, k: int, n: int) -> CheckResult:
-    cid = f"thm5.9.{eq}:k{k}"
-    divs = [m for m in range(1, n + 1) if k % m == 0]
-    odd_divs = [m for m in divs if m % 2 == 1]
-    special_even = [
-        m for m in range(2, n + 1, 2) if k % (m // 2) == 0 and k % m != 0
-    ]
-    if eq == 1:
-        lhs = _sum_h(n, k)
-        rhs = product_expansion([(m, -1, -1) for m in divs], n)
-    elif eq == 2:
-        lhs = _sum_h(n, k)
-        rhs = _pf("divides-k", n, k=k)
-    elif eq == 3:
-        lhs = _sum_e(n, k)
-        rhs = product_expansion(
-            [(m, -1, -1) for m in odd_divs] + [(m, 1, -1) for m in special_even], n
-        )
-    elif eq == 4:
-        lhs = omega(_sum_e(n, k))
-        rhs = product_expansion(
-            [(m, -1, -1) for m in odd_divs] + [(m, 1, 1) for m in special_even], n
-        )
-    elif eq == 5:
-        lhs = omega(_sum_e(n, k))
-        rhs = _thm59_family(k, n)
-    elif eq == 6:
-        lhs = omega(_sum_e(n, k, signed="sign-exponent"))
-        rhs = product_expansion([(m, 1, 1) for m in divs], n)
-    elif eq == 7:
-        lhs = omega(_sum_h(n, k, signed="sign-exponent"))
-        rhs = product_expansion(
-            [(m, 1, 1) for m in odd_divs] + [(m, -1, 1) for m in special_even], n
-        )
-    else:
-        lhs = _sum_h(n, k, signed="sign-exponent")
-        rhs = product_expansion(
-            [(m, 1, 1) for m in odd_divs] + [(m, -1, -1) for m in special_even], n
-        )
-    return _eq(cid, n, [("lhs == rhs", lhs, rhs)])
-
-
 @lru_cache(maxsize=None)
 def _lie_reports(n_max: int) -> dict[tuple[str, int], bool]:
-    from .repmodels import lie_series_identities
-
     return {(name, n): ok for name, n, ok, _ in lie_series_identities(n_max)}
 
 
@@ -472,28 +456,15 @@ def _run_lie(cid: str, n: int) -> CheckResult:
     return CheckResult(cid, n, "PASS")
 
 
+@lru_cache(maxsize=None)
+def _cached_power_series(kind: str, k: int) -> Series:
+    return (series_H if kind == "h" else series_E)(_F(k))
+
+
 def _run_lem55(k: int, n: int) -> CheckResult:
-    from .repmodels import exterior_from_symmetric
-
-    cid = f"lem5.5:k{k}"
-    G = _series_h_cached(k)
-    E = _series_e_cached(k)
-    Q = exterior_from_symmetric(G)
-    return _eq(cid, n, [("G/G[p2] == E[F]", Q.component(n), E.component(n))])
-
-
-@lru_cache(maxsize=None)
-def _series_h_cached(k: int) -> Series:
-    from .symfunc import series_H
-
-    return series_H(_F(k))
-
-
-@lru_cache(maxsize=None)
-def _series_e_cached(k: int) -> Series:
-    from .symfunc import series_E
-
-    return series_E(_F(k))
+    Q = exterior_from_symmetric(_cached_power_series("h", k))
+    E = _cached_power_series("e", k)
+    return _eq(f"lem5.5:k{k}", n, [("G/G[p2] == E[F]", Q.component(n), E.component(n))])
 
 
 def _run_prop36(n: int) -> CheckResult:
@@ -532,30 +503,6 @@ def _run_prop23(which: str, n: int) -> CheckResult:
             rhs_e = rhs_e + hpm * plethystic_sum(F, n - a, "e")
     pairs.append(("E restricted", lhs_e, rhs_e))
     return _eq(cid, n, pairs)
-
-
-def _run_thm34(item: int, k: int, n: int) -> CheckResult:
-    cid = f"thm3.4.{item}:k{k}"
-    prod_ext = product_expansion(_general_factors(n, k, "ext"), n)
-    prod_mixed_ext = product_expansion(_general_factors(n, k, "mixed-ext"), n)
-    prod_sym = product_expansion(_general_factors(n, k, "sym"), n)
-    prod_mixed_sym = product_expansion(_general_factors(n, k, "mixed-sym"), n)
-    if item == 5:
-        lhs = _sum_e(n, k, parity=0)
-        rhs = HALF * (prod_ext + prod_mixed_ext)
-    elif item == 6:
-        lhs = _sum_e(n, k, parity=1)
-        rhs = HALF * (prod_ext - prod_mixed_ext)
-    elif item == 7:
-        lhs = _sum_h(n, k, parity=0)
-        rhs = HALF * (prod_sym + prod_mixed_sym)
-    else:
-        lhs = _sum_h(n, k, parity=1)
-        rhs = HALF * (prod_sym - prod_mixed_sym)
-    res = _eq(cid, n, [("half-sum identity", lhs, rhs)])
-    if res.status != "PASS":
-        return res
-    return check_positivity(lhs, n, "NONNEG", check_id=cid)
 
 
 def _run_cor510(n: int) -> CheckResult:
@@ -607,19 +554,27 @@ def _run_thm45(n: int) -> CheckResult:
     return check_positivity(module_char("psi", n), n, "STRICT", check_id=cid)
 
 
-def _run_strict(cid: str, mid: str, n: int, except_sign: bool = False) -> CheckResult:
-    f = module_char(mid, n)
-    if except_sign:
-        sign = (1,) * n
-        res = check_positivity(f, n, "STRICT_EXCEPT", exceptions=(sign,), check_id=cid)
-        if res.status != "PASS":
-            return res
-        if _module_schur(mid, n).mult(sign) != 0:
-            return CheckResult(
-                cid, n, "FAIL", {"witness": [{"nu": list(sign), "mult": "nonzero"}]}
-            )
-        return CheckResult(cid, n, "PASS")
-    return check_positivity(f, n, "STRICT", check_id=cid)
+def _run_family(cid: str, spec: FamilySpec, mode: str, n: int) -> CheckResult:
+    return check_positivity(spec, n, mode, check_id=cid)
+
+
+def _run_strict(cid: str, mid: str, n: int) -> CheckResult:
+    return check_positivity(module_char(mid, n), n, "STRICT", check_id=cid)
+
+
+def _run_strict_but_sign(cid: str, mid: str, n: int) -> CheckResult:
+    """Every shape but the sign occurs; the sign shape does not."""
+    sign = (1,) * n
+    res = check_positivity(
+        module_char(mid, n), n, "STRICT_EXCEPT", exceptions=(sign,), check_id=cid
+    )
+    if res.status != "PASS":
+        return res
+    if _module_schur(mid, n).mult(sign) != 0:
+        return CheckResult(
+            cid, n, "FAIL", {"witness": [{"nu": list(sign), "mult": "nonzero"}]}
+        )
+    return CheckResult(cid, n, "PASS")
 
 
 def _run_thm419_even(n: int) -> CheckResult:
@@ -704,9 +659,7 @@ def _run_dims_w(k: int, n: int) -> CheckResult:
 def _run_cor414(n: int) -> CheckResult:
     cid = "cor4.14"
     se = _module_schur("psi", n)
-    u_minus = _schur(_pf("odd-sign", n), n)
-    from .partitions import conjugate
-
+    u_minus = to_schur(_pf("odd-sign", n), n)
     for nu in partitions_of(n):
         nut = conjugate(nu)
         if nu == nut:
@@ -767,7 +720,7 @@ def _run_prop422(n: int) -> CheckResult:
 
 def _run_lem47(n: int) -> CheckResult:
     cid = "lem4.7"
-    se = _schur(foulkes(n, 0), n)
+    se = to_schur(foulkes(n, 0), n)
     checks = [("trivial once", se.mult((n,)) == 1)]
     if n >= 2:
         checks.append(("near-trivial absent", se.mult((n - 1, 1)) == 0))
@@ -817,8 +770,6 @@ def _run_routes_w(k: int, n: int) -> CheckResult:
 
 
 def _run_mn_alternant(n: int) -> CheckResult:
-    from .characters import alternant_oracle, mn_character
-
     cid = "oracles.mn-alternant"
     for nu in partitions_of(n):
         for mu in partitions_of(n):
@@ -844,7 +795,7 @@ def _run_ramanujan(d: int) -> CheckResult:
 
 def _run_maj(n: int) -> CheckResult:
     cid = "oracles.maj"
-    se = _schur(foulkes(n, 0), n)
+    se = to_schur(foulkes(n, 0), n)
     for nu in partitions_of(n):
         if se.mult(nu) != maj_multiplicity(nu, n, 0):
             return CheckResult(cid, n, "FAIL", {"witness": [{"nu": list(nu)}]})
@@ -894,8 +845,6 @@ def reproduce_table(kind: str, n: int) -> CheckResult:
             computed = [se.mult(nu) for nu in parts]
         else:
             # partial column: compute only the recorded leading rows
-            from .characters import mn_character
-
             computed = [
                 sum(mn_character(parts[i], mu) for mu in parts)
                 for i in range(len(fixture))
@@ -987,7 +936,7 @@ def _run_cex(which: str, n: int) -> CheckResult:
         f = power_sum_family(_CEX_C, n)
         nu = (3, 3)
         want = Fraction(-1)
-    got = _schur(f, n).mult(nu)
+    got = to_schur(f, n).mult(nu)
     status = "REPORT" if got == want else "FAIL"
     return CheckResult(
         cid, n, status, {"nu": list(nu), "mult": str(got), "expected": str(want)}
@@ -1009,7 +958,7 @@ def _run_conjecture(n: int) -> CheckResult:
     tail = PExpr.zero()
     for mu in reversed(parts):  # grow the segment from (1^n) upward
         tail = tail + PExpr.term(mu)
-        se = _schur(tail, n)
+        se = to_schur(tail, n)
         bad = [
             nu
             for nu in parts
@@ -1027,21 +976,17 @@ def conjecture_scan(n: int) -> list[CheckResult]:
     return [_run_conjecture(n)]
 
 
-def _run_coverage(n: int) -> CheckResult:
+def per_class_coverage(n: int) -> CheckResult:
+    """Classes whose single-orbit (twisted) conjugation piece hits every irreducible."""
     cid = "remark4.20"
     F = _F(0)
     full_h, full_e = [], []
     for lam in partitions_of(n):
-        if _schur(H_lambda(lam, F), n).verdict == "POSITIVE":
+        if to_schur(H_lambda(lam, F), n).verdict == "POSITIVE":
             full_h.append(list(lam))
-        if _schur(E_lambda(lam, F), n).verdict == "POSITIVE":
+        if to_schur(E_lambda(lam, F), n).verdict == "POSITIVE":
             full_e.append(list(lam))
     return CheckResult(cid, n, "REPORT", {"h-covering": full_h, "e-covering": full_e})
-
-
-def per_class_coverage(n: int) -> CheckResult:
-    """Classes whose single-orbit (twisted) conjugation piece hits every irreducible."""
-    return _run_coverage(n)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,236 +994,105 @@ def per_class_coverage(n: int) -> CheckResult:
 
 
 def _build_catalog() -> list[Entry]:
-    es: list[Entry] = []
-    idt = ("identities",)
-
-    for eq in range(1, 9):
-        es.append(
-            Entry(
-                f"thm4.2.{eq}", "thm4.2", _span(1, 10),
-                (lambda e: lambda n: _run_thm42(e, n))(eq), idt,
-            )
-        )
-    for eq in range(1, 8):
-        es.append(
-            Entry(
-                f"thm4.11.{eq}", "thm4.11", _span(1, 10),
-                (lambda e: lambda n: _run_thm411(e, n))(eq), idt,
-            )
-        )
-    for eq in range(1, 11):
-        es.append(
-            Entry(
-                f"prop4.13.{eq}", "prop4.13", _span(1, 10),
-                (lambda e: lambda n: _run_prop413(e, n))(eq), idt,
-            )
-        )
-    for eq in range(1, 5):
-        es.append(
-            Entry(
-                f"thm4.15.{eq}", "thm4.15", _span(1, 10),
-                (lambda e: lambda n: _run_thm415(e, n))(eq), idt,
-            )
-        )
-    for eq in range(1, 5):
-        es.append(
-            Entry(
-                f"prop6.5.{eq}", "prop6.5", _span(1, 10),
-                (lambda e: lambda n: _run_prop65(e, n))(eq), idt,
-            )
-        )
-    for eq in range(1, 9):
-        for k in range(1, 7):
-            es.append(
-                Entry(
-                    f"thm5.9.{eq}:k{k}", "thm5.9", _span(1, 10),
-                    (lambda e, kk: lambda n: _run_thm59(e, kk, n))(eq, k), idt,
-                )
-            )
-    for cid in ("cor5.2.1", "cor5.2.2", "cor5.2.3"):
-        es.append(
-            Entry(
-                cid, "cor5.2", _span(1, 10),
-                (lambda c: lambda n: _run_lie(c, n))(cid), idt,
-            )
-        )
-    es.append(Entry("prop5.4", "prop5.4", _span(1, 10), lambda n: _run_lie("prop5.4", n), idt))
-    for k in (0, 1, 2):
-        es.append(
-            Entry(
-                f"lem5.5:k{k}", "lem5.5", _span(1, 10),
-                (lambda kk: lambda n: _run_lem55(kk, n))(k), idt,
-            )
-        )
-    es.append(Entry("prop3.6", "prop3.6", _span(1, 10), _run_prop36, idt))
-    for which in ("odd", "one"):
-        es.append(
-            Entry(
-                f"prop2.3.{which}", "prop2.3", _span(1, 10),
-                (lambda w: lambda n: _run_prop23(w, n))(which), idt,
-            )
-        )
-    for item in (5, 6, 7, 8):
-        for k in (0, 1, 2):
-            es.append(
-                Entry(
-                    f"thm3.4.{item}:k{k}", "thm3.4", _span(1, 10),
-                    (lambda it, kk: lambda n: _run_thm34(it, kk, n))(item, k), idt,
-                )
-            )
-    es.append(Entry("cor5.10", "cor5.10", _span(1, 10), _run_cor510, idt))
-
-    for cid, spec, lo in _THM11_FAMILIES:
-        es.append(
-            Entry(
-                cid, "thm1.1", _span(lo, 12),
-                (lambda s, c: lambda n: check_positivity(s, n, "NONNEG", check_id=c))(
-                    spec, cid
-                ),
-                ("positivity",),
-            )
-        )
-
-    st = ("strict",)
-    es.append(Entry("thm4.5", "strict", _span(2, 12), _run_thm45, st))
-    es.append(
-        Entry(
-            "thm4.9", "strict", _span(1, 12),
-            lambda n: _run_strict("thm4.9", "eps", n), st,
-        )
+    """Catalog entries from rows (id, group, degrees, runner, runner arguments)."""
+    ten = _span(1, 10)
+    gf42 = [(f"thm4.2.{eq}", 0, lhs, rhs) for eq, lhs, rhs in _THM42]
+    gf59 = [
+        (f"thm5.9.{eq}:k{k}", k, lhs, rhs) for eq, lhs, rhs in _THM59 for k in range(1, 7)
+    ]
+    gf34 = [
+        (f"thm3.4.{eq}:k{k}", k, lhs, rhs) for eq, lhs, rhs in _THM34 for k in (0, 1, 2)
+    ]
+    identities = (
+        [(args[0], "thm4.2", ten, _run_gf, args) for args in gf42]
+        + [(f"thm4.11.{eq}", "thm4.11", ten, _run_thm411, (eq,)) for eq in range(1, 8)]
+        + [(f"prop4.13.{eq}", "prop4.13", ten, _run_prop413, (eq,)) for eq in range(1, 11)]
+        + [(f"thm4.15.{eq}", "thm4.15", ten, _run_thm415, (eq,)) for eq in range(1, 5)]
+        + [(f"prop6.5.{eq}", "prop6.5", ten, _run_prop65, (eq,)) for eq in range(1, 5)]
+        + [(args[0], "thm5.9", ten, _run_gf, args) for args in gf59]
+        + [(c, "cor5.2", ten, _run_lie, (c,)) for c in ("cor5.2.1", "cor5.2.2", "cor5.2.3")]
+        + [("prop5.4", "prop5.4", ten, _run_lie, ("prop5.4",))]
+        + [(f"lem5.5:k{k}", "lem5.5", ten, _run_lem55, (k,)) for k in (0, 1, 2)]
+        + [("prop3.6", "prop3.6", ten, _run_prop36, ())]
+        + [(f"prop2.3.{w}", "prop2.3", ten, _run_prop23, (w,)) for w in ("odd", "one")]
+        + [(args[0], "thm3.4", ten, _run_gf, args) for args in gf34]
+        + [("cor5.10", "cor5.10", ten, _run_cor510, ())]
     )
-    es.append(
-        Entry(
-            "thm4.17.1", "strict", _span(4, 12),
-            lambda n: _run_strict("thm4.17.1", "psi-a", n), st,
-        )
-    )
-    es.append(
-        Entry(
+    positivity = [
+        (cid, "thm1.1", _span(lo, 12), _run_family, (cid, spec, "NONNEG"))
+        for cid, spec, lo in _THM11_FAMILIES
+    ]
+    strict = [
+        ("thm4.5", "strict", _span(2, 12), _run_thm45, ()),
+        ("thm4.9", "strict", _span(1, 12), _run_strict, ("thm4.9", "eps")),
+        ("thm4.17.1", "strict", _span(4, 12), _run_strict, ("thm4.17.1", "psi-a")),
+        (
             "thm4.17.2", "strict", _span(2, 12),
-            lambda n: _run_strict("thm4.17.2", "psi-abar", n, except_sign=True), st,
-        )
-    )
-    es.append(Entry("thm4.19.1", "strict", _span(4, 12), _run_thm419_even, st))
-    es.append(
-        Entry(
+            _run_strict_but_sign, ("thm4.17.2", "psi-abar"),
+        ),
+        ("thm4.19.1", "strict", _span(4, 12), _run_thm419_even, ()),
+        (
             "thm4.19.2", "strict", _span(2, 12),
-            lambda n: _run_strict("thm4.19.2", "eps-abar", n, except_sign=True), st,
-        )
+            _run_strict_but_sign, ("thm4.19.2", "eps-abar"),
+        ),
+        ("cor4.18", "strict", _span(4, 12), _run_strict, ("cor4.18", "u-plus")),
+        (
+            "cor4.12", "strict", _fixed(n for n in range(1, 13) if n != 2),
+            _run_family, ("cor4.12", FamilySpec("even-sign"), "STRICT"),
+        ),
+        ("thm6.4", "strict", _span(2, 12), _run_thm64, ()),
+    ]
+    dims = (
+        [(f"dims.{mid}", "dims", _span(lo, 10), _run_dims, (mid,))
+         for mid, (lo, _, _) in _DIM_SPECS.items()]
+        + [(f"dims.w:{k}", "dims", _span(0, 10), _run_dims_w, (k,)) for k in range(2, 7)]
+        + [("cor4.14", "dims", ten, _run_cor414, ()),
+           ("prop4.21", "dims", ten, _run_prop421, ()),
+           ("prop4.22", "dims", ten, _run_prop422, ()),
+           ("lem4.7", "dims", ten, _run_lem47, ())]
     )
-    es.append(
-        Entry(
-            "cor4.18", "strict", _span(4, 12),
-            lambda n: _run_strict("cor4.18", "u-plus", n), st,
-        )
+    routes = (
+        [(f"routes.{mid}", "routes", ten, _run_routes, (mid,)) for mid in MODULE_IDS]
+        + [
+            (f"routes.w:{k}", "routes", _span(0, 12), _run_routes_w, (k,))
+            for k in range(2, 7)
+        ]
     )
-    es.append(
-        Entry(
-            "cor4.12", "strict",
-            lambda max_n: [n for n in range(1, min(12, max_n) + 1) if n != 2],
-            lambda n: check_positivity(
-                FamilySpec("even-sign"), n, "STRICT", check_id="cor4.12"
-            ),
-            st,
-        )
+    oracles = [
+        ("oracles.mn-alternant", "oracles", _span(1, 6), _run_mn_alternant, ()),
+        ("oracles.ramanujan", "oracles", _span(1, 60, floor=60), _run_ramanujan, ()),
+        ("oracles.maj", "oracles", _span(1, 9), _run_maj, ()),
+    ]
+    thirty = _span(1, 30, floor=30)
+    lemmas = [("lem3.3", "lemmas", thirty, _run_lem33, ())] + [
+        (cid, "lemmas", thirty, _run_feval_lemma, (cid,))
+        for cid in ("lem4.1", "lem5.1", "lem5.7")
+    ]
+    tables = [
+        ("tables.t1", "tables", _span(1, 16, floor=10), reproduce_table, ("t1",)),
+        ("tables.t2", "tables", _span(1, 10, floor=10), reproduce_table, ("t2",)),
+        ("tables.t3", "tables", _span(2, 8), reproduce_table, ("t3",)),
+        ("tables.t4", "tables", _span(2, 8), reproduce_table, ("t4",)),
+    ]
+    cex = [
+        ("cex.a", "counterexamples", _fixed((4, 5, 6)), _run_cex, ("a",)),
+        ("cex.b", "counterexamples", _fixed((6,)), _run_cex, ("b",)),
+        ("cex.c", "counterexamples", _fixed((6,)), _run_cex, ("c",)),
+    ]
+    scans = [
+        ("conjecture1.5", "conjecture", _span(1, 8), _run_conjecture, ()),
+        ("remark4.20", "coverage", ten, per_class_coverage, ()),
+    ]
+    sections = (
+        ("identities", identities), ("positivity", positivity), ("strict", strict),
+        ("dims", dims), ("routes", routes), ("oracles", oracles), ("lemmas", lemmas),
+        ("tables", tables), ("counterexamples", cex), ("scans", scans),
     )
-    es.append(Entry("thm6.4", "strict", _span(2, 12), _run_thm64, st))
-
-    dm = ("dims",)
-    for mid, (lo, _, _) in _DIM_SPECS.items():
-        es.append(
-            Entry(
-                f"dims.{mid}", "dims", _span(lo, 10),
-                (lambda m: lambda n: _run_dims(m, n))(mid), dm,
-            )
-        )
-    for k in range(2, 7):
-        es.append(
-            Entry(
-                f"dims.w:{k}", "dims", _span(0, 10),
-                (lambda kk: lambda n: _run_dims_w(kk, n))(k), dm,
-            )
-        )
-    es.append(Entry("cor4.14", "dims", _span(1, 10), _run_cor414, dm))
-    es.append(Entry("prop4.21", "dims", _span(1, 10), _run_prop421, dm))
-    es.append(Entry("prop4.22", "dims", _span(1, 10), _run_prop422, dm))
-    es.append(Entry("lem4.7", "dims", _span(1, 10), _run_lem47, dm))
-
-    rt = ("routes",)
-    for mid in MODULE_IDS:
-        es.append(
-            Entry(
-                f"routes.{mid}", "routes", _span(1, 10),
-                (lambda m: lambda n: _run_routes(m, n))(mid), rt,
-            )
-        )
-    for k in range(2, 7):
-        es.append(
-            Entry(
-                f"routes.w:{k}", "routes", _span(0, 12),
-                (lambda kk: lambda n: _run_routes_w(kk, n))(k), rt,
-            )
-        )
-
-    orc = ("oracles",)
-    es.append(Entry("oracles.mn-alternant", "oracles", _span(1, 6), _run_mn_alternant, orc))
-    es.append(
-        Entry("oracles.ramanujan", "oracles", _span(1, 60, capped=False), _run_ramanujan, orc)
-    )
-    es.append(Entry("oracles.maj", "oracles", _span(1, 9), _run_maj, orc))
-
-    lm = ("lemmas",)
-    es.append(Entry("lem3.3", "lemmas", _span(1, 30, capped=False), _run_lem33, lm))
-    for cid in ("lem4.1", "lem5.1", "lem5.7"):
-        es.append(
-            Entry(
-                cid, "lemmas", _span(1, 30, capped=False),
-                (lambda c: lambda n: _run_feval_lemma(c, n))(cid), lm,
-            )
-        )
-
-    tb = ("tables",)
-    es.append(
-        Entry(
-            "tables.t1", "tables",
-            lambda max_n: range(1, max(10, min(max_n, 16)) + 1),
-            lambda n: reproduce_table("t1", n), tb,
-        )
-    )
-    es.append(
-        Entry(
-            "tables.t2", "tables",
-            lambda max_n: range(1, 11),
-            lambda n: reproduce_table("t2", n), tb,
-        )
-    )
-    for kind in ("t3", "t4"):
-        es.append(
-            Entry(
-                f"tables.{kind}", "tables",
-                (lambda kk: lambda max_n: range(2, min(max_n, 8) + 1))(kind),
-                (lambda kk: lambda n: reproduce_table(kk, n))(kind), tb,
-            )
-        )
-
-    cx = ("counterexamples",)
-    es.append(Entry("cex.a", "counterexamples", _fixed((4, 5, 6)), lambda n: _run_cex("a", n), cx))
-    es.append(Entry("cex.b", "counterexamples", _fixed((6,)), lambda n: _run_cex("b", n), cx))
-    es.append(Entry("cex.c", "counterexamples", _fixed((6,)), lambda n: _run_cex("c", n), cx))
-
-    es.append(
-        Entry(
-            "conjecture1.5", "conjecture",
-            lambda max_n: range(1, min(max_n, 8) + 1), _run_conjecture, ("scans",),
-        )
-    )
-    es.append(
-        Entry(
-            "remark4.20", "coverage",
-            lambda max_n: range(1, min(max_n, 10) + 1), _run_coverage, ("scans",),
-        )
-    )
-    return es
+    return [
+        Entry(cid, group, ns, partial(runner, *args), (tag,))
+        for tag, rows in sections
+        for cid, group, ns, runner, args in rows
+    ]
 
 
 CATALOG: list[Entry] = _build_catalog()
@@ -1300,19 +1114,11 @@ def select_entries(selector: str) -> list[Entry]:
     return chosen
 
 
-def run_selector(selector: str, max_n: int = 12, threads: int = 1):
+def run_selector(selector: str, max_n: int = 12):
     """Yield CheckResults for all matching entries, in catalog order."""
-    tasks = [
-        (entry, n) for entry in select_entries(selector) for n in entry.ns(max_n)
-    ]
-    if threads == 0:
-        threads = min(8, os.cpu_count() or 1)
-    if threads <= 1:
-        for entry, n in tasks:
+    for entry in select_entries(selector):
+        for n in entry.ns(max_n):
             yield entry.run(n)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda t: t[0].run(t[1]), tasks)
 
 
 def catalog_ids() -> list[str]:

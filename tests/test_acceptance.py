@@ -31,10 +31,10 @@ from symcon.verify import (
 )
 
 
-def _all_pass(selector, max_n, threads=1):
+def _all_pass(selector, max_n):
     failures = []
     count = 0
-    for res in run_selector(selector, max_n=max_n, threads=threads):
+    for res in run_selector(selector, max_n=max_n):
         count += 1
         if res.status == "FAIL":
             failures.append(res)

@@ -119,6 +119,22 @@ def test_env_override_warns(capsys, monkeypatch):
     assert "unsupported" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_env_max_n_must_be_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("SYMCON_MAX_N", value)
+    code, out, err = run_cli(capsys, "verify", "thm4.5")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "SYMCON_MAX_N" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_threads_still_validated(capsys, value):
+    code, _, err = run_cli(capsys, "verify", "prop6.5", "--max-n", "3", "--threads", value)
+    assert code == 2
+    assert "--threads" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(

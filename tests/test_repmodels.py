@@ -212,15 +212,15 @@ def test_lie_series_identities():
 
 
 def test_foulkes_products_report():
-    from symcon.repmodels import foulkes_products
+    # the product forms of the weight-k family (Theorem 5.9) and the k = 2
+    # block and half sums (Corollary 5.10), as catalog entries
+    from symcon.verify import check_identity, run_selector
 
-    for k in (1, 2, 3, 6):
-        for n in range(0, 9):
-            failures = [r for r in foulkes_products(n, k) if not r[2]]
-            assert failures == [], (k, n, failures)
-    # k=2 report includes the block-sum and half-sum checks
-    names = [r[0] for r in foulkes_products(4, 2)]
-    assert "block-sum" in names and "half-plus" in names
+    for selector in ("thm5.9", "cor5.10"):
+        results = list(run_selector(selector, max_n=8))
+        assert results and all(r.status == "PASS" for r in results), selector
+    for k in (3, 6):
+        assert check_identity(f"thm5.9.5:k{k}", 0).status == "PASS"
 
 
 def test_divides_family_products():

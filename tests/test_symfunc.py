@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symcon.errors import DegreeError, TruncationError
+from symcon.errors import DegreeError, ParameterError, TruncationError
 from symcon.partitions import partitions_of
 from symcon.symfunc import (
     E_lambda,
@@ -368,3 +368,18 @@ def test_series_inverse():
 def test_json_roundtrip():
     f = Fraction(1, 2) * p(2, 1) + 3 * p(1, 1, 1)
     assert PExpr.from_json_dict(f.to_json_dict()) == f
+
+
+def test_noncanonical_keys_are_sorted():
+    from symcon.characters import to_schur
+
+    for f in (PExpr.term((1, 2)), PExpr.from_json_dict({"[1,2]": "1"})):
+        assert f == p(2, 1)
+        assert to_schur(f, 3).mults == to_schur(p(2, 1), 3).mults
+
+
+def test_nonpositive_parts_rejected():
+    with pytest.raises(ParameterError):
+        PExpr.term((0, 1))
+    with pytest.raises(ParameterError):
+        PExpr.from_json_dict({"[2,-1]": "1"})

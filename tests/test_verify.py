@@ -141,10 +141,21 @@ def test_selectors():
         select_entries("bogus")
 
 
-def test_run_selector_order_deterministic_across_threads():
-    seq = [(r.id, r.n, r.status) for r in run_selector("thm4.2", max_n=6)]
-    par = [(r.id, r.n, r.status) for r in run_selector("thm4.2", max_n=6, threads=4)]
-    assert seq == par
+def test_catalog_shape():
+    from collections import Counter
+
+    from symcon.verify import CATALOG
+
+    assert len(CATALOG) == 189
+    assert Counter(e.group for e in CATALOG) == {
+        "thm4.2": 8, "thm4.11": 7, "prop4.13": 10, "thm4.15": 4, "prop6.5": 4,
+        "thm5.9": 48, "cor5.2": 3, "prop5.4": 1, "lem5.5": 3, "prop3.6": 1,
+        "prop2.3": 2, "thm3.4": 12, "cor5.10": 1, "thm1.1": 26, "strict": 9,
+        "dims": 19, "routes": 15, "oracles": 3, "lemmas": 4, "tables": 4,
+        "counterexamples": 3, "conjecture": 1, "coverage": 1,
+    }
+    assert sum(len(e.ns(12)) for e in CATALOG) == 2051
+    assert sum(len(e.ns(20)) for e in CATALOG) == 2055
 
 
 def test_strict_group_passes():
