@@ -1,13 +1,21 @@
 """Symmetric-group characters and Schur expansions.
 
-Character values chi^nu(mu) are computed by border-strip recursion on
-beta-numbers (first-column hook lengths): removing a strip of size k is
-moving a bead from b to b-k, with sign (-1)^(beads jumped over).  Strips
-are removed for the largest remaining part of mu first, and values are
-memoized on (remaining shape, remaining class).
+Character values follow the Murnaghan-Nakayama rule on beta-numbers
+(first-column hook lengths): removing a border strip of size k is moving a
+bead from b to b-k, with sign (-1)^(beads jumped over).
 
-A small alternant oracle recomputes chi^nu(mu) for n <= 6 from the
-bialternant definition, fully independently of the recursion.
+The full table of degree n is built by the rule read additively
+(Macdonald, Symmetric Functions and Hall Polynomials, I.7): a depth-first
+walk over class prefixes rho, parts in decreasing order, carries the
+vector chi^lam(rho) over all lam |- |rho|, and appending a part k sets
+chi^mu(rho + k) to the signed sum of chi^lam(rho) over the lam left by
+removing a k-strip from mu.  The prefixes of size n are the columns.
+
+`mn_character` evaluates one value by the same rule as a recursion,
+removing strips for the largest remaining part of mu first, with values
+memoized on (remaining shape, remaining class); the tests hold the table
+to it.  A small alternant oracle recomputes chi^nu(mu) for n <= 6 from the
+bialternant definition, fully independently of both.
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
+from math import lcm
+from operator import mul, neg, sub
 
 from .errors import CapacityError, DegreeError, ParameterError
 from .partitions import Partition, partitions_of, pretty, z_lambda
@@ -27,18 +37,28 @@ ALTERNANT_MAX_N = 6
 def _strip_removals(lam: Partition, k: int):
     """All ways to remove a border strip of size k: (smaller shape, height)."""
     length = len(lam)
-    beta = [lam[i] + (length - 1 - i) for i in range(length)]
+    beta = [p + (length - 1 - i) for i, p in enumerate(lam)]
     bset = set(beta)
     out = []
-    for idx, b in enumerate(beta):
+    for i, b in enumerate(beta):
         nb = b - k
-        if nb >= 0 and nb not in bset:
-            height = sum(1 for c in beta if nb < c < b)
-            newbeta = sorted((bset - {b}) | {nb}, reverse=True)
-            parts = tuple(
-                nb_j - (length - 1 - j) for j, nb_j in enumerate(newbeta)
-            )
-            out.append((tuple(p for p in parts if p > 0), height))
+        if nb < 0:
+            break
+        if nb in bset:
+            continue
+        # The bead jumps over beta[i+1:j]; those rows move up one and lose
+        # a box, and the bead lands in row j-1.
+        j = i + 1
+        while j < length and beta[j] > nb:
+            j += 1
+        landed = nb - (length - j)
+        shape = (
+            lam[:i]
+            + tuple(p - 1 for p in lam[i + 1 : j] if p > 1)
+            + ((landed,) if landed else ())
+            + lam[j:]
+        )
+        out.append((shape, j - i - 1))
     return out
 
 
@@ -79,9 +99,51 @@ class CharacterTable:
 @lru_cache(maxsize=None)
 def _build_table(n: int) -> CharacterTable:
     parts = partitions_of(n)
-    rows = tuple(
-        tuple(mn_character(nu, mu) for mu in parts) for nu in parts
-    )
+    positions = [
+        {lam: i for i, lam in enumerate(partitions_of(m))} for m in range(n + 1)
+    ]
+    strips: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    columns: list[list[int]] = []
+
+    def strip_indices(size: int, k: int) -> tuple[list[int], list[int]]:
+        """The k-strip removals from every mu |- size+k, as flat index runs.
+
+        An index points into the signed vector, chi(rho) over lam |- size
+        followed by its negation, so a strip of odd height reads the second
+        half.  The removals from the i-th mu are flat[ends[i-1]:ends[i]].
+        """
+        key = (size, k)
+        if key not in strips:
+            pos = positions[size]
+            shift = len(pos)
+            flat: list[int] = []
+            ends: list[int] = []
+            for mu in partitions_of(size + k):
+                flat.extend(
+                    pos[lam] + shift * (height % 2)
+                    for lam, height in _strip_removals(mu, k)
+                )
+                ends.append(len(flat))
+            strips[key] = flat, ends
+        return strips[key]
+
+    def walk(size: int, last: int, values: list[int]) -> None:
+        # values[i] = chi^lam(rho) for the i-th lam |- size.  Parts are added
+        # largest first, so the leaves arrive in partitions_of(n) order.
+        if size == n:
+            columns.append(values)
+            return
+        get = (values + list(map(neg, values))).__getitem__
+        for k in range(min(last, n - size), 0, -1):
+            flat, ends = strip_indices(size, k)
+            # Differences of running sums give each mu's sum without a
+            # Python-level loop per entry.
+            totals = list(accumulate(map(get, flat), initial=0))
+            at_ends = list(map(totals.__getitem__, ends))
+            walk(size + k, k, list(map(sub, at_ends, [0] + at_ends)))
+
+    walk(0, n, [1])
+    rows = tuple(zip(*columns))
     index = {lam: i for i, lam in enumerate(parts)}
     return CharacterTable(n, parts, rows, index)
 
@@ -161,15 +223,15 @@ def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
     elif n is not None and n != deg:
         raise DegreeError(f"expression has degree {deg}, expected {n}")
     table = character_table(deg, max_n)
+    # One common denominator turns each multiplicity into an integer dot product.
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    idx = [table.index[lam] for lam in f.terms]
+    nums = [c.numerator * (denom // c.denominator) for c in f.terms.values()]
     mults: dict[Partition, Fraction] = {}
-    items = [(table.index[lam], c) for lam, c in f.terms.items()]
-    for i, nu in enumerate(table.parts):
-        row = table.rows[i]
-        m = Fraction(0)
-        for j, c in items:
-            m += c * row[j]
+    for nu, row in zip(table.parts, table.rows):
+        m = sum(map(mul, map(row.__getitem__, idx), nums))
         if m:
-            mults[nu] = m
+            mults[nu] = Fraction(m, denom)
     return SchurExpansion(deg, mults, _verdict(deg, mults))
 
 

@@ -325,12 +325,24 @@ def parse_family(text: str) -> FamilySpec:
     if kind == "explicit":
         if not sep:
             raise ParameterError("explicit needs a file of JSON partitions")
-        with open(arg, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return FamilySpec(kind, items=tuple(partition(item) for item in data))
+        return FamilySpec(kind, items=_load_partitions(arg))
     if sep:
         raise ParameterError(f"family {kind!r} takes no parameter")
     return FamilySpec(kind)
+
+
+def _load_partitions(path: str) -> tuple[Partition, ...]:
+    """The JSON list of partitions in the file at path; errors name the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read family file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ParameterError(f"family file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, list) or not all(isinstance(item, list) for item in data):
+        raise ParameterError(f"family file {path} must hold a JSON list of partitions")
+    return tuple(partition(item) for item in data)
 
 
 def _parse_int(text: str) -> int:

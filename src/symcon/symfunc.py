@@ -189,8 +189,13 @@ class PExpr:
     def from_json_dict(data: dict[str, str]) -> "PExpr":
         terms = {}
         for key, val in data.items():
-            parts = _canonical_key(int(x) for x in key.strip("[]").split(",") if x.strip())
-            terms[parts] = terms.get(parts, 0) + Fraction(val)
+            try:
+                parts = [int(x) for x in key.strip("[]").split(",") if x.strip()]
+                coeff = Fraction(val)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"not a power-sum term: {key!r}: {val!r}") from exc
+            lam = _canonical_key(parts)
+            terms[lam] = terms.get(lam, 0) + coeff
         return PExpr(terms)
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from math import factorial
 from typing import NamedTuple
 
-from .characters import SchurExpansion, alternant_oracle, mn_character, to_schur
+from .characters import SchurExpansion, alternant_oracle, character_table, to_schur
 from .errors import CatalogError, ParameterError
 from .numbertheory import ramanujan_sum, ramanujan_sum_oracle, totient
 from .partitions import (
@@ -771,9 +771,10 @@ def _run_routes_w(k: int, n: int) -> CheckResult:
 
 def _run_mn_alternant(n: int) -> CheckResult:
     cid = "oracles.mn-alternant"
+    table = character_table(n)
     for nu in partitions_of(n):
         for mu in partitions_of(n):
-            if mn_character(nu, mu) != alternant_oracle(nu, mu):
+            if table.chi(nu, mu) != alternant_oracle(nu, mu):
                 return CheckResult(
                     cid, n, "FAIL", {"witness": [{"nu": list(nu), "mu": list(mu)}]}
                 )
@@ -840,15 +841,8 @@ def reproduce_table(kind: str, n: int) -> CheckResult:
     if kind in ("t1", "t2"):
         fixture = (tables_data.T1 if kind == "t1" else tables_data.T2)[n]
         parts = partitions_of(n)
-        if len(fixture) == len(parts):
-            se = _module_schur("psi" if kind == "t1" else "eps", n)
-            computed = [se.mult(nu) for nu in parts]
-        else:
-            # partial column: compute only the recorded leading rows
-            computed = [
-                sum(mn_character(parts[i], mu) for mu in parts)
-                for i in range(len(fixture))
-            ]
+        se = _module_schur("psi" if kind == "t1" else "eps", n)
+        computed = [se.mult(nu) for nu in parts[: len(fixture)]]
         for i, want in enumerate(fixture):
             if computed[i] != want:
                 return CheckResult(

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcon.characters import (
+    _build_table,
+    _mn,
+    _strip_removals,
     alternant_oracle,
     character_table,
     mn_character,
@@ -43,6 +47,46 @@ def test_small_table_row():
     assert t3.rows[t3.index[(2, 1)]] == (-1, 0, 2)
     t1 = character_table(1)
     assert t1.rows == ((1,),)
+
+
+def _strip_removals_by_beads(lam, k):
+    """Reference: move each bead b to b-k on the full bead set and read off the shape."""
+    length = len(lam)
+    beta = {p + length - 1 - i for i, p in enumerate(lam)}
+    out = []
+    for b in sorted(beta, reverse=True):
+        nb = b - k
+        if nb >= 0 and nb not in beta:
+            newbeta = sorted((beta - {b}) | {nb}, reverse=True)
+            parts = (x - (length - 1 - j) for j, x in enumerate(newbeta))
+            out.append((tuple(p for p in parts if p > 0), sum(nb < c < b for c in beta)))
+    return out
+
+
+def test_strip_removals_match_bead_moves():
+    for n in range(0, 13):
+        for lam in partitions_of(n):
+            for k in range(1, n + 2):
+                assert _strip_removals(lam, k) == _strip_removals_by_beads(lam, k)
+
+
+def test_table_matches_mn_character():
+    for n in range(0, 13):
+        table = character_table(n)
+        assert table.parts == partitions_of(n)
+        for nu in table.parts:
+            assert table.rows[table.index[nu]] == tuple(
+                mn_character(nu, mu) for mu in table.parts
+            )
+
+
+def test_table_build_leaves_mn_cache_alone():
+    before = _mn.cache_info().currsize
+    table = _build_table.__wrapped__(20)  # a fresh build, whatever is cached
+    assert _mn.cache_info().currsize == before
+    assert len(table.rows) == len(table.parts) == 627
+    assert table.rows[table.index[(20,)]] == (1,) * 627
+    assert table.chi((19, 1), (1,) * 20) == 19
 
 
 def test_table_capacity_error():
@@ -127,3 +171,41 @@ def test_json_shape():
         "mults": {"[3]": 3, "[2,1]": 1, "[1,1,1]": 1},
         "verdict": "POSITIVE",
     }
+
+
+def _fraction_sum(f, n):
+    """mult(nu) as a plain Fraction sum over the table, the reference for to_schur."""
+    table = character_table(n)
+    out = {}
+    for nu in table.parts:
+        m = sum((c * table.chi(nu, lam) for lam, c in f.terms.items()), Fraction(0))
+        if m:
+            out[nu] = m
+    return out
+
+
+@st.composite
+def homogeneous_pexprs(draw):
+    n = draw(st.integers(0, 9))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    terms = draw(st.dictionaries(st.sampled_from(partitions_of(n)), coeff, max_size=8))
+    return n, PExpr(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(homogeneous_pexprs())
+def test_to_schur_matches_fraction_sum(case):
+    n, f = case
+    se = to_schur(f, n)
+    assert se.mults == _fraction_sum(f, n)
+    assert all(type(m) is Fraction for m in se.mults.values())
+
+
+def test_to_schur_zero_and_non_integral():
+    zero = to_schur(PExpr.zero(), 5)
+    assert zero.mults == {} and zero.verdict == "NONNEGATIVE"
+    f = Fraction(1, 3) * PExpr.p(3) + Fraction(5, 4) * PExpr.p(2, 1) - Fraction(1, 6) * PExpr.p(1, 1, 1)
+    se = to_schur(f)
+    assert se.mults == _fraction_sum(f, 3)
+    assert se.mult((2, 1)) == Fraction(-2, 3)
+    assert se.verdict == "NON_INTEGRAL"

@@ -150,3 +150,17 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["expand"])  # missing arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "content", [None, "[[2,1],[3", "5", "[5]"], ids=["missing", "truncated", "int", "int-item"]
+)
+def test_explicit_family_file_errors(capsys, tmp_path, content):
+    path = tmp_path / "family.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    code, out, err = run_cli(capsys, "expand", f"family:explicit:{path}", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err

@@ -383,3 +383,9 @@ def test_nonpositive_parts_rejected():
         PExpr.term((0, 1))
     with pytest.raises(ParameterError):
         PExpr.from_json_dict({"[2,-1]": "1"})
+
+
+@pytest.mark.parametrize("data", [{"[a]": "1"}, {"[2;1]": "1"}, {"[2,1]": "x"}])
+def test_from_json_dict_rejects_malformed_input(data):
+    with pytest.raises(ParameterError):
+        PExpr.from_json_dict(data)
