@@ -10,15 +10,23 @@ coefficients, stored sparsely as {partition: Fraction}.  Conventions:
   * plethysm by a power sum replaces each part i of every key by a*i,
     leaving coefficients untouched.
 
+Products are summed as integers: each factor's coefficients are put over
+their common denominator, and Fractions are made only for the result.
+
 Graded series (class Series) collect one homogeneous expression per
 degree up to a truncation bound; the formal variable t is never
 materialized because every t-power equals the degree it multiplies.
+The plethystic sum  sum_{lam |- n} prod_i h_{m_i}[f_i]  is the degree-n
+part of prod_i H(f_i) with H(t) = sum_m h_m t^m (Macdonald I.2, I.8).
+A series expands that product in one distributive pass over the parts
+and keeps the result, split into the two parities of n - len(lam), so
+every parity and sign variant is a signed sum of two cached halves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import DegreeError, ParameterError, TruncationError
 from .partitions import Partition, partitions_of, sign_exponent, z_lambda
@@ -115,18 +123,7 @@ class PExpr:
 
     def __mul__(self, other) -> "PExpr":
         if isinstance(other, PExpr):
-            out: dict[Partition, Fraction] = {}
-            for k1, v1 in self.terms.items():
-                for k2, v2 in other.terms.items():
-                    key = _merge_keys(k1, k2)
-                    s = out.get(key, Fraction(0)) + v1 * v2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            res = PExpr.__new__(PExpr)
-            res.terms = out
-            return res
+            return _sum_of_products([(1, self, other)])
         c = Fraction(other)
         if not c:
             return PExpr.zero()
@@ -150,8 +147,9 @@ class PExpr:
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, lam: Partition) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
+    def coefficient(self, lam) -> Fraction:
+        """The coefficient of p_lam; the parts of lam may come in any order."""
+        return self.terms.get(_canonical_key(lam), Fraction(0))
 
     def degrees(self) -> set[int]:
         return {sum(k) for k in self.terms}
@@ -197,6 +195,47 @@ class PExpr:
             lam = _canonical_key(parts)
             terms[lam] = terms.get(lam, 0) + coeff
         return PExpr(terms)
+
+
+def _denominator(f: PExpr) -> int:
+    return lcm(*(c.denominator for c in f.terms.values()))
+
+
+def _sum_of_products(triples, divisor: int = 1, keys: dict | None = None) -> PExpr:
+    """(1/divisor) * sum of c * a * b over the (c, a, b) triples, c an integer.
+
+    Each factor is read as integer numerators over its common
+    denominator; the products are summed as integers over one
+    denominator, and one Fraction is made per distinct output value.
+    With `keys`, a dict of key tuples already in use, each output key is
+    taken from (or added to) it, so results that are kept share one
+    tuple per partition.
+    """
+    triples = [(c, a, _denominator(a), b, _denominator(b)) for c, a, b in triples if c and a and b]
+    denom = lcm(*(da * db for _, _, da, _, db in triples))
+    out: dict[Partition, int] = {}
+    get = out.get
+    for c, a, da, b, db in triples:
+        scale = c * (denom // (da * db))
+        nums_b = [v.numerator * (db // v.denominator) for v in b.terms.values()]
+        for k1, v1 in a.terms.items():
+            x = v1.numerator * (da // v1.denominator) * scale
+            for k2, y in zip(b.terms, nums_b):
+                key = _merge_keys(k1, k2)
+                out[key] = get(key, 0) + x * y
+    denom *= divisor
+    # Equal coefficients share one Fraction, which keeps cached results small.
+    fracs: dict[int, Fraction] = {}
+    terms = {}
+    for k, v in out.items():
+        if v:
+            c = fracs.get(v)
+            if c is None:
+                c = fracs[v] = Fraction(v, denom)
+            terms[k if keys is None else keys.setdefault(k, k)] = c
+    res = PExpr.__new__(PExpr)
+    res.terms = terms
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +328,33 @@ def plethysm_p(a: int, g: PExpr) -> PExpr:
     return res
 
 
-def _newton_plethysm(m: int, g: PExpr, sign: int) -> PExpr:
+def _newton_extend(
+    seq: list[PExpr], g: PExpr, sign: int, m: int, keys: dict | None = None
+) -> list[PExpr]:
+    """Extend seq = [h_0[g], h_1[g], ...] in place through h_m[g] (e_m[g] for sign -1).
+
+    j*h_j[g] = sum_{r=1..j} sign^(r-1) * p_r[g] * h_{j-r}[g].
+    """
     if m < 0:
         raise ParameterError(f"plethysm order must be >= 0, got {m}")
-    pg: dict[int, PExpr] = {}
-    out = [PExpr.one()]
-    for j in range(1, m + 1):
-        acc = PExpr.zero()
-        for r in range(1, j + 1):
-            pr = pg.get(r)
-            if pr is None:
-                pr = plethysm_p(r, g)
-                pg[r] = pr
-            term = pr * out[j - r]
-            acc = acc + (term if sign == 1 or r % 2 == 1 else -term)
-        out.append(acc * Fraction(1, j))
-    return out[m]
+    pg = [None] + [plethysm_p(r, g) for r in range(1, m + 1)]
+    for j in range(len(seq), m + 1):
+        seq.append(
+            _sum_of_products(
+                [(sign ** (r - 1), pg[r], seq[j - r]) for r in range(1, j + 1)], j, keys
+            )
+        )
+    return seq
 
 
 def plethysm_h(m: int, g: PExpr) -> PExpr:
     """h_m[g] via the Newton recurrence m*h_m[g] = sum_r p_r[g]*h_{m-r}[g]."""
-    return _newton_plethysm(m, g, 1)
+    return _newton_extend([PExpr.one()], g, 1, m)[m]
 
 
 def plethysm_e(m: int, g: PExpr) -> PExpr:
     """e_m[g] via m*e_m[g] = sum_r (-1)^(r-1) p_r[g]*e_{m-r}[g]."""
-    return _newton_plethysm(m, g, -1)
+    return _newton_extend([PExpr.one()], g, -1, m)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +365,13 @@ class Series:
     """Graded series sum_d f_d with f_d homogeneous of degree d, d <= trunc.
 
     Components beyond the truncation degree are unknown (not zero);
-    reading one raises TruncationError.  Instances memoize the plethysms
-    h_m[f_i] / e_m[f_i] they hand out, so repeated partition-indexed
-    products over the same series stay cheap.
+    reading one raises TruncationError.  Instances memoize, for as long
+    as they live, the plethysms h_0..h_M[f_i] / e_0..e_M[f_i] of one
+    Newton recurrence per (kind, i) and the parity halves of every
+    plethystic sum they were asked for.
     """
 
-    __slots__ = ("components", "trunc", "_pleth_cache")
+    __slots__ = ("components", "trunc", "_pleth_cache", "_keys")
 
     def __init__(self, components: dict[int, PExpr], trunc: int):
         if trunc < 0:
@@ -344,7 +385,10 @@ class Series:
             if fd is not None and fd != d:
                 raise DegreeError(f"component at degree {d} has degree {fd}")
             self.components[d] = f
-        self._pleth_cache: dict[tuple[str, int, int], PExpr] = {}
+        # (kind, i) -> [h_0[f_i], h_1[f_i], ...]; ("sum", kind, n) -> (even, odd)
+        self._pleth_cache: dict[tuple, list[PExpr] | tuple[PExpr, PExpr]] = {}
+        # one tuple per partition, shared by the cached expressions
+        self._keys: dict[Partition, Partition] = {}
 
     @staticmethod
     def from_function(fn, trunc: int, start: int = 1) -> "Series":
@@ -433,13 +477,49 @@ class Series:
         )
 
     def _pleth(self, kind: str, i: int, m: int) -> PExpr:
-        key = (kind, i, m)
-        out = self._pleth_cache.get(key)
-        if out is None:
-            g = self.component(i)
-            out = plethysm_h(m, g) if kind == "h" else plethysm_e(m, g)
-            self._pleth_cache[key] = out
-        return out
+        """h_m[f_i] ("h") or e_m[f_i] ("e"), from one Newton recurrence per (kind, i)."""
+        seq = self._pleth_cache.get((kind, i))
+        if seq is None:
+            seq = self._pleth_cache[(kind, i)] = [PExpr.one()]
+        if len(seq) <= m:
+            _newton_extend(seq, self.component(i), 1 if kind == "h" else -1, m, self._keys)
+        return seq[m]
+
+    def _pleth_halves(self, kind: str, n: int) -> tuple[PExpr, PExpr]:
+        """(even, odd): the sums of H_lambda (E_lambda) over lam |- n with n - len(lam) even, odd.
+
+        One distributive pass over the parts i = n..1 expands the degree-n
+        part of prod_i sum_m h_m[f_i] t^(m*i).  Before part i is added,
+        acc[d] holds the two halves, split by the parity of d - len(mu), of
+        the sum over the partitions mu of d whose parts all exceed i;
+        adding m parts i moves that parity by m*(i-1).
+        """
+        key = ("sum", kind, n)
+        halves = self._pleth_cache.get(key)
+        if halves is not None:
+            return halves
+        if n < 0:
+            raise ParameterError(f"cannot partition a negative integer: {n}")
+        zero = PExpr.zero()
+        acc = [(PExpr.one(), zero)] + [(zero, zero)] * n
+        for i in range(n, 0, -1):
+            if not self.component(i):
+                continue
+            pleth = [self._pleth(kind, i, m) for m in range(n // i + 1)]
+            # At i = 1 only degree n is read afterwards.
+            for d in range(n, (n if i == 1 else i) - 1, -1):
+                acc[d] = tuple(
+                    _sum_of_products(
+                        [
+                            (1, acc[d - m * i][h ^ (m * (i - 1) & 1)], pleth[m])
+                            for m in range(d // i + 1)
+                        ],
+                        keys=self._keys,
+                    )
+                    for h in (0, 1)
+                )
+        halves = self._pleth_cache[key] = acc[n]
+        return halves
 
 
 def _lambda_product(kind: str, lam: Partition, F: Series) -> PExpr:
@@ -478,20 +558,26 @@ def plethystic_sum(
     parity: keep only lam with (n - len(lam)) % 2 == parity.
     signed: "sign-exponent" weights by (-1)^(n - len(lam)),
             "length" weights by (-1)^len(lam).
+
+    Every option is a signed combination of the two parity halves of one
+    distributive pass, cached on the series (Series._pleth_halves).
     """
     if kind not in ("h", "e"):
         raise ParameterError(f"kind must be 'h' or 'e', got {kind!r}")
-    total = PExpr.zero()
-    for lam in partitions_of(n):
-        if parity is not None and sign_exponent(lam) % 2 != parity:
-            continue
-        term = _lambda_product(kind, lam, F)
-        if signed == "sign-exponent" and sign_exponent(lam) % 2 == 1:
-            term = -term
-        elif signed == "length" and len(lam) % 2 == 1:
-            term = -term
-        total = total + term
-    return total
+    if parity not in (None, 0, 1):
+        raise ParameterError(f"parity must be None, 0 or 1, got {parity!r}")
+    if signed not in (None, "sign-exponent", "length"):
+        raise ParameterError(
+            f"signed must be None, 'sign-exponent' or 'length', got {signed!r}"
+        )
+    even, odd = F._pleth_halves(kind, n)
+    if signed is not None:
+        odd = -odd
+        if signed == "length" and n % 2:
+            even, odd = -even, -odd
+    if parity is None:
+        return even + odd
+    return odd if parity else even
 
 
 def _power_series(kind: str, F: Series, trunc: int | None) -> Series:

@@ -11,6 +11,7 @@ from symcon.symfunc import (
     E_lambda,
     H_lambda,
     PExpr,
+    Series,
     dimension,
     e_n,
     h_n,
@@ -42,6 +43,43 @@ def test_mul_examples():
     assert (p(1) + p(2)) * (p(1) - p(2)) == p(1, 1) - p(2, 2)
     f = p(3) + 2 * p(2, 1)
     assert f + PExpr.zero() == f
+
+
+def _fraction_product(f, g):
+    """f * g term by term in Fraction arithmetic, zero coefficients dropped."""
+    out = {}
+    for k1, v1 in f.terms.items():
+        for k2, v2 in g.terms.items():
+            key = tuple(sorted(k1 + k2, reverse=True))
+            out[key] = out.get(key, Fraction(0)) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def mixed_pexprs():
+    # few low-degree keys, so products collide; denominators with shared factors
+    keys = [lam for n in range(0, 4) for lam in partitions_of(n)]
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+    return st.dictionaries(st.sampled_from(keys), coeff, max_size=5).map(PExpr)
+
+
+@settings(max_examples=80)
+@given(mixed_pexprs(), mixed_pexprs())
+def test_mul_matches_fraction_reference(f, s):
+    # (f + s) * (f - s): the cross terms cancel and must leave no zero behind
+    a, b = f + s, f - s
+    prod = a * b
+    assert prod.terms == _fraction_product(a, b)
+    assert prod.terms == (f * f - s * s).terms
+    assert all(prod.terms.values())
+    assert (f * s).terms == _fraction_product(f, s)
+
+
+def test_coefficient_canonicalises_key():
+    assert PExpr.term((1, 2)) == p(2, 1)
+    assert p(2, 1).coefficient((1, 2)) == 1
+    assert p(2, 1).coefficient([2, 1]) == 1
+    assert (3 * p(3, 1, 1)).coefficient((1, 3, 1)) == 3
+    assert p(2, 1).coefficient((2, 2)) == 0
 
 
 @settings(max_examples=60)
@@ -269,6 +307,101 @@ def test_H_lambda_examples():
     for n in range(1, 7):
         assert E_lambda((1,) * n, F) == e_n(n)
     assert H_lambda((), F) == PExpr.one()
+
+
+def _reference_sum(F, n, kind, parity=None, signed=None):
+    """The literal sum over lam |- n of (optional sign) * H_lambda or E_lambda."""
+    F = Series(F.components, F.trunc)  # its own plethysm cache
+    product = H_lambda if kind == "h" else E_lambda
+    total = PExpr.zero()
+    for lam in partitions_of(n):
+        odd = (n - len(lam)) % 2
+        if parity is not None and odd != parity:
+            continue
+        term = product(lam, F)
+        if (signed == "sign-exponent" and odd) or (signed == "length" and len(lam) % 2):
+            term = -term
+        total = total + term
+    return total
+
+
+def _reference_series():
+    from symcon.repmodels import foulkes_series
+
+    out = {f"k{k}": foulkes_series(k, 10) for k in (0, 1, 2, 5)}
+    F = foulkes_series(0, 10)
+    # the restricted series of Proposition 2.3
+    for name, keep in (("odd", lambda d: d % 2 == 1), ("one", lambda d: d == 1)):
+        out[name] = F.restrict(keep)
+        out[f"not-{name}"] = F.restrict(lambda d, keep=keep: not keep(d))
+    return out
+
+
+SUM_OPTIONS = [
+    (parity, signed)
+    for parity in (None, 0, 1)
+    for signed in (None, "sign-exponent", "length")
+]
+
+
+@pytest.mark.parametrize("name", sorted(_reference_series()))
+def test_plethystic_sum_matches_partition_sum(name):
+    F = _reference_series()[name]
+    for kind in ("h", "e"):
+        for n in range(0, 11):
+            for parity, signed in SUM_OPTIONS:
+                got = plethystic_sum(F, n, kind, parity=parity, signed=signed)
+                want = _reference_sum(F, n, kind, parity, signed)
+                assert got == want, (name, kind, n, parity, signed)
+
+
+def test_plethystic_sum_independent_of_cache_state():
+    from symcon.repmodels import foulkes_series
+
+    F = foulkes_series(1, 10)
+    fresh = {
+        (kind, n, opts): plethystic_sum(Series(F.components, 10), n, kind, *opts)
+        for kind in ("h", "e")
+        for n in range(0, 11)
+        for opts in SUM_OPTIONS
+    }
+    warm = Series(F.components, 10)
+    E_lambda((1,) * 10, warm)  # the e-recurrence on f_1 is already at m = 10
+    for n in (9, 2, 10, 5):
+        plethystic_sum(warm, n, "e", parity=1)
+        plethystic_sum(warm, n, "h", signed="length")
+    for (kind, n, opts), want in sorted(fresh.items(), key=lambda kv: -kv[0][1]):
+        assert plethystic_sum(warm, n, kind, *opts) == want, (kind, n, opts)
+
+
+def test_plethystic_sum_beyond_truncation():
+    F = Series(_totient_series(5).components, 5)
+    for kind in ("h", "e"):
+        with pytest.raises(TruncationError):
+            plethystic_sum(F, 6, kind)
+        assert plethystic_sum(F, 5, kind) == _reference_sum(F, 5, kind)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"parity": 2}, {"parity": -1}, {"signed": "bogus"}, {"parity": 2, "signed": "length"}],
+)
+def test_plethystic_sum_rejects_unknown_options(options):
+    with pytest.raises(ParameterError):
+        plethystic_sum(_totient_series(4), 4, "h", **options)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_series_pleth_matches_plethysm(k):
+    from symcon.repmodels import foulkes_series
+
+    F = Series(foulkes_series(k, 12).components, 12)
+    for kind, pleth in (("h", plethysm_h), ("e", plethysm_e)):
+        for i in range(1, 13):
+            # h ascends (the recurrence grows one step at a time), e descends
+            ms = range(12 // i + 1) if kind == "h" else range(12 // i, -1, -1)
+            for m in ms:
+                assert F._pleth(kind, i, m) == pleth(m, F.component(i)), (kind, i, m)
 
 
 def test_series_component_truncation_error():
