@@ -74,8 +74,11 @@ def _resolve_config(args) -> RunConfig:
 
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SymconError(f"cannot write --out {cfg.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -7,7 +7,11 @@ k = 1 is the Moebius case (the free Lie character).
 
 Every named module is produced two ways: a closed power-sum combination,
 and a plethystic sum of h_m[f_i] / e_m[f_i] products over partitions.
-The two routes agreeing exactly is part of the verification contract.
+Both forms of the ten modules are written once, in MODULE_FORMS, as
+sides: linear combinations of named terms (power-sum families on one
+side, the plethystic sums of SUMS on the other), evaluated by
+linear_combination.  The two routes agreeing exactly is part of the
+verification contract.
 """
 
 from __future__ import annotations
@@ -103,46 +107,57 @@ def _pf(kind: str, n: int, **kw) -> PExpr:
 # ---------------------------------------------------------------------------
 # Named modules
 
-MODULE_IDS = (
-    "psi",
-    "eps",
-    "psi-a",
-    "psi-abar",
-    "eps-a",
-    "eps-abar",
-    "u-plus",
-    "u-minus",
-    "u-do",
-    "alt-induced",
-)
-
 HALF = Fraction(1, 2)
+
+# A side is a tuple of (coefficient, name) terms; "~name" is omega(name).
+# mid -> (power-sum form over family kinds, plethystic form over SUMS).
+MODULE_FORMS = {
+    "psi": (((1, "all"),), ((1, "H"),)),
+    "eps": (((1, "odd-parts"),), ((1, "E"),)),
+    "psi-a": (((HALF, "do"), (HALF, "all")), ((1, "H0"),)),
+    "psi-abar": (((HALF, "not-do"),), ((1, "H1"),)),
+    "eps-a": (((HALF, "~odd-parts"), (HALF, "~distinct")), ((1, "E0"),)),
+    "eps-abar": (((HALF, "~odd-parts"), (-HALF, "~distinct")), ((1, "E1"),)),
+    "u-plus": (((1, "not-do-even-sign"),), ((1, "H1"), (1, "~H1"))),
+    "u-minus": (((1, "odd-sign"),), ((HALF, "H"), (-HALF, "~H"))),
+    "u-do": (((1, "do"),), ((1, "Hs"),)),
+    "alt-induced": (((2, "do"), (1, "not-do-even-sign")), ((1, "H0"), (1, "~H0"))),
+}
+
+MODULE_IDS = tuple(MODULE_FORMS)
+
+# name -> (kind, parity, signed) arguments of plethystic_sum: the sum over
+# lam |- n of H_lambda or E_lambda, its halves with n - len(lam) even (0)
+# or odd (1), and its twist by (-1)^(n - len(lam)) (s).
+SUMS = {
+    "H": ("h", None, None),
+    "H0": ("h", 0, None),
+    "H1": ("h", 1, None),
+    "Hs": ("h", None, "sign-exponent"),
+    "E": ("e", None, None),
+    "E0": ("e", 0, None),
+    "E1": ("e", 1, None),
+    "Es": ("e", None, "sign-exponent"),
+}
+
+
+def linear_combination(side, term) -> PExpr:
+    """sum of c * term(name) over the (c, name) terms of a side; "~name" takes omega."""
+    total = None
+    for c, name in side:
+        f = omega(term(name[1:])) if name.startswith("~") else term(name)
+        if c != 1:
+            f = c * f
+        total = f if total is None else total + f
+    return PExpr.zero() if total is None else total
 
 
 def module_char(mid: str, n: int) -> PExpr:
     """Closed power-sum form of a named module's characteristic."""
     if n < 1:
         raise ParameterError(f"module characteristics need n >= 1, got {n}")
-    if mid == "psi":
-        return _pf("all", n)
-    if mid == "eps":
-        return _pf("odd-parts", n)
-    if mid == "psi-a":
-        return HALF * (_pf("do", n) + _pf("all", n))
-    if mid == "psi-abar":
-        return HALF * _pf("not-do", n)
-    if mid == "eps-a":
-        return omega(HALF * (_pf("odd-parts", n) + _pf("distinct", n)))
-    if mid == "eps-abar":
-        return omega(HALF * (_pf("odd-parts", n) - _pf("distinct", n)))
-    if mid == "u-plus":
-        return _pf("not-do-even-sign", n)
-    if mid == "u-minus":
-        return _pf("odd-sign", n)
-    if mid == "u-do":
-        return _pf("do", n)
-    if mid == "alt-induced":
-        return 2 * _pf("do", n) + _pf("not-do-even-sign", n)
+    if mid in MODULE_FORMS:
+        return linear_combination(MODULE_FORMS[mid][0], lambda kind: _pf(kind, n))
     if mid.startswith("w:"):
         return w_route_a(n, int(mid.split(":", 1)[1]))
     if mid.startswith("family:"):
@@ -154,30 +169,11 @@ def module_char_plethystic(mid: str, n: int) -> PExpr:
     """The same characteristic as an explicit sum of induced centralizer pieces."""
     if n < 1:
         raise ParameterError(f"module characteristics need n >= 1, got {n}")
-    F = foulkes_series(0, n)
-    if mid == "psi":
-        return plethystic_sum(F, n, "h")
-    if mid == "eps":
-        return plethystic_sum(F, n, "e")
-    if mid == "psi-a":
-        return plethystic_sum(F, n, "h", parity=0)
-    if mid == "psi-abar":
-        return plethystic_sum(F, n, "h", parity=1)
-    if mid == "eps-a":
-        return plethystic_sum(F, n, "e", parity=0)
-    if mid == "eps-abar":
-        return plethystic_sum(F, n, "e", parity=1)
-    if mid == "u-plus":
-        odd = plethystic_sum(F, n, "h", parity=1)
-        return odd + omega(odd)
-    if mid == "u-minus":
-        full = plethystic_sum(F, n, "h")
-        return HALF * (full - omega(full))
-    if mid == "u-do":
-        return plethystic_sum(F, n, "h", signed="sign-exponent")
-    if mid == "alt-induced":
-        even = plethystic_sum(F, n, "h", parity=0)
-        return even + omega(even)
+    if mid in MODULE_FORMS:
+        F = foulkes_series(0, n)
+        return linear_combination(
+            MODULE_FORMS[mid][1], lambda name: plethystic_sum(F, n, *SUMS[name])
+        )
     if mid.startswith("w:"):
         return w_route_b(n, int(mid.split(":", 1)[1]))
     raise ParameterError(f"no plethystic route for module id {mid!r}")

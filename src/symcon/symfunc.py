@@ -26,10 +26,10 @@ every parity and sign variant is a signed sum of two cached halves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from .errors import DegreeError, ParameterError, TruncationError
-from .partitions import Partition, partitions_of, sign_exponent, z_lambda
+from .partitions import Partition, multiplicities, partitions_of, sign_exponent, z_lambda
 
 Scalar = Fraction | int
 
@@ -39,8 +39,13 @@ def _merge_keys(a: Partition, b: Partition) -> Partition:
 
 
 def _canonical_key(parts) -> Partition:
-    """The parts in decreasing order; ParameterError if any part is below 1."""
+    """The parts in decreasing order; ParameterError if any part is below 1.
+
+    A tuple already in order is returned itself, so keys stay shared.
+    """
     key = tuple(sorted(parts, reverse=True))
+    if key == parts:
+        key = parts
     if key and key[-1] < 1:
         raise ParameterError(f"power-sum indices must be >= 1, got {key}")
     return key
@@ -52,13 +57,16 @@ class PExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        """sum of c * p_key over the terms; the parts of a key may come in any order."""
         clean: dict[Partition, Fraction] = {}
-        if terms:
-            for key, val in terms.items():
+        for key, val in (terms or {}).items():
+            try:
                 c = Fraction(val)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"not a power-sum coefficient: {val!r}") from exc
+            key = _canonical_key(key)
+            clean[key] = clean[key] + c if key in clean else c
+        self.terms = {k: c for k, c in clean.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -73,12 +81,12 @@ class PExpr:
     @staticmethod
     def p(*parts: int) -> "PExpr":
         """p_{(parts)}; PExpr.p(2,1) is the monomial p_2 p_1."""
-        return PExpr({_canonical_key(parts): Fraction(1)})
+        return PExpr({parts: 1})
 
     @staticmethod
     def term(lam, c: Scalar = 1) -> "PExpr":
         """c * p_lam; the parts of lam may come in any order."""
-        return PExpr({_canonical_key(lam): Fraction(c)})
+        return PExpr({tuple(lam): c})
 
     # -- ring structure ----------------------------------------------------
 
@@ -188,12 +196,11 @@ class PExpr:
         terms = {}
         for key, val in data.items():
             try:
-                parts = [int(x) for x in key.strip("[]").split(",") if x.strip()]
+                parts = tuple(int(x) for x in key.strip("[]").split(",") if x.strip())
                 coeff = Fraction(val)
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"not a power-sum term: {key!r}: {val!r}") from exc
-            lam = _canonical_key(parts)
-            terms[lam] = terms.get(lam, 0) + coeff
+            terms[parts] = terms.get(parts, 0) + coeff
         return PExpr(terms)
 
 
@@ -425,13 +432,13 @@ class Series:
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
             n = min(self.trunc, other.trunc)
-            out = {d: PExpr.zero() for d in range(n + 1)}
-            for a, fa in self.components.items():
-                if a > n:
-                    continue
-                for b, fb in other.components.items():
-                    if a + b <= n:
-                        out[a + b] = out[a + b] + fa * fb
+            mine, theirs = self.components, other.components
+            out = {
+                d: _sum_of_products(
+                    [(1, f, theirs[d - a]) for a, f in mine.items() if d - a in theirs]
+                )
+                for d in range(n + 1)
+            }
             return Series(out, n)
         return Series(
             {d: f * other for d, f in self.components.items()}, self.trunc
@@ -445,10 +452,9 @@ class Series:
             raise ParameterError("series inverse needs constant term 1")
         inv = {0: PExpr.one()}
         for d in range(1, self.trunc + 1):
-            acc = PExpr.zero()
-            for k in range(1, d + 1):
-                acc = acc + self.component(k) * inv[d - k]
-            inv[d] = -acc
+            inv[d] = _sum_of_products(
+                [(-1, self.component(k), inv[d - k]) for k in range(1, d + 1)]
+            )
         return Series(inv, self.trunc)
 
     def substitute_p(self, a: int) -> "Series":
@@ -624,31 +630,36 @@ def _binomial(c: int, j: int) -> int:
     return (-1) ** j * comb(-c + j - 1, j)
 
 
-def product_series(factors, trunc: int) -> Series:
-    """prod over (m, c, sign) of (1 + sign*t^m*p_m)^c, truncated at `trunc`.
+def product_expansion(factors, n: int) -> PExpr:
+    """Coefficient of t^n in prod over (m, c, sign) of (1 + sign*t^m*p_m)^c.
 
     Exponents c are integers (negative allowed, via the binomial series);
-    sign is +1 or -1.
+    sign is +1 or -1.  p_m occurs only in the factors at m, so the
+    coefficient of p_lam is the product over the parts m of lam of
+    [x^(m_m(lam))] prod_{factors at m} (1 + sign*x)^c.
     """
-    out = Series.one(trunc)
+    if n < 0:
+        raise ParameterError("degree must be >= 0")
+    polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
     for m, c, sign in factors:
         if m < 1:
             raise ParameterError(f"factor degree must be >= 1, got {m}")
         if sign not in (1, -1):
             raise ParameterError(f"factor sign must be +-1, got {sign}")
-        if c == 0 or m > trunc:
+        if c == 0 or m > n:
             continue
-        comps = {}
-        for j in range(trunc // m + 1):
-            coeff = _binomial(c, j) * sign**j
+        factor = [_binomial(c, j) * sign**j for j in range(n // m + 1)]
+        old = polys.get(m)
+        polys[m] = factor if old is None else [
+            sum(old[i] * factor[j - i] for i in range(j + 1)) for j in range(len(factor))
+        ]
+    terms = {}
+    for lam in partitions_of(n):
+        mults = multiplicities(lam)
+        if all(m in polys for m in mults):
+            coeff = prod(polys[m][j] for m, j in mults.items())
             if coeff:
-                comps[m * j] = PExpr.term((m,) * j, coeff)
-        out = out * Series(comps, trunc)
-    return out
-
-
-def product_expansion(factors, n: int) -> PExpr:
-    """Coefficient of t^n in prod (1 + sign*t^m*p_m)^c."""
-    if n < 0:
-        raise ParameterError("degree must be >= 0")
-    return product_series(factors, n).component(n)
+                terms[lam] = Fraction(coeff)
+    res = PExpr.__new__(PExpr)
+    res.terms = terms
+    return res

@@ -7,10 +7,12 @@ suffixes, k-parameterized entries carrying ':k<k>').  Entries are
 independent; they run one after another and results are emitted in
 catalog order.
 
-The generating-function identities (Theorems 4.2, 5.9 and 3.4) are rows
-of data: a plethystic sum on the left, a product form or a power-sum
-family on the right, all evaluated by one runner.  Theorem 4.2 is the
-k = 0 member of the weight-k family of Theorem 5.9, since c_d(0) = phi(d).
+The linear identities (Theorems 4.2, 4.11, 4.15, 5.9 and 3.4,
+Propositions 4.13 and 6.5) are rows of data, all evaluated by one runner:
+each row pairs two sides, a side being a combination of named terms --
+plethystic sums, product forms, module characteristics and power-sum
+families.  Theorem 4.2 is the k = 0 member of the weight-k family of
+Theorem 5.9, since c_d(0) = phi(d).
 
 Statuses: PASS/FAIL for theorem-backed claims, REPORT for scans that are
 observations rather than assertions (counterexample confirmations,
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
-from typing import NamedTuple
 
 from .characters import SchurExpansion, alternant_oracle, character_table, to_schur
 from .errors import CatalogError, ParameterError
@@ -39,13 +40,16 @@ from .partitions import (
     sign_exponent,
 )
 from .repmodels import (
+    HALF,
     MODULE_IDS,
+    SUMS,
     exterior_from_symmetric,
     f_eval,
     f_eval_direct,
     foulkes,
     foulkes_series,
     lie_series_identities,
+    linear_combination,
     module_char,
     module_char_plethystic,
     power_sum_family,
@@ -68,7 +72,6 @@ from .symfunc import (
 from . import tables_data
 
 CATALOG_TRUNC = 12
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -187,23 +190,11 @@ def check_positivity(
 
 
 # ---------------------------------------------------------------------------
-# Shared series and sums
+# Shared series and product forms
 
 
 def _F(k: int) -> Series:
     return foulkes_series(k, CATALOG_TRUNC)
-
-
-def _pf(kind: str, n: int, **kw) -> PExpr:
-    return power_sum_family(FamilySpec(kind, **kw), n)
-
-
-def _sum_h(n, k=0, **kw) -> PExpr:
-    return plethystic_sum(_F(k), n, "h", **kw)
-
-
-def _sum_e(n, k=0, **kw) -> PExpr:
-    return plethystic_sum(_F(k), n, "e", **kw)
 
 
 # Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
@@ -231,205 +222,115 @@ def _general_factors(n: int, k: int, flavor: str):
 
 
 # ---------------------------------------------------------------------------
-# Generating-function identities as data
+# Linear identities as data
+#
+# A row is (equation, pairs); a pair is (label, left side, right side), and a
+# side is a tuple of (coefficient, name) terms, "~name" meaning omega(name)
+# (repmodels.linear_combination).  A name at weight k is a plethystic sum of
+# SUMS over F_k, a product form of _FLAVORS, a module id, the termwise sum of
+# Theorem 4.15.1, or a power-sum family kind (given k when k >= 1).
 
 
-class _Sum(NamedTuple):
-    """sum over lam |- n of H_lam[F_k] ("h") or E_lam[F_k] ("e").
-
-    parity: keep only lam with (n - len(lam)) % 2 == parity;
-    signed: weight each lam by (-1)^(n - len(lam));
-    omega: apply omega to the sum.
-    """
-
-    kind: str
-    parity: int | None = None
-    signed: bool = False
-    omega: bool = False
+def _one(name: str) -> tuple:
+    return ((1, name),)
 
 
-# Rows (equation, left side, right side).  A right side is a product form
-# ("product", flavor), a power-sum family ("family", kind), or the
-# half-sum ("half", a, sign, b) = (a + sign * b) / 2 of two product forms,
-# whose left side must also be Schur-nonnegative.
-_THM42 = (  # k = 0
-    (1, _Sum("h"), ("product", "sym")),
-    (2, _Sum("h"), ("family", "all")),
-    (3, _Sum("e"), ("product", "ext")),
-    (4, _Sum("e"), ("family", "odd-parts")),
-    (5, _Sum("e", signed=True, omega=True), ("product", "alt-ext")),
-    (6, _Sum("e", signed=True, omega=True), ("family", "distinct")),
-    (7, _Sum("h", signed=True, omega=True), ("product", "alt-sym")),
-    (8, _Sum("h", signed=True, omega=True), ("family", "do")),
+def _gf(rows) -> tuple:
+    """Rows (equation, left name, right name) with the one pair "lhs == rhs"."""
+    return tuple((eq, (("lhs == rhs", _one(lhs), _one(rhs)),)) for eq, lhs, rhs in rows)
+
+
+_THM42 = _gf((  # k = 0
+    (1, "H", "sym"), (2, "H", "all"), (3, "E", "ext"), (4, "E", "odd-parts"),
+    (5, "~Es", "alt-ext"), (6, "~Es", "distinct"), (7, "~Hs", "alt-sym"), (8, "~Hs", "do"),
+))
+_THM59 = _gf((  # k >= 1
+    (1, "H", "sym"), (2, "H", "divides-k"), (3, "E", "ext"), (4, "~E", "omega-ext"),
+    (5, "~E", "thm59"), (6, "~Es", "alt-ext"), (7, "~Hs", "alt-sym"), (8, "Hs", "mixed-sym"),
+))
+# Half sums of two product forms; their left sides must be Schur-nonnegative.
+_THM34 = tuple(
+    (eq, (("half-sum identity", _one(lhs), ((HALF, a), (sign * HALF, b))),))
+    for eq, lhs, a, sign, b in (
+        (5, "E0", "ext", 1, "mixed-ext"),
+        (6, "E1", "ext", -1, "mixed-ext"),
+        (7, "H0", "sym", 1, "mixed-sym"),
+        (8, "H1", "sym", -1, "mixed-sym"),
+    )
 )
-_THM59 = (  # k >= 1
-    (1, _Sum("h"), ("product", "sym")),
-    (2, _Sum("h"), ("family", "divides-k")),
-    (3, _Sum("e"), ("product", "ext")),
-    (4, _Sum("e", omega=True), ("product", "omega-ext")),
-    (5, _Sum("e", omega=True), ("family", "thm59")),
-    (6, _Sum("e", signed=True, omega=True), ("product", "alt-ext")),
-    (7, _Sum("h", signed=True, omega=True), ("product", "alt-sym")),
-    (8, _Sum("h", signed=True), ("product", "mixed-sym")),
+_PSI_SELF = ((HALF, "psi"), (HALF, "~psi"))  # (psi + omega(psi)) / 2
+_U_EVEN = ((1, "u-plus"), (1, "u-do"))
+_THM411 = (
+    (1, (("split", _one("H"), ((1, "H0"), (1, "H1"))),
+         ("power-sum", _one("H"), _one("all")))),
+    (2, (("even H", _one("H0"), _one("psi-a")),)),
+    (3, (("odd H", _one("H1"), _one("psi-abar")),)),
+    (4, (("half sum", _PSI_SELF, _one("even-sign")),)),
+    (5, (("split", _one("E"), ((1, "E0"), (1, "E1"))),
+         ("power-sum", _one("E"), _one("odd-parts")))),
+    (6, (("omega even E", _one("~E0"), _one("~eps-a")),)),
+    (7, (("omega odd E", _one("~E1"), _one("~eps-abar")),)),
 )
-_THM34 = (
-    (5, _Sum("e", parity=0), ("half", "ext", 1, "mixed-ext")),
-    (6, _Sum("e", parity=1), ("half", "ext", -1, "mixed-ext")),
-    (7, _Sum("h", parity=0), ("half", "sym", 1, "mixed-sym")),
-    (8, _Sum("h", parity=1), ("half", "sym", -1, "mixed-sym")),
+_PROP413 = (
+    (1, (("alternating H", _one("Hs"), _one("u-do")),
+         ("self-conjugate", _one("~u-do"), _one("u-do")))),
+    (2, (("u+ self-conjugate", _one("~u-plus"), _one("u-plus")),
+         ("u- anti", _one("~u-minus"), ((-1, "u-minus"),)))),
+    (3, (("sum", _one("psi"), ((1, "u-plus"), (1, "u-minus"), (1, "u-do"))),)),
+    (4, (("omega sum", _one("~psi"), ((1, "u-plus"), (-1, "u-minus"), (1, "u-do"))),)),
+    (5, (("even block", _one("H0"), ((HALF, "u-plus"), (HALF, "u-minus"), (1, "u-do"))),)),
+    (6, (("odd block", _one("H1"), ((HALF, "u-plus"), (HALF, "u-minus"))),)),
+    (7, (("2 u-", ((2, "u-minus"),), ((1, "psi"), (-1, "~psi"))),)),
+    (8, (("difference", _one("u-do"), ((1, "H0"), (-1, "H1"))),)),
+    (9, (("u+", _one("u-plus"), ((1, "H1"), (1, "~H1"))),)),
+    (10, (("u+ + u-do", _U_EVEN, ((1, "H0"), (1, "~H1"))), ("half", _U_EVEN, _PSI_SELF))),
+)
+_THM415 = (
+    (1, (("termwise", _one("u-plus"), _one("termwise")),
+         ("coset form", _one("u-plus"), ((1, "H1"), (1, "~H1"))))),
+    (2, (("even-sign family", _U_EVEN, _one("even-sign")),
+         ("coset form", _U_EVEN, ((1, "H0"), (1, "~H1"))))),
+    (3, (("half", _U_EVEN, _PSI_SELF),)),
+    (4, (("swapped coset form", _U_EVEN, ((1, "~H0"), (1, "H1"))),)),
+)
+_PROP65 = (
+    (1, (("induced", _one("alt-induced"), ((1, "H0"), (1, "~H0"))),)),
+    (2, (("u decomposition", _one("alt-induced"), ((1, "u-plus"), (2, "u-do"))),)),
+    (3, (("doubled", ((2, "alt-induced"),), ((1, "psi"), (1, "~psi"), (2, "u-do"))),)),
+    (4, (("u+ recovery", _one("u-plus"), ((1, "psi"), (1, "~psi"), (-1, "alt-induced"))),)),
 )
 
 
-def _product(flavor: str, k: int, n: int) -> PExpr:
-    return product_expansion(_general_factors(n, k, flavor), n)
-
-
-def _run_gf(cid: str, k: int, lhs: _Sum, rhs: tuple, n: int) -> CheckResult:
-    signed = "sign-exponent" if lhs.signed else None
-    left = plethystic_sum(_F(k), n, lhs.kind, parity=lhs.parity, signed=signed)
-    if lhs.omega:
-        left = omega(left)
-    if rhs[0] == "half":
-        _, a, sign, b = rhs
-        right = HALF * (_product(a, k, n) + sign * _product(b, k, n))
-        res = _eq(cid, n, [("half-sum identity", left, right)])
-        if res.status != "PASS":
-            return res
-        return check_positivity(left, n, "NONNEG", check_id=cid)
-    if rhs[0] == "product":
-        right = _product(rhs[1], k, n)
-    else:  # the k = 0 families take no parameter
-        right = _pf(rhs[1], n, k=k or None)
-    return _eq(cid, n, [("lhs == rhs", left, right)])
-
-
-# ---------------------------------------------------------------------------
-# Identity runners
-
-
-def _run_thm411(eq: int, n: int) -> CheckResult:
-    cid = f"thm4.11.{eq}"
-    if eq == 1:
-        pairs = [
-            ("split", _sum_h(n), _sum_h(n, parity=0) + _sum_h(n, parity=1)),
-            ("power-sum", _sum_h(n), _pf("all", n)),
-        ]
-    elif eq == 2:
-        pairs = [("even H", _sum_h(n, parity=0), HALF * (_pf("do", n) + _pf("all", n)))]
-    elif eq == 3:
-        pairs = [("odd H", _sum_h(n, parity=1), HALF * _pf("not-do", n))]
-    elif eq == 4:
-        psi = _pf("all", n)
-        pairs = [("half sum", HALF * (psi + omega(psi)), _pf("even-sign", n))]
-    elif eq == 5:
-        pairs = [
-            ("split", _sum_e(n), _sum_e(n, parity=0) + _sum_e(n, parity=1)),
-            ("power-sum", _sum_e(n), _pf("odd-parts", n)),
-        ]
-    elif eq == 6:
-        pairs = [
-            (
-                "omega even E",
-                omega(_sum_e(n, parity=0)),
-                HALF * (_pf("odd-parts", n) + _pf("distinct", n)),
-            )
-        ]
-    else:
-        pairs = [
-            (
-                "omega odd E",
-                omega(_sum_e(n, parity=1)),
-                HALF * (_pf("odd-parts", n) - _pf("distinct", n)),
-            )
-        ]
-    return _eq(cid, n, pairs)
-
-
-def _run_prop413(eq: int, n: int) -> CheckResult:
-    cid = f"prop4.13.{eq}"
-    u_do = _pf("do", n)
-    u_plus = _pf("not-do-even-sign", n)
-    u_minus = _pf("odd-sign", n)
-    psi = _pf("all", n)
-    psi_a = _sum_h(n, parity=0)
-    psi_abar = _sum_h(n, parity=1)
-    if eq == 1:
-        pairs = [
-            ("alternating H", _sum_h(n, signed="sign-exponent"), u_do),
-            ("self-conjugate", omega(u_do), u_do),
-        ]
-    elif eq == 2:
-        pairs = [
-            ("u+ self-conjugate", omega(u_plus), u_plus),
-            ("u- anti", omega(u_minus), -u_minus),
-        ]
-    elif eq == 3:
-        pairs = [("sum", psi, u_plus + u_minus + u_do)]
-    elif eq == 4:
-        pairs = [("omega sum", omega(psi), u_plus - u_minus + u_do)]
-    elif eq == 5:
-        pairs = [("even block", psi_a, HALF * (u_plus + u_minus) + u_do)]
-    elif eq == 6:
-        pairs = [("odd block", psi_abar, HALF * (u_plus + u_minus))]
-    elif eq == 7:
-        pairs = [("2 u-", 2 * u_minus, psi - omega(psi))]
-    elif eq == 8:
-        pairs = [("difference", u_do, psi_a - psi_abar)]
-    elif eq == 9:
-        pairs = [("u+", u_plus, psi_abar + omega(psi_abar))]
-    else:
-        pairs = [
-            ("u+ + u-do", u_plus + u_do, psi_a + omega(psi_abar)),
-            ("half", u_plus + u_do, HALF * (psi + omega(psi))),
-        ]
-    return _eq(cid, n, pairs)
-
-
-def _run_thm415(eq: int, n: int) -> CheckResult:
-    cid = f"thm4.15.{eq}"
-    u_do = _pf("do", n)
-    u_plus = _pf("not-do-even-sign", n)
-    psi = _pf("all", n)
-    psi_a = _sum_h(n, parity=0)
-    psi_abar = _sum_h(n, parity=1)
-    if eq == 1:
-        odd_sum = PExpr.zero()
+def _term(k: int, n: int, name: str) -> PExpr:
+    """The named term of a linear identity at weight k and degree n."""
+    if name in SUMS:
+        return plethystic_sum(_F(k), n, *SUMS[name])
+    if name in _FLAVORS:
+        return product_expansion(_general_factors(n, k, name), n)
+    if name in MODULE_IDS:
+        return module_char(name, n)
+    if name == "termwise":  # sum of H_lam + omega(H_lam) over lam with odd sign
+        total = PExpr.zero()
         for lam in partitions_of(n):
             if sign_exponent(lam) % 2 == 1:
-                h = H_lambda(lam, _F(0))
-                odd_sum = odd_sum + h + omega(h)
-        pairs = [
-            ("termwise", u_plus, odd_sum),
-            ("coset form", u_plus, psi_abar + omega(psi_abar)),
-        ]
-    elif eq == 2:
-        pairs = [
-            ("even-sign family", u_plus + u_do, _pf("even-sign", n)),
-            ("coset form", u_plus + u_do, psi_a + omega(psi_abar)),
-        ]
-    elif eq == 3:
-        pairs = [("half", u_plus + u_do, HALF * (psi + omega(psi)))]
-    else:
-        pairs = [("swapped coset form", u_plus + u_do, omega(psi_a) + psi_abar)]
-    return _eq(cid, n, pairs)
+                h = H_lambda(lam, _F(k))
+                total = total + h + omega(h)
+        return total
+    return power_sum_family(FamilySpec(name, k=k or None), n)
 
 
-def _run_prop65(eq: int, n: int) -> CheckResult:
-    cid = f"prop6.5.{eq}"
-    alt = 2 * _pf("do", n) + _pf("not-do-even-sign", n)
-    psi = _pf("all", n)
-    psi_a = _sum_h(n, parity=0)
-    u_do = _pf("do", n)
-    u_plus = _pf("not-do-even-sign", n)
-    if eq == 1:
-        pairs = [("induced", alt, psi_a + omega(psi_a))]
-    elif eq == 2:
-        pairs = [("u decomposition", alt, u_plus + 2 * u_do)]
-    elif eq == 3:
-        pairs = [("doubled", 2 * alt, psi + omega(psi) + 2 * u_do)]
-    else:
-        pairs = [("u+ recovery", u_plus, psi + omega(psi) - alt)]
-    return _eq(cid, n, pairs)
+def _run_linear(cid: str, k: int, pairs, nonneg: bool, n: int) -> CheckResult:
+    """PASS iff both sides of every pair agree (and, with nonneg, the first left
+    side is Schur-nonnegative)."""
+    term = partial(_term, k, n)
+    sides = [
+        (label, linear_combination(lhs, term), linear_combination(rhs, term))
+        for label, lhs, rhs in pairs
+    ]
+    res = _eq(cid, n, sides)
+    if res.status != "PASS" or not nonneg:
+        return res
+    return check_positivity(sides[0][1], n, "NONNEG", check_id=cid)
 
 
 @lru_cache(maxsize=None)
@@ -508,9 +409,9 @@ def _run_prop23(which: str, n: int) -> CheckResult:
 def _run_cor510(n: int) -> CheckResult:
     cid = "cor5.10"
     w = w_route_a(n, 2)
-    sum_h2 = _sum_h(n, 2)
+    sum_h2 = _term(2, n, "H")
     g = product_expansion([(1, 1, 1), (4, -1, -1)], n)
-    signed = _sum_h(n, 2, signed="sign-exponent")
+    signed = _term(2, n, "Hs")
     res = _eq(
         cid,
         n,
@@ -659,7 +560,7 @@ def _run_dims_w(k: int, n: int) -> CheckResult:
 def _run_cor414(n: int) -> CheckResult:
     cid = "cor4.14"
     se = _module_schur("psi", n)
-    u_minus = to_schur(_pf("odd-sign", n), n)
+    u_minus = _module_schur("u-minus", n)
     for nu in partitions_of(n):
         nut = conjugate(nu)
         if nu == nut:
@@ -918,7 +819,7 @@ _CEX_C = FamilySpec(
 def _run_cex(which: str, n: int) -> CheckResult:
     cid = f"cex.{which}"
     if which == "a":
-        f = _pf("odd-sign", n) + PExpr.term((1,) * n)
+        f = module_char("u-minus", n) + PExpr.term((1,) * n)
         nu = (1,) * n
         odd_count = len(members(FamilySpec("odd-sign"), n))
         want = Fraction(1 - odd_count)
@@ -990,26 +891,29 @@ def per_class_coverage(n: int) -> CheckResult:
 def _build_catalog() -> list[Entry]:
     """Catalog entries from rows (id, group, degrees, runner, runner arguments)."""
     ten = _span(1, 10)
-    gf42 = [(f"thm4.2.{eq}", 0, lhs, rhs) for eq, lhs, rhs in _THM42]
-    gf59 = [
-        (f"thm5.9.{eq}:k{k}", k, lhs, rhs) for eq, lhs, rhs in _THM59 for k in range(1, 7)
-    ]
-    gf34 = [
-        (f"thm3.4.{eq}:k{k}", k, lhs, rhs) for eq, lhs, rhs in _THM34 for k in (0, 1, 2)
-    ]
+
+    def linear(group, rows, ks=None, nonneg=False):
+        """One table of linear identities: id group.eq, or group.eq:k<k> for each k in ks."""
+        out = []
+        for eq, pairs in rows:
+            for k in ks or (0,):
+                cid = f"{group}.{eq}" if ks is None else f"{group}.{eq}:k{k}"
+                out.append((cid, group, ten, _run_linear, (cid, k, pairs, nonneg)))
+        return out
+
     identities = (
-        [(args[0], "thm4.2", ten, _run_gf, args) for args in gf42]
-        + [(f"thm4.11.{eq}", "thm4.11", ten, _run_thm411, (eq,)) for eq in range(1, 8)]
-        + [(f"prop4.13.{eq}", "prop4.13", ten, _run_prop413, (eq,)) for eq in range(1, 11)]
-        + [(f"thm4.15.{eq}", "thm4.15", ten, _run_thm415, (eq,)) for eq in range(1, 5)]
-        + [(f"prop6.5.{eq}", "prop6.5", ten, _run_prop65, (eq,)) for eq in range(1, 5)]
-        + [(args[0], "thm5.9", ten, _run_gf, args) for args in gf59]
+        linear("thm4.2", _THM42)
+        + linear("thm4.11", _THM411)
+        + linear("prop4.13", _PROP413)
+        + linear("thm4.15", _THM415)
+        + linear("prop6.5", _PROP65)
+        + linear("thm5.9", _THM59, ks=range(1, 7))
         + [(c, "cor5.2", ten, _run_lie, (c,)) for c in ("cor5.2.1", "cor5.2.2", "cor5.2.3")]
         + [("prop5.4", "prop5.4", ten, _run_lie, ("prop5.4",))]
         + [(f"lem5.5:k{k}", "lem5.5", ten, _run_lem55, (k,)) for k in (0, 1, 2)]
         + [("prop3.6", "prop3.6", ten, _run_prop36, ())]
         + [(f"prop2.3.{w}", "prop2.3", ten, _run_prop23, (w,)) for w in ("odd", "one")]
-        + [(args[0], "thm3.4", ten, _run_gf, args) for args in gf34]
+        + linear("thm3.4", _THM34, ks=(0, 1, 2), nonneg=True)
         + [("cor5.10", "cor5.10", ten, _run_cor510, ())]
     )
     positivity = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -164,3 +165,26 @@ def test_explicit_family_file_errors(capsys, tmp_path, content):
     assert out == ""
     assert err.startswith("error:") and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_file_errors(capsys, tmp_path, where):
+    if where == "missing-dir":
+        target, argv = tmp_path / "nowhere" / "x", ("expand", "psi", "5")
+    else:
+        target, argv = tmp_path, ("table", "t1", "3")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert "Traceback" not in err
+
+
+def test_catalog_output_pinned(capsys):
+    # the bytes of the whole catalog at n <= 8; any change to a check's result shows here
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "8", "--format", "json")
+    assert code == 0
+    assert len(out.splitlines()) == 1620
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fe6939fdbd39e20dbd03133451401403ec1f4a970c031f836e90217908039a49"
+    )

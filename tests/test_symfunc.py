@@ -426,6 +426,49 @@ def test_product_expansion_families():
         )
 
 
+def _product_series_reference(factors, n):
+    """prod (1 + sign*t^m*p_m)^c at t^n, one truncated Series product per factor."""
+    out = Series.one(n)
+    for m, c, sign in factors:
+        if c == 0 or m > n:
+            continue
+        comps = {}
+        for j in range(n // m + 1):
+            binom = Fraction(1)
+            for i in range(j):  # generalized binomial C(c, j)
+                binom = binom * (c - i) / (i + 1)
+            comps[m * j] = PExpr.term((m,) * j, binom * sign**j)
+        out = out * Series(comps, n)
+    return out.component(n)
+
+
+@settings(max_examples=120)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 5), st.integers(-3, 3), st.sampled_from((1, -1))),
+        max_size=7,
+    ),
+    st.integers(0, 9),
+)
+def test_product_expansion_matches_series_product(factors, n):
+    assert product_expansion(factors, n) == _product_series_reference(factors, n)
+
+
+def test_product_expansion_examples_and_validation():
+    # repeated m: (1 - t p_1)^-1 (1 + t p_1)^-1 = (1 - t^2 p_1^2)^-1
+    assert product_expansion([(1, -1, -1), (1, -1, 1)], 4) == p(1, 1, 1, 1)
+    assert product_expansion([(1, -1, -1), (1, -1, 1)], 3) == PExpr.zero()
+    assert product_expansion([(2, 3, 1), (2, -3, 1)], 4) == PExpr.zero()
+    assert product_expansion([], 0) == PExpr.one()
+    assert product_expansion([(1, 2, -1)], 0) == PExpr.one()
+    with pytest.raises(ParameterError, match="degree"):
+        product_expansion([(0, 0, 5)], 3)  # m is checked before c == 0 is skipped
+    with pytest.raises(ParameterError, match="sign"):
+        product_expansion([(9, 0, 2), (0, 1, 1)], 3)  # in factor order
+    with pytest.raises(ParameterError):
+        product_expansion([], -1)
+
+
 def test_two_path_generating_functions():
     # partition-indexed sums match the product forms with exponents from the
     # one-variable evaluations, for the weight families k = 0, 1, 2
@@ -522,3 +565,22 @@ def test_nonpositive_parts_rejected():
 def test_from_json_dict_rejects_malformed_input(data):
     with pytest.raises(ParameterError):
         PExpr.from_json_dict(data)
+
+
+def test_constructor_canonicalises_keys():
+    from symcon.characters import to_schur
+
+    f = PExpr({(1, 2): 1})
+    assert f == p(2, 1)
+    assert to_schur(f, 3).mults == to_schur(p(2, 1), 3).mults
+    # keys that coincide once sorted are summed; a cancelled term is dropped
+    assert PExpr({(1, 2): 1, (2, 1): Fraction(1, 2)}) == Fraction(3, 2) * p(2, 1)
+    assert PExpr({(1, 2): 1, (2, 1): -1}) == PExpr.zero()
+    with pytest.raises(ParameterError):
+        PExpr({(0, 1): 1})
+
+
+@pytest.mark.parametrize("terms", [{(1,): "x"}, {(1,): None}, {(2, 1): [1]}])
+def test_constructor_rejects_non_numeric_coefficient(terms):
+    with pytest.raises(ParameterError):
+        PExpr(terms)

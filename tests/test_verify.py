@@ -168,3 +168,22 @@ def test_failure_reports_carry_witness():
     res = check_positivity(bad, 2, "NONNEG", check_id="demo")
     assert res.status == "FAIL"
     assert res.detail["witness"][0]["nu"] == [1, 1]
+
+
+def test_linear_runner_names_the_failing_pair():
+    from symcon.verify import _run_linear
+
+    pairs = (
+        ("agrees", ((1, "H"),), ((1, "psi"),)),
+        ("differs", ((1, "H0"),), ((1, "all"),)),  # H0 - psi = -(1/2) * not-do
+    )
+    res = _run_linear("demo", 0, pairs, False, 4)
+    assert res.status == "FAIL"
+    assert res.detail["failed"] == "differs"
+    assert res.detail["mismatch"][0] == {"p": [4], "lhs-rhs": "-1/2"}
+    assert _run_linear("demo", 0, pairs[:1], False, 4).status == "PASS"
+    # equal sides that are not Schur-nonnegative fail only under nonneg
+    negative = (("omega", ((1, "~u-minus"),), ((-1, "u-minus"),)),)
+    assert _run_linear("demo", 0, negative, False, 2).status == "PASS"
+    res = _run_linear("demo", 0, negative, True, 2)
+    assert res.status == "FAIL" and res.detail["witness"][0]["nu"] == [2]
