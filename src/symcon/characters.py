@@ -161,9 +161,6 @@ def character_table(n: int, max_n: int = 20) -> CharacterTable:
 # Schur expansions
 
 
-VERDICTS = ("POSITIVE", "NONNEGATIVE", "MIXED", "NON_INTEGRAL")
-
-
 @dataclass(frozen=True)
 class SchurExpansion:
     """Sparse map nu -> multiplicity with a positivity verdict.

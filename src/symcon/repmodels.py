@@ -32,8 +32,6 @@ from .symfunc import (
     series_H,
 )
 
-DEFAULT_TRUNC = 16
-
 
 def cyclic_weight(d: int, k: int) -> int:
     """psi_k(d): the Ramanujan sum c_d(k); c_d(0) is the totient."""
@@ -100,10 +98,6 @@ def power_sum_family(spec: FamilySpec, n: int) -> PExpr:
     return PExpr({lam: Fraction(1) for lam in members(spec, n)})
 
 
-def _pf(kind: str, n: int, **kw) -> PExpr:
-    return power_sum_family(FamilySpec(kind, **kw), n)
-
-
 # ---------------------------------------------------------------------------
 # Named modules
 
@@ -157,7 +151,9 @@ def module_char(mid: str, n: int) -> PExpr:
     if n < 1:
         raise ParameterError(f"module characteristics need n >= 1, got {n}")
     if mid in MODULE_FORMS:
-        return linear_combination(MODULE_FORMS[mid][0], lambda kind: _pf(kind, n))
+        return linear_combination(
+            MODULE_FORMS[mid][0], lambda kind: power_sum_family(FamilySpec(kind), n)
+        )
     if mid.startswith("w:"):
         return w_route_a(n, int(mid.split(":", 1)[1]))
     if mid.startswith("family:"):

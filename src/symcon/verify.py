@@ -14,6 +14,13 @@ plethystic sums, product forms, module characteristics and power-sum
 families.  Theorem 4.2 is the k = 0 member of the weight-k family of
 Theorem 5.9, since c_d(0) = phi(d).
 
+The positivity and strictness claims (Theorem 1.1, Theorems 4.5, 4.9,
+4.17, 4.19, Corollaries 4.12, 4.18 and the positivity half of Theorem 6.4)
+are rows of one table, checked by one runner in both directions: every
+shape occurs but a documented exception, and the exception is absent.  The
+dimension and self-conjugacy claims are rows of another table, checked by
+one runner.
+
 Statuses: PASS/FAIL for theorem-backed claims, REPORT for scans that are
 observations rather than assertions (counterexample confirmations,
 segment scans, per-class coverage).
@@ -28,7 +35,7 @@ from math import factorial
 
 from .characters import SchurExpansion, alternant_oracle, character_table, to_schur
 from .errors import CatalogError, ParameterError
-from .numbertheory import ramanujan_sum, ramanujan_sum_oracle, totient
+from .numbertheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
 from .partitions import (
     FamilySpec,
     Partition,
@@ -163,15 +170,23 @@ def check_positivity(
     NONNEG: all multiplicities integral and >= 0.
     STRICT: additionally every nu |- n occurs (mult >= 1).
     STRICT_EXCEPT: strict outside `exceptions`; excepted shapes only need
-    nonnegativity (their absence is allowed, not required).
+    nonnegativity (their absence is allowed, not required).  Its one caller
+    in the catalog is _run_positivity, for the rows that except the sign
+    shape, and that runner then also requires the sign shape to be absent.
     """
     if isinstance(spec_or_expr, FamilySpec):
         f = power_sum_family(spec_or_expr, n)
     else:
         f = spec_or_expr
-    se = to_schur(f, n)
+    return _positivity(check_id, to_schur(f, n), mode, exceptions)
+
+
+def _positivity(
+    check_id: str, se: SchurExpansion, mode: str, exceptions=()
+) -> CheckResult:
+    """check_positivity on an expansion already computed."""
     bad = []
-    for nu in partitions_of(n):
+    for nu in partitions_of(se.n):
         m = se.mult(nu)
         if m.denominator != 1 or m < 0:
             bad.append((nu, m))
@@ -182,11 +197,11 @@ def check_positivity(
     if bad:
         return CheckResult(
             check_id,
-            n,
+            se.n,
             "FAIL",
             {"witness": [{"nu": list(nu), "mult": str(m)} for nu, m in bad[:6]]},
         )
-    return CheckResult(check_id, n, "PASS")
+    return CheckResult(check_id, se.n, "PASS")
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +242,9 @@ def _general_factors(n: int, k: int, flavor: str):
 # A row is (equation, pairs); a pair is (label, left side, right side), and a
 # side is a tuple of (coefficient, name) terms, "~name" meaning omega(name)
 # (repmodels.linear_combination).  A name at weight k is a plethystic sum of
-# SUMS over F_k, a product form of _FLAVORS, a module id, the termwise sum of
-# Theorem 4.15.1, or a power-sum family kind (given k when k >= 1).
+# SUMS over F_k, a product form of _FLAVORS, a module id or w:<k>, the
+# termwise sum of Theorem 4.15.1, or a power-sum family kind (given k when
+# k >= 1).
 
 
 def _one(name: str) -> tuple:
@@ -309,6 +325,8 @@ def _term(k: int, n: int, name: str) -> PExpr:
         return product_expansion(_general_factors(n, k, name), n)
     if name in MODULE_IDS:
         return module_char(name, n)
+    if name.startswith("w:"):  # the parts-in-{1,k} module, also at n = 0
+        return w_route_a(n, int(name[2:]))
     if name == "termwise":  # sum of H_lam + omega(H_lam) over lam with odd sign
         total = PExpr.zero()
         for lam in partitions_of(n):
@@ -428,132 +446,128 @@ def _run_cor510(n: int) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # Positivity and strictness entries
+#
+# A row is (id, lowest degree, target, mode, exceptions).  The target is a
+# module id or a FamilySpec; the lowest degree is an int (degrees run from it
+# to 12) or a tuple of the degrees themselves.  Exceptions are {degree:
+# shape}, a shape absent at a documented degree, or "sign", the sign shape
+# absent at every degree.
 
 
-_THM11_FAMILIES: list[tuple[str, FamilySpec, int]] = (
+_POSITIVITY = (
     [
-        ("thm1.1.all", FamilySpec("all"), 1),
-        ("thm1.1.odd-parts", FamilySpec("odd-parts"), 1),
-        ("thm1.1.even-sign", FamilySpec("even-sign"), 1),
-        ("thm1.1.not-do-even-sign", FamilySpec("not-do-even-sign"), 2),
-        ("thm1.1.not-do", FamilySpec("not-do"), 2),
+        (f"thm1.1.{kind}", lo, FamilySpec(kind), "NONNEG", {})
+        for kind, lo in (
+            ("all", 1), ("odd-parts", 1), ("even-sign", 1),
+            ("not-do-even-sign", 2), ("not-do", 2),
+        )
     ]
-    + [(f"thm1.1.one-or-k:{k}", FamilySpec("one-or-k", k=k), 1) for k in range(1, 7)]
-    + [(f"thm1.1.divides-k:{k}", FamilySpec("divides-k", k=k), 1) for k in range(1, 7)]
-    + [(f"thm1.1.thm59:{k}", FamilySpec("thm59", k=k), 1) for k in range(1, 7)]
-    + [(f"thm1.1.prime-family:{p}", FamilySpec("prime-family", p=p), 1) for p in (3, 5, 7)]
+    + [
+        (f"thm1.1.{kind}:{k}", 1, FamilySpec(kind, k=k), "NONNEG", {})
+        for kind in ("one-or-k", "divides-k", "thm59")
+        for k in range(1, 7)
+    ]
+    + [
+        (f"thm1.1.prime-family:{p}", 1, FamilySpec("prime-family", p=p), "NONNEG", {})
+        for p in (3, 5, 7)
+    ]
+    + [
+        ("thm4.5", 2, "psi", "STRICT", {2: (1, 1)}),
+        ("thm4.9", 1, "eps", "STRICT", {}),
+        ("thm4.17.1", 4, "psi-a", "STRICT", {}),
+        ("thm4.17.2", 2, "psi-abar", "STRICT", "sign"),
+        ("thm4.19.1", 4, "eps-a", "STRICT", {4: (2, 2)}),
+        ("thm4.19.2", 2, "eps-abar", "STRICT", "sign"),
+        ("cor4.18", 4, "u-plus", "STRICT", {}),
+        ("cor4.12", (1,) + tuple(range(3, 13)), FamilySpec("even-sign"), "STRICT", {}),
+    ]
 )
+_THM64 = ("thm6.4", 2, "alt-induced", "STRICT", {3: (2, 1)})
 
 
-def _run_thm45(n: int) -> CheckResult:
-    cid = "thm4.5"
-    se = _module_schur("psi", n)
-    if n == 2:
-        ok = se.mult((1, 1)) == 0 and se.mult((2,)) >= 1
-        detail = {"expected-exception": {"nu": [1, 1], "mult": str(se.mult((1, 1)))}}
-        return CheckResult(cid, n, "PASS" if ok else "FAIL", detail)
-    return check_positivity(module_char("psi", n), n, "STRICT", check_id=cid)
+def _run_positivity(row, n: int) -> CheckResult:
+    """Schur positivity of a row's target at degree n, checked both ways.
 
-
-def _run_family(cid: str, spec: FamilySpec, mode: str, n: int) -> CheckResult:
-    return check_positivity(spec, n, mode, check_id=cid)
-
-
-def _run_strict(cid: str, mid: str, n: int) -> CheckResult:
-    return check_positivity(module_char(mid, n), n, "STRICT", check_id=cid)
-
-
-def _run_strict_but_sign(cid: str, mid: str, n: int) -> CheckResult:
-    """Every shape but the sign occurs; the sign shape does not."""
-    sign = (1,) * n
-    res = check_positivity(
-        module_char(mid, n), n, "STRICT_EXCEPT", exceptions=(sign,), check_id=cid
-    )
-    if res.status != "PASS":
+    NONNEG: every multiplicity is an integer >= 0.  STRICT: every shape occurs,
+    except the excepted one, which must be absent.  A degree exception always
+    reports the excepted shape's multiplicity.
+    """
+    cid, _, target, mode, exceptions = row
+    if isinstance(target, FamilySpec):
+        se = to_schur(power_sum_family(target, n), n)
+    else:
+        se = _module_schur(target, n)
+    if exceptions == "sign":
+        sign = (1,) * n
+        res = _positivity(cid, se, "STRICT_EXCEPT", (sign,))
+        if res.status == "PASS" and se.mult(sign) != 0:
+            return CheckResult(
+                cid, n, "FAIL", {"witness": [{"nu": list(sign), "mult": "nonzero"}]}
+            )
         return res
-    if _module_schur(mid, n).mult(sign) != 0:
-        return CheckResult(
-            cid, n, "FAIL", {"witness": [{"nu": list(sign), "mult": "nonzero"}]}
-        )
-    return CheckResult(cid, n, "PASS")
-
-
-def _run_thm419_even(n: int) -> CheckResult:
-    cid = "thm4.19.1"
-    if n == 4:
-        se = _module_schur("eps-a", 4)
-        ok = se.mult((2, 2)) == 0 and all(
-            se.mult(nu) >= 1 for nu in partitions_of(4) if nu != (2, 2)
-        )
-        detail = {"expected-exception": {"nu": [2, 2], "mult": str(se.mult((2, 2)))}}
-        return CheckResult(cid, n, "PASS" if ok else "FAIL", detail)
-    return check_positivity(module_char("eps-a", n), n, "STRICT", check_id=cid)
+    if n not in exceptions:
+        return _positivity(cid, se, mode)
+    absent = exceptions[n]
+    ok = se.mult(absent) == 0 and all(
+        se.mult(nu) >= 1 for nu in partitions_of(n) if nu != absent
+    )
+    detail = {"expected-exception": {"nu": list(absent), "mult": str(se.mult(absent))}}
+    return CheckResult(cid, n, "PASS" if ok else "FAIL", detail)
 
 
 def _run_thm64(n: int) -> CheckResult:
+    """Self-conjugacy, dimension n! and, at n = 3, the closed form 2 p_3 + p_1^3,
+    then the positivity row _THM64."""
     cid = "thm6.4"
     f = module_char("alt-induced", n)
-    pairs = [("self-conjugate", omega(f), f)]
-    res = _eq(cid, n, pairs)
+    res = _eq(cid, n, [("self-conjugate", omega(f), f)])
     if res.status != "PASS":
         return res
     if dimension(f, n) != factorial(n):
         return CheckResult(cid, n, "FAIL", {"failed": "dimension"})
+    res = _run_positivity(_THM64, n)
     if n == 3:
-        expected = 2 * PExpr.p(3) + PExpr.p(1) ** 3
-        se = _module_schur("alt-induced", 3)
-        ok = f == expected and se.mult((2, 1)) == 0
+        ok = res.status == "PASS" and f == 2 * PExpr.p(3) + PExpr.p(1) ** 3
         return CheckResult(
             cid, n, "PASS" if ok else "FAIL", {"expected-exception": {"nu": [2, 1]}}
         )
-    return check_positivity(f, n, "STRICT", check_id=cid)
+    return res
 
 
 # ---------------------------------------------------------------------------
 # Dimension / self-conjugacy / structural entries
 
 
-_DIM_SPECS = {
-    "psi": (1, "full", False),
-    "eps": (1, "full", True),
-    "psi-a": (2, "half", False),
-    "psi-abar": (2, "half", False),
-    "eps-a": (2, "half", False),
-    "eps-abar": (2, "half", False),
-    "u-plus": (2, "full", True),
-    "u-minus": (1, "zero", False),
-    "u-do": (2, "zero", True),
-    "alt-induced": (2, "full", True),
-}
+def _self_conjugate(mid: str) -> tuple:
+    return (("self-conjugacy", _one(mid)),)
+
+
+# mid -> (lowest degree, dimension / n!, labelled sides that must be self-conjugate)
+_DIMS = {
+    "psi": (1, 1, ()),
+    "eps": (1, 1, _self_conjugate("eps")),
+    "psi-a": (2, HALF, ()),
+    "psi-abar": (2, HALF, ()),
+    "eps-a": (2, HALF, ()),
+    "eps-abar": (2, HALF, ()),
+    "u-plus": (2, 1, _self_conjugate("u-plus")),
+    "u-minus": (1, 0, ()),
+    "u-do": (2, 0, _self_conjugate("u-do") + (("u+ + u-do self-conjugacy", _U_EVEN),)),
+    "alt-induced": (2, 1, _self_conjugate("alt-induced")),
+} | {f"w:{k}": (0, 1, ()) for k in range(2, 7)}
 
 
 def _run_dims(mid: str, n: int) -> CheckResult:
     cid = f"dims.{mid}"
-    f = module_char(mid, n)
-    lo, kind, self_conj = _DIM_SPECS[mid]
-    want = {
-        "full": Fraction(factorial(n)),
-        "half": Fraction(factorial(n), 2),
-        "zero": Fraction(0),
-    }[kind]
-    if dimension(f, n) != want:
-        return CheckResult(
-            cid, n, "FAIL", {"failed": "dimension", "got": str(dimension(f, n))}
-        )
-    if self_conj and omega(f) != f:
-        return CheckResult(cid, n, "FAIL", {"failed": "self-conjugacy"})
-    if mid == "u-do":
-        g = module_char("u-plus", n) + f
+    _, ratio, sides = _DIMS[mid]
+    term = partial(_term, 0, n)
+    got = dimension(term(mid), n)
+    if got != ratio * factorial(n):
+        return CheckResult(cid, n, "FAIL", {"failed": "dimension", "got": str(got)})
+    for label, side in sides:
+        g = linear_combination(side, term)
         if omega(g) != g:
-            return CheckResult(cid, n, "FAIL", {"failed": "u+ + u-do self-conjugacy"})
-    return CheckResult(cid, n, "PASS")
-
-
-def _run_dims_w(k: int, n: int) -> CheckResult:
-    cid = f"dims.w:{k}"
-    f = w_route_a(n, k)
-    if dimension(f, n) != factorial(n):
-        return CheckResult(cid, n, "FAIL", {"failed": "dimension"})
+            return CheckResult(cid, n, "FAIL", {"failed": label})
     return CheckResult(cid, n, "PASS")
 
 
@@ -634,7 +648,7 @@ def _run_lem47(n: int) -> CheckResult:
                 se.mult((2,) + (1,) * (n - 2)) == (1 if n % 2 == 0 else 0),
             )
         )
-    if n in (3, 5, 7):  # odd primes: everything else present
+    if n % 2 == 1 and divisors(n) == (1, n):  # odd primes: everything else present
         hooks_out = {(n - 1, 1), (2,) + (1,) * (n - 2)}
         checks.append(
             (
@@ -730,6 +744,15 @@ def _run_feval_lemma(cid: str, n: int) -> CheckResult:
 # Tables, counterexamples, scans
 
 
+# table kind -> the modules of its blocks
+_TABLE_MODULES = {
+    "t1": ("psi",),
+    "t2": ("eps",),
+    "t3": ("psi-a", "psi-abar"),
+    "t4": ("eps-a", "eps-abar"),
+}
+
+
 def reproduce_table(kind: str, n: int) -> CheckResult:
     """Compare the computed decomposition with the transcribed fixture."""
     kind = kind.lower()
@@ -739,31 +762,20 @@ def reproduce_table(kind: str, n: int) -> CheckResult:
     cid = f"tables.{kind}"
     if not lo <= n <= hi:
         raise ParameterError(f"table {kind} has no fixture column for n={n}")
-    if kind in ("t1", "t2"):
-        fixture = (tables_data.T1 if kind == "t1" else tables_data.T2)[n]
-        parts = partitions_of(n)
-        se = _module_schur("psi" if kind == "t1" else "eps", n)
-        computed = [se.mult(nu) for nu in parts[: len(fixture)]]
-        for i, want in enumerate(fixture):
-            if computed[i] != want:
+    fixture = getattr(tables_data, kind.upper())[n]  # T1 .. T4
+    mids = _TABLE_MODULES[kind]
+    if len(mids) == 1:  # one column: the leading partitions of n, in order
+        se = _module_schur(mids[0], n)
+        for nu, want in zip(partitions_of(n), fixture):
+            if se.mult(nu) != want:
                 return CheckResult(
                     cid,
                     n,
                     "FAIL",
-                    {
-                        "witness": [
-                            {
-                                "nu": list(parts[i]),
-                                "computed": str(computed[i]),
-                                "fixture": want,
-                            }
-                        ]
-                    },
+                    {"witness": [{"nu": list(nu), "computed": str(se.mult(nu)), "fixture": want}]},
                 )
         return CheckResult(cid, n, "PASS")
-    fixtures = (tables_data.T3 if kind == "t3" else tables_data.T4)[n]
-    mids = ("psi-a", "psi-abar") if kind == "t3" else ("eps-a", "eps-abar")
-    for block, mid in zip(fixtures, mids):
+    for block, mid in zip(fixture, mids):
         se = _module_schur(mid, n)
         fix = dict(block)
         for nu in partitions_of(n):
@@ -788,22 +800,10 @@ def reproduce_table(kind: str, n: int) -> CheckResult:
 
 def table_decomposition(kind: str, n: int) -> dict[str, SchurExpansion]:
     """Computed decomposition(s) rendered by the CLI `table` command."""
-    kind = kind.lower()
-    if kind == "t1":
-        return {"psi": _module_schur("psi", n)}
-    if kind == "t2":
-        return {"eps": _module_schur("eps", n)}
-    if kind == "t3":
-        return {
-            "psi-a": _module_schur("psi-a", n),
-            "psi-abar": _module_schur("psi-abar", n),
-        }
-    if kind == "t4":
-        return {
-            "eps-a": _module_schur("eps-a", n),
-            "eps-abar": _module_schur("eps-abar", n),
-        }
-    raise ParameterError(f"unknown table {kind!r}")
+    mids = _TABLE_MODULES.get(kind.lower())
+    if mids is None:
+        raise ParameterError(f"unknown table {kind!r}")
+    return {mid: _module_schur(mid, n) for mid in mids}
 
 
 _CEX_B = FamilySpec(
@@ -916,34 +916,22 @@ def _build_catalog() -> list[Entry]:
         + linear("thm3.4", _THM34, ks=(0, 1, 2), nonneg=True)
         + [("cor5.10", "cor5.10", ten, _run_cor510, ())]
     )
-    positivity = [
-        (cid, "thm1.1", _span(lo, 12), _run_family, (cid, spec, "NONNEG"))
-        for cid, spec, lo in _THM11_FAMILIES
-    ]
-    strict = [
-        ("thm4.5", "strict", _span(2, 12), _run_thm45, ()),
-        ("thm4.9", "strict", _span(1, 12), _run_strict, ("thm4.9", "eps")),
-        ("thm4.17.1", "strict", _span(4, 12), _run_strict, ("thm4.17.1", "psi-a")),
-        (
-            "thm4.17.2", "strict", _span(2, 12),
-            _run_strict_but_sign, ("thm4.17.2", "psi-abar"),
-        ),
-        ("thm4.19.1", "strict", _span(4, 12), _run_thm419_even, ()),
-        (
-            "thm4.19.2", "strict", _span(2, 12),
-            _run_strict_but_sign, ("thm4.19.2", "eps-abar"),
-        ),
-        ("cor4.18", "strict", _span(4, 12), _run_strict, ("cor4.18", "u-plus")),
-        (
-            "cor4.12", "strict", _fixed(n for n in range(1, 13) if n != 2),
-            _run_family, ("cor4.12", FamilySpec("even-sign"), "STRICT"),
-        ),
-        ("thm6.4", "strict", _span(2, 12), _run_thm64, ()),
+    def positivity(mode, group):
+        """The positivity rows of one mode, each up to degree 12."""
+        return [
+            (row[0], group, _fixed(row[1]) if isinstance(row[1], tuple) else _span(row[1], 12),
+             _run_positivity, (row,))
+            for row in _POSITIVITY
+            if row[3] == mode
+        ]
+
+    thm11 = positivity("NONNEG", "thm1.1")
+    strict = positivity("STRICT", "strict") + [
+        ("thm6.4", "strict", _span(2, 12), _run_thm64, ())
     ]
     dims = (
         [(f"dims.{mid}", "dims", _span(lo, 10), _run_dims, (mid,))
-         for mid, (lo, _, _) in _DIM_SPECS.items()]
-        + [(f"dims.w:{k}", "dims", _span(0, 10), _run_dims_w, (k,)) for k in range(2, 7)]
+         for mid, (lo, _, _) in _DIMS.items()]
         + [("cor4.14", "dims", ten, _run_cor414, ()),
            ("prop4.21", "dims", ten, _run_prop421, ()),
            ("prop4.22", "dims", ten, _run_prop422, ()),
@@ -982,7 +970,7 @@ def _build_catalog() -> list[Entry]:
         ("remark4.20", "coverage", ten, per_class_coverage, ()),
     ]
     sections = (
-        ("identities", identities), ("positivity", positivity), ("strict", strict),
+        ("identities", identities), ("positivity", thm11), ("strict", strict),
         ("dims", dims), ("routes", routes), ("oracles", oracles), ("lemmas", lemmas),
         ("tables", tables), ("counterexamples", cex), ("scans", scans),
     )

@@ -187,3 +187,43 @@ def test_linear_runner_names_the_failing_pair():
     assert _run_linear("demo", 0, negative, False, 2).status == "PASS"
     res = _run_linear("demo", 0, negative, True, 2)
     assert res.status == "FAIL" and res.detail["witness"][0]["nu"] == [2]
+
+
+def test_positivity_rows_check_both_directions():
+    from symcon.verify import _run_positivity
+
+    # psi at n = 3 contains the sign shape, so excepting it fails
+    res = _run_positivity(("demo", 1, "psi", "STRICT", {3: (1, 1, 1)}), 3)
+    assert res.status == "FAIL"
+    assert res.detail == {"expected-exception": {"nu": [1, 1, 1], "mult": "1"}}
+    # psi at n = 2 lacks the sign shape, so the unexcepted row fails
+    res = _run_positivity(("demo", 1, "psi", "STRICT", {}), 2)
+    assert res.status == "FAIL"
+    assert res.detail == {"witness": [{"nu": [1, 1], "mult": "0"}]}
+    res = _run_positivity(("demo", 1, "psi", "STRICT", "sign"), 3)
+    assert res.status == "FAIL"
+    assert res.detail == {"witness": [{"nu": [1, 1, 1], "mult": "nonzero"}]}
+    # the documented exceptions hold
+    res = _run_positivity(("demo", 1, "psi", "STRICT", {2: (1, 1)}), 2)
+    assert res.status == "PASS" and res.detail["expected-exception"]["mult"] == "0"
+    assert _run_positivity(("demo", 1, "psi-abar", "STRICT", "sign"), 5).status == "PASS"
+
+
+def test_lem47_prime_coverage_beyond_seven(monkeypatch):
+    import dataclasses
+
+    from symcon import verify
+
+    for n in (11, 13):
+        assert check_identity("lem4.7", n).status == "PASS"
+    real = verify.to_schur
+
+    def drop_one_shape(f, n, *args, **kw):
+        se = real(f, n, *args, **kw)
+        mults = {nu: m for nu, m in se.mults.items() if nu != (5, 4, 2)}
+        return dataclasses.replace(se, mults=mults)
+
+    monkeypatch.setattr(verify, "to_schur", drop_one_shape)
+    res = check_identity("lem4.7", 11)
+    assert res.status == "FAIL"
+    assert res.detail == {"failed": "prime coverage"}
