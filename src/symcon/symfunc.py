@@ -10,8 +10,13 @@ coefficients, stored sparsely as {partition: Fraction}.  Conventions:
   * plethysm by a power sum replaces each part i of every key by a*i,
     leaving coefficients untouched.
 
-Products are summed as integers: each factor's coefficients are put over
-their common denominator, and Fractions are made only for the result.
+Every product runs through one integer kernel on packed values.  A
+packed value is (denominator, {code: integer numerator}), reduced by the
+gcd; the code of lam in width w is  sum over its parts p of 2^(w*(p-1)),
+one w-bit field per part value holding its multiplicity, so
+p_lam * p_mu = p_{lam union mu} is code(lam) + code(mu).  Fields never
+carry while every multiplicity stays below 2^w.  PExpr products pack both
+factors with w read from the longest keys, run the kernel, and unpack.
 
 Graded series (class Series) collect one homogeneous expression per
 degree up to a truncation bound; the formal variable t is never
@@ -21,21 +26,21 @@ part of prod_i H(f_i) with H(t) = sum_m h_m t^m (Macdonald I.2, I.8).
 A series expands that product in one distributive pass over the parts
 and keeps the result, split into the two parities of n - len(lam), so
 every parity and sign variant is a signed sum of two cached halves.
+The Newton sequences and the pass stay packed in the width
+trunc.bit_length(); no degree up to trunc has a multiplicity above trunc.
+Series products and inverses pack each component once, in that width too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .errors import DegreeError, ParameterError, TruncationError
 from .partitions import Partition, multiplicities, partitions_of, sign_exponent, z_lambda
 
 Scalar = Fraction | int
-
-
-def _merge_keys(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
+Packed = tuple[int, dict[int, int]]  # (denominator, {code: numerator})
 
 
 def _canonical_key(parts) -> Partition:
@@ -131,7 +136,9 @@ class PExpr:
 
     def __mul__(self, other) -> "PExpr":
         if isinstance(other, PExpr):
-            return _sum_of_products([(1, self, other)])
+            # a part occurs in the product at most as often as the two longest keys have parts
+            w = _width(_longest(self) + _longest(other))
+            return _unpack(_kernel([(1, _pack(self, w), _pack(other, w))]), w, {})
         c = Fraction(other)
         if not c:
             return PExpr.zero()
@@ -204,45 +211,97 @@ class PExpr:
         return PExpr(terms)
 
 
-def _denominator(f: PExpr) -> int:
-    return lcm(*(c.denominator for c in f.terms.values()))
+# ---------------------------------------------------------------------------
+# Packed values and the product kernel
+
+_ONE: Packed = (1, {0: 1})
+_ZERO: Packed = (1, {})
 
 
-def _sum_of_products(triples, divisor: int = 1, keys: dict | None = None) -> PExpr:
-    """(1/divisor) * sum of c * a * b over the (c, a, b) triples, c an integer.
+def _width(bound: int) -> int:
+    """The field width that holds every multiplicity up to bound without a carry."""
+    return bound.bit_length() or 1
 
-    Each factor is read as integer numerators over its common
-    denominator; the products are summed as integers over one
-    denominator, and one Fraction is made per distinct output value.
-    With `keys`, a dict of key tuples already in use, each output key is
-    taken from (or added to) it, so results that are kept share one
-    tuple per partition.
+
+def _longest(f: PExpr) -> int:
+    return max(map(len, f.terms), default=0)
+
+
+def _pack(f: PExpr, w: int) -> Packed:
+    """f over the common denominator of its coefficients, keys coded in width w."""
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    return denom, {
+        sum(1 << (w * (p - 1)) for p in k): c.numerator * (denom // c.denominator)
+        for k, c in f.terms.items()
+    }
+
+
+def _decode(code: int, w: int) -> Partition:
+    """The partition whose code in width w is `code`."""
+    mask = (1 << w) - 1
+    parts: list[int] = []
+    p = 0
+    while code:
+        p += 1
+        m = code & mask
+        if m:
+            parts += [p] * m
+        code >>= w
+    parts.reverse()
+    return tuple(parts)
+
+
+def _unpack(value: Packed, w: int, keys: dict[int, Partition]) -> PExpr:
+    """The PExpr of a packed value; `keys` maps codes to key tuples and is filled on a miss.
+
+    Equal coefficients share one Fraction and equal codes one key tuple,
+    which keeps cached results small.
     """
-    triples = [(c, a, _denominator(a), b, _denominator(b)) for c, a, b in triples if c and a and b]
-    denom = lcm(*(da * db for _, _, da, _, db in triples))
-    out: dict[Partition, int] = {}
-    get = out.get
-    for c, a, da, b, db in triples:
-        scale = c * (denom // (da * db))
-        nums_b = [v.numerator * (db // v.denominator) for v in b.terms.values()]
-        for k1, v1 in a.terms.items():
-            x = v1.numerator * (da // v1.denominator) * scale
-            for k2, y in zip(b.terms, nums_b):
-                key = _merge_keys(k1, k2)
-                out[key] = get(key, 0) + x * y
-    denom *= divisor
-    # Equal coefficients share one Fraction, which keeps cached results small.
+    denom, nums = value
     fracs: dict[int, Fraction] = {}
     terms = {}
-    for k, v in out.items():
-        if v:
-            c = fracs.get(v)
-            if c is None:
-                c = fracs[v] = Fraction(v, denom)
-            terms[k if keys is None else keys.setdefault(k, k)] = c
+    for code, v in nums.items():
+        key = keys.get(code)
+        if key is None:
+            key = keys[code] = _decode(code, w)
+        c = fracs.get(v)
+        if c is None:
+            c = fracs[v] = Fraction(v, denom)
+        terms[key] = c
     res = PExpr.__new__(PExpr)
     res.terms = terms
     return res
+
+
+def _kernel(triples, divisor: int = 1) -> Packed:
+    """(1/divisor) * sum of c * a * b over (c, a, b), c an integer and a, b packed alike.
+
+    The products are summed as integers over one denominator, and the
+    result is reduced by the gcd of that denominator and its numerators.
+    """
+    triples = [t for t in triples if t[0] and t[1][1] and t[2][1]]
+    denom = lcm(*(a[0] * b[0] for _, a, b in triples))
+    out: dict[int, int] = {}
+    get = out.get
+    for c, (da, a), (db, b) in triples:
+        scale = c * (denom // (da * db))
+        if len(a) > len(b):  # the longer factor runs in the inner loop
+            a, b = b, a
+        b_items = b.items()
+        for k1, v1 in a.items():
+            x = v1 * scale
+            for k2, y in b_items:
+                k = k1 + k2
+                out[k] = get(k, 0) + x * y
+    if 0 in out.values():  # cancelled terms
+        out = {k: v for k, v in out.items() if v}
+    denom *= divisor
+    g = gcd(denom, *out.values())
+    if g > 1:
+        denom //= g
+        out = {k: v // g for k, v in out.items()}
+    return denom, out
+
 
 
 # ---------------------------------------------------------------------------
@@ -335,33 +394,34 @@ def plethysm_p(a: int, g: PExpr) -> PExpr:
     return res
 
 
-def _newton_extend(
-    seq: list[PExpr], g: PExpr, sign: int, m: int, keys: dict | None = None
-) -> list[PExpr]:
-    """Extend seq = [h_0[g], h_1[g], ...] in place through h_m[g] (e_m[g] for sign -1).
+def _newton_extend(seq: list[Packed], g: PExpr, sign: int, m: int, w: int) -> list[Packed]:
+    """Extend seq = [h_0[g], h_1[g], ...], packed in width w, in place through h_m[g].
 
-    j*h_j[g] = sum_{r=1..j} sign^(r-1) * p_r[g] * h_{j-r}[g].
+    e_m[g] for sign -1.  j*h_j[g] = sum_{r=1..j} sign^(r-1) * p_r[g] * h_{j-r}[g].
+    A key of h_j[g] joins at most j keys of g, so w must exceed m times
+    the length of the longest key of g.
     """
     if m < 0:
         raise ParameterError(f"plethysm order must be >= 0, got {m}")
-    pg = [None] + [plethysm_p(r, g) for r in range(1, m + 1)]
+    pg = [None] + [_pack(plethysm_p(r, g), w) for r in range(1, m + 1)]
     for j in range(len(seq), m + 1):
-        seq.append(
-            _sum_of_products(
-                [(sign ** (r - 1), pg[r], seq[j - r]) for r in range(1, j + 1)], j, keys
-            )
-        )
+        seq.append(_kernel([(sign ** (r - 1), pg[r], seq[j - r]) for r in range(1, j + 1)], j))
     return seq
+
+
+def _plethysm(sign: int, m: int, g: PExpr) -> PExpr:
+    w = _width(m * _longest(g))
+    return _unpack(_newton_extend([_ONE], g, sign, m, w)[m], w, {})
 
 
 def plethysm_h(m: int, g: PExpr) -> PExpr:
     """h_m[g] via the Newton recurrence m*h_m[g] = sum_r p_r[g]*h_{m-r}[g]."""
-    return _newton_extend([PExpr.one()], g, 1, m)[m]
+    return _plethysm(1, m, g)
 
 
 def plethysm_e(m: int, g: PExpr) -> PExpr:
     """e_m[g] via m*e_m[g] = sum_r (-1)^(r-1) p_r[g]*e_{m-r}[g]."""
-    return _newton_extend([PExpr.one()], g, -1, m)[m]
+    return _plethysm(-1, m, g)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +434,18 @@ class Series:
     Components beyond the truncation degree are unknown (not zero);
     reading one raises TruncationError.  Instances memoize, for as long
     as they live, the plethysms h_0..h_M[f_i] / e_0..e_M[f_i] of one
-    Newton recurrence per (kind, i) and the parity halves of every
-    plethystic sum they were asked for.
+    Newton recurrence per (kind, i), packed in width trunc.bit_length(),
+    and the parity halves of every plethystic sum they were asked for.
+    The halves are PExprs whose keys come from one per-series map of
+    codes to key tuples, so the cached values share one tuple per
+    partition.
     """
 
     __slots__ = ("components", "trunc", "_pleth_cache", "_keys")
 
     def __init__(self, components: dict[int, PExpr], trunc: int):
-        if trunc < 0:
-            raise ParameterError("series truncation must be >= 0")
+        if not isinstance(trunc, int) or trunc < 0:
+            raise ParameterError(f"series truncation must be an integer >= 0, got {trunc!r}")
         self.trunc = trunc
         self.components: dict[int, PExpr] = {}
         for d, f in components.items():
@@ -392,10 +455,10 @@ class Series:
             if fd is not None and fd != d:
                 raise DegreeError(f"component at degree {d} has degree {fd}")
             self.components[d] = f
-        # (kind, i) -> [h_0[f_i], h_1[f_i], ...]; ("sum", kind, n) -> (even, odd)
-        self._pleth_cache: dict[tuple, list[PExpr] | tuple[PExpr, PExpr]] = {}
-        # one tuple per partition, shared by the cached expressions
-        self._keys: dict[Partition, Partition] = {}
+        # (kind, i) -> [h_0[f_i], h_1[f_i], ...] packed; ("sum", kind, n) -> (even, odd)
+        self._pleth_cache: dict[tuple, list[Packed] | tuple[PExpr, PExpr]] = {}
+        # code -> key tuple, shared by the expressions the series hands out
+        self._keys: dict[int, Partition] = {}
 
     @staticmethod
     def from_function(fn, trunc: int, start: int = 1) -> "Series":
@@ -432,10 +495,15 @@ class Series:
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
             n = min(self.trunc, other.trunc)
-            mine, theirs = self.components, other.components
+            w = _width(n)  # no degree up to n has a multiplicity above n
+            mine = {a: _pack(f, w) for a, f in self.components.items() if a <= n}
+            theirs = {b: _pack(g, w) for b, g in other.components.items() if b <= n}
+            keys: dict[int, Partition] = {}
             out = {
-                d: _sum_of_products(
-                    [(1, f, theirs[d - a]) for a, f in mine.items() if d - a in theirs]
+                d: _unpack(
+                    _kernel([(1, f, theirs[d - a]) for a, f in mine.items() if d - a in theirs]),
+                    w,
+                    keys,
                 )
                 for d in range(n + 1)
             }
@@ -450,12 +518,13 @@ class Series:
         """Multiplicative inverse; requires constant term exactly 1."""
         if self.component(0) != PExpr.one():
             raise ParameterError("series inverse needs constant term 1")
-        inv = {0: PExpr.one()}
+        w = _width(self.trunc)
+        comps = [_pack(self.component(k), w) for k in range(self.trunc + 1)]
+        inv = [_ONE]
         for d in range(1, self.trunc + 1):
-            inv[d] = _sum_of_products(
-                [(-1, self.component(k), inv[d - k]) for k in range(1, d + 1)]
-            )
-        return Series(inv, self.trunc)
+            inv.append(_kernel([(-1, comps[k], inv[d - k]) for k in range(1, d + 1)]))
+        keys: dict[int, Partition] = {}
+        return Series({d: _unpack(f, w, keys) for d, f in enumerate(inv)}, self.trunc)
 
     def substitute_p(self, a: int) -> "Series":
         """The series with p_i -> p_{a*i} applied to every component (degree a*d)."""
@@ -482,14 +551,22 @@ class Series:
             {d: f for d, f in self.components.items() if keep(d)}, self.trunc
         )
 
-    def _pleth(self, kind: str, i: int, m: int) -> PExpr:
-        """h_m[f_i] ("h") or e_m[f_i] ("e"), from one Newton recurrence per (kind, i)."""
+    def _unpack(self, value: Packed) -> PExpr:
+        return _unpack(value, _width(self.trunc), self._keys)
+
+    def _pleth(self, kind: str, i: int, m: int) -> list[Packed]:
+        """The packed sequence h_0[f_i], h_1[f_i], ... ("h") or e_j[f_i] ("e"), through j = m.
+
+        One Newton recurrence per (kind, i), extended on demand.  Needs
+        m * i <= trunc, which bounds the multiplicities by trunc.
+        """
         seq = self._pleth_cache.get((kind, i))
         if seq is None:
-            seq = self._pleth_cache[(kind, i)] = [PExpr.one()]
+            seq = self._pleth_cache[(kind, i)] = [_ONE]
         if len(seq) <= m:
-            _newton_extend(seq, self.component(i), 1 if kind == "h" else -1, m, self._keys)
-        return seq[m]
+            sign = 1 if kind == "h" else -1
+            _newton_extend(seq, self.component(i), sign, m, _width(self.trunc))
+        return seq
 
     def _pleth_halves(self, kind: str, n: int) -> tuple[PExpr, PExpr]:
         """(even, odd): the sums of H_lambda (E_lambda) over lam |- n with n - len(lam) even, odd.
@@ -506,49 +583,52 @@ class Series:
             return halves
         if n < 0:
             raise ParameterError(f"cannot partition a negative integer: {n}")
-        zero = PExpr.zero()
-        acc = [(PExpr.one(), zero)] + [(zero, zero)] * n
+        acc = [(_ONE, _ZERO)] + [(_ZERO, _ZERO)] * n
         for i in range(n, 0, -1):
             if not self.component(i):
                 continue
-            pleth = [self._pleth(kind, i, m) for m in range(n // i + 1)]
+            pleth = self._pleth(kind, i, n // i)
             # At i = 1 only degree n is read afterwards.
             for d in range(n, (n if i == 1 else i) - 1, -1):
                 acc[d] = tuple(
-                    _sum_of_products(
+                    _kernel(
                         [
                             (1, acc[d - m * i][h ^ (m * (i - 1) & 1)], pleth[m])
                             for m in range(d // i + 1)
-                        ],
-                        keys=self._keys,
+                        ]
                     )
                     for h in (0, 1)
                 )
-        halves = self._pleth_cache[key] = acc[n]
+        halves = self._pleth_cache[key] = tuple(map(self._unpack, acc[n]))
         return halves
 
 
-def _lambda_product(kind: str, lam: Partition, F: Series) -> PExpr:
+def _lambda_product(kind: str, lam, F: Series) -> PExpr:
     """prod over distinct parts i of h_{m_i}[f_i] ("h") or e_{m_i}[f_i] ("e")."""
-    out = PExpr.one()
-    i = 0
-    while i < len(lam):
-        part = lam[i]
-        m = 1
-        while i + m < len(lam) and lam[i + m] == part:
-            m += 1
-        out = out * F._pleth(kind, part, m)
-        i += m
-    return out
+    mults = multiplicities(_canonical_key(lam))
+    if sum(i * m for i, m in mults.items()) > F.trunc:
+        # beyond the width of F's packed sequences
+        pleth = plethysm_h if kind == "h" else plethysm_e
+        return prod((pleth(m, F.component(i)) for i, m in mults.items()), start=PExpr.one())
+    out = _ONE
+    for i, m in mults.items():
+        out = _kernel([(1, out, F._pleth(kind, i, m)[m])])
+    return F._unpack(out)
 
 
 def H_lambda(lam: Partition, F: Series) -> PExpr:
-    """prod over distinct parts i of h_{m_i}[f_i]; 1 for the empty partition."""
+    """prod over distinct parts i of h_{m_i}[f_i]; 1 for the empty partition.
+
+    The parts of lam may come in any order.
+    """
     return _lambda_product("h", lam, F)
 
 
 def E_lambda(lam: Partition, F: Series) -> PExpr:
-    """prod over distinct parts i of e_{m_i}[f_i]; 1 for the empty partition."""
+    """prod over distinct parts i of e_{m_i}[f_i]; 1 for the empty partition.
+
+    The parts of lam may come in any order.
+    """
     return _lambda_product("e", lam, F)
 
 
@@ -642,10 +722,12 @@ def product_expansion(factors, n: int) -> PExpr:
         raise ParameterError("degree must be >= 0")
     polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
     for m, c, sign in factors:
-        if m < 1:
-            raise ParameterError(f"factor degree must be >= 1, got {m}")
+        if not isinstance(m, int) or m < 1:
+            raise ParameterError(f"factor degree must be an integer >= 1, got {m!r}")
         if sign not in (1, -1):
             raise ParameterError(f"factor sign must be +-1, got {sign}")
+        if not isinstance(c, int):
+            raise ParameterError(f"factor exponent must be an integer, got {c!r}")
         if c == 0 or m > n:
             continue
         factor = [_binomial(c, j) * sign**j for j in range(n // m + 1)]

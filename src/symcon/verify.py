@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import factorial
 
 from .characters import SchurExpansion, alternant_oracle, character_table, to_schur
@@ -846,19 +847,24 @@ def counterexamples() -> list[CheckResult]:
     return out
 
 
+def _segment_sums(n: int) -> list[tuple[Partition, tuple[int, ...]]]:
+    """(mu, mults) for every mu |- n, from (1^n) upward: the Schur multiplicities
+    of the final segment sum_{lam >= mu} p_lam, over nu in partitions_of(n) order.
+
+    The multiplicity of nu is sum_lam chi^nu(lam), so the segments are the
+    running sums of each table row read from its last column.
+    """
+    table = character_table(n)
+    suffix = zip(*(accumulate(reversed(row)) for row in table.rows))
+    return list(zip(reversed(table.parts), suffix))
+
+
 def _run_conjecture(n: int) -> CheckResult:
     cid = "conjecture1.5"
     violations = []
     parts = partitions_of(n)
-    tail = PExpr.zero()
-    for mu in reversed(parts):  # grow the segment from (1^n) upward
-        tail = tail + PExpr.term(mu)
-        se = to_schur(tail, n)
-        bad = [
-            nu
-            for nu in parts
-            if se.mult(nu) < 0 or se.mult(nu).denominator != 1
-        ]
+    for mu, mults in _segment_sums(n):
+        bad = [nu for nu, m in zip(parts, mults) if m < 0]
         if bad:
             violations.append({"from": list(mu), "nu": [list(b) for b in bad[:3]]})
     return CheckResult(

@@ -74,6 +74,21 @@ def test_mul_matches_fraction_reference(f, s):
     assert (f * s).terms == _fraction_product(f, s)
 
 
+def test_mul_large_parts_and_mixed_degrees():
+    # compared as plain dicts: the repr of a PExpr enumerates every partition
+    # of each degree, which pytest would print for a failing assertion
+    terms = (p(70) * p(70, 1)).terms
+    assert terms == {(70, 70, 1): 1}
+    terms = (p(1) ** 40).terms
+    assert terms == {(1,) * 40: 1}
+    one = PExpr.one()
+    f = Fraction(1, 2) * one + p(1) - 3 * p(2, 2) + Fraction(5, 6) * p(33, 1, 1)
+    g = p(3) - Fraction(2, 9) * p(1, 1, 1) + 7 * one + p(64, 64)
+    for a, b in ((f, g), (g, g), (f ** 3, g ** 2)):
+        terms, want = (a * b).terms, _fraction_product(a, b)
+        assert terms == want
+
+
 def test_coefficient_canonicalises_key():
     assert PExpr.term((1, 2)) == p(2, 1)
     assert p(2, 1).coefficient((1, 2)) == 1
@@ -309,6 +324,24 @@ def test_H_lambda_examples():
     assert H_lambda((), F) == PExpr.one()
 
 
+def test_lambda_products_canonicalise_the_partition():
+    F = _totient_series(8)
+    for product in (H_lambda, E_lambda):
+        assert product((1, 2, 1), F) == product((2, 1, 1), F)
+        assert product([1, 3, 1, 3], F) == product((3, 3, 1, 1), F)
+        with pytest.raises(ParameterError):
+            product((2, 0), F)
+
+
+def test_lambda_products_beyond_truncation():
+    # |lam| above the truncation, every part within it
+    F = Series({1: p(1)}, 15)
+    assert H_lambda((1,) * 16, F) == h_n(16)
+    assert E_lambda((1,) * 17, F) == e_n(17)
+    with pytest.raises(TruncationError):
+        H_lambda((16,), F)
+
+
 def _reference_sum(F, n, kind, parity=None, signed=None):
     """The literal sum over lam |- n of (optional sign) * H_lambda or E_lambda."""
     F = Series(F.components, F.trunc)  # its own plethysm cache
@@ -401,7 +434,29 @@ def test_series_pleth_matches_plethysm(k):
             # h ascends (the recurrence grows one step at a time), e descends
             ms = range(12 // i + 1) if kind == "h" else range(12 // i, -1, -1)
             for m in ms:
-                assert F._pleth(kind, i, m) == pleth(m, F.component(i)), (kind, i, m)
+                got = F._unpack(F._pleth(kind, i, m)[m])
+                assert got == pleth(m, F.component(i)), (kind, i, m)
+
+
+@pytest.mark.parametrize("N", [15, 16, 17, 31, 32])
+def test_packed_width_boundaries(N):
+    # p_1^N has multiplicity N, which needs N.bit_length() bits
+    for kind, basis, pleth in (("h", h_n, plethysm_h), ("e", e_n, plethysm_e)):
+        want = basis(N)
+        assert plethystic_sum(Series({1: p(1)}, N), N, kind) == want
+        assert pleth(N, p(1)) == want
+    # 1/(1 - p_1) = sum_d p_1^d, and its square is sum_d (d + 1) p_1^d
+    geometric = Series({0: PExpr.one(), 1: -p(1)}, N).inverse()
+    assert geometric.component(N) == PExpr.p(*[1] * N)
+    assert (geometric * geometric).component(N) == (N + 1) * PExpr.p(*[1] * N)
+
+
+def test_series_rejects_non_integer_truncation():
+    for trunc in (2.5, "3", Fraction(3), None):
+        with pytest.raises(ParameterError):
+            Series({}, trunc)
+    with pytest.raises(ParameterError):
+        Series({}, -1)
 
 
 def test_series_component_truncation_error():
@@ -467,6 +522,16 @@ def test_product_expansion_examples_and_validation():
         product_expansion([(9, 0, 2), (0, 1, 1)], 3)  # in factor order
     with pytest.raises(ParameterError):
         product_expansion([], -1)
+    with pytest.raises(ParameterError, match="exponent"):
+        product_expansion([(1, Fraction(1, 2), 1)], 2)
+    with pytest.raises(ParameterError, match="exponent"):
+        product_expansion([(5, 0.5, 1)], 2)  # checked before m > n is skipped
+    with pytest.raises(ParameterError, match="degree"):
+        product_expansion([(1.5, 1, 1)], 3)
+    with pytest.raises(ParameterError, match="degree"):
+        product_expansion([(1.0, Fraction(1, 2), 1)], 3)  # m is checked before c
+    with pytest.raises(ParameterError, match="sign"):
+        product_expansion([(1, 0.5, 2)], 3)  # the sign is checked before c
 
 
 def test_two_path_generating_functions():

@@ -125,6 +125,21 @@ def test_conjecture_scan_clean():
         assert res.detail["segments"] == len(partitions_of(n))
 
 
+def test_conjecture_segments_match_to_schur():
+    from symcon.characters import to_schur
+    from symcon.verify import _segment_sums
+
+    for n in range(1, 9):
+        parts = partitions_of(n)
+        segments = _segment_sums(n)
+        assert tuple(mu for mu, _ in segments) == parts[::-1]
+        tail = PExpr.zero()  # the old route: one to_schur call per segment
+        for mu, mults in segments:
+            tail = tail + PExpr.term(mu)
+            se = to_schur(tail, n)
+            assert list(mults) == [se.mult(nu) for nu in parts], (n, mu)
+
+
 def test_per_class_coverage_small():
     assert per_class_coverage(1).detail == {"h-covering": [[1]], "e-covering": [[1]]}
     assert per_class_coverage(2).detail == {"h-covering": [], "e-covering": []}
