@@ -265,7 +265,12 @@ def _powersum_poly(mu: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], in
 
 
 def alternant_oracle(nu: Partition, mu: Partition) -> int:
-    """chi^nu(mu) as the coefficient of x^(nu+delta) in p_mu * a_delta, n <= 6."""
+    """chi^nu(mu) as the coefficient of x^(nu+delta) in p_mu * a_delta, n <= 6.
+
+    Read from the monomial side: every monomial x^e of p_mu meets the one
+    term sign(sigma) * x^(sigma(delta)) of the alternant a_delta with
+    sigma(delta) = nu + delta - e, if there is one.
+    """
     n = sum(nu)
     if sum(mu) != n:
         raise ParameterError(f"shape {nu} and class {mu} have different sizes")
@@ -273,19 +278,19 @@ def alternant_oracle(nu: Partition, mu: Partition) -> int:
         raise CapacityError(f"alternant oracle capped at n={ALTERNANT_MAX_N}")
     if n == 0:
         return 1
-    delta = tuple(range(n - 1, -1, -1))
-    target = tuple((tuple(nu) + (0,) * n)[i] + delta[i] for i in range(n))
-    poly = dict(_powersum_poly(tuple(sorted(mu, reverse=True)), n))
+    target = [p + n - 1 - i for i, p in enumerate(tuple(nu) + (0,) * (n - len(nu)))]
+    alternant = _alternant_terms(n)
     total = 0
-    for perm in permutations(range(n)):
-        expo = tuple(delta[p] for p in perm)
-        rem = tuple(target[i] - expo[i] for i in range(n))
-        if any(x < 0 for x in rem):
-            continue
-        coeff = poly.get(rem)
-        if coeff:
-            total += _parity(perm) * coeff
+    for expo, coeff in _powersum_poly(tuple(sorted(mu, reverse=True)), n):
+        total += coeff * alternant.get(tuple(map(sub, target, expo)), 0)
     return total
+
+
+@lru_cache(maxsize=ALTERNANT_MAX_N + 1)
+def _alternant_terms(n: int) -> dict[tuple[int, ...], int]:
+    """The alternant a_delta in n variables, delta = (n-1, ..., 0), as {sigma(delta): sign sigma}."""
+    delta = tuple(range(n - 1, -1, -1))
+    return {tuple(delta[p] for p in perm): _parity(perm) for perm in permutations(range(n))}
 
 
 def _parity(perm: tuple[int, ...]) -> int:

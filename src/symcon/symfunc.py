@@ -139,7 +139,10 @@ class PExpr:
             # a part occurs in the product at most as often as the two longest keys have parts
             w = _width(_longest(self) + _longest(other))
             return _unpack(_kernel([(1, _pack(self, w), _pack(other, w))]), w, {})
-        c = Fraction(other)
+        try:
+            c = Fraction(other)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"not a scalar: {other!r}") from exc
         if not c:
             return PExpr.zero()
         res = PExpr.__new__(PExpr)
@@ -184,10 +187,9 @@ class PExpr:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), partitions_of(sum(k)).index(k))):
-            bits.append(f"{self.terms[key]}*p{list(key)}")
-        return " + ".join(bits)
+        # degree ascending, then the keys of one degree in descending order (as partitions_of)
+        keys = sorted(self.terms, key=lambda k: (-sum(k), k), reverse=True)
+        return " + ".join(f"{self.terms[key]}*p{list(key)}" for key in keys)
 
     # -- JSON --------------------------------------------------------------
 
@@ -302,6 +304,20 @@ def _kernel(triples, divisor: int = 1) -> Packed:
         out = {k: v // g for k, v in out.items()}
     return denom, out
 
+
+def _series_product(a: dict[int, Packed], b: dict[int, Packed], top: int) -> dict[int, Packed]:
+    """The product of two packed series, {degree: value}, through degree top.
+
+    One kernel call per output degree; zero degrees are left out.
+    """
+    out = {}
+    for e in range(top + 1):
+        triples = [(1, x, b[e - d]) for d, x in a.items() if e - d in b]
+        if triples:
+            value = _kernel(triples)
+            if value[1]:
+                out[e] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +448,20 @@ class Series:
     """Graded series sum_d f_d with f_d homogeneous of degree d, d <= trunc.
 
     Components beyond the truncation degree are unknown (not zero);
-    reading one raises TruncationError.  Instances memoize, for as long
-    as they live, the plethysms h_0..h_M[f_i] / e_0..e_M[f_i] of one
-    Newton recurrence per (kind, i), packed in width trunc.bit_length(),
-    and the parity halves of every plethystic sum they were asked for.
-    The halves are PExprs whose keys come from one per-series map of
-    codes to key tuples, so the cached values share one tuple per
-    partition.
+    reading one raises TruncationError.  Instances memoize in
+    _pleth_cache, for as long as they live:
+
+      * (kind, i): the plethysms h_0..h_M[f_i] / e_0..e_M[f_i] of one
+        Newton recurrence, packed in width trunc.bit_length();
+      * ("sum", kind, n) and ("total", kind, n): the parity halves of
+        every plethystic sum they were asked for, and the plain sum of
+        the two;
+      * ("pow", d): the powers R[p -> p*d]^0, ^1, ... of the series R
+        itself, each packed in the same width as {degree: value} through
+        trunc, for plethysm_into.
+
+    The cached PExprs take their keys from one per-series map of codes
+    to key tuples, so they share one tuple per partition.
     """
 
     __slots__ = ("components", "trunc", "_pleth_cache", "_keys")
@@ -455,8 +478,8 @@ class Series:
             if fd is not None and fd != d:
                 raise DegreeError(f"component at degree {d} has degree {fd}")
             self.components[d] = f
-        # (kind, i) -> [h_0[f_i], h_1[f_i], ...] packed; ("sum", kind, n) -> (even, odd)
-        self._pleth_cache: dict[tuple, list[Packed] | tuple[PExpr, PExpr]] = {}
+        # see the class docstring for the four kinds of entry
+        self._pleth_cache: dict[tuple, list | tuple[PExpr, PExpr] | PExpr] = {}
         # code -> key tuple, shared by the expressions the series hands out
         self._keys: dict[int, Partition] = {}
 
@@ -499,15 +522,8 @@ class Series:
             mine = {a: _pack(f, w) for a, f in self.components.items() if a <= n}
             theirs = {b: _pack(g, w) for b, g in other.components.items() if b <= n}
             keys: dict[int, Partition] = {}
-            out = {
-                d: _unpack(
-                    _kernel([(1, f, theirs[d - a]) for a, f in mine.items() if d - a in theirs]),
-                    w,
-                    keys,
-                )
-                for d in range(n + 1)
-            }
-            return Series(out, n)
+            out = _series_product(mine, theirs, n)
+            return Series({d: _unpack(v, w, keys) for d, v in out.items()}, n)
         return Series(
             {d: f * other for d, f in self.components.items()}, self.trunc
         )
@@ -567,6 +583,26 @@ class Series:
             sign = 1 if kind == "h" else -1
             _newton_extend(seq, self.component(i), sign, m, _width(self.trunc))
         return seq
+
+    def _powers(self, d: int, m: int) -> list[dict[int, Packed]]:
+        """The packed powers R[p -> p*d]^0 .. ^m of this series R, {degree: value} through trunc.
+
+        Cached under ("pow", d) and extended on demand, one kernel call
+        per output degree.  With no constant term the j-th power starts
+        at degree d*j, so every power beyond trunc // d is empty.
+        """
+        pows = self._pleth_cache.get(("pow", d))
+        if pows is None:
+            w = _width(self.trunc)
+            base = {
+                d * k: _pack(plethysm_p(d, g), w)
+                for k, g in self.components.items()
+                if d * k <= self.trunc
+            }
+            pows = self._pleth_cache[("pow", d)] = [{0: _ONE}, base]
+        while len(pows) <= m:
+            pows.append(_series_product(pows[-1], pows[1], self.trunc))
+        return pows
 
     def _pleth_halves(self, kind: str, n: int) -> tuple[PExpr, PExpr]:
         """(even, odd): the sums of H_lambda (E_lambda) over lam |- n with n - len(lam) even, odd.
@@ -646,7 +682,8 @@ def plethystic_sum(
             "length" weights by (-1)^len(lam).
 
     Every option is a signed combination of the two parity halves of one
-    distributive pass, cached on the series (Series._pleth_halves).
+    distributive pass, cached on the series (Series._pleth_halves); the
+    plain sum of the two is cached beside them.
     """
     if kind not in ("h", "e"):
         raise ParameterError(f"kind must be 'h' or 'e', got {kind!r}")
@@ -656,6 +693,13 @@ def plethystic_sum(
         raise ParameterError(
             f"signed must be None, 'sign-exponent' or 'length', got {signed!r}"
         )
+    if parity is None and signed is None:
+        key = ("total", kind, n)
+        total = F._pleth_cache.get(key)
+        if total is None:
+            even, odd = F._pleth_halves(kind, n)
+            total = F._pleth_cache[key] = even + odd
+        return total
     even, odd = F._pleth_halves(kind, n)
     if signed is not None:
         odd = -odd
@@ -684,17 +728,36 @@ def series_E(F: Series, trunc: int | None = None) -> Series:
 def plethysm_into(f: PExpr, R: Series) -> Series:
     """f[R] for a series R with no constant term, truncated at R.trunc.
 
-    Linear in f; on a monomial c * p_lam it is c * prod_i R[p -> p*lam_i].
+    Linear in f; on a monomial c * p_lam it is c * prod_i R[p -> p*lam_i],
+    that is c times the product over the distinct parts d of lam of
+    R[p -> p*d]^(m_d).  Those powers come packed from R's cache
+    (Series._powers), so they are shared by every key of f and by every f
+    plethysmed into R.  Each key's product stays packed and is taken only
+    through the degrees the truncation leaves room for; the keys are then
+    summed with f's coefficients in one kernel call per output degree and
+    unpacked once.
     """
     if R.component(0):
         raise ParameterError("plethysm into a series requires zero constant term")
-    total = Series({}, R.trunc)
-    for key, val in f.terms.items():
-        term = Series.one(R.trunc)
-        for part in key:
-            term = term * R.substitute_p(part).truncate(R.trunc)
-        total = total + term * val
-    return total
+    n = R.trunc
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    triples: dict[int, list] = {}  # output degree -> (numerator, packed, packed)
+    for key, c in f.terms.items():
+        factors = [R._powers(d, m)[m] for d, m in multiplicities(key).items()]
+        if not all(factors):  # a power that vanishes through degree n
+            continue
+        # the product of all factors but the last, through the degrees the rest leave room for
+        head = {0: _ONE}
+        for i in range(len(factors) - 1):
+            top = n - sum(min(g) for g in factors[i + 1 :])
+            head = _series_product(head, factors[i], top)
+        last = factors[-1] if factors else {0: _ONE}
+        num = c.numerator * (denom // c.denominator)
+        for a, x in head.items():
+            for b, y in last.items():
+                if a + b <= n:
+                    triples.setdefault(a + b, []).append((num, x, y))
+    return Series({e: R._unpack(_kernel(t, denom)) for e, t in triples.items()}, n)
 
 
 # ---------------------------------------------------------------------------

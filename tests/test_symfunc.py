@@ -20,6 +20,7 @@ from symcon.symfunc import (
     p1_derivative,
     plethysm_e,
     plethysm_h,
+    plethysm_into,
     plethysm_p,
     plethystic_sum,
     product_expansion,
@@ -75,8 +76,6 @@ def test_mul_matches_fraction_reference(f, s):
 
 
 def test_mul_large_parts_and_mixed_degrees():
-    # compared as plain dicts: the repr of a PExpr enumerates every partition
-    # of each degree, which pytest would print for a failing assertion
     terms = (p(70) * p(70, 1)).terms
     assert terms == {(70, 70, 1): 1}
     terms = (p(1) ** 40).terms
@@ -87,6 +86,34 @@ def test_mul_large_parts_and_mixed_degrees():
     for a, b in ((f, g), (g, g), (f ** 3, g ** 2)):
         terms, want = (a * b).terms, _fraction_product(a, b)
         assert terms == want
+
+
+@pytest.mark.parametrize("scalar", ["x", None, [1], object()])
+def test_mul_rejects_non_numeric_scalar(scalar):
+    with pytest.raises(ParameterError):
+        p(1) * scalar
+    with pytest.raises(ParameterError):
+        scalar * p(2, 1)
+
+
+def test_repr_orders_by_degree_then_descending_key():
+    # the order partitions_of(d) enumerates, degree by degree
+    keys = [lam for d in range(9) for lam in partitions_of(d)]
+    want = " + ".join(f"{i + 1}*p{list(k)}" for i, k in enumerate(keys))
+    f = PExpr({k: i + 1 for i, k in reversed(list(enumerate(keys)))})
+    assert repr(f) == want
+    assert repr(PExpr.zero()) == "0"
+
+
+def test_repr_does_not_enumerate_partitions(monkeypatch):
+    import symcon.symfunc
+
+    def refuse(n):
+        raise AssertionError(f"partitions_of({n}) called")
+
+    monkeypatch.setattr(symcon.symfunc, "partitions_of", refuse)
+    assert repr(p(70, 70, 1)) == "1*p[70, 70, 1]"
+    assert repr(p(50) - Fraction(1, 2) * p(1)) == "-1/2*p[1] + 1*p[50]"
 
 
 def test_coefficient_canonicalises_key():
@@ -463,6 +490,83 @@ def test_series_component_truncation_error():
     F = _totient_series(5)
     with pytest.raises(TruncationError):
         F.component(6)
+
+
+
+# ---------------------------------------------------------------------------
+# Plethysm into a series
+
+
+def _inner_series():
+    # no constant term; rational coefficients and several keys per degree
+    return Series(
+        {
+            1: p(1),
+            2: Fraction(1, 2) * p(2) - p(1, 1),
+            3: Fraction(2, 3) * p(2, 1) + p(3) - Fraction(1, 6) * p(1, 1, 1),
+            5: Fraction(-3, 4) * p(4, 1) + p(1, 1, 1, 1, 1),
+        },
+        7,
+    )
+
+
+def _reference_plethysm_into(f, R):
+    """sum over the keys of f of c * prod_i R[p -> p*lam_i], by PExpr products."""
+    N = R.trunc
+    r = sum((R.component(d) for d in range(1, N + 1)), PExpr.zero())
+
+    def low(g):  # the components of g through degree N
+        return PExpr({k: c for k, c in g.terms.items() if sum(k) <= N})
+
+    total = PExpr.zero()
+    for key, c in f.terms.items():
+        term = PExpr.one()
+        for part in key:
+            term = low(term * plethysm_p(part, r))
+        total = total + c * term
+    return Series({d: total.component(d) for d in range(N + 1)}, N)
+
+
+PLETHYSM_INTO_FS = [
+    # repeated parts, several keys, a constant term, rational coefficients,
+    # and a key whose product starts beyond the truncation
+    PExpr({(2, 1, 1): Fraction(1, 3), (3, 3): -2, (1, 1, 1): Fraction(5, 2), (): 4,
+           (4, 2, 2, 1): 1, (2,): Fraction(-1, 6)}),
+    Fraction(7, 5) * p(1) + p(2, 2, 1) - Fraction(1, 9) * p(3, 2),
+    h_n(3) + e_n(4),
+    PExpr.zero(),
+]
+
+
+def test_plethysm_into_matches_reference():
+    R = _inner_series()
+    for f in PLETHYSM_INTO_FS:
+        got = plethysm_into(f, R)
+        assert got.trunc == R.trunc
+        assert got == _reference_plethysm_into(f, R), f
+
+
+def test_plethysm_into_independent_of_cache_state():
+    want = [plethysm_into(f, _inner_series()) for f in PLETHYSM_INTO_FS]
+    for order in (PLETHYSM_INTO_FS, PLETHYSM_INTO_FS[::-1]):
+        R = _inner_series()
+        got = {id(f): plethysm_into(f, R) for f in order}
+        for f, w in zip(PLETHYSM_INTO_FS, want):
+            assert got[id(f)] == w, f
+            assert plethysm_into(f, R) == w, f  # again, on the warm cache
+
+
+def test_plethysm_into_rejects_constant_term():
+    R = Series({0: PExpr.one(), 1: p(1)}, 4)
+    with pytest.raises(ParameterError):
+        plethysm_into(p(1), R)
+
+
+def test_lie_identities_at_16():
+    from symcon.repmodels import lie_series_identities
+
+    failures = [r for r in lie_series_identities(16) if not r[2]]
+    assert not failures
 
 
 def test_product_expansion_families():
