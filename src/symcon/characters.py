@@ -28,7 +28,7 @@ from math import lcm
 from operator import mul, neg, sub
 
 from .errors import CapacityError, DegreeError, ParameterError
-from .partitions import Partition, partitions_of, pretty, z_lambda
+from .partitions import Partition, partition, partitions_of, pretty, z_lambda
 from .symfunc import PExpr
 
 ALTERNANT_MAX_N = 6
@@ -76,11 +76,12 @@ def _mn(nu: Partition, mu: Partition) -> int:
 
 def mn_character(nu: Partition, mu: Partition) -> int:
     """chi^nu evaluated on the class of cycle type mu."""
+    nu, mu = partition(nu), partition(mu)
     if sum(nu) != sum(mu):
         raise ParameterError(
             f"shape {nu} and class {mu} have different sizes"
         )
-    return _mn(tuple(nu), tuple(sorted(mu, reverse=True)))
+    return _mn(nu, mu)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,16 @@ class CharacterTable:
     index: dict[Partition, int] = field(repr=False, default=None)
 
     def chi(self, nu: Partition, mu: Partition) -> int:
-        return self.rows[self.index[tuple(nu)]][self.index[tuple(mu)]]
+        index = self.index
+        try:
+            return self.rows[index[tuple(nu)]][index[tuple(mu)]]
+        except KeyError:  # canonicalise only on a miss, so canonical keys stay fast
+            nu, mu = partition(nu), partition(mu)
+            if nu not in index or mu not in index:
+                raise ParameterError(
+                    f"shape {nu} and class {mu} must be partitions of {self.n}"
+                ) from None
+            return self.rows[index[nu]][index[mu]]
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +281,7 @@ def alternant_oracle(nu: Partition, mu: Partition) -> int:
     term sign(sigma) * x^(sigma(delta)) of the alternant a_delta with
     sigma(delta) = nu + delta - e, if there is one.
     """
+    nu, mu = partition(nu), partition(mu)
     n = sum(nu)
     if sum(mu) != n:
         raise ParameterError(f"shape {nu} and class {mu} have different sizes")
@@ -278,10 +289,10 @@ def alternant_oracle(nu: Partition, mu: Partition) -> int:
         raise CapacityError(f"alternant oracle capped at n={ALTERNANT_MAX_N}")
     if n == 0:
         return 1
-    target = [p + n - 1 - i for i, p in enumerate(tuple(nu) + (0,) * (n - len(nu)))]
+    target = [p + n - 1 - i for i, p in enumerate(nu + (0,) * (n - len(nu)))]
     alternant = _alternant_terms(n)
     total = 0
-    for expo, coeff in _powersum_poly(tuple(sorted(mu, reverse=True)), n):
+    for expo, coeff in _powersum_poly(mu, n):
         total += coeff * alternant.get(tuple(map(sub, target, expo)), 0)
     return total
 

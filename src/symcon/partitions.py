@@ -231,17 +231,6 @@ class FamilySpec:
                 if not is_partition(lam):
                     raise ParameterError(f"explicit member {lam!r} is not a partition")
 
-    def label(self) -> str:
-        if self.kind in _PARAM_K:
-            return f"{self.kind}:{self.k}"
-        if self.kind == "prime-family":
-            return f"prime-family:{self.p}"
-        if self.kind == "lex-from":
-            return f"lex-from:{list(self.mu)}"
-        if self.kind == "explicit":
-            return "explicit:" + json.dumps([list(l) for l in self.items])
-        return self.kind
-
 
 def in_family(lam: Partition, spec: FamilySpec) -> bool:
     """Membership predicate; lam is assumed canonical."""

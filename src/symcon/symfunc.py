@@ -484,8 +484,8 @@ class Series:
         self._keys: dict[int, Partition] = {}
 
     @staticmethod
-    def from_function(fn, trunc: int, start: int = 1) -> "Series":
-        return Series({d: fn(d) for d in range(start, trunc + 1)}, trunc)
+    def from_function(fn, trunc: int) -> "Series":
+        return Series({d: fn(d) for d in range(1, trunc + 1)}, trunc)
 
     @staticmethod
     def one(trunc: int) -> "Series":

@@ -1,18 +1,21 @@
 """Identity catalog and batch verification harness.
 
 Every checkable claim is an Entry: a stable id, a group tag, the degrees
-it applies to, and a runner returning a CheckResult.  Ids follow the
+it applies to, and a runner returning (status, detail) at one degree.  A
+runner never sees the id; Entry.check names the result.  Ids follow the
 external naming contract (thm/prop/cor/lem prefixes with equation-style
 suffixes, k-parameterized entries carrying ':k<k>').  Entries are
 independent; they run one after another and results are emitted in
 catalog order.
 
 The linear identities (Theorems 4.2, 4.11, 4.15, 5.9 and 3.4,
-Propositions 4.13 and 6.5) are rows of data, all evaluated by one runner:
-each row pairs two sides, a side being a combination of named terms --
-plethystic sums, product forms, module characteristics and power-sum
-families.  Theorem 4.2 is the k = 0 member of the weight-k family of
-Theorem 5.9, since c_d(0) = phi(d).
+Propositions 4.13 and 6.5, Lemma 5.5 and Corollary 5.10) are rows of data,
+all evaluated by one runner: each row pairs two sides, a side being a
+combination of named terms -- plethystic sums, product forms, module
+characteristics and power-sum families.  Theorem 4.2 is the k = 0 member
+of the weight-k family of Theorem 5.9, since c_d(0) = phi(d), and
+Corollary 5.10 is Theorem 5.9 at k = 2 read through the parts-in-{1,2}
+module.
 
 The positivity and strictness claims (Theorem 1.1, Theorems 4.5, 4.9,
 4.17, 4.19, Corollaries 4.12, 4.18 and the positivity half of Theorem 6.4)
@@ -35,7 +38,7 @@ from itertools import accumulate
 from math import factorial
 
 from .characters import SchurExpansion, alternant_oracle, character_table, to_schur
-from .errors import CatalogError, ParameterError
+from .errors import CatalogError, ParameterError, TruncationError
 from .numbertheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
 from .partitions import (
     FamilySpec,
@@ -74,7 +77,6 @@ from .symfunc import (
     p1_derivative,
     plethystic_sum,
     product_expansion,
-    series_E,
     series_H,
 )
 from . import tables_data
@@ -101,8 +103,12 @@ class Entry:
     id: str
     group: str
     ns: object  # callable max_n -> iterable of degrees
-    run: object  # callable n -> CheckResult
+    run: object  # callable n -> (status, detail)
     tags: tuple[str, ...] = ()
+
+    def check(self, n: int) -> CheckResult:
+        """The entry's result at degree n."""
+        return CheckResult(self.id, n, *self.run(n))
 
     def matches(self, selector: str) -> bool:
         if selector in ("all", self.id, self.group) or selector in self.tags:
@@ -144,14 +150,22 @@ def _diff_witness(lhs: PExpr, rhs: PExpr, limit: int = 4) -> dict:
     }
 
 
-def _eq(check_id: str, n: int, pairs) -> CheckResult:
+def _eq(pairs) -> tuple:
     """PASS iff every (label, lhs, rhs) pair agrees exactly."""
     for label, lhs, rhs in pairs:
         if lhs != rhs:
             detail = {"failed": label}
             detail.update(_diff_witness(lhs, rhs))
-            return CheckResult(check_id, n, "FAIL", detail)
-    return CheckResult(check_id, n, "PASS")
+            return "FAIL", detail
+    return "PASS", None
+
+
+def _first_failed(checks) -> tuple:
+    """FAIL naming the first (label, ok) check that does not hold, else PASS."""
+    for label, ok in checks:
+        if not ok:
+            return "FAIL", {"failed": label}
+    return "PASS", None
 
 
 @lru_cache(maxsize=None)
@@ -171,20 +185,18 @@ def check_positivity(
     NONNEG: all multiplicities integral and >= 0.
     STRICT: additionally every nu |- n occurs (mult >= 1).
     STRICT_EXCEPT: strict outside `exceptions`; excepted shapes only need
-    nonnegativity (their absence is allowed, not required).  Its one caller
-    in the catalog is _run_positivity, for the rows that except the sign
-    shape, and that runner then also requires the sign shape to be absent.
+    nonnegativity (their absence is allowed, not required).  Its caller in
+    the catalog is _run_positivity, for the rows with an exception, and that
+    runner then also requires the excepted shape to be absent.
     """
     if isinstance(spec_or_expr, FamilySpec):
         f = power_sum_family(spec_or_expr, n)
     else:
         f = spec_or_expr
-    return _positivity(check_id, to_schur(f, n), mode, exceptions)
+    return CheckResult(check_id, n, *_positivity(to_schur(f, n), mode, exceptions))
 
 
-def _positivity(
-    check_id: str, se: SchurExpansion, mode: str, exceptions=()
-) -> CheckResult:
+def _positivity(se: SchurExpansion, mode: str, exceptions=()) -> tuple:
     """check_positivity on an expansion already computed."""
     bad = []
     for nu in partitions_of(se.n):
@@ -196,13 +208,8 @@ def _positivity(
         elif mode == "STRICT_EXCEPT" and nu not in exceptions and m < 1:
             bad.append((nu, m))
     if bad:
-        return CheckResult(
-            check_id,
-            se.n,
-            "FAIL",
-            {"witness": [{"nu": list(nu), "mult": str(m)} for nu, m in bad[:6]]},
-        )
-    return CheckResult(check_id, se.n, "PASS")
+        return "FAIL", {"witness": [{"nu": list(nu), "mult": str(m)} for nu, m in bad[:6]]}
+    return "PASS", None
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +218,12 @@ def _positivity(
 
 def _F(k: int) -> Series:
     return foulkes_series(k, CATALOG_TRUNC)
+
+
+@lru_cache(maxsize=None)
+def _exterior_of_H(k: int) -> Series:
+    """G / G[p_2] for G = sum_n H_n[F_k] (Lemma 5.5), once per weight k."""
+    return exterior_from_symmetric(series_H(_F(k)))
 
 
 # Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
@@ -244,8 +257,8 @@ def _general_factors(n: int, k: int, flavor: str):
 # side is a tuple of (coefficient, name) terms, "~name" meaning omega(name)
 # (repmodels.linear_combination).  A name at weight k is a plethystic sum of
 # SUMS over F_k, a product form of _FLAVORS, a module id or w:<k>, the
-# termwise sum of Theorem 4.15.1, or a power-sum family kind (given k when
-# k >= 1).
+# termwise sum of Theorem 4.15.1, the G/G[p2] series of Lemma 5.5, or a
+# power-sum family kind (given k when k >= 1).
 
 
 def _one(name: str) -> tuple:
@@ -316,6 +329,12 @@ _PROP65 = (
     (3, (("doubled", ((2, "alt-induced"),), ((1, "psi"), (1, "~psi"), (2, "u-do"))),)),
     (4, (("u+ recovery", _one("u-plus"), ((1, "psi"), (1, "~psi"), (-1, "alt-induced"))),)),
 )
+_LEM55 = (("G/G[p2] == E[F]", _one("G/G[p2]"), _one("E")),)
+_COR510 = (  # at k = 2; its two half sums must be Schur-nonnegative
+    ("W == sum H", _one("w:2"), _one("H")),
+    ("alternating form", _one("mixed-sym"), _one("Hs")),
+)
+_COR510_HALVES = (((HALF, "w:2"), (HALF, "mixed-sym")), ((HALF, "w:2"), (-HALF, "mixed-sym")))
 
 
 def _term(k: int, n: int, name: str) -> PExpr:
@@ -335,21 +354,24 @@ def _term(k: int, n: int, name: str) -> PExpr:
                 h = H_lambda(lam, _F(k))
                 total = total + h + omega(h)
         return total
+    if name == "G/G[p2]":
+        return _exterior_of_H(k).component(n)
     return power_sum_family(FamilySpec(name, k=k or None), n)
 
 
-def _run_linear(cid: str, k: int, pairs, nonneg: bool, n: int) -> CheckResult:
-    """PASS iff both sides of every pair agree (and, with nonneg, the first left
-    side is Schur-nonnegative)."""
+def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
+    """PASS iff both sides of every pair agree and every side of `nonneg` is
+    Schur-nonnegative."""
     term = partial(_term, k, n)
-    sides = [
+    res = _eq([
         (label, linear_combination(lhs, term), linear_combination(rhs, term))
         for label, lhs, rhs in pairs
-    ]
-    res = _eq(cid, n, sides)
-    if res.status != "PASS" or not nonneg:
-        return res
-    return check_positivity(sides[0][1], n, "NONNEG", check_id=cid)
+    ])
+    for side in nonneg:
+        if res[0] != "PASS":
+            return res
+        res = _positivity(to_schur(linear_combination(side, term), n), "NONNEG")
+    return res
 
 
 @lru_cache(maxsize=None)
@@ -357,38 +379,18 @@ def _lie_reports(n_max: int) -> dict[tuple[str, int], bool]:
     return {(name, n): ok for name, n, ok, _ in lie_series_identities(n_max)}
 
 
-_LIE_IDS = {
-    "cor5.2.1": "pbw",
-    "cor5.2.2": ("cadogan", "cadogan-inverse"),
-    "cor5.2.3": "lie-ext",
-    "prop5.4": "pi-ext",
-}
-
-
-def _run_lie(cid: str, n: int) -> CheckResult:
+def _run_lie(names, n: int) -> tuple:
+    """PASS iff each named identity of lie_series_identities holds at degree n."""
+    if n < 0:
+        raise ParameterError(f"free-Lie identities need n >= 0, got {n}")
+    if n > CATALOG_TRUNC:
+        raise TruncationError(f"degree {n} beyond series truncation {CATALOG_TRUNC}")
     reports = _lie_reports(CATALOG_TRUNC)
-    names = _LIE_IDS[cid]
-    if isinstance(names, str):
-        names = (names,)
-    for name in names:
-        if not reports.get((name, n), True):
-            return CheckResult(cid, n, "FAIL", {"failed": name})
-    return CheckResult(cid, n, "PASS")
+    # lie_series_identities reports cadogan-inverse from degree 1 on
+    return _first_failed((name, reports.get((name, n), True)) for name in names)
 
 
-@lru_cache(maxsize=None)
-def _cached_power_series(kind: str, k: int) -> Series:
-    return (series_H if kind == "h" else series_E)(_F(k))
-
-
-def _run_lem55(k: int, n: int) -> CheckResult:
-    Q = exterior_from_symmetric(_cached_power_series("h", k))
-    E = _cached_power_series("e", k)
-    return _eq(f"lem5.5:k{k}", n, [("G/G[p2] == E[F]", Q.component(n), E.component(n))])
-
-
-def _run_prop36(n: int) -> CheckResult:
-    cid = "prop3.6"
+def _run_prop36(n: int) -> tuple:
     pairs = []
     p1 = PExpr.p(1)
     for kind in ("h", "e"):
@@ -398,51 +400,24 @@ def _run_prop36(n: int) -> CheckResult:
         for i in range(n + 1):
             rhs = rhs + comp(n - i) * p1**i
         pairs.append((f"{kind} recurrence", lhs, rhs))
-    return _eq(cid, n, pairs)
+    return _eq(pairs)
 
 
-def _run_prop23(which: str, n: int) -> CheckResult:
-    cid = f"prop2.3.{which}"
+def _run_prop23(which: str, n: int) -> tuple:
     F = _F(0)
     keep = (lambda d: d % 2 == 1) if which == "odd" else (lambda d: d == 1)
     FS = F.restrict(keep)
     FSbar = F.restrict(lambda d: not keep(d))
     pairs = []
-    lhs_h = plethystic_sum(FS, n, "h")
-    rhs_h = PExpr.zero()
-    for a in range(n + 1):
-        epm = plethystic_sum(FSbar, a, "e", signed="length")
-        if epm:
-            rhs_h = rhs_h + epm * plethystic_sum(F, n - a, "h")
-    pairs.append(("H restricted", lhs_h, rhs_h))
-    lhs_e = plethystic_sum(FS, n, "e")
-    rhs_e = PExpr.zero()
-    for a in range(n + 1):
-        hpm = plethystic_sum(FSbar, a, "h", signed="length")
-        if hpm:
-            rhs_e = rhs_e + hpm * plethystic_sum(F, n - a, "e")
-    pairs.append(("E restricted", lhs_e, rhs_e))
-    return _eq(cid, n, pairs)
-
-
-def _run_cor510(n: int) -> CheckResult:
-    cid = "cor5.10"
-    w = w_route_a(n, 2)
-    sum_h2 = _term(2, n, "H")
-    g = product_expansion([(1, 1, 1), (4, -1, -1)], n)
-    signed = _term(2, n, "Hs")
-    res = _eq(
-        cid,
-        n,
-        [("W == sum H", w, sum_h2), ("alternating form", g, signed)],
-    )
-    if res.status != "PASS":
-        return res
-    for label, f in (("half-plus", HALF * (w + g)), ("half-minus", HALF * (w - g))):
-        sub = check_positivity(f, n, "NONNEG", check_id=cid)
-        if sub.status != "PASS":
-            return sub
-    return CheckResult(cid, n, "PASS")
+    for kind, dual in (("h", "e"), ("e", "h")):
+        lhs = plethystic_sum(FS, n, kind)
+        rhs = PExpr.zero()
+        for a in range(n + 1):
+            signed = plethystic_sum(FSbar, a, dual, signed="length")
+            if signed:
+                rhs = rhs + signed * plethystic_sum(F, n - a, kind)
+        pairs.append((f"{kind.upper()} restricted", lhs, rhs))
+    return _eq(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -483,55 +458,49 @@ _POSITIVITY = (
         ("cor4.12", (1,) + tuple(range(3, 13)), FamilySpec("even-sign"), "STRICT", {}),
     ]
 )
-_THM64 = ("thm6.4", 2, "alt-induced", "STRICT", {3: (2, 1)})
+_THM64 = ("alt-induced", "STRICT", {3: (2, 1)})  # target, mode, exceptions
 
 
-def _run_positivity(row, n: int) -> CheckResult:
+def _run_positivity(target, mode: str, exceptions, n: int) -> tuple:
     """Schur positivity of a row's target at degree n, checked both ways.
 
     NONNEG: every multiplicity is an integer >= 0.  STRICT: every shape occurs,
-    except the excepted one, which must be absent.  A degree exception always
-    reports the excepted shape's multiplicity.
+    except the excepted one, which must be absent; every multiplicity is an
+    integer >= 0 either way.  A degree exception always reports the excepted
+    shape's multiplicity.
     """
-    cid, _, target, mode, exceptions = row
     if isinstance(target, FamilySpec):
         se = to_schur(power_sum_family(target, n), n)
     else:
         se = _module_schur(target, n)
+    absent = (1,) * n if exceptions == "sign" else exceptions.get(n)
+    if absent is None:
+        return _positivity(se, mode)
+    res = _positivity(se, "STRICT_EXCEPT", (absent,))
+    mult = se.mult(absent)
     if exceptions == "sign":
-        sign = (1,) * n
-        res = _positivity(cid, se, "STRICT_EXCEPT", (sign,))
-        if res.status == "PASS" and se.mult(sign) != 0:
-            return CheckResult(
-                cid, n, "FAIL", {"witness": [{"nu": list(sign), "mult": "nonzero"}]}
-            )
+        if res[0] == "PASS" and mult != 0:
+            return "FAIL", {"witness": [{"nu": list(absent), "mult": "nonzero"}]}
         return res
-    if n not in exceptions:
-        return _positivity(cid, se, mode)
-    absent = exceptions[n]
-    ok = se.mult(absent) == 0 and all(
-        se.mult(nu) >= 1 for nu in partitions_of(n) if nu != absent
-    )
-    detail = {"expected-exception": {"nu": list(absent), "mult": str(se.mult(absent))}}
-    return CheckResult(cid, n, "PASS" if ok else "FAIL", detail)
+    if res[0] != "PASS" and mult == 0:  # a shape outside the exception fails
+        return res
+    detail = {"expected-exception": {"nu": list(absent), "mult": str(mult)}}
+    return ("PASS" if mult == 0 else "FAIL"), detail
 
 
-def _run_thm64(n: int) -> CheckResult:
+def _run_thm64(n: int) -> tuple:
     """Self-conjugacy, dimension n! and, at n = 3, the closed form 2 p_3 + p_1^3,
     then the positivity row _THM64."""
-    cid = "thm6.4"
     f = module_char("alt-induced", n)
-    res = _eq(cid, n, [("self-conjugate", omega(f), f)])
-    if res.status != "PASS":
+    res = _eq([("self-conjugate", omega(f), f)])
+    if res[0] != "PASS":
         return res
     if dimension(f, n) != factorial(n):
-        return CheckResult(cid, n, "FAIL", {"failed": "dimension"})
-    res = _run_positivity(_THM64, n)
+        return "FAIL", {"failed": "dimension"}
+    res = _run_positivity(*_THM64, n)
     if n == 3:
-        ok = res.status == "PASS" and f == 2 * PExpr.p(3) + PExpr.p(1) ** 3
-        return CheckResult(
-            cid, n, "PASS" if ok else "FAIL", {"expected-exception": {"nu": [2, 1]}}
-        )
+        ok = res[0] == "PASS" and f == 2 * PExpr.p(3) + PExpr.p(1) ** 3
+        return ("PASS" if ok else "FAIL"), {"expected-exception": {"nu": [2, 1]}}
     return res
 
 
@@ -558,40 +527,33 @@ _DIMS = {
 } | {f"w:{k}": (0, 1, ()) for k in range(2, 7)}
 
 
-def _run_dims(mid: str, n: int) -> CheckResult:
-    cid = f"dims.{mid}"
+def _run_dims(mid: str, n: int) -> tuple:
     _, ratio, sides = _DIMS[mid]
     term = partial(_term, 0, n)
     got = dimension(term(mid), n)
     if got != ratio * factorial(n):
-        return CheckResult(cid, n, "FAIL", {"failed": "dimension", "got": str(got)})
+        return "FAIL", {"failed": "dimension", "got": str(got)}
     for label, side in sides:
         g = linear_combination(side, term)
         if omega(g) != g:
-            return CheckResult(cid, n, "FAIL", {"failed": label})
-    return CheckResult(cid, n, "PASS")
+            return "FAIL", {"failed": label}
+    return "PASS", None
 
 
-def _run_cor414(n: int) -> CheckResult:
-    cid = "cor4.14"
+def _run_cor414(n: int) -> tuple:
     se = _module_schur("psi", n)
     u_minus = _module_schur("u-minus", n)
     for nu in partitions_of(n):
         nut = conjugate(nu)
         if nu == nut:
             if u_minus.mult(nu) != 0:
-                return CheckResult(
-                    cid, n, "FAIL", {"witness": [{"nu": list(nu), "where": "u-minus"}]}
-                )
+                return "FAIL", {"witness": [{"nu": list(nu), "where": "u-minus"}]}
         elif (se.mult(nu) - se.mult(nut)) % 2 != 0:
-            return CheckResult(
-                cid, n, "FAIL", {"witness": [{"nu": list(nu), "where": "parity"}]}
-            )
-    return CheckResult(cid, n, "PASS")
+            return "FAIL", {"witness": [{"nu": list(nu), "where": "parity"}]}
+    return "PASS", None
 
 
-def _run_prop421(n: int) -> CheckResult:
-    cid = "prop4.21"
+def _run_prop421(n: int) -> tuple:
     se = _module_schur("psi", n)
     pairs = [
         ("trivial", se.mult((n,)), Fraction(len(partitions_of(n)))),
@@ -602,14 +564,11 @@ def _run_prop421(n: int) -> CheckResult:
         pairs.append(("near-trivial", se.mult((n - 1, 1)), Fraction(want)))
     for label, got, want in pairs:
         if got != want:
-            return CheckResult(
-                cid, n, "FAIL", {"failed": label, "got": str(got), "want": str(want)}
-            )
-    return CheckResult(cid, n, "PASS")
+            return "FAIL", {"failed": label, "got": str(got), "want": str(want)}
+    return "PASS", None
 
 
-def _run_prop422(n: int) -> CheckResult:
-    cid = "prop4.22"
+def _run_prop422(n: int) -> tuple:
     se = _module_schur("eps", n)
     odd_count = len(members(FamilySpec("odd-parts"), n))
     distinct_count = len(members(FamilySpec("distinct"), n))
@@ -628,14 +587,10 @@ def _run_prop422(n: int) -> CheckResult:
         )
         checks.append(("near-trivial", se.mult((n - 1, 1)) == want))
         checks.append(("near-sign", se.mult((2,) + (1,) * (n - 2)) == want))
-    for label, ok in checks:
-        if not ok:
-            return CheckResult(cid, n, "FAIL", {"failed": label})
-    return CheckResult(cid, n, "PASS")
+    return _first_failed(checks)
 
 
-def _run_lem47(n: int) -> CheckResult:
-    cid = "lem4.7"
+def _run_lem47(n: int) -> tuple:
     se = to_schur(foulkes(n, 0), n)
     checks = [("trivial once", se.mult((n,)) == 1)]
     if n >= 2:
@@ -661,66 +616,53 @@ def _run_lem47(n: int) -> CheckResult:
                 ),
             )
         )
-    for label, ok in checks:
-        if not ok:
-            return CheckResult(cid, n, "FAIL", {"failed": label})
-    return CheckResult(cid, n, "PASS")
+    return _first_failed(checks)
 
 
 # ---------------------------------------------------------------------------
 # Route and oracle entries
 
 
-def _run_routes(mid: str, n: int) -> CheckResult:
-    cid = f"routes.{mid}"
+def _run_routes(mid: str, n: int) -> tuple:
     return _eq(
-        cid,
-        n,
-        [("power-sum vs plethystic", module_char(mid, n), module_char_plethystic(mid, n))],
+        [("power-sum vs plethystic", module_char(mid, n), module_char_plethystic(mid, n))]
     )
 
 
-def _run_routes_w(k: int, n: int) -> CheckResult:
-    cid = f"routes.w:{k}"
-    return _eq(cid, n, [("route A vs route B", w_route_a(n, k), w_route_b(n, k))])
+def _run_routes_w(k: int, n: int) -> tuple:
+    return _eq([("route A vs route B", w_route_a(n, k), w_route_b(n, k))])
 
 
-def _run_mn_alternant(n: int) -> CheckResult:
-    cid = "oracles.mn-alternant"
+def _run_mn_alternant(n: int) -> tuple:
     table = character_table(n)
     for nu in partitions_of(n):
         for mu in partitions_of(n):
             if table.chi(nu, mu) != alternant_oracle(nu, mu):
-                return CheckResult(
-                    cid, n, "FAIL", {"witness": [{"nu": list(nu), "mu": list(mu)}]}
-                )
-    return CheckResult(cid, n, "PASS")
+                return "FAIL", {"witness": [{"nu": list(nu), "mu": list(mu)}]}
+    return "PASS", None
 
 
-def _run_ramanujan(d: int) -> CheckResult:
-    cid = "oracles.ramanujan"
+def _run_ramanujan(d: int) -> tuple:
     for k in range(0, 61):
         if ramanujan_sum(d, k) != ramanujan_sum_oracle(d, k):
-            return CheckResult(cid, d, "FAIL", {"witness": [{"d": d, "k": k}]})
+            return "FAIL", {"witness": [{"d": d, "k": k}]}
     if ramanujan_sum(d, 0) != totient(d):
-        return CheckResult(cid, d, "FAIL", {"failed": "c_d(0) == phi(d)"})
+        return "FAIL", {"failed": "c_d(0) == phi(d)"}
     for k in range(0, 121):
         if ramanujan_sum(d, k) != ramanujan_sum(d, k % d):
-            return CheckResult(cid, d, "FAIL", {"failed": "periodicity"})
-    return CheckResult(cid, d, "PASS")
+            return "FAIL", {"failed": "periodicity"}
+    return "PASS", None
 
 
-def _run_maj(n: int) -> CheckResult:
-    cid = "oracles.maj"
+def _run_maj(n: int) -> tuple:
     se = to_schur(foulkes(n, 0), n)
     for nu in partitions_of(n):
         if se.mult(nu) != maj_multiplicity(nu, n, 0):
-            return CheckResult(cid, n, "FAIL", {"witness": [{"nu": list(nu)}]})
-    return CheckResult(cid, n, "PASS")
+            return "FAIL", {"witness": [{"nu": list(nu)}]}
+    return "PASS", None
 
 
-def _run_lem33(n: int) -> CheckResult:
-    cid = "lem3.3"
+def _run_lem33(n: int) -> tuple:
     for k in range(0, 13):
         lhs = f_eval_direct(n, k, -1)
         if n % 2 == 1:
@@ -728,17 +670,16 @@ def _run_lem33(n: int) -> CheckResult:
         else:
             rhs = f_eval_direct(n // 2, k, 1) - f_eval_direct(n, k, 1)
         if lhs != rhs:
-            return CheckResult(cid, n, "FAIL", {"witness": [{"k": k}]})
-    return CheckResult(cid, n, "PASS")
+            return "FAIL", {"witness": [{"k": k}]}
+    return "PASS", None
 
 
-def _run_feval_lemma(cid: str, n: int) -> CheckResult:
-    ks = {"lem4.1": (0,), "lem5.1": (1,), "lem5.7": tuple(range(1, 13))}[cid]
+def _run_feval_lemma(ks, n: int) -> tuple:
     for k in ks:
         for sign in (1, -1):
             if Fraction(f_eval(n, k, sign)) != f_eval_direct(n, k, sign):
-                return CheckResult(cid, n, "FAIL", {"witness": [{"k": k, "sign": sign}]})
-    return CheckResult(cid, n, "PASS")
+                return "FAIL", {"witness": [{"k": k, "sign": sign}]}
+    return "PASS", None
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +700,11 @@ def reproduce_table(kind: str, n: int) -> CheckResult:
     kind = kind.lower()
     if kind not in tables_data.TABLE_KINDS:
         raise ParameterError(f"unknown table {kind!r}")
+    return _BY_ID[f"tables.{kind}"].check(n)
+
+
+def _run_table(kind: str, n: int) -> tuple:
     lo, hi = tables_data.table_range(kind)
-    cid = f"tables.{kind}"
     if not lo <= n <= hi:
         raise ParameterError(f"table {kind} has no fixture column for n={n}")
     fixture = getattr(tables_data, kind.upper())[n]  # T1 .. T4
@@ -769,34 +713,26 @@ def reproduce_table(kind: str, n: int) -> CheckResult:
         se = _module_schur(mids[0], n)
         for nu, want in zip(partitions_of(n), fixture):
             if se.mult(nu) != want:
-                return CheckResult(
-                    cid,
-                    n,
-                    "FAIL",
-                    {"witness": [{"nu": list(nu), "computed": str(se.mult(nu)), "fixture": want}]},
-                )
-        return CheckResult(cid, n, "PASS")
+                return "FAIL", {
+                    "witness": [{"nu": list(nu), "computed": str(se.mult(nu)), "fixture": want}]
+                }
+        return "PASS", None
     for block, mid in zip(fixture, mids):
         se = _module_schur(mid, n)
         fix = dict(block)
         for nu in partitions_of(n):
             if se.mult(nu) != fix.get(nu, 0):
-                return CheckResult(
-                    cid,
-                    n,
-                    "FAIL",
-                    {
-                        "witness": [
-                            {
-                                "block": mid,
-                                "nu": list(nu),
-                                "computed": str(se.mult(nu)),
-                                "fixture": fix.get(nu, 0),
-                            }
-                        ]
-                    },
-                )
-    return CheckResult(cid, n, "PASS")
+                return "FAIL", {
+                    "witness": [
+                        {
+                            "block": mid,
+                            "nu": list(nu),
+                            "computed": str(se.mult(nu)),
+                            "fixture": fix.get(nu, 0),
+                        }
+                    ]
+                }
+    return "PASS", None
 
 
 def table_decomposition(kind: str, n: int) -> dict[str, SchurExpansion]:
@@ -817,8 +753,7 @@ _CEX_C = FamilySpec(
 )
 
 
-def _run_cex(which: str, n: int) -> CheckResult:
-    cid = f"cex.{which}"
+def _run_cex(which: str, n: int) -> tuple:
     if which == "a":
         f = module_char("u-minus", n) + PExpr.term((1,) * n)
         nu = (1,) * n
@@ -834,17 +769,12 @@ def _run_cex(which: str, n: int) -> CheckResult:
         want = Fraction(-1)
     got = to_schur(f, n).mult(nu)
     status = "REPORT" if got == want else "FAIL"
-    return CheckResult(
-        cid, n, status, {"nu": list(nu), "mult": str(got), "expected": str(want)}
-    )
+    return status, {"nu": list(nu), "mult": str(got), "expected": str(want)}
 
 
 def counterexamples() -> list[CheckResult]:
     """Confirm the three documented failures of naive positivity."""
-    out = [_run_cex("a", n) for n in (4, 5, 6)]
-    out.append(_run_cex("b", 6))
-    out.append(_run_cex("c", 6))
-    return out
+    return list(run_selector("counterexamples", CATALOG_TRUNC))
 
 
 def _segment_sums(n: int) -> list[tuple[Partition, tuple[int, ...]]]:
@@ -859,35 +789,36 @@ def _segment_sums(n: int) -> list[tuple[Partition, tuple[int, ...]]]:
     return list(zip(reversed(table.parts), suffix))
 
 
-def _run_conjecture(n: int) -> CheckResult:
-    cid = "conjecture1.5"
+def _run_conjecture(n: int) -> tuple:
     violations = []
     parts = partitions_of(n)
     for mu, mults in _segment_sums(n):
         bad = [nu for nu, m in zip(parts, mults) if m < 0]
         if bad:
             violations.append({"from": list(mu), "nu": [list(b) for b in bad[:3]]})
-    return CheckResult(
-        cid, n, "REPORT", {"segments": len(parts), "violations": violations}
-    )
+    return "REPORT", {"segments": len(parts), "violations": violations}
 
 
 def conjecture_scan(n: int) -> list[CheckResult]:
     """Schur-nonnegativity of every final reverse-lex segment sum (report only)."""
-    return [_run_conjecture(n)]
+    return [_BY_ID["conjecture1.5"].check(n)]
 
 
 def per_class_coverage(n: int) -> CheckResult:
     """Classes whose single-orbit (twisted) conjugation piece hits every irreducible."""
-    cid = "remark4.20"
+    return _BY_ID["remark4.20"].check(n)
+
+
+def _run_coverage(n: int) -> tuple:
     F = _F(0)
-    full_h, full_e = [], []
-    for lam in partitions_of(n):
-        if to_schur(H_lambda(lam, F), n).verdict == "POSITIVE":
-            full_h.append(list(lam))
-        if to_schur(E_lambda(lam, F), n).verdict == "POSITIVE":
-            full_e.append(list(lam))
-    return CheckResult(cid, n, "REPORT", {"h-covering": full_h, "e-covering": full_e})
+    return "REPORT", {
+        f"{kind}-covering": [
+            list(lam)
+            for lam in partitions_of(n)
+            if to_schur(form(lam, F), n).verdict == "POSITIVE"
+        ]
+        for kind, form in (("h", H_lambda), ("e", E_lambda))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -899,13 +830,14 @@ def _build_catalog() -> list[Entry]:
     ten = _span(1, 10)
 
     def linear(group, rows, ks=None, nonneg=False):
-        """One table of linear identities: id group.eq, or group.eq:k<k> for each k in ks."""
-        out = []
-        for eq, pairs in rows:
-            for k in ks or (0,):
-                cid = f"{group}.{eq}" if ks is None else f"{group}.{eq}:k{k}"
-                out.append((cid, group, ten, _run_linear, (cid, k, pairs, nonneg)))
-        return out
+        """One table of linear identities: id group.eq, or group.eq:k<k> for each k in
+        ks; with nonneg, each row's first left side must be Schur-nonnegative."""
+        return [
+            (f"{group}.{eq}" if ks is None else f"{group}.{eq}:k{k}", group, ten,
+             _run_linear, (k, pairs, (pairs[0][1],) if nonneg else ()))
+            for eq, pairs in rows
+            for k in ks or (0,)
+        ]
 
     identities = (
         linear("thm4.2", _THM42)
@@ -914,19 +846,22 @@ def _build_catalog() -> list[Entry]:
         + linear("thm4.15", _THM415)
         + linear("prop6.5", _PROP65)
         + linear("thm5.9", _THM59, ks=range(1, 7))
-        + [(c, "cor5.2", ten, _run_lie, (c,)) for c in ("cor5.2.1", "cor5.2.2", "cor5.2.3")]
-        + [("prop5.4", "prop5.4", ten, _run_lie, ("prop5.4",))]
-        + [(f"lem5.5:k{k}", "lem5.5", ten, _run_lem55, (k,)) for k in (0, 1, 2)]
+        + [
+            (f"cor5.2.{i}", "cor5.2", ten, _run_lie, (names,))
+            for i, names in enumerate((("pbw",), ("cadogan", "cadogan-inverse"), ("lie-ext",)), 1)
+        ]
+        + [("prop5.4", "prop5.4", ten, _run_lie, (("pi-ext",),))]
+        + [(f"lem5.5:k{k}", "lem5.5", ten, _run_linear, (k, _LEM55, ())) for k in (0, 1, 2)]
         + [("prop3.6", "prop3.6", ten, _run_prop36, ())]
         + [(f"prop2.3.{w}", "prop2.3", ten, _run_prop23, (w,)) for w in ("odd", "one")]
         + linear("thm3.4", _THM34, ks=(0, 1, 2), nonneg=True)
-        + [("cor5.10", "cor5.10", ten, _run_cor510, ())]
+        + [("cor5.10", "cor5.10", ten, _run_linear, (2, _COR510, _COR510_HALVES))]
     )
     def positivity(mode, group):
         """The positivity rows of one mode, each up to degree 12."""
         return [
             (row[0], group, _fixed(row[1]) if isinstance(row[1], tuple) else _span(row[1], 12),
-             _run_positivity, (row,))
+             _run_positivity, row[2:])
             for row in _POSITIVITY
             if row[3] == mode
         ]
@@ -957,14 +892,14 @@ def _build_catalog() -> list[Entry]:
     ]
     thirty = _span(1, 30, floor=30)
     lemmas = [("lem3.3", "lemmas", thirty, _run_lem33, ())] + [
-        (cid, "lemmas", thirty, _run_feval_lemma, (cid,))
-        for cid in ("lem4.1", "lem5.1", "lem5.7")
+        (cid, "lemmas", thirty, _run_feval_lemma, (ks,))
+        for cid, ks in (("lem4.1", (0,)), ("lem5.1", (1,)), ("lem5.7", range(1, 13)))
     ]
     tables = [
-        ("tables.t1", "tables", _span(1, 16, floor=10), reproduce_table, ("t1",)),
-        ("tables.t2", "tables", _span(1, 10, floor=10), reproduce_table, ("t2",)),
-        ("tables.t3", "tables", _span(2, 8), reproduce_table, ("t3",)),
-        ("tables.t4", "tables", _span(2, 8), reproduce_table, ("t4",)),
+        ("tables.t1", "tables", _span(1, 16, floor=10), _run_table, ("t1",)),
+        ("tables.t2", "tables", _span(1, 10, floor=10), _run_table, ("t2",)),
+        ("tables.t3", "tables", _span(2, 8), _run_table, ("t3",)),
+        ("tables.t4", "tables", _span(2, 8), _run_table, ("t4",)),
     ]
     cex = [
         ("cex.a", "counterexamples", _fixed((4, 5, 6)), _run_cex, ("a",)),
@@ -973,7 +908,7 @@ def _build_catalog() -> list[Entry]:
     ]
     scans = [
         ("conjecture1.5", "conjecture", _span(1, 8), _run_conjecture, ()),
-        ("remark4.20", "coverage", ten, per_class_coverage, ()),
+        ("remark4.20", "coverage", ten, _run_coverage, ()),
     ]
     sections = (
         ("identities", identities), ("positivity", thm11), ("strict", strict),
@@ -996,7 +931,7 @@ def check_identity(check_id: str, n: int) -> CheckResult:
     entry = _BY_ID.get(check_id)
     if entry is None:
         raise CatalogError(f"unknown catalog id {check_id!r}")
-    return entry.run(n)
+    return entry.check(n)
 
 
 def select_entries(selector: str) -> list[Entry]:
@@ -1010,7 +945,7 @@ def run_selector(selector: str, max_n: int = 12):
     """Yield CheckResults for all matching entries, in catalog order."""
     for entry in select_entries(selector):
         for n in entry.ns(max_n):
-            yield entry.run(n)
+            yield entry.check(n)
 
 
 def catalog_ids() -> list[str]:

@@ -42,6 +42,22 @@ def test_size_mismatch():
         mn_character((2, 1), (4,))
 
 
+def test_non_canonical_keys_are_canonicalised():
+    # chi^(2,1) on a 3-cycle is -1, whatever order the parts come in
+    for nu, mu in (((1, 2), (3,)), ((2, 1), (3, 0)), ((1, 2), [3])):
+        assert mn_character(nu, mu) == -1
+        assert alternant_oracle(nu, mu) == -1
+        assert character_table(3).chi(nu, mu) == -1
+    assert mn_character((1, 2, 1), (1, 3)) == mn_character((2, 1, 1), (3, 1))
+    for bad in (((2, -1), (1,)), ((1,), (2, -1))):
+        with pytest.raises(ParameterError):
+            mn_character(*bad)
+        with pytest.raises(ParameterError):
+            alternant_oracle(*bad)
+    with pytest.raises(ParameterError):
+        character_table(3).chi((2, 2), (3,))  # a shape of 4, not of 3
+
+
 def test_small_table_row():
     t3 = character_table(3)
     assert t3.rows[t3.index[(2, 1)]] == (-1, 0, 2)

@@ -1,8 +1,9 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symcon.errors import CatalogError, ParameterError
+from symcon.errors import CatalogError, ParameterError, TruncationError
 from symcon.partitions import FamilySpec, partitions_of, syt_count
 from symcon.symfunc import PExpr
 from symcon.verify import (
@@ -192,36 +193,36 @@ def test_linear_runner_names_the_failing_pair():
         ("agrees", ((1, "H"),), ((1, "psi"),)),
         ("differs", ((1, "H0"),), ((1, "all"),)),  # H0 - psi = -(1/2) * not-do
     )
-    res = _run_linear("demo", 0, pairs, False, 4)
-    assert res.status == "FAIL"
-    assert res.detail["failed"] == "differs"
-    assert res.detail["mismatch"][0] == {"p": [4], "lhs-rhs": "-1/2"}
-    assert _run_linear("demo", 0, pairs[:1], False, 4).status == "PASS"
+    status, detail = _run_linear(0, pairs, (), 4)
+    assert status == "FAIL"
+    assert detail["failed"] == "differs"
+    assert detail["mismatch"][0] == {"p": [4], "lhs-rhs": "-1/2"}
+    assert _run_linear(0, pairs[:1], (), 4)[0] == "PASS"
     # equal sides that are not Schur-nonnegative fail only under nonneg
     negative = (("omega", ((1, "~u-minus"),), ((-1, "u-minus"),)),)
-    assert _run_linear("demo", 0, negative, False, 2).status == "PASS"
-    res = _run_linear("demo", 0, negative, True, 2)
-    assert res.status == "FAIL" and res.detail["witness"][0]["nu"] == [2]
+    assert _run_linear(0, negative, (), 2)[0] == "PASS"
+    status, detail = _run_linear(0, negative, (negative[0][1],), 2)
+    assert status == "FAIL" and detail["witness"][0]["nu"] == [2]
 
 
 def test_positivity_rows_check_both_directions():
     from symcon.verify import _run_positivity
 
     # psi at n = 3 contains the sign shape, so excepting it fails
-    res = _run_positivity(("demo", 1, "psi", "STRICT", {3: (1, 1, 1)}), 3)
-    assert res.status == "FAIL"
-    assert res.detail == {"expected-exception": {"nu": [1, 1, 1], "mult": "1"}}
+    status, detail = _run_positivity("psi", "STRICT", {3: (1, 1, 1)}, 3)
+    assert status == "FAIL"
+    assert detail == {"expected-exception": {"nu": [1, 1, 1], "mult": "1"}}
     # psi at n = 2 lacks the sign shape, so the unexcepted row fails
-    res = _run_positivity(("demo", 1, "psi", "STRICT", {}), 2)
-    assert res.status == "FAIL"
-    assert res.detail == {"witness": [{"nu": [1, 1], "mult": "0"}]}
-    res = _run_positivity(("demo", 1, "psi", "STRICT", "sign"), 3)
-    assert res.status == "FAIL"
-    assert res.detail == {"witness": [{"nu": [1, 1, 1], "mult": "nonzero"}]}
+    status, detail = _run_positivity("psi", "STRICT", {}, 2)
+    assert status == "FAIL"
+    assert detail == {"witness": [{"nu": [1, 1], "mult": "0"}]}
+    status, detail = _run_positivity("psi", "STRICT", "sign", 3)
+    assert status == "FAIL"
+    assert detail == {"witness": [{"nu": [1, 1, 1], "mult": "nonzero"}]}
     # the documented exceptions hold
-    res = _run_positivity(("demo", 1, "psi", "STRICT", {2: (1, 1)}), 2)
-    assert res.status == "PASS" and res.detail["expected-exception"]["mult"] == "0"
-    assert _run_positivity(("demo", 1, "psi-abar", "STRICT", "sign"), 5).status == "PASS"
+    status, detail = _run_positivity("psi", "STRICT", {2: (1, 1)}, 2)
+    assert status == "PASS" and detail["expected-exception"]["mult"] == "0"
+    assert _run_positivity("psi-abar", "STRICT", "sign", 5)[0] == "PASS"
 
 
 def test_lem47_prime_coverage_beyond_seven(monkeypatch):
@@ -242,3 +243,56 @@ def test_lem47_prime_coverage_beyond_seven(monkeypatch):
     res = check_identity("lem4.7", 11)
     assert res.status == "FAIL"
     assert res.detail == {"failed": "prime coverage"}
+
+
+def test_lie_identities_beyond_the_truncation_raise():
+    # the Lie reports cover degrees 0..12 only: reading outside them is an
+    # error, as for every other series-backed identity, not a silent PASS
+    for cid in ("cor5.2.1", "cor5.2.2", "cor5.2.3", "prop5.4", "thm4.2.1"):
+        assert check_identity(cid, 12).status == "PASS"
+        with pytest.raises(TruncationError):
+            check_identity(cid, 13)
+        with pytest.raises(ParameterError):
+            check_identity(cid, -1)
+
+
+def test_exception_degrees_check_integrality(monkeypatch):
+    from fractions import Fraction
+
+    from symcon import verify
+    from symcon.characters import SchurExpansion
+
+    # thm4.5 excepts (1, 1) at degree 2; a fractional (2) there must fail
+    fake = SchurExpansion(2, {(2,): Fraction(3, 2)}, "NON_INTEGRAL")
+    monkeypatch.setattr(verify, "_module_schur", lambda mid, n: fake)
+    res = check_identity("thm4.5", 2)
+    assert res.status == "FAIL"
+    assert res.detail == {"witness": [{"nu": [2], "mult": "3/2"}]}
+
+
+def _clear_run_caches():
+    from symcon import characters, repmodels, verify
+
+    for cached in (
+        verify._module_schur, verify._lie_reports, verify._exterior_of_H,
+        repmodels.foulkes, repmodels.foulkes_series, characters._build_table,
+    ):
+        cached.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def catalog_order_results():
+    _clear_run_caches()
+    return {(r.id, r.n): r for r in run_selector("all", max_n=7) if r.n <= 7}
+
+
+@settings(max_examples=15)
+@given(data=st.data())
+def test_results_do_not_depend_on_order_or_cache_state(catalog_order_results, data):
+    if data.draw(st.booleans(), label="cold caches"):
+        _clear_run_caches()
+    plan = data.draw(
+        st.lists(st.sampled_from(sorted(catalog_order_results)), min_size=25, max_size=25)
+    )
+    for cid, n in plan:
+        assert check_identity(cid, n) == catalog_order_results[cid, n]
