@@ -5,11 +5,28 @@ Character values follow the Murnaghan-Nakayama rule on beta-numbers
 bead from b to b-k, with sign (-1)^(beads jumped over).
 
 The full table of degree n is built by the rule read additively
-(Macdonald, Symmetric Functions and Hall Polynomials, I.7): a depth-first
-walk over class prefixes rho, parts in decreasing order, carries the
-vector chi^lam(rho) over all lam |- |rho|, and appending a part k sets
-chi^mu(rho + k) to the signed sum of chi^lam(rho) over the lam left by
-removing a k-strip from mu.  The prefixes of size n are the columns.
+(Macdonald, Symmetric Functions and Hall Polynomials, I.7), one level
+m = 1..n at a time, in packed integer lanes.  Level m holds one int V_m[lam]
+per lam |- m, packing chi^lam(rho) over every class prefix rho |- m (parts
+added largest first) as sum_i v_i 2^(w i), one signed lane per prefix.
+Lanes are ordered by the prefix's last part, descending, so the prefixes
+that may take a next part k are the lowest c(m, k) lanes, c(m, k) counting
+the partitions of m with no part below k.  Appending k to all of them at once,
+
+    V_m[mu] = sum_k low_{c(m-k,k)}(sum_{k-strips mu -> lam} (-1)^ht V_{m-k}[lam]) << w*off(m, k),
+
+is one big-int addition per strip removal (40,260 at n = 20), not one
+operation per table entry.  The strips of (mu, k) are read off the bead
+bitmask of mu: each free slot e with a bead at e + k, the height being the
+popcount of the beads between them.  The lanes are 32 bits wide while the
+bound |chi^lam| <= f^lam <= sqrt(n!) fits a signed 32-bit lane (n <= 20), 64
+bits above, and past that the build raises CapacityError before enumerating
+anything.  Low lanes are cut off by a mask and one sign fix; lanes are
+decoded by adding and XOR-ing the top bit of every lane and reading the
+bytes into an `array`.  Level n is transposed once into packed columns:
+`CharacterTable.columns[j]` packs chi^nu(mu_j) over nu in `partitions_of(n)`
+order in signed 64-bit lanes, and `to_schur` is one multiply-add of integer
+numerators against those columns per class.
 
 `mn_character` evaluates one value by the same rule as a recursion,
 removing strips for the largest remaining part of mu first, with values
@@ -20,18 +37,22 @@ bialternant definition, fully independently of both.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
-from math import lcm
-from operator import mul, neg, sub
+from itertools import permutations
+from math import factorial, isqrt, lcm
+from operator import mul, sub
 
 from .errors import CapacityError, DegreeError, ParameterError
 from .partitions import Partition, partition, partitions_of, pretty, z_lambda
 from .symfunc import PExpr
 
 ALTERNANT_MAX_N = 6
+COLUMN_WIDTH = 64  # bits per lane of a packed column
+_TYPECODES = {32: "i", 64: "q"}  # array typecodes of signed 4- and 8-byte integers
 
 
 def _strip_removals(lam: Partition, k: int):
@@ -84,78 +105,149 @@ def mn_character(nu: Partition, mu: Partition) -> int:
     return _mn(nu, mu)
 
 
+# ---------------------------------------------------------------------------
+# Packed lanes
+
+
+def _bias(count: int, width: int) -> int:
+    """The top bit of each of `count` lanes of `width` bits."""
+    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * count, "little")
+
+
+def _lanes(x: int, count: int, width: int) -> array:
+    """The signed lanes v_0..v_{count-1} of x = sum_i v_i 2^(width i).
+
+    Adding the bias makes every lane nonnegative without carries; the XOR
+    then leaves each lane in two's complement.
+    """
+    bias = _bias(count, width)
+    out = array(_TYPECODES[width], ((x + bias) ^ bias).to_bytes(count * width // 8, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _beads(lam: Partition, count: int) -> int:
+    """The bead bitmask of lam on `count` beads: bit lam_i + count-1-i for each row i."""
+    mask = (1 << count - len(lam)) - 1  # the zero rows fill the lowest slots
+    for i, p in enumerate(lam):
+        mask |= 1 << p + count - 1 - i
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# The character table
+
+
 @dataclass(frozen=True)
 class CharacterTable:
-    """Full matrix chi^nu(mu), rows and columns in reverse-lex order."""
+    """The matrix chi^nu(mu), rows and columns in reverse-lex order (`parts`).
+
+    columns[j] packs the column of parts[j]: sum_i chi^parts[i](parts[j]) *
+    2^(64 i).  `rows` decodes the whole matrix on demand; `peak` is the
+    largest |chi|, the largest degree.
+    """
 
     n: int
     parts: tuple[Partition, ...]
-    rows: tuple[tuple[int, ...], ...]
-    index: dict[Partition, int] = field(repr=False, default=None)
+    columns: tuple[int, ...] = field(repr=False)
+    index: dict[Partition, int] = field(repr=False)
+    peak: int
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        count = len(self.parts)
+        return tuple(zip(*(_lanes(c, count, COLUMN_WIDTH) for c in self.columns)))
 
     def chi(self, nu: Partition, mu: Partition) -> int:
         index = self.index
         try:
-            return self.rows[index[tuple(nu)]][index[tuple(mu)]]
+            i, j = index[tuple(nu)], index[tuple(mu)]
         except KeyError:  # canonicalise only on a miss, so canonical keys stay fast
             nu, mu = partition(nu), partition(mu)
             if nu not in index or mu not in index:
                 raise ParameterError(
                     f"shape {nu} and class {mu} must be partitions of {self.n}"
                 ) from None
-            return self.rows[index[nu]][index[mu]]
+            i, j = index[nu], index[mu]
+        return _lanes(self.columns[j], len(self.parts), COLUMN_WIDTH)[i]
 
 
 @lru_cache(maxsize=None)
 def _build_table(n: int) -> CharacterTable:
+    bound = isqrt(factorial(n)).bit_length()  # |chi| <= f^lam <= sqrt(n!)
+    width = next((w for w in (32, 64) if bound < w), None)
+    if width is None:
+        raise CapacityError(f"character values of degree {n} overflow 64-bit lanes")
+    # prefixes[m]: the class prefixes of level m in lane order; ends[m][k]:
+    # how many of them have no part below k (the lowest lanes).
+    prefixes: list[list[Partition]] = [[()]]
+    ends = [[1] * (n + 1)]
+    values = [[1]]  # values[m][i] = V_m[partitions_of(m)[i]]
+    where = [{_beads((), n): 0}]  # bead mask -> position, per level
+    for m in range(1, n + 1):
+        level: list[Partition] = []
+        end = [0] * (n + 1)
+        blocks = []
+        for k in range(m, 0, -1):
+            lanes = ends[m - k][k]
+            if lanes:
+                # the low `lanes` lanes of level m-k, moved up to this block's offset
+                cut = lanes < len(prefixes[m - k])
+                blocks.append((
+                    k, values[m - k], where[m - k], width * len(level),
+                    (1 << width * lanes) - 1 if cut else 0, width * lanes - 1,
+                ))
+                level += [rho + (k,) for rho in prefixes[m - k][:lanes]]
+            end[k] = len(level)
+        prefixes.append(level)
+        ends.append(end)
+        row: list[int] = []
+        positions: dict[int, int] = {}
+        for mu in partitions_of(m):
+            beads = _beads(mu, n)
+            positions[beads] = len(row)
+            total = 0
+            for k, prev, at, shift, low, sign_bit in blocks:
+                free = (beads >> k) & ~beads  # slots e with a bead at e + k
+                strip = 0
+                while free:
+                    e = free & -free
+                    free ^= e
+                    v = prev[at[beads ^ e ^ (e << k)]]
+                    if (beads & ((e << k) - (e << 1))).bit_count() & 1:
+                        strip -= v
+                    else:
+                        strip += v
+                if strip:
+                    if low:
+                        strip &= low
+                        if strip >> sign_bit:
+                            strip -= low + 1
+                    total += strip << shift
+            row.append(total)
+        values.append(row)
+        where.append(positions)
     parts = partitions_of(n)
-    positions = [
-        {lam: i for i, lam in enumerate(partitions_of(m))} for m in range(n + 1)
-    ]
-    strips: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    columns: list[list[int]] = []
-
-    def strip_indices(size: int, k: int) -> tuple[list[int], list[int]]:
-        """The k-strip removals from every mu |- size+k, as flat index runs.
-
-        An index points into the signed vector, chi(rho) over lam |- size
-        followed by its negation, so a strip of odd height reads the second
-        half.  The removals from the i-th mu are flat[ends[i-1]:ends[i]].
-        """
-        key = (size, k)
-        if key not in strips:
-            pos = positions[size]
-            shift = len(pos)
-            flat: list[int] = []
-            ends: list[int] = []
-            for mu in partitions_of(size + k):
-                flat.extend(
-                    pos[lam] + shift * (height % 2)
-                    for lam, height in _strip_removals(mu, k)
-                )
-                ends.append(len(flat))
-            strips[key] = flat, ends
-        return strips[key]
-
-    def walk(size: int, last: int, values: list[int]) -> None:
-        # values[i] = chi^lam(rho) for the i-th lam |- size.  Parts are added
-        # largest first, so the leaves arrive in partitions_of(n) order.
-        if size == n:
-            columns.append(values)
-            return
-        get = (values + list(map(neg, values))).__getitem__
-        for k in range(min(last, n - size), 0, -1):
-            flat, ends = strip_indices(size, k)
-            # Differences of running sums give each mu's sum without a
-            # Python-level loop per entry.
-            totals = list(accumulate(map(get, flat), initial=0))
-            at_ends = list(map(totals.__getitem__, ends))
-            walk(size + k, k, list(map(sub, at_ends, [0] + at_ends)))
-
-    walk(0, n, [1])
-    rows = tuple(zip(*columns))
     index = {lam: i for i, lam in enumerate(parts)}
-    return CharacterTable(n, parts, rows, index)
+    count = len(parts)
+    # Transpose level n once, as bytes: with every lane lifted by 2^(width-1)
+    # the lanes are unsigned, so lane j of shape i is copied to 64-bit lane i
+    # of column j byte by byte, and each column drops the lift again.
+    step, size = width // 8, COLUMN_WIDTH // 8
+    lift = _bias(count, width)
+    grid = bytearray(size * count * count)
+    for i, v in enumerate(values[n]):
+        lifted = (v + lift).to_bytes(step * count, "little")
+        for r in range(step):
+            grid[size * i + r :: size * count] = lifted[r::step]
+    drop = int.from_bytes((1 << width - 1).to_bytes(size, "little") * count, "little")
+    columns = [0] * count
+    for j, rho in enumerate(prefixes[n]):
+        block = grid[size * count * j : size * count * (j + 1)]
+        columns[index[rho]] = int.from_bytes(block, "little") - drop
+    peak = max(_lanes(columns[-1], count, COLUMN_WIDTH))  # chi^lam(1^n) = f^lam
+    return CharacterTable(n, parts, tuple(columns), index, peak)
 
 
 def character_table(n: int, max_n: int = 20) -> CharacterTable:
@@ -186,7 +278,16 @@ class SchurExpansion:
     verdict: str
 
     def mult(self, nu: Partition) -> Fraction:
-        return self.mults.get(tuple(nu), Fraction(0))
+        m = self.mults.get(tuple(nu))
+        if m is not None:
+            return m
+        index = _build_table(self.n).index
+        if tuple(nu) in index:
+            return Fraction(0)
+        key = partition(nu)
+        if key not in index:
+            raise ParameterError(f"shape {key} is not a partition of {self.n}")
+        return self.mults.get(key, Fraction(0))
 
     def to_json_dict(self) -> dict:
         out = {}
@@ -207,16 +308,6 @@ class SchurExpansion:
         return " + ".join(bits) if bits else "0"
 
 
-def _verdict(n: int, mults: dict[Partition, Fraction]) -> str:
-    if any(m.denominator != 1 for m in mults.values()):
-        return "NON_INTEGRAL"
-    if any(m < 0 for m in mults.values()):
-        return "MIXED"
-    if all(mults.get(nu, 0) >= 1 for nu in partitions_of(n)):
-        return "POSITIVE"
-    return "NONNEGATIVE"
-
-
 def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
     """Expand a homogeneous power-sum expression in the Schur basis.
 
@@ -230,30 +321,43 @@ def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
     elif n is not None and n != deg:
         raise DegreeError(f"expression has degree {deg}, expected {n}")
     table = character_table(deg, max_n)
-    # One common denominator turns each multiplicity into an integer dot product.
+    count = len(table.parts)
+    # One common denominator turns the expansion into integer numerators.
     denom = lcm(*(c.denominator for c in f.terms.values()))
-    idx = [table.index[lam] for lam in f.terms]
     nums = [c.numerator * (denom // c.denominator) for c in f.terms.values()]
-    mults: dict[Partition, Fraction] = {}
-    for nu, row in zip(table.parts, table.rows):
-        m = sum(map(mul, map(row.__getitem__, idx), nums))
-        if m:
-            mults[nu] = Fraction(m, denom)
-    return SchurExpansion(deg, mults, _verdict(deg, mults))
+    columns = [table.columns[table.index[lam]] for lam in f.terms]
+    # A lane of sum_mu d_mu * columns[mu] stays below 2^62 in size while every
+    # |d_mu| < 2^limb, so the numerators are taken limb by limb, top limb first.
+    limb = 62 - table.peak.bit_length() - len(nums).bit_length()
+    if limb < 1:
+        raise CapacityError(f"Schur expansion of degree {deg} overflows 64-bit lanes")
+    digit = (1 << limb) - 1
+    top = max(map(abs, nums), default=0).bit_length()
+    sums = None
+    for shift in reversed(range(0, top, limb)):
+        digits = [a >> shift & digit if a >= 0 else -(-a >> shift & digit) for a in nums]
+        lanes = _lanes(sum(map(mul, digits, columns)), count, COLUMN_WIDTH)
+        sums = lanes if sums is None else [(s << limb) + v for s, v in zip(sums, lanes)]
+    numerators = {nu: m for nu, m in zip(table.parts, sums or ()) if m}
+    if any(m % denom for m in numerators.values()):
+        mults = {nu: Fraction(m, denom) for nu, m in numerators.items()}
+        verdict = "NON_INTEGRAL"
+    else:  # an integer Fraction skips the gcd
+        mults = {nu: Fraction(m // denom) for nu, m in numerators.items()}
+        if any(m < 0 for m in numerators.values()):
+            verdict = "MIXED"
+        elif len(mults) == count:
+            verdict = "POSITIVE"
+        else:
+            verdict = "NONNEGATIVE"
+    return SchurExpansion(deg, mults, verdict)
 
 
 def schur_to_power(nu: Partition) -> PExpr:
     """s_nu as a power-sum expression: sum_lam chi^nu(lam)/z_lam * p_lam."""
-    n = sum(nu)
-    table = character_table(n)
-    i = table.index[tuple(nu)]
-    return PExpr(
-        {
-            lam: Fraction(table.rows[i][j], z_lambda(lam))
-            for j, lam in enumerate(table.parts)
-            if table.rows[i][j]
-        }
-    )
+    table = character_table(sum(nu))
+    values = ((lam, table.chi(nu, lam)) for lam in table.parts)
+    return PExpr({lam: Fraction(v, z_lambda(lam)) for lam, v in values if v})
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import accumulate
 from math import factorial
 
@@ -362,7 +362,7 @@ def _term(k: int, n: int, name: str) -> PExpr:
 def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
     """PASS iff both sides of every pair agree and every side of `nonneg` is
     Schur-nonnegative."""
-    term = partial(_term, k, n)
+    term = cache(partial(_term, k, n))  # a name on several sides is built once
     res = _eq([
         (label, linear_combination(lhs, term), linear_combination(rhs, term))
         for label, lhs, rhs in pairs

@@ -108,6 +108,23 @@ def test_table_build_leaves_mn_cache_alone():
 def test_table_capacity_error():
     with pytest.raises(CapacityError):
         character_table(11, max_n=10)
+    # sqrt(34!) needs more than a signed 64-bit lane: refused before any enumeration
+    misses = partitions_of.cache_info().misses
+    with pytest.raises(CapacityError):
+        character_table(34, max_n=34)
+    assert partitions_of.cache_info().misses == misses
+
+
+def test_lane_boundary_at_21():
+    # the first degree whose bound sqrt(n!) needs 64-bit lanes in the build
+    table = character_table(21, max_n=21)
+    parts = table.parts
+    assert len(parts) == 792
+    for nu in parts:
+        assert table.chi(nu, (1,) * 21) == syt_count(nu)
+    for nu in parts[::61]:
+        for mu in parts[5::97]:
+            assert table.chi(nu, mu) == mn_character(nu, mu)
 
 
 def test_column_orthogonality():
@@ -190,11 +207,10 @@ def test_json_shape():
 
 
 def _fraction_sum(f, n):
-    """mult(nu) as a plain Fraction sum over the table, the reference for to_schur."""
-    table = character_table(n)
+    """mult(nu) as a plain Fraction sum of mn_character values, the reference for to_schur."""
     out = {}
-    for nu in table.parts:
-        m = sum((c * table.chi(nu, lam) for lam, c in f.terms.items()), Fraction(0))
+    for nu in partitions_of(n):
+        m = sum((c * mn_character(nu, lam) for lam, c in f.terms.items()), Fraction(0))
         if m:
             out[nu] = m
     return out
@@ -203,7 +219,8 @@ def _fraction_sum(f, n):
 @st.composite
 def homogeneous_pexprs(draw):
     n = draw(st.integers(0, 9))
-    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    # numerators and denominators big enough that to_schur needs several limbs
+    coeff = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 10**30))
     terms = draw(st.dictionaries(st.sampled_from(partitions_of(n)), coeff, max_size=8))
     return n, PExpr(terms)
 
@@ -215,6 +232,38 @@ def test_to_schur_matches_fraction_sum(case):
     se = to_schur(f, n)
     assert se.mults == _fraction_sum(f, n)
     assert all(type(m) is Fraction for m in se.mults.values())
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_to_schur_exact_at_large_degree(n):
+    # h_n = sum p_lam / z_lam and e_n = sum eps_lam p_lam / z_lam; the common
+    # denominator is large, so the numerators span several limbs
+    h = PExpr({lam: Fraction(1, z_lambda(lam)) for lam in partitions_of(n)})
+    e = PExpr({lam: Fraction((-1) ** sign_exponent(lam), z_lambda(lam)) for lam in partitions_of(n)})
+    se = to_schur(h, max_n=n)
+    assert se.mults == {(n,): 1} and se.verdict == "NONNEGATIVE"
+    assert to_schur(e, max_n=n).mults == {(1,) * n: 1}
+
+
+def test_to_schur_capacity_error(monkeypatch):
+    from symcon import characters
+
+    # a table whose largest value leaves no room for a limb in a 64-bit lane
+    table = character_table(3)
+    huge = characters.CharacterTable(3, table.parts, table.columns, table.index, 2**61)
+    monkeypatch.setattr(characters, "_build_table", lambda n: huge)
+    with pytest.raises(CapacityError):
+        to_schur(PExpr.p(3))
+
+
+def test_mult_canonicalises_and_rejects_keys():
+    regular = to_schur(PExpr.p(1, 1, 1))  # mult(nu) = f^nu
+    assert regular.mult((1, 2)) == regular.mult([2, 1]) == 2
+    assert regular.mult((3, 0)) == 1
+    assert to_schur(PExpr.p(2, 1)).mult((1, 2)) == 0  # chi^(2,1)(2,1) = 0
+    for bad in ((2, -1), (2, 2), (4,)):
+        with pytest.raises(ParameterError):
+            regular.mult(bad)
 
 
 def test_to_schur_zero_and_non_integral():

@@ -188,3 +188,19 @@ def test_catalog_output_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fe6939fdbd39e20dbd03133451401403ec1f4a970c031f836e90217908039a49"
     )
+
+
+_TABLE_DIGESTS = {
+    "t1": "8c4bf65aad1ab27e54b157d36b5f63fea622683796ebd0d73b895dbaebca69ac",
+    "t2": "f212c94b4497d42e291306897fa1a5f8a8908d36608c605908bbe1ca22f1fb10",
+    "t3": "3cbf07bd5a10ec3d32441877282ed8e4455c34093aedf2fca19fac73b12cab14",
+    "t4": "8bfc918303493c69e5e35c257bec5b12800222324f88d5da66032d5e09539e57",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE_DIGESTS))
+def test_table_output_pinned(capsys, kind):
+    # the bytes of the dense n = 20 Schur expansions behind each table
+    code, out, _ = run_cli(capsys, "table", kind, "20", "--max-n", "20", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[kind]

@@ -205,6 +205,17 @@ def test_linear_runner_names_the_failing_pair():
     assert status == "FAIL" and detail["witness"][0]["nu"] == [2]
 
 
+def test_linear_runner_builds_each_name_once(monkeypatch):
+    from symcon import verify
+
+    built = []
+    term = verify._term
+    monkeypatch.setattr(verify, "_term", lambda k, n, name: built.append(name) or term(k, n, name))
+    # cor5.10 names w:2 and mixed-sym in its pairs and again in its two half sums
+    assert check_identity("cor5.10", 6).status == "PASS"
+    assert sorted(built) == ["H", "Hs", "mixed-sym", "w:2"]
+
+
 def test_positivity_rows_check_both_directions():
     from symcon.verify import _run_positivity
 
