@@ -28,6 +28,14 @@ bytes into an `array`.  Level n is transposed once into packed columns:
 order in signed 64-bit lanes, and `to_schur` is one multiply-add of integer
 numerators against those columns per class.
 
+A `SchurExpansion` keeps what `to_schur` computes: one integer numerator per
+nu |- n, in `partitions_of(n)` order, over one denominator, divided out to 1
+when every multiplicity is an integer.  The verdict and the positivity checks
+read those integers; a `Fraction` is made only where a caller asks for one
+(`mult`, `mults`).  `SchurExpansion.terms()` is the one place that decides
+how a multiplicity is rendered (an int, or a "p/q" string), and the JSON,
+pretty and CSV renderings all read it.
+
 `mn_character` evaluates one value by the same rule as a recursion,
 removing strips for the largest remaining part of mu first, with values
 memoized on (remaining shape, remaining class); the tests hold the table
@@ -265,7 +273,11 @@ def character_table(n: int, max_n: int = 20) -> CharacterTable:
 
 @dataclass(frozen=True)
 class SchurExpansion:
-    """Sparse map nu -> multiplicity with a positivity verdict.
+    """Schur multiplicities as integer numerators over one denominator, with a
+    positivity verdict.
+
+    numerators[i] / denominator is the multiplicity of partitions_of(n)[i];
+    the denominator is 1 whenever every multiplicity is an integer.
 
     POSITIVE: every nu |- n occurs with multiplicity >= 1.
     NONNEGATIVE: all multiplicities are integers >= 0.
@@ -274,38 +286,40 @@ class SchurExpansion:
     """
 
     n: int
-    mults: dict[Partition, Fraction]
+    numerators: tuple[int, ...]
+    denominator: int
     verdict: str
 
+    @property
+    def mults(self) -> dict[Partition, Fraction]:
+        """{nu: multiplicity} over the shapes that occur, built on each read."""
+        d = self.denominator
+        return {nu: Fraction(m, d) for nu, m in zip(partitions_of(self.n), self.numerators) if m}
+
     def mult(self, nu: Partition) -> Fraction:
-        m = self.mults.get(tuple(nu))
-        if m is not None:
-            return m
         index = _build_table(self.n).index
-        if tuple(nu) in index:
-            return Fraction(0)
-        key = partition(nu)
-        if key not in index:
-            raise ParameterError(f"shape {key} is not a partition of {self.n}")
-        return self.mults.get(key, Fraction(0))
+        i = index.get(tuple(nu))
+        if i is None:  # canonicalise only on a miss, so canonical keys stay fast
+            key = partition(nu)
+            i = index.get(key)
+            if i is None:
+                raise ParameterError(f"shape {key} is not a partition of {self.n}")
+        return Fraction(self.numerators[i], self.denominator)
+
+    def terms(self):
+        """(nu, m) for every shape that occurs, in partitions_of(n) order: m is
+        the multiplicity as an int, or as its "p/q" string if it is not one."""
+        d = self.denominator
+        for nu, m in zip(partitions_of(self.n), self.numerators):
+            if m:
+                yield nu, m // d if m % d == 0 else str(Fraction(m, d))
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for nu in partitions_of(self.n):
-            m = self.mults.get(nu)
-            if m:
-                key = "[" + ",".join(str(p) for p in nu) + "]"
-                out[key] = int(m) if m.denominator == 1 else str(m)
-        return {"n": self.n, "mults": out, "verdict": self.verdict}
+        mults = {"[" + ",".join(map(str, nu)) + "]": m for nu, m in self.terms()}
+        return {"n": self.n, "mults": mults, "verdict": self.verdict}
 
     def pretty(self) -> str:
-        bits = []
-        for nu in partitions_of(self.n):
-            m = self.mults.get(nu)
-            if m:
-                c = str(int(m)) if m.denominator == 1 else str(m)
-                bits.append(f"{c}·{pretty(nu)}")
-        return " + ".join(bits) if bits else "0"
+        return " + ".join(f"{m}·{pretty(nu)}" for nu, m in self.terms()) or "0"
 
 
 def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
@@ -338,19 +352,13 @@ def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
         digits = [a >> shift & digit if a >= 0 else -(-a >> shift & digit) for a in nums]
         lanes = _lanes(sum(map(mul, digits, columns)), count, COLUMN_WIDTH)
         sums = lanes if sums is None else [(s << limb) + v for s, v in zip(sums, lanes)]
-    numerators = {nu: m for nu, m in zip(table.parts, sums or ()) if m}
-    if any(m % denom for m in numerators.values()):
-        mults = {nu: Fraction(m, denom) for nu, m in numerators.items()}
+    sums = sums or (0,) * count
+    if any(m % denom for m in sums):
         verdict = "NON_INTEGRAL"
-    else:  # an integer Fraction skips the gcd
-        mults = {nu: Fraction(m // denom) for nu, m in numerators.items()}
-        if any(m < 0 for m in numerators.values()):
-            verdict = "MIXED"
-        elif len(mults) == count:
-            verdict = "POSITIVE"
-        else:
-            verdict = "NONNEGATIVE"
-    return SchurExpansion(deg, mults, verdict)
+    else:  # integral: divide the denominator out once
+        sums, denom = [m // denom for m in sums], 1
+        verdict = "MIXED" if min(sums) < 0 else "POSITIVE" if all(sums) else "NONNEGATIVE"
+    return SchurExpansion(deg, tuple(sums), denom, verdict)
 
 
 def schur_to_power(nu: Partition) -> PExpr:

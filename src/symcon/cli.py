@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .characters import SchurExpansion, to_schur
 from .errors import SymconError
-from .partitions import partitions_of, pretty
+from .partitions import pretty
 from .repmodels import module_char, parse_module
 from .verify import run_selector, table_decomposition
 
@@ -92,12 +92,7 @@ def _csv_text(rows) -> str:
 
 
 def _expansion_rows(se: SchurExpansion):
-    for nu in partitions_of(se.n):
-        m = se.mult(nu)
-        if m:
-            yield "[" + ",".join(str(p) for p in nu) + "]", (
-                int(m) if m.denominator == 1 else str(m)
-            )
+    return se.to_json_dict()["mults"].items()
 
 
 def cmd_expand(args) -> int:
@@ -166,15 +161,12 @@ def cmd_table(args) -> int:
                 rows.append([part, mult] if len(blocks) == 1 else [name, part, mult])
         _emit(_csv_text(rows), cfg)
         return 0
+    indent = "  " if len(blocks) > 1 else ""
     chunks = []
     for name, se in blocks.items():
-        if len(blocks) > 1:
+        if indent:
             chunks.append(f"{name}:")
-        for nu in partitions_of(se.n):
-            m = se.mult(nu)
-            if m:
-                c = str(int(m)) if m.denominator == 1 else str(m)
-                chunks.append(f"  {pretty(nu)}  {c}" if len(blocks) > 1 else f"{pretty(nu)}  {c}")
+        chunks += (f"{indent}{pretty(nu)}  {m}" for nu, m in se.terms())
     _emit("\n".join(chunks) + "\n", cfg)
     return 0
 

@@ -15,7 +15,8 @@ combination of named terms -- plethystic sums, product forms, module
 characteristics and power-sum families.  Theorem 4.2 is the k = 0 member
 of the weight-k family of Theorem 5.9, since c_d(0) = phi(d), and
 Corollary 5.10 is Theorem 5.9 at k = 2 read through the parts-in-{1,2}
-module.
+module.  The routes entries of the ten named modules are rows of the same
+runner, pairing the two sides of repmodels.MODULE_FORMS.
 
 The positivity and strictness claims (Theorem 1.1, Theorems 4.5, 4.9,
 4.17, 4.19, Corollaries 4.12, 4.18 and the positivity half of Theorem 6.4)
@@ -52,6 +53,7 @@ from .partitions import (
 )
 from .repmodels import (
     HALF,
+    MODULE_FORMS,
     MODULE_IDS,
     SUMS,
     exterior_from_symmetric,
@@ -62,7 +64,6 @@ from .repmodels import (
     lie_series_identities,
     linear_combination,
     module_char,
-    module_char_plethystic,
     power_sum_family,
     w_route_a,
     w_route_b,
@@ -197,18 +198,17 @@ def check_positivity(
 
 
 def _positivity(se: SchurExpansion, mode: str, exceptions=()) -> tuple:
-    """check_positivity on an expansion already computed."""
-    bad = []
-    for nu in partitions_of(se.n):
-        m = se.mult(nu)
-        if m.denominator != 1 or m < 0:
-            bad.append((nu, m))
-        elif mode == "STRICT" and m < 1:
-            bad.append((nu, m))
-        elif mode == "STRICT_EXCEPT" and nu not in exceptions and m < 1:
-            bad.append((nu, m))
+    """check_positivity on an expansion already computed, read from its integers."""
+    d = se.denominator
+    floor = d if mode in ("STRICT", "STRICT_EXCEPT") else 0
+    exempt = exceptions if mode == "STRICT_EXCEPT" else ()
+    bad = [
+        (nu, m)
+        for nu, m in zip(partitions_of(se.n), se.numerators)
+        if m % d or m < (0 if nu in exempt else floor)
+    ]
     if bad:
-        return "FAIL", {"witness": [{"nu": list(nu), "mult": str(m)} for nu, m in bad[:6]]}
+        return "FAIL", {"witness": [{"nu": list(nu), "mult": str(Fraction(m, d))} for nu, m in bad[:6]]}
     return "PASS", None
 
 
@@ -529,7 +529,7 @@ _DIMS = {
 
 def _run_dims(mid: str, n: int) -> tuple:
     _, ratio, sides = _DIMS[mid]
-    term = partial(_term, 0, n)
+    term = cache(partial(_term, 0, n))  # a name on several sides is built once
     got = dimension(term(mid), n)
     if got != ratio * factorial(n):
         return "FAIL", {"failed": "dimension", "got": str(got)}
@@ -623,12 +623,6 @@ def _run_lem47(n: int) -> tuple:
 # Route and oracle entries
 
 
-def _run_routes(mid: str, n: int) -> tuple:
-    return _eq(
-        [("power-sum vs plethystic", module_char(mid, n), module_char_plethystic(mid, n))]
-    )
-
-
 def _run_routes_w(k: int, n: int) -> tuple:
     return _eq([("route A vs route B", w_route_a(n, k), w_route_b(n, k))])
 
@@ -710,28 +704,19 @@ def _run_table(kind: str, n: int) -> tuple:
     fixture = getattr(tables_data, kind.upper())[n]  # T1 .. T4
     mids = _TABLE_MODULES[kind]
     if len(mids) == 1:  # one column: the leading partitions of n, in order
-        se = _module_schur(mids[0], n)
-        for nu, want in zip(partitions_of(n), fixture):
-            if se.mult(nu) != want:
-                return "FAIL", {
-                    "witness": [{"nu": list(nu), "computed": str(se.mult(nu)), "fixture": want}]
-                }
-        return "PASS", None
-    for block, mid in zip(fixture, mids):
-        se = _module_schur(mid, n)
-        fix = dict(block)
-        for nu in partitions_of(n):
-            if se.mult(nu) != fix.get(nu, 0):
-                return "FAIL", {
-                    "witness": [
-                        {
-                            "block": mid,
-                            "nu": list(nu),
-                            "computed": str(se.mult(nu)),
-                            "fixture": fix.get(nu, 0),
-                        }
-                    ]
-                }
+        wants = [(mids[0], nu, m) for nu, m in zip(partitions_of(n), fixture)]
+    else:  # one block per module, absent shapes 0
+        wants = [
+            (mid, nu, fix.get(nu, 0))
+            for mid, fix in zip(mids, map(dict, fixture))
+            for nu in partitions_of(n)
+        ]
+    got = {mid: dict(_module_schur(mid, n).terms()) for mid in mids}
+    for mid, nu, want in wants:
+        m = got[mid].get(nu, 0)
+        if m != want:
+            witness = {"nu": list(nu), "computed": str(m), "fixture": want}
+            return "FAIL", {"witness": [witness if len(mids) == 1 else {"block": mid} | witness]}
     return "PASS", None
 
 
@@ -879,7 +864,11 @@ def _build_catalog() -> list[Entry]:
            ("lem4.7", "dims", ten, _run_lem47, ())]
     )
     routes = (
-        [(f"routes.{mid}", "routes", ten, _run_routes, (mid,)) for mid in MODULE_IDS]
+        [
+            (f"routes.{mid}", "routes", ten, _run_linear,
+             (0, (("power-sum vs plethystic", *MODULE_FORMS[mid]),), ()))
+            for mid in MODULE_IDS
+        ]
         + [
             (f"routes.w:{k}", "routes", _span(0, 12), _run_routes_w, (k,))
             for k in range(2, 7)

@@ -274,3 +274,34 @@ def test_to_schur_zero_and_non_integral():
     assert se.mults == _fraction_sum(f, 3)
     assert se.mult((2, 1)) == Fraction(-2, 3)
     assert se.verdict == "NON_INTEGRAL"
+
+
+def test_non_integral_rendering():
+    half = to_schur(Fraction(1, 2) * PExpr.p(2))  # (s_2 - s_11) / 2
+    assert half.to_json_dict() == {
+        "n": 2, "mults": {"[2]": "1/2", "[1,1]": "-1/2"}, "verdict": "NON_INTEGRAL",
+    }
+    assert half.pretty() == "1/2·(2) + -1/2·(1,1)"
+    # an integral multiplicity inside a non-integral expansion renders as an int
+    regular = to_schur(Fraction(1, 2) * PExpr.p(1, 1, 1))  # (s_3 + 2 s_21 + s_111) / 2
+    assert regular.to_json_dict()["mults"] == {"[3]": "1/2", "[2,1]": 1, "[1,1,1]": "1/2"}
+    assert regular.pretty() == "1/2·(3) + 1·(2,1) + 1/2·(1,1,1)"
+    assert list(regular.terms()) == [((3,), "1/2"), ((2, 1), 1), ((1, 1, 1), "1/2")]
+    assert regular.denominator == 2 and regular.numerators == (1, 2, 1)
+
+
+def test_integral_expansion_builds_no_fraction(monkeypatch):
+    from symcon import characters
+
+    f = PExpr({lam: Fraction(1) for lam in partitions_of(12)})  # the conjugation character
+    expected = to_schur(f)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(characters, "Fraction", no_fraction)
+    se = to_schur(f)
+    assert se.denominator == 1 and se.verdict == "POSITIVE"
+    assert se.to_json_dict() == expected.to_json_dict()
+    assert se.pretty() == expected.pretty()
+    assert list(se.terms()) == list(zip(partitions_of(12), se.numerators))

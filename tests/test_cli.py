@@ -204,3 +204,28 @@ def test_table_output_pinned(capsys, kind):
     code, out, _ = run_cli(capsys, "table", kind, "20", "--max-n", "20", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[kind]
+
+
+# the other renderings of the same expansions; both dicts hold the parent's bytes
+_RENDER_DIGESTS = {
+    ("table", "t1", "csv"): "ac7bbd3b9001eaad67163bddcd3cd19dcc52410ff84168eff815bccf04af039a",
+    ("table", "t1", "pretty"): "54322f2a9300ec6e7c6aa2f1da5c6ba767517c3194eacfc4429abd3965f868ed",
+    ("table", "t2", "csv"): "dba26c510a92dcf2a903f68009039bd60e0f102e0a19210319d64331d6b26c6d",
+    ("table", "t2", "pretty"): "5d758b1ed0dd3597f1d27d937b73639f704b1b5675d19f69479776dba9a4efa8",
+    ("table", "t3", "csv"): "120d92eac032a5bae5bf1f9f2962414b31dd0172010ed3e74760a7ed08bb0c6a",
+    ("table", "t3", "pretty"): "e8e6237ca723dbf6fb2aee0586e4c618f476f177afe2d635d3e755d544fb52f5",
+    ("table", "t4", "csv"): "5edef6292fc9c5a7db94ee4b6da55f550533e71586ce59e23d7c244637b8c7fe",
+    ("table", "t4", "pretty"): "163327a800eabe9c78719b5a60afaa268729ce370c9453fdae439471da8708ee",
+    ("expand", "psi", "csv"): "ac7bbd3b9001eaad67163bddcd3cd19dcc52410ff84168eff815bccf04af039a",
+    ("expand", "psi", "json"): "8cbc7202e32fad095119ac4837680f126ff67f1d3f844dabad7f3a3649072b4f",
+    ("expand", "psi", "pretty"): "7f35e0b52bc65b7f82b8bccea2a88ab412a3a048ca00753a35cc066f40768eba",
+}
+
+
+@pytest.mark.parametrize(
+    "command,target,fmt", sorted(_RENDER_DIGESTS), ids="-".join
+)
+def test_render_output_pinned(capsys, command, target, fmt):
+    code, out, _ = run_cli(capsys, command, target, "20", "--max-n", "20", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _RENDER_DIGESTS[command, target, fmt]

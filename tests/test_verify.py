@@ -216,6 +216,41 @@ def test_linear_runner_builds_each_name_once(monkeypatch):
     assert sorted(built) == ["H", "Hs", "mixed-sym", "w:2"]
 
 
+def test_dims_runner_builds_each_name_once(monkeypatch):
+    from collections import Counter
+
+    from symcon import verify
+
+    built = Counter()
+    term = verify._term
+    monkeypatch.setattr(verify, "_term", lambda k, n, name: built.update((name,)) or term(k, n, name))
+    # u-plus is read for the dimension and again for its self-conjugacy side;
+    # u-do also for its "u+ + u-do" side
+    for mid, names in (("u-plus", {"u-plus"}), ("u-do", {"u-do", "u-plus"})):
+        built.clear()
+        assert check_identity(f"dims.{mid}", 8).status == "PASS"
+        assert built == Counter(names)
+
+
+def test_routes_rows_share_the_catalog_series(monkeypatch):
+    from symcon import repmodels, verify
+
+    # the routes.<module> rows read the plethystic sums of the one catalog
+    # series _F(0), never a per-degree foulkes_series(0, n)
+    def per_degree_series(k, trunc):
+        raise AssertionError(f"foulkes_series({k}, {trunc}) built")
+
+    monkeypatch.setattr(repmodels, "foulkes_series", per_degree_series)
+    assert {r.status for r in run_selector("routes", max_n=6)} == {"PASS"}
+    # a broken plethystic side fails under the routes label
+    term = verify._term
+    monkeypatch.setattr(
+        verify, "_term", lambda k, n, name: 2 * term(k, n, name) if name == "H" else term(k, n, name)
+    )
+    res = check_identity("routes.psi", 3)
+    assert res.status == "FAIL" and res.detail["failed"] == "power-sum vs plethystic"
+
+
 def test_positivity_rows_check_both_directions():
     from symcon.verify import _run_positivity
 
@@ -247,8 +282,10 @@ def test_lem47_prime_coverage_beyond_seven(monkeypatch):
 
     def drop_one_shape(f, n, *args, **kw):
         se = real(f, n, *args, **kw)
-        mults = {nu: m for nu, m in se.mults.items() if nu != (5, 4, 2)}
-        return dataclasses.replace(se, mults=mults)
+        numerators = tuple(
+            0 if nu == (5, 4, 2) else m for nu, m in zip(partitions_of(n), se.numerators)
+        )
+        return dataclasses.replace(se, numerators=numerators)
 
     monkeypatch.setattr(verify, "to_schur", drop_one_shape)
     res = check_identity("lem4.7", 11)
@@ -274,7 +311,8 @@ def test_exception_degrees_check_integrality(monkeypatch):
     from symcon.characters import SchurExpansion
 
     # thm4.5 excepts (1, 1) at degree 2; a fractional (2) there must fail
-    fake = SchurExpansion(2, {(2,): Fraction(3, 2)}, "NON_INTEGRAL")
+    fake = SchurExpansion(2, (3, 0), 2, "NON_INTEGRAL")
+    assert fake.mults == {(2,): Fraction(3, 2)}
     monkeypatch.setattr(verify, "_module_schur", lambda mid, n: fake)
     res = check_identity("thm4.5", 2)
     assert res.status == "FAIL"
