@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, isqrt, lcm
+from math import factorial, isqrt
 from operator import mul, sub
 
 from .errors import CapacityError, DegreeError, ParameterError
@@ -336,10 +336,8 @@ def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
         raise DegreeError(f"expression has degree {deg}, expected {n}")
     table = character_table(deg, max_n)
     count = len(table.parts)
-    # One common denominator turns the expansion into integer numerators.
-    denom = lcm(*(c.denominator for c in f.terms.values()))
-    nums = [c.numerator * (denom // c.denominator) for c in f.terms.values()]
-    columns = [table.columns[table.index[lam]] for lam in f.terms]
+    denom, nums = f.denominator, list(f.numerators.values())
+    columns = [table.columns[table.index[lam]] for lam in f.numerators]
     # A lane of sum_mu d_mu * columns[mu] stays below 2^62 in size while every
     # |d_mu| < 2^limb, so the numerators are taken limb by limb, top limb first.
     limb = 62 - table.peak.bit_length() - len(nums).bit_length()

@@ -74,13 +74,14 @@ def multiplicities(lam: Partition) -> dict[int, int]:
 def z_lambda(lam: Partition) -> int:
     """Centralizer order prod_i i^{m_i} * m_i! of a permutation of cycle type lam."""
     z = 1
-    for i, m in multiplicities(lam).items():
+    for i, m in multiplicities(partition(lam)).items():
         z *= i**m * factorial(m)
     return z
 
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
+    lam = partition(lam)
     if not lam:
         return ()
     cols = [0] * lam[0]
@@ -97,6 +98,7 @@ def sign_exponent(lam: Partition) -> int:
 
 def hook_lengths(lam: Partition) -> list[int]:
     """Hook lengths of all cells of the diagram, row by row."""
+    lam = partition(lam)
     t = conjugate(lam)
     return [
         lam[i] - j + t[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])
@@ -105,11 +107,9 @@ def hook_lengths(lam: Partition) -> list[int]:
 
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook-length formula)."""
-    n = sum(lam)
-    if n == 0:
-        return 1
-    num = factorial(n)
-    for h in hook_lengths(lam):
+    hooks = hook_lengths(lam)  # one per cell
+    num = factorial(len(hooks))
+    for h in hooks:
         num //= h
     return num
 
@@ -143,6 +143,7 @@ def _iter_syt_descents(lam: Partition):
 
 def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
     """Number of standard Young tableaux of shape lam with maj congruent to r mod n."""
+    lam = partition(lam)
     if sum(lam) != n:
         raise ParameterError(f"shape {lam} is not a partition of {n}")
     if not 0 <= r < n:

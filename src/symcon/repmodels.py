@@ -45,12 +45,7 @@ def foulkes(n: int, k: int) -> PExpr:
         raise ParameterError(f"foulkes needs n >= 1, got {n}")
     if k < 0:
         raise ParameterError(f"foulkes needs k >= 0, got {k}")
-    terms = {}
-    for d in divisors(n):
-        c = cyclic_weight(d, k)
-        if c:
-            terms[(d,) * (n // d)] = Fraction(c, n)
-    return PExpr(terms)
+    return PExpr({(d,) * (n // d): cyclic_weight(d, k) for d in divisors(n)}) * Fraction(1, n)
 
 
 def f_eval_direct(n: int, k: int, sign: int) -> Fraction:
@@ -95,7 +90,7 @@ def foulkes_series(k: int, trunc: int) -> Series:
 
 def power_sum_family(spec: FamilySpec, n: int) -> PExpr:
     """sum of p_lam over the members of the family among partitions of n."""
-    return PExpr({lam: Fraction(1) for lam in members(spec, n)})
+    return PExpr(dict.fromkeys(members(spec, n), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +197,7 @@ def w_route_a(n: int, k: int) -> PExpr:
     """sum_r p_k^r * p_1^(n - k*r)."""
     if n < 0 or k < 2:
         raise ParameterError("w needs n >= 0 and k >= 2")
-    total = PExpr.zero()
-    for r in range(n // k + 1):
-        key = (k,) * r + (1,) * (n - k * r)
-        total = total + PExpr.term(key)
-    return total
+    return PExpr(dict.fromkeys(((k,) * r + (1,) * (n - k * r) for r in range(n // k + 1)), 1))
 
 
 def w_route_b(n: int, k: int) -> PExpr:

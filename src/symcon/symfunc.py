@@ -1,7 +1,9 @@
 """Exact symmetric-function arithmetic in the power-sum basis.
 
 An expression is a finite sum  sum_lam c_lam * p_lam  with rational
-coefficients, stored sparsely as {partition: Fraction}.  Conventions:
+coefficients c_lam = numerators[lam] / denominator, integers kept reduced
+(no zero numerator, denominator >= 1, gcd 1), so equal expressions have
+equal fields.  Conventions:
 
   * p_lam has degree |lam| and p_lam * p_mu = p_{lam union mu}
     (multiset union of parts);
@@ -11,10 +13,10 @@ coefficients, stored sparsely as {partition: Fraction}.  Conventions:
     leaving coefficients untouched.
 
 Every product runs through one integer kernel on packed values.  A
-packed value is (denominator, {code: integer numerator}), reduced by the
-gcd; the code of lam in width w is  sum over its parts p of 2^(w*(p-1)),
-one w-bit field per part value holding its multiplicity, so
-p_lam * p_mu = p_{lam union mu} is code(lam) + code(mu).  Fields never
+packed value is (denominator, {code: numerator}), an expression with each
+key replaced by its code; the code of lam in width w is  sum over its parts
+p of 2^(w*(p-1)), one w-bit field per part value holding its multiplicity,
+so p_lam * p_mu = p_{lam union mu} is code(lam) + code(mu).  Fields never
 carry while every multiplicity stays below 2^w.  PExpr products pack both
 factors with w read from the longest keys, run the kernel, and unpack.
 
@@ -35,43 +37,77 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
+from numbers import Rational
 
 from .errors import DegreeError, ParameterError, TruncationError
 from .partitions import Partition, multiplicities, partitions_of, sign_exponent, z_lambda
 
-Scalar = Fraction | int
 Packed = tuple[int, dict[int, int]]  # (denominator, {code: numerator})
 
 
 def _canonical_key(parts) -> Partition:
-    """The parts in decreasing order; ParameterError if any part is below 1.
+    """The parts in decreasing order; ParameterError unless every part is an int >= 1.
 
     A tuple already in order is returned itself, so keys stay shared.
     """
-    key = tuple(sorted(parts, reverse=True))
+    try:
+        key = tuple(sorted(parts, reverse=True))
+    except TypeError as exc:
+        raise ParameterError(f"not a power-sum index: {parts!r}") from exc
     if key == parts:
         key = parts
-    if key and key[-1] < 1:
-        raise ParameterError(f"power-sum indices must be >= 1, got {key}")
+    if not all(type(p) is int for p in key) or key and key[-1] < 1:
+        raise ParameterError(f"power-sum indices must be integers >= 1, got {key}")
     return key
 
 
-class PExpr:
-    """Sparse symmetric function in the power-sum basis."""
+def _rational(x, what: str) -> Rational:
+    """x itself if it is an int or a Fraction, else Fraction(x); ParameterError if that fails."""
+    if isinstance(x, Rational):
+        return x
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"not a {what}: {x!r}") from exc
 
-    __slots__ = ("terms",)
+
+def _reduce(denom: int, nums: dict) -> tuple[int, dict]:
+    """nums / denom, denom > 0, with zero numerators dropped and the gcd divided out.
+
+    The one reduction of every value: keys may be partitions or codes.
+    """
+    if 0 in nums.values():
+        nums = {k: v for k, v in nums.items() if v}
+    g = gcd(denom, *nums.values())
+    if g > 1:
+        denom //= g
+        nums = {k: v // g for k, v in nums.items()}
+    return denom, nums
+
+
+class PExpr:
+    """Sparse symmetric function in the power-sum basis: numerators[lam] / denominator
+    is the coefficient of p_lam, and `terms` the same as {lam: Fraction}, built on read."""
+
+    __slots__ = ("denominator", "numerators")
 
     def __init__(self, terms=None):
         """sum of c * p_key over the terms; the parts of a key may come in any order."""
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[Partition, Rational] = {}
         for key, val in (terms or {}).items():
-            try:
-                c = Fraction(val)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"not a power-sum coefficient: {val!r}") from exc
+            val = _rational(val, "power-sum coefficient")
             key = _canonical_key(key)
-            clean[key] = clean[key] + c if key in clean else c
-        self.terms = {k: c for k, c in clean.items() if c}
+            clean[key] = clean.get(key, 0) + val
+        denom = lcm(*(c.denominator for c in clean.values()))
+        self.denominator, self.numerators = _reduce(
+            denom, {k: c.numerator * (denom // c.denominator) for k, c in clean.items()}
+        )
+
+    @property
+    def terms(self) -> dict[Partition, Fraction]:
+        """{lam: coefficient of p_lam} over the keys that occur, built on each read."""
+        d = self.denominator
+        return {k: Fraction(v, d) for k, v in self.numerators.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -81,7 +117,7 @@ class PExpr:
 
     @staticmethod
     def one() -> "PExpr":
-        return PExpr({(): Fraction(1)})
+        return PExpr({(): 1})
 
     @staticmethod
     def p(*parts: int) -> "PExpr":
@@ -89,47 +125,42 @@ class PExpr:
         return PExpr({parts: 1})
 
     @staticmethod
-    def term(lam, c: Scalar = 1) -> "PExpr":
+    def term(lam, c: Rational = 1) -> "PExpr":
         """c * p_lam; the parts of lam may come in any order."""
         return PExpr({tuple(lam): c})
 
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PExpr):
-            return self.terms == other.terms
+            return self.denominator == other.denominator and self.numerators == other.numerators
         if other == 0:
-            return not self.terms
+            return not self.numerators
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.denominator, frozenset(self.numerators.items())))
 
     def __add__(self, other: "PExpr") -> "PExpr":
         if not isinstance(other, PExpr):
             if other == 0:  # permits sum()
                 return self
             return NotImplemented
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            s = out.get(key, Fraction(0)) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = PExpr.__new__(PExpr)
-        res.terms = out
-        return res
+        denom = lcm(self.denominator, other.denominator)
+        scale = denom // self.denominator
+        out = {k: v * scale for k, v in self.numerators.items()}
+        scale = denom // other.denominator
+        for k, v in other.numerators.items():
+            out[k] = out.get(k, 0) + v * scale
+        return _expr(_reduce(denom, out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PExpr":
-        res = PExpr.__new__(PExpr)
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
+        return _expr((self.denominator, {k: -v for k, v in self.numerators.items()}))
 
     def __sub__(self, other: "PExpr") -> "PExpr":
         return self + (-other)
@@ -139,15 +170,9 @@ class PExpr:
             # a part occurs in the product at most as often as the two longest keys have parts
             w = _width(_longest(self) + _longest(other))
             return _unpack(_kernel([(1, _pack(self, w), _pack(other, w))]), w, {})
-        try:
-            c = Fraction(other)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"not a scalar: {other!r}") from exc
-        if not c:
-            return PExpr.zero()
-        res = PExpr.__new__(PExpr)
-        res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
+        c = _rational(other, "scalar")
+        nums = {k: v * c.numerator for k, v in self.numerators.items()}
+        return _expr(_reduce(self.denominator * c.denominator, nums))
 
     __rmul__ = __mul__
 
@@ -167,10 +192,10 @@ class PExpr:
 
     def coefficient(self, lam) -> Fraction:
         """The coefficient of p_lam; the parts of lam may come in any order."""
-        return self.terms.get(_canonical_key(lam), Fraction(0))
+        return Fraction(self.numerators.get(_canonical_key(lam), 0), self.denominator)
 
     def degrees(self) -> set[int]:
-        return {sum(k) for k in self.terms}
+        return {sum(k) for k in self.numerators}
 
     def homogeneous_degree(self) -> int | None:
         """Degree if homogeneous, None for the zero expression; DegreeError if mixed."""
@@ -182,22 +207,25 @@ class PExpr:
         return degs.pop()
 
     def component(self, d: int) -> "PExpr":
-        return PExpr({k: v for k, v in self.terms.items() if sum(k) == d})
+        nums = {k: v for k, v in self.numerators.items() if sum(k) == d}
+        return _expr(_reduce(self.denominator, nums))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         # degree ascending, then the keys of one degree in descending order (as partitions_of)
-        keys = sorted(self.terms, key=lambda k: (-sum(k), k), reverse=True)
-        return " + ".join(f"{self.terms[key]}*p{list(key)}" for key in keys)
+        keys = sorted(terms, key=lambda k: (-sum(k), k), reverse=True)
+        return " + ".join(f"{terms[key]}*p{list(key)}" for key in keys)
 
     # -- JSON --------------------------------------------------------------
 
     def to_json_dict(self) -> dict[str, str]:
         """{"[2,1]": "1/2", ...} with exact rational strings."""
+        terms = self.terms
         out = {}
-        for key in sorted(self.terms, key=lambda k: (sum(k), k), reverse=True):
-            out["[" + ",".join(str(p) for p in key) + "]"] = str(self.terms[key])
+        for key in sorted(terms, key=lambda k: (sum(k), k), reverse=True):
+            out["[" + ",".join(str(p) for p in key) + "]"] = str(terms[key])
         return out
 
     @staticmethod
@@ -213,6 +241,13 @@ class PExpr:
         return PExpr(terms)
 
 
+def _expr(value: tuple[int, dict[Partition, int]]) -> PExpr:
+    """The PExpr whose fields are value, a reduced (denominator, numerators) pair."""
+    res = PExpr.__new__(PExpr)
+    res.denominator, res.numerators = value
+    return res
+
+
 # ---------------------------------------------------------------------------
 # Packed values and the product kernel
 
@@ -226,16 +261,12 @@ def _width(bound: int) -> int:
 
 
 def _longest(f: PExpr) -> int:
-    return max(map(len, f.terms), default=0)
+    return max(map(len, f.numerators), default=0)
 
 
 def _pack(f: PExpr, w: int) -> Packed:
-    """f over the common denominator of its coefficients, keys coded in width w."""
-    denom = lcm(*(c.denominator for c in f.terms.values()))
-    return denom, {
-        sum(1 << (w * (p - 1)) for p in k): c.numerator * (denom // c.denominator)
-        for k, c in f.terms.items()
-    }
+    """f's two fields with every key replaced by its code in width w."""
+    return f.denominator, {sum(1 << (w * (p - 1)) for p in k): v for k, v in f.numerators.items()}
 
 
 def _decode(code: int, w: int) -> Partition:
@@ -256,30 +287,22 @@ def _decode(code: int, w: int) -> Partition:
 def _unpack(value: Packed, w: int, keys: dict[int, Partition]) -> PExpr:
     """The PExpr of a packed value; `keys` maps codes to key tuples and is filled on a miss.
 
-    Equal coefficients share one Fraction and equal codes one key tuple,
-    which keeps cached results small.
+    Equal codes share one key tuple, which keeps cached results small.
     """
     denom, nums = value
-    fracs: dict[int, Fraction] = {}
-    terms = {}
+    out = {}
     for code, v in nums.items():
         key = keys.get(code)
         if key is None:
             key = keys[code] = _decode(code, w)
-        c = fracs.get(v)
-        if c is None:
-            c = fracs[v] = Fraction(v, denom)
-        terms[key] = c
-    res = PExpr.__new__(PExpr)
-    res.terms = terms
-    return res
+        out[key] = v
+    return _expr((denom, out))
 
 
 def _kernel(triples, divisor: int = 1) -> Packed:
     """(1/divisor) * sum of c * a * b over (c, a, b), c an integer and a, b packed alike.
 
-    The products are summed as integers over one denominator, and the
-    result is reduced by the gcd of that denominator and its numerators.
+    The products are summed as integers over one denominator, then reduced.
     """
     triples = [t for t in triples if t[0] and t[1][1] and t[2][1]]
     denom = lcm(*(a[0] * b[0] for _, a, b in triples))
@@ -295,14 +318,7 @@ def _kernel(triples, divisor: int = 1) -> Packed:
             for k2, y in b_items:
                 k = k1 + k2
                 out[k] = get(k, 0) + x * y
-    if 0 in out.values():  # cancelled terms
-        out = {k: v for k, v in out.items() if v}
-    denom *= divisor
-    g = gcd(denom, *out.values())
-    if g > 1:
-        denom //= g
-        out = {k: v // g for k, v in out.items()}
-    return denom, out
+    return _reduce(denom * divisor, out)
 
 
 def _series_product(a: dict[int, Packed], b: dict[int, Packed], top: int) -> dict[int, Packed]:
@@ -326,11 +342,8 @@ def _series_product(a: dict[int, Packed], b: dict[int, Packed], top: int) -> dic
 
 def omega(f: PExpr) -> PExpr:
     """The involution with omega(p_i) = (-1)^(i-1) p_i."""
-    res = PExpr.__new__(PExpr)
-    res.terms = {
-        k: (v if sign_exponent(k) % 2 == 0 else -v) for k, v in f.terms.items()
-    }
-    return res
+    nums = {k: (v if sign_exponent(k) % 2 == 0 else -v) for k, v in f.numerators.items()}
+    return _expr((f.denominator, nums))
 
 
 def inner_product(f: PExpr, g: PExpr) -> Fraction:
@@ -338,19 +351,19 @@ def inner_product(f: PExpr, g: PExpr) -> Fraction:
     df, dg = f.homogeneous_degree(), g.homogeneous_degree()
     if df is not None and dg is not None and df != dg:
         raise DegreeError(f"inner product of degrees {df} and {dg}")
-    total = Fraction(0)
-    small, big = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
+    total = 0
+    small, big = sorted((f.numerators, g.numerators), key=len)
     for key, val in small.items():
         other = big.get(key)
         if other is not None:
             total += val * other * z_lambda(key)
-    return total
+    return Fraction(total, f.denominator * g.denominator)
 
 
 def p1_derivative(f: PExpr) -> PExpr:
     """d/dp_1: each key loses one part equal to 1, scaled by its multiplicity."""
-    out: dict[Partition, Fraction] = {}
-    for key, val in f.terms.items():
+    out: dict[Partition, int] = {}
+    for key, val in f.numerators.items():
         m1 = 0
         for p in reversed(key):
             if p == 1:
@@ -359,8 +372,8 @@ def p1_derivative(f: PExpr) -> PExpr:
                 break
         if m1:
             nk = key[:-1]
-            out[nk] = out.get(nk, Fraction(0)) + val * m1
-    return PExpr(out)
+            out[nk] = out.get(nk, 0) + val * m1
+    return _expr(_reduce(f.denominator, out))
 
 
 def dimension(f: PExpr, n: int | None = None) -> Fraction:
@@ -377,22 +390,18 @@ def dimension(f: PExpr, n: int | None = None) -> Fraction:
 
 
 def h_n(n: int) -> PExpr:
-    """h_n = sum_{lam |- n} p_lam / z_lam."""
+    """h_n = sum_{lam |- n} p_lam / z_lam, over the denominator n! (z_lam divides n!)."""
     if n < 0:
         raise ParameterError("h_n needs n >= 0")
-    return PExpr({lam: Fraction(1, z_lambda(lam)) for lam in partitions_of(n)})
+    size = factorial(n)
+    return _expr(_reduce(size, {lam: size // z_lambda(lam) for lam in partitions_of(n)}))
 
 
 def e_n(n: int) -> PExpr:
-    """e_n = sum_{lam |- n} (-1)^(n - len(lam)) p_lam / z_lam."""
+    """e_n = omega(h_n) = sum_{lam |- n} (-1)^(n - len(lam)) p_lam / z_lam."""
     if n < 0:
         raise ParameterError("e_n needs n >= 0")
-    return PExpr(
-        {
-            lam: Fraction((-1) ** sign_exponent(lam), z_lambda(lam))
-            for lam in partitions_of(n)
-        }
-    )
+    return omega(h_n(n))
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +410,11 @@ def e_n(n: int) -> PExpr:
 
 def plethysm_p(a: int, g: PExpr) -> PExpr:
     """p_a[g]: replace every key part i by a*i; coefficients unchanged."""
-    if a < 1:
-        raise ParameterError(f"plethysm_p needs a >= 1, got {a}")
+    if not isinstance(a, int) or a < 1:
+        raise ParameterError(f"plethysm_p needs an integer a >= 1, got {a!r}")
     if a == 1:
         return g
-    res = PExpr.__new__(PExpr)
-    res.terms = {tuple(a * p for p in k): v for k, v in g.terms.items()}
-    return res
+    return _expr((g.denominator, {tuple(a * p for p in k): v for k, v in g.numerators.items()}))
 
 
 def _newton_extend(seq: list[Packed], g: PExpr, sign: int, m: int, w: int) -> list[Packed]:
@@ -734,15 +741,14 @@ def plethysm_into(f: PExpr, R: Series) -> Series:
     (Series._powers), so they are shared by every key of f and by every f
     plethysmed into R.  Each key's product stays packed and is taken only
     through the degrees the truncation leaves room for; the keys are then
-    summed with f's coefficients in one kernel call per output degree and
-    unpacked once.
+    summed with f's numerators, over its denominator, in one kernel call
+    per output degree and unpacked once.
     """
     if R.component(0):
         raise ParameterError("plethysm into a series requires zero constant term")
     n = R.trunc
-    denom = lcm(*(c.denominator for c in f.terms.values()))
     triples: dict[int, list] = {}  # output degree -> (numerator, packed, packed)
-    for key, c in f.terms.items():
+    for key, num in f.numerators.items():
         factors = [R._powers(d, m)[m] for d, m in multiplicities(key).items()]
         if not all(factors):  # a power that vanishes through degree n
             continue
@@ -752,12 +758,11 @@ def plethysm_into(f: PExpr, R: Series) -> Series:
             top = n - sum(min(g) for g in factors[i + 1 :])
             head = _series_product(head, factors[i], top)
         last = factors[-1] if factors else {0: _ONE}
-        num = c.numerator * (denom // c.denominator)
         for a, x in head.items():
             for b, y in last.items():
                 if a + b <= n:
                     triples.setdefault(a + b, []).append((num, x, y))
-    return Series({e: R._unpack(_kernel(t, denom)) for e, t in triples.items()}, n)
+    return Series({e: R._unpack(_kernel(t, f.denominator)) for e, t in triples.items()}, n)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +809,5 @@ def product_expansion(factors, n: int) -> PExpr:
         if all(m in polys for m in mults):
             coeff = prod(polys[m][j] for m, j in mults.items())
             if coeff:
-                terms[lam] = Fraction(coeff)
-    res = PExpr.__new__(PExpr)
-    res.terms = terms
-    return res
+                terms[lam] = coeff
+    return _expr((1, terms))

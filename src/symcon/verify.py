@@ -142,13 +142,9 @@ def _fixed(values):
 
 
 def _diff_witness(lhs: PExpr, rhs: PExpr, limit: int = 4) -> dict:
-    diff = lhs - rhs
-    keys = sorted(diff.terms, key=lambda k: (sum(k), k), reverse=True)[:limit]
-    return {
-        "mismatch": [
-            {"p": list(k), "lhs-rhs": str(diff.terms[k])} for k in keys
-        ]
-    }
+    diff = (lhs - rhs).terms
+    keys = sorted(diff, key=lambda k: (sum(k), k), reverse=True)[:limit]
+    return {"mismatch": [{"p": list(k), "lhs-rhs": str(diff[k])} for k in keys]}
 
 
 def _eq(pairs) -> tuple:
@@ -190,6 +186,10 @@ def check_positivity(
     the catalog is _run_positivity, for the rows with an exception, and that
     runner then also requires the excepted shape to be absent.
     """
+    if mode not in ("NONNEG", "STRICT", "STRICT_EXCEPT"):
+        raise ParameterError(f"mode must be NONNEG, STRICT or STRICT_EXCEPT, got {mode!r}")
+    if exceptions and mode != "STRICT_EXCEPT":
+        raise ParameterError(f"exceptions need mode STRICT_EXCEPT, got {mode!r}")
     if isinstance(spec_or_expr, FamilySpec):
         f = power_sum_family(spec_or_expr, n)
     else:

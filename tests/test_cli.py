@@ -180,14 +180,19 @@ def test_out_file_errors(capsys, tmp_path, where):
     assert "Traceback" not in err
 
 
+_CATALOG_DIGESTS = {
+    "8": (1620, "fe6939fdbd39e20dbd03133451401403ec1f4a970c031f836e90217908039a49"),
+    "12": (2051, "c93ace355c72fda08818eafe3c62d4021c70cb49b2d1227749a2d29e23a34f18"),
+}
+
+
 def test_catalog_output_pinned(capsys):
-    # the bytes of the whole catalog at n <= 8; any change to a check's result shows here
-    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "8", "--format", "json")
-    assert code == 0
-    assert len(out.splitlines()) == 1620
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fe6939fdbd39e20dbd03133451401403ec1f4a970c031f836e90217908039a49"
-    )
+    # the bytes of the whole catalog at n <= 8 and n <= 12; any change to a check's result shows here
+    for max_n, (lines, digest) in _CATALOG_DIGESTS.items():
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", max_n, "--format", "json")
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, max_n
 
 
 _TABLE_DIGESTS = {

@@ -53,6 +53,11 @@ def test_z_lambda():
     assert z_lambda((1, 1, 1)) == 6
     assert z_lambda((2, 1, 1)) == 4
     assert z_lambda((3,)) == 3
+    # keys are canonicalised as mn_character does: zero parts dropped, parts sorted
+    assert z_lambda((0,)) == z_lambda(()) == 1
+    assert z_lambda((1, 2, 1)) == 4
+    with pytest.raises(ParameterError):
+        z_lambda((2, -1))
 
 
 def test_class_sizes_sum_to_group_order():
@@ -64,6 +69,9 @@ def test_conjugate_examples():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate((2, 2)) == (2, 2)
     assert conjugate(()) == ()
+    assert conjugate((1, 3)) == conjugate((3, 1, 0)) == (2, 1, 1)
+    with pytest.raises(ParameterError):
+        conjugate((2.5,))
 
 
 @given(partitions_st(12))
@@ -76,6 +84,9 @@ def test_syt_count_examples():
     assert syt_count((7,)) == 1
     assert syt_count((2, 2)) == 2
     assert syt_count((3, 1, 1)) == 6
+    assert syt_count((1, 2)) == syt_count((2, 1)) == 2
+    with pytest.raises(ParameterError):
+        syt_count((1, -1))
 
 
 def test_syt_squares_sum_to_factorial():
@@ -87,6 +98,7 @@ def test_maj_examples():
     assert maj_multiplicity((2, 2), 4, 0) == 1
     assert maj_multiplicity((6,), 6, 0) == 1
     assert maj_multiplicity((2, 1), 3, 0) == 0
+    assert maj_multiplicity((1, 2), 3, 1) == maj_multiplicity((2, 1), 3, 1) == 1
     with pytest.raises(ParameterError):
         maj_multiplicity((2, 1), 4, 0)
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +30,11 @@ p = PExpr.p
 
 
 def pexprs(max_deg=5):
+    # keys come with their parts in any order; the constructor sorts and merges them
     keys = [lam for n in range(0, max_deg + 1) for lam in partitions_of(n)]
+    key = st.sampled_from(keys).flatmap(lambda lam: st.permutations(lam).map(tuple))
     coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-    return st.dictionaries(st.sampled_from(keys), coeff, max_size=4).map(PExpr)
+    return st.dictionaries(key, coeff, max_size=4).map(PExpr)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +132,18 @@ def test_ring_laws(f, g, h):
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+
+
+@given(pexprs())
+def test_equal_expressions_hash_alike(f):
+    half = Fraction(1, 2)
+    g = (2 * f) * half
+    assert g == f and hash(g) == hash(f)
+    assert (f + f) - f == f and hash((f + f) - f) == hash(f)
+    assert PExpr(f.terms) == f and hash(PExpr(f.terms)) == hash(f)
+    # the fields are reduced: no zero numerator, and no common factor left
+    assert f.denominator >= 1 and all(f.numerators.values())
+    assert gcd(f.denominator, *f.numerators.values()) == 1
 
 
 @given(pexprs())
@@ -728,6 +742,18 @@ def test_nonpositive_parts_rejected():
         PExpr.term((0, 1))
     with pytest.raises(ParameterError):
         PExpr.from_json_dict({"[2,-1]": "1"})
+    # parts that are not integers, and keys that are not sequences of parts
+    for build in (
+        lambda: PExpr.p(1.5),
+        lambda: PExpr({(True,): 1}),
+        lambda: PExpr({3: 1}),
+        lambda: PExpr({("a",): 1}),
+        lambda: PExpr({("a", "b"): 1}),
+        lambda: p(2, 1).coefficient((1.5,)),
+        lambda: plethysm_p(1.5, p(1)),
+    ):
+        with pytest.raises(ParameterError):
+            build()
 
 
 @pytest.mark.parametrize("data", [{"[a]": "1"}, {"[2;1]": "1"}, {"[2,1]": "x"}])
@@ -753,3 +779,34 @@ def test_constructor_canonicalises_keys():
 def test_constructor_rejects_non_numeric_coefficient(terms):
     with pytest.raises(ParameterError):
         PExpr(terms)
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    # every arithmetic path stays on integer numerators over one denominator
+    import symcon.characters
+    import symcon.symfunc
+    from symcon.characters import to_schur
+    from symcon.repmodels import foulkes
+
+    F = Series.from_function(lambda i: foulkes(i, 0), 12)
+    R = Series.from_function(lambda i: foulkes(i, 1), 12)
+    f = PExpr({lam: Fraction(1, len(lam)) for lam in partitions_of(6)})
+    g = h_n(6) - Fraction(1, 3) * p(3, 3)
+    outer = h_n(2) - e_n(2) + Fraction(1, 2) * p(2)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(symcon.symfunc, "Fraction", no_fraction)
+    monkeypatch.setattr(symcon.characters, "Fraction", no_fraction)
+    fg = f * g - 3 * (f + g) * f
+    assert fg.homogeneous_degree() == 12
+    assert omega(omega(fg)) == fg
+    assert plethysm_p(2, f) - f != f
+    total = plethystic_sum(F, 12)
+    assert total == plethystic_sum(F, 12, parity=0) + plethystic_sum(F, 12, parity=1)
+    assert H_lambda((3, 2, 1), F) * H_lambda((6,), F)
+    assert plethysm_into(outer, R).component(12)
+    assert product_expansion([(1, 2, 1), (2, -1, -1)], 12)
+    assert to_schur(total, 12).verdict == "POSITIVE"
+    assert to_schur(fg, 12).numerators

@@ -49,6 +49,16 @@ def test_check_positivity_modes():
     assert r3.status == "FAIL"
 
 
+@pytest.mark.parametrize(
+    "mode,exceptions",
+    [("strict", ()), ("NONNEGATIVE", ()), ("STRICT", ((1, 1),)), ("NONNEG", ((1, 1),))],
+)
+def test_check_positivity_rejects_unknown_mode_and_stray_exceptions(mode, exceptions):
+    # a misspelled mode must not run as NONNEG, nor may exceptions be dropped in silence
+    with pytest.raises(ParameterError):
+        check_positivity(FamilySpec("all"), 2, mode, exceptions=exceptions)
+
+
 def test_fixture_checksums():
     for T, half in ((tables_data.T1, False), (tables_data.T2, False)):
         for n, col in T.items():
