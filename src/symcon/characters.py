@@ -260,6 +260,8 @@ def _build_table(n: int) -> CharacterTable:
 
 def character_table(n: int, max_n: int = 20) -> CharacterTable:
     """Character table of degree n, built once per process and shared read-only."""
+    if type(n) is not int:
+        raise ParameterError(f"character table degree must be an integer, got {n!r}")
     if n < 0:
         raise ParameterError(f"character table needs n >= 0, got {n}")
     if n > max_n:

@@ -12,6 +12,11 @@ sides: linear combinations of named terms (power-sum families on one
 side, the plethystic sums of SUMS on the other), evaluated by
 linear_combination.  The two routes agreeing exactly is part of the
 verification contract.
+
+The free-Lie identities (k = 1: Corollary 5.2 and Proposition 5.4) are
+evaluated one degree at a time by lie_identity: a plethystic sum over the
+cached series L or pi^alt against the closed product form that
+product_expansion gives at that degree.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from .partitions import FamilySpec, members, parse_family
 from .symfunc import (
     PExpr,
     Series,
+    h_n,
     omega,
+    plethysm_into,
     plethystic_sum,
-    series_E,
-    series_H,
+    product_expansion,
 )
 
 
@@ -219,81 +225,54 @@ def w_route_b(n: int, k: int) -> PExpr:
 
 # ---------------------------------------------------------------------------
 # Series identities for the Moebius (free Lie) family
+#
+# L = foulkes_series(1, trunc) and pi^alt = sum (-1)^(i-1) omega(L_i).
+# name -> (series of the left side's plethystic sum, its kind, the factors
+# (m, c, sign) of the right side's product_expansion, detail); cadogan-inverse
+# composes pi^alt into sum_{i>=1} h_i instead, and its right side is h_1.
+LIE_IDENTITIES = {
+    "pbw": ("L", "h", ((1, -1, -1),), "H[L] vs p1^n"),
+    "cadogan": ("pi-alt", "h", ((1, 1, 1),), "H[pi-alt] vs 1 + h1"),
+    "cadogan-inverse": (None, None, None, "pi-alt o (H-1) vs h1"),
+    "lie-ext": ("L", "e", ((2, 1, -1), (1, -1, -1)), "E[L] vs (1-t2p2)/(1-tp1)"),
+    "pi-ext": ("pi-alt", "e", ((1, 1, 1), (2, -1, 1)), "E[pi-alt] vs (1+tp1)/(1+t2p2)"),
+}
 
 
-def lie_series(trunc: int) -> Series:
-    """L(t): the Moebius-weighted family, k = 1."""
-    return foulkes_series(1, trunc)
+@lru_cache(maxsize=None)
+def _pi_alt(trunc: int) -> tuple[Series, Series]:
+    """pi^alt at one truncation, and pi^alt composed into sum_{i>=1} h_i.
+
+    plethysm_into is linear in the outer function, so the composition takes
+    the sum of every component of pi^alt at once.
+    """
+    pi_alt = foulkes_series(1, trunc).omega().alternate()
+    outer = sum(pi_alt.components.values(), PExpr.zero())
+    return pi_alt, plethysm_into(outer, Series.from_function(h_n, trunc))
 
 
-def pi_alt_series(trunc: int) -> Series:
-    """pi^alt(t) = sum (-1)^(i-1) * omega(L_i); degree-i component carries its sign."""
-    L = lie_series(trunc)
-    return L.omega().alternate()
-
-
-def h_minus_one_series(trunc: int) -> Series:
-    """sum_{i>=1} h_i as a graded series."""
-    from .symfunc import h_n
-
-    return Series.from_function(h_n, trunc)
+def lie_identity(name: str, n: int, trunc: int) -> tuple[PExpr, PExpr]:
+    """(left, right): both sides of the named free-Lie identity at degree n, over
+    series truncated at trunc."""
+    if name not in LIE_IDENTITIES:
+        raise ParameterError(f"unknown free-Lie identity {name!r}")
+    if n < 0:
+        raise ParameterError(f"free-Lie identities need n >= 0, got {n}")
+    series, kind, factors, _ = LIE_IDENTITIES[name]
+    if series is None:  # cadogan-inverse
+        return _pi_alt(trunc)[1].component(n), (PExpr.p(1) if n == 1 else PExpr.zero())
+    F = foulkes_series(1, trunc) if series == "L" else _pi_alt(trunc)[0]
+    return plethystic_sum(F, n, kind), product_expansion(factors, n)
 
 
 def lie_series_identities(n_max: int) -> list[tuple[str, int, bool, str]]:
-    """Degreewise checks of the free-Lie generating identities.
-
-    Returns (identity name, degree, ok, detail) tuples for:
-      pbw:      sum_lam H_lam[L] at degree n equals p_1^n;
-      cadogan:  sum_lam H_lam[pi^alt] vanishes beyond degree 1 (and is h_1 there);
-      cadogan-inverse: pi^alt composed into sum h_i returns p_1;
-      lie-ext:  sum_lam E_lam[L] at degree n equals the coefficient of
-                (1 - t^2 p_2)/(1 - t p_1);
-      pi-ext:   sum_lam E_lam[pi^alt] matches (1 + t p_1)/(1 + t^2 p_2).
-    """
+    """(identity name, degree, ok, detail) for every free-Lie identity at every
+    degree up to n_max, series at n_max; cadogan-inverse from degree 1 on."""
     out = []
-    L = lie_series(n_max)
-    PA = pi_alt_series(n_max)
-    p1 = PExpr.p(1)
-
-    HL = series_H(L)
-    for n in range(n_max + 1):
-        want = p1**n
-        out.append(("pbw", n, HL.component(n) == want, "H[L] vs p1^n"))
-
-    HPA = series_H(PA)
-    for n in range(n_max + 1):
-        want = PExpr.one() if n == 0 else (p1 if n == 1 else PExpr.zero())
-        out.append(("cadogan", n, HPA.component(n) == want, "H[pi-alt] vs 1 + h1"))
-
-    from .symfunc import plethysm_into
-
-    HM = h_minus_one_series(n_max)
-    composed = Series({}, n_max)
-    for i in range(1, n_max + 1):
-        composed = composed + plethysm_into(PA.component(i), HM)
-    for n in range(1, n_max + 1):
-        want = p1 if n == 1 else PExpr.zero()
-        out.append(
-            ("cadogan-inverse", n, composed.component(n) == want, "pi-alt o (H-1) vs h1")
-        )
-
-    EL = series_E(L)
-    one_minus_p2 = Series({0: PExpr.one(), 2: -PExpr.p(2)}, n_max)
-    geom_p1 = Series(
-        {d: PExpr.term((1,) * d) for d in range(n_max + 1)}, n_max
-    )
-    rhs = one_minus_p2 * geom_p1
-    for n in range(n_max + 1):
-        out.append(("lie-ext", n, EL.component(n) == rhs.component(n), "E[L] vs (1-t2p2)/(1-tp1)"))
-
-    EPA = series_E(PA)
-    one_plus_p2 = Series({0: PExpr.one(), 2: PExpr.p(2)}, n_max)
-    num = Series({0: PExpr.one(), 1: p1}, n_max)
-    rhs2 = num * one_plus_p2.inverse()
-    for n in range(n_max + 1):
-        out.append(
-            ("pi-ext", n, EPA.component(n) == rhs2.component(n), "E[pi-alt] vs (1+tp1)/(1+t2p2)")
-        )
+    for name, (*_, detail) in LIE_IDENTITIES.items():
+        for n in range(name == "cadogan-inverse", n_max + 1):
+            left, right = lie_identity(name, n, n_max)
+            out.append((name, n, left == right, detail))
     return out
 
 

@@ -62,9 +62,12 @@ def _canonical_key(parts) -> Partition:
 
 
 def _rational(x, what: str) -> Rational:
-    """x itself if it is an int or a Fraction, else Fraction(x); ParameterError if that fails."""
+    """x itself if it is an int or a Fraction, else Fraction(x); ParameterError if that
+    fails, and for a float, whose binary value is not the number it was written as."""
     if isinstance(x, Rational):
         return x
+    if isinstance(x, float):
+        raise ParameterError(f"not an exact {what}: {x!r}")
     try:
         return Fraction(x)
     except (TypeError, ValueError) as exc:
@@ -514,14 +517,6 @@ class Series:
         n = min(self.trunc, other.trunc)
         return all(self.component(d) == other.component(d) for d in range(n + 1))
 
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.trunc, other.trunc)
-        return Series({d: self.component(d) + other.component(d) for d in range(n + 1)}, n)
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.trunc, other.trunc)
-        return Series({d: self.component(d) - other.component(d) for d in range(n + 1)}, n)
-
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
             n = min(self.trunc, other.trunc)
@@ -717,19 +712,10 @@ def plethystic_sum(
     return odd if parity else even
 
 
-def _power_series(kind: str, F: Series, trunc: int | None) -> Series:
-    n = F.trunc if trunc is None else min(trunc, F.trunc)
-    return Series({d: plethystic_sum(F, d, kind) for d in range(n + 1)}, n)
-
-
 def series_H(F: Series, trunc: int | None = None) -> Series:
     """The symmetric-power series of F: degree-n component sum_{lam|-n} H_lambda[F]."""
-    return _power_series("h", F, trunc)
-
-
-def series_E(F: Series, trunc: int | None = None) -> Series:
-    """The exterior-power series of F: degree-n component sum_{lam|-n} E_lambda[F]."""
-    return _power_series("e", F, trunc)
+    n = F.trunc if trunc is None else min(trunc, F.trunc)
+    return Series({d: plethystic_sum(F, d) for d in range(n + 1)}, n)
 
 
 def plethysm_into(f: PExpr, R: Series) -> Series:

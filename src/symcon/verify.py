@@ -16,7 +16,9 @@ characteristics and power-sum families.  Theorem 4.2 is the k = 0 member
 of the weight-k family of Theorem 5.9, since c_d(0) = phi(d), and
 Corollary 5.10 is Theorem 5.9 at k = 2 read through the parts-in-{1,2}
 module.  The routes entries of the ten named modules are rows of the same
-runner, pairing the two sides of repmodels.MODULE_FORMS.
+runner, pairing the two sides of repmodels.MODULE_FORMS.  The free-Lie
+identities of Corollary 5.2 and Proposition 5.4 compare the two sides of
+repmodels.lie_identity at the degree checked.
 
 The positivity and strictness claims (Theorem 1.1, Theorems 4.5, 4.9,
 4.17, 4.19, Corollaries 4.12, 4.18 and the positivity half of Theorem 6.4)
@@ -39,7 +41,7 @@ from itertools import accumulate
 from math import factorial
 
 from .characters import SchurExpansion, alternant_oracle, character_table, to_schur
-from .errors import CatalogError, ParameterError, TruncationError
+from .errors import CatalogError, ParameterError
 from .numbertheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
 from .partitions import (
     FamilySpec,
@@ -61,7 +63,7 @@ from .repmodels import (
     f_eval_direct,
     foulkes,
     foulkes_series,
-    lie_series_identities,
+    lie_identity,
     linear_combination,
     module_char,
     power_sum_family,
@@ -109,6 +111,8 @@ class Entry:
 
     def check(self, n: int) -> CheckResult:
         """The entry's result at degree n."""
+        if type(n) is not int or n < 0:
+            raise ParameterError(f"degree must be an integer >= 0, got {n!r}")
         return CheckResult(self.id, n, *self.run(n))
 
     def matches(self, selector: str) -> bool:
@@ -374,20 +378,9 @@ def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
     return res
 
 
-@lru_cache(maxsize=None)
-def _lie_reports(n_max: int) -> dict[tuple[str, int], bool]:
-    return {(name, n): ok for name, n, ok, _ in lie_series_identities(n_max)}
-
-
 def _run_lie(names, n: int) -> tuple:
-    """PASS iff each named identity of lie_series_identities holds at degree n."""
-    if n < 0:
-        raise ParameterError(f"free-Lie identities need n >= 0, got {n}")
-    if n > CATALOG_TRUNC:
-        raise TruncationError(f"degree {n} beyond series truncation {CATALOG_TRUNC}")
-    reports = _lie_reports(CATALOG_TRUNC)
-    # lie_series_identities reports cadogan-inverse from degree 1 on
-    return _first_failed((name, reports.get((name, n), True)) for name in names)
+    """PASS iff both sides of each named free-Lie identity agree at degree n."""
+    return _eq((name, *lie_identity(name, n, CATALOG_TRUNC)) for name in names)
 
 
 def _run_prop36(n: int) -> tuple:
@@ -403,11 +396,16 @@ def _run_prop36(n: int) -> tuple:
     return _eq(pairs)
 
 
+@lru_cache(maxsize=None)
+def _restricted(which: str) -> tuple[Series, Series]:
+    """F_0 restricted to its odd degrees ("odd") or to degree 1 ("one"), and to the rest."""
+    keep = (lambda d: d % 2 == 1) if which == "odd" else (lambda d: d == 1)
+    return _F(0).restrict(keep), _F(0).restrict(lambda d: not keep(d))
+
+
 def _run_prop23(which: str, n: int) -> tuple:
     F = _F(0)
-    keep = (lambda d: d % 2 == 1) if which == "odd" else (lambda d: d == 1)
-    FS = F.restrict(keep)
-    FSbar = F.restrict(lambda d: not keep(d))
+    FS, FSbar = _restricted(which)
     pairs = []
     for kind, dual in (("h", "e"), ("e", "h")):
         lhs = plethystic_sum(FS, n, kind)
@@ -932,6 +930,8 @@ def select_entries(selector: str) -> list[Entry]:
 
 def run_selector(selector: str, max_n: int = 12):
     """Yield CheckResults for all matching entries, in catalog order."""
+    if type(max_n) is not int:
+        raise ParameterError(f"max_n must be an integer, got {max_n!r}")
     for entry in select_entries(selector):
         for n in entry.ns(max_n):
             yield entry.check(n)

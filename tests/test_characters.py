@@ -115,6 +115,12 @@ def test_table_capacity_error():
     assert partitions_of.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+def test_table_degree_must_be_an_int(n):
+    with pytest.raises(ParameterError):
+        character_table(n)
+
+
 def test_lane_boundary_at_21():
     # the first degree whose bound sqrt(n!) needs 64-bit lanes in the build
     table = character_table(21, max_n=21)

@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from symcon.characters import to_schur
-from symcon.errors import ParameterError
+from symcon.errors import ParameterError, TruncationError
 from symcon.partitions import (
     FamilySpec,
     conjugate,
@@ -13,11 +13,13 @@ from symcon.partitions import (
     partitions_of,
 )
 from symcon.repmodels import (
+    LIE_IDENTITIES,
     MODULE_IDS,
     f_eval,
     f_eval_direct,
     foulkes,
     foulkes_series,
+    lie_identity,
     lie_series_identities,
     module_char,
     module_char_plethystic,
@@ -209,6 +211,17 @@ def test_w_even_binomial_form():
 def test_lie_series_identities():
     failures = [r for r in lie_series_identities(10) if not r[2]]
     assert failures == []
+
+
+def test_lie_identity_raises_outside_its_series():
+    for name in LIE_IDENTITIES:
+        assert lie_identity(name, 6, 6)[0] == lie_identity(name, 6, 9)[0]
+        with pytest.raises(TruncationError):
+            lie_identity(name, 7, 6)
+        with pytest.raises(ParameterError):
+            lie_identity(name, -1, 6)
+    with pytest.raises(ParameterError):
+        lie_identity("pbw2", 3, 6)
 
 
 def test_foulkes_products_report():

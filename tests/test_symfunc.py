@@ -98,6 +98,25 @@ def test_mul_rejects_non_numeric_scalar(scalar):
         scalar * p(2, 1)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, float("nan")])
+def test_float_coefficients_are_rejected(value):
+    # a float has no exact value to keep: 0.1 is not 1/10
+    with pytest.raises(ParameterError):
+        p(1) * value
+    with pytest.raises(ParameterError):
+        value * p(2, 1)
+    with pytest.raises(ParameterError):
+        PExpr({(2,): value})
+    with pytest.raises(ParameterError):
+        PExpr.term((2, 1), value)
+
+
+def test_exact_coefficients_are_accepted():
+    assert p(1) * Fraction(1, 10) == PExpr({(1,): "1/10"}) == PExpr.term((1,), Fraction(1, 10))
+    assert (3 * p(2)).coefficient((2,)) == 3
+    assert PExpr({(2,): "0.25"}).coefficient((2,)) == Fraction(1, 4)
+
+
 def test_repr_orders_by_degree_then_descending_key():
     # the order partitions_of(d) enumerates, degree by degree
     keys = [lam for d in range(9) for lam in partitions_of(d)]

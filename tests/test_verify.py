@@ -7,6 +7,7 @@ from symcon.errors import CatalogError, ParameterError, TruncationError
 from symcon.partitions import FamilySpec, partitions_of, syt_count
 from symcon.symfunc import PExpr
 from symcon.verify import (
+    CheckResult,
     catalog_ids,
     check_identity,
     check_positivity,
@@ -314,6 +315,69 @@ def test_lie_identities_beyond_the_truncation_raise():
             check_identity(cid, -1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+def test_non_integer_degrees_raise(n):
+    with pytest.raises(ParameterError):
+        check_identity("thm4.2.1", n)
+    with pytest.raises(ParameterError):
+        list(run_selector("thm4.2.1", n))
+    with pytest.raises(ParameterError):
+        reproduce_table("t1", n)
+
+
+def test_every_entry_rejects_a_negative_degree():
+    # prop3.6 passed at n = -1: its sums over 0..n are empty there
+    for cid in catalog_ids():
+        with pytest.raises(ParameterError):
+            check_identity(cid, -1)
+
+
+def test_lie_identities_pass_without_detail_from_degree_zero():
+    # degree 0 is checked like every other degree: both sides are 1 (0 for
+    # cadogan-inverse, whose composition has no constant term)
+    for cid in ("cor5.2.1", "cor5.2.2", "cor5.2.3", "prop5.4"):
+        for n in range(13):
+            assert check_identity(cid, n) == CheckResult(cid, n, "PASS", None)
+
+
+def test_lie_identities_stay_at_the_degree_checked():
+    # a run to degree 3 expands the plethystic sums of L and pi^alt to degree 3 only
+    from symcon.repmodels import _pi_alt, foulkes_series
+
+    for selector in ("cor5.2", "prop5.4"):
+        _clear_run_caches()
+        assert {r.status for r in run_selector(selector, 3)} == {"PASS"}
+        degrees = {
+            key[2]
+            for F in (foulkes_series(1, 12), _pi_alt(12)[0])
+            for key in F._pleth_cache
+            if key[0] == "sum"
+        }
+        assert max(degrees) == 3
+
+
+@pytest.mark.parametrize(
+    "cid, broken", [
+        ("cor5.2.1", "pbw"), ("cor5.2.2", "cadogan"), ("cor5.2.2", "cadogan-inverse"),
+        ("cor5.2.3", "lie-ext"), ("prop5.4", "pi-ext"),
+    ],
+)
+def test_a_broken_lie_side_fails_and_names_the_identity(monkeypatch, cid, broken):
+    from symcon import verify
+
+    real = verify.lie_identity
+
+    def lie_identity(name, n, trunc):
+        left, right = real(name, n, trunc)
+        return (left + PExpr.p(1) ** n if name == broken else left), right
+
+    monkeypatch.setattr(verify, "lie_identity", lie_identity)
+    res = check_identity(cid, 4)
+    assert res.status == "FAIL"
+    assert res.detail["failed"] == broken
+    assert res.detail["mismatch"] == [{"p": [1, 1, 1, 1], "lhs-rhs": "1"}]
+
+
 def test_exception_degrees_check_integrality(monkeypatch):
     from fractions import Fraction
 
@@ -333,8 +397,9 @@ def _clear_run_caches():
     from symcon import characters, repmodels, verify
 
     for cached in (
-        verify._module_schur, verify._lie_reports, verify._exterior_of_H,
-        repmodels.foulkes, repmodels.foulkes_series, characters._build_table,
+        verify._module_schur, verify._exterior_of_H, verify._restricted,
+        repmodels.foulkes, repmodels.foulkes_series, repmodels._pi_alt,
+        characters._build_table,
     ):
         cached.cache_clear()
 
