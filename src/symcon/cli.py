@@ -145,7 +145,7 @@ def cmd_table(args) -> int:
     cfg = _resolve_config(args)
     if not 1 <= args.n <= cfg.max_n:
         raise SymconError(f"table degree n={args.n} out of range 1..{cfg.max_n}")
-    blocks = table_decomposition(args.kind, args.n)
+    blocks = table_decomposition(args.kind, args.n, cfg.max_n)
     if cfg.format == "json":
         payload = {
             "kind": args.kind,

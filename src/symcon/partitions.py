@@ -48,7 +48,13 @@ def is_partition(parts) -> bool:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, exactly once, in reverse-lexicographic order."""
+    """All partitions of n, exactly once, in reverse-lexicographic order.
+
+    The check runs on a cache miss only; lru_cache keys 2.0 and True apart
+    from 2 and 1, so they always reach it.
+    """
+    if type(n) is not int:
+        raise ParameterError(f"cannot partition a non-integer: {n!r}")
     if n < 0:
         raise ParameterError(f"cannot partition a negative integer: {n}")
     return tuple(_gen_partitions(n, n))

@@ -44,13 +44,12 @@ def cyclic_weight(d: int, k: int) -> int:
     return ramanujan_sum(d, k)
 
 
-@lru_cache(maxsize=None)
 def foulkes(n: int, k: int) -> PExpr:
     """Characteristic of the k-th cyclic character induced from C_n to S_n."""
-    if n < 1:
-        raise ParameterError(f"foulkes needs n >= 1, got {n}")
-    if k < 0:
-        raise ParameterError(f"foulkes needs k >= 0, got {k}")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"foulkes needs an integer n >= 1, got {n!r}")
+    if type(k) is not int or k < 0:
+        raise ParameterError(f"foulkes needs an integer k >= 0, got {k!r}")
     return PExpr({(d,) * (n // d): cyclic_weight(d, k) for d in divisors(n)}) * Fraction(1, n)
 
 
@@ -149,8 +148,8 @@ def linear_combination(side, term) -> PExpr:
 
 def module_char(mid: str, n: int) -> PExpr:
     """Closed power-sum form of a named module's characteristic."""
-    if n < 1:
-        raise ParameterError(f"module characteristics need n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"module characteristics need an integer n >= 1, got {n!r}")
     if mid in MODULE_FORMS:
         return linear_combination(
             MODULE_FORMS[mid][0], lambda kind: power_sum_family(FamilySpec(kind), n)
@@ -164,8 +163,8 @@ def module_char(mid: str, n: int) -> PExpr:
 
 def module_char_plethystic(mid: str, n: int) -> PExpr:
     """The same characteristic as an explicit sum of induced centralizer pieces."""
-    if n < 1:
-        raise ParameterError(f"module characteristics need n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"module characteristics need an integer n >= 1, got {n!r}")
     if mid in MODULE_FORMS:
         F = foulkes_series(0, n)
         return linear_combination(
@@ -201,8 +200,8 @@ def parse_module(text: str) -> str:
 
 def w_route_a(n: int, k: int) -> PExpr:
     """sum_r p_k^r * p_1^(n - k*r)."""
-    if n < 0 or k < 2:
-        raise ParameterError("w needs n >= 0 and k >= 2")
+    if type(n) is not int or type(k) is not int or n < 0 or k < 2:
+        raise ParameterError(f"w needs integers n >= 0 and k >= 2, got n={n!r}, k={k!r}")
     return PExpr(dict.fromkeys(((k,) * r + (1,) * (n - k * r) for r in range(n // k + 1)), 1))
 
 
@@ -212,8 +211,8 @@ def w_route_b(n: int, k: int) -> PExpr:
     With n = m*k + t, alpha = p_1^k - p_k and beta = p_1^k + p_k:
     block = 2^(-m) * sum over odd j of C(m+1, j) * beta^(m+1-j) * alpha^(j-1).
     """
-    if n < 0 or k < 2:
-        raise ParameterError("w needs n >= 0 and k >= 2")
+    if type(n) is not int or type(k) is not int or n < 0 or k < 2:
+        raise ParameterError(f"w needs integers n >= 0 and k >= 2, got n={n!r}, k={k!r}")
     m, t = divmod(n, k)
     alpha = PExpr.p(1) ** k - PExpr.p(k)
     beta = PExpr.p(1) ** k + PExpr.p(k)
@@ -240,28 +239,28 @@ LIE_IDENTITIES = {
 
 
 @lru_cache(maxsize=None)
-def _pi_alt(trunc: int) -> tuple[Series, Series]:
-    """pi^alt at one truncation, and pi^alt composed into sum_{i>=1} h_i.
-
-    plethysm_into is linear in the outer function, so the composition takes
-    the sum of every component of pi^alt at once.
-    """
-    pi_alt = foulkes_series(1, trunc).omega().alternate()
-    outer = sum(pi_alt.components.values(), PExpr.zero())
-    return pi_alt, plethysm_into(outer, Series.from_function(h_n, trunc))
+def _pi_alt(trunc: int) -> Series:
+    """pi^alt truncated at trunc, shared by every degree up to it."""
+    return foulkes_series(1, trunc).omega().alternate()
 
 
 def lie_identity(name: str, n: int, trunc: int) -> tuple[PExpr, PExpr]:
     """(left, right): both sides of the named free-Lie identity at degree n, over
-    series truncated at trunc."""
+    series truncated at trunc; TruncationError for n > trunc.
+
+    The degree-n part of pi^alt o (H - 1) needs only pi^alt_1..pi^alt_n and
+    h_1..h_n, so cadogan-inverse composes those and nothing beyond.
+    """
     if name not in LIE_IDENTITIES:
         raise ParameterError(f"unknown free-Lie identity {name!r}")
-    if n < 0:
-        raise ParameterError(f"free-Lie identities need n >= 0, got {n}")
+    if type(n) is not int or n < 0:
+        raise ParameterError(f"free-Lie identities need an integer n >= 0, got {n!r}")
     series, kind, factors, _ = LIE_IDENTITIES[name]
     if series is None:  # cadogan-inverse
-        return _pi_alt(trunc)[1].component(n), (PExpr.p(1) if n == 1 else PExpr.zero())
-    F = foulkes_series(1, trunc) if series == "L" else _pi_alt(trunc)[0]
+        outer = sum(map(_pi_alt(trunc).component, range(1, n + 1)), PExpr.zero())
+        left = plethysm_into(outer, Series.from_function(h_n, n)).component(n)
+        return left, (PExpr.p(1) if n == 1 else PExpr.zero())
+    F = foulkes_series(1, trunc) if series == "L" else _pi_alt(trunc)
     return plethystic_sum(F, n, kind), product_expansion(factors, n)
 
 
@@ -274,9 +273,3 @@ def lie_series_identities(n_max: int) -> list[tuple[str, int, bool, str]]:
             left, right = lie_identity(name, n, n_max)
             out.append((name, n, left == right, detail))
     return out
-
-
-def exterior_from_symmetric(G: Series) -> Series:
-    """G / G[p_2]: the exterior-power series of whatever G is the symmetric power of."""
-    sub = G.substitute_p(2).truncate(G.trunc)
-    return G * sub.inverse()

@@ -385,6 +385,8 @@ def dimension(f: PExpr, n: int | None = None) -> Fraction:
         n = f.homogeneous_degree()
         if n is None:
             return Fraction(0)
+    elif type(n) is not int or n < 0:
+        raise ParameterError(f"dimension needs an integer degree >= 0, got {n!r}")
     return factorial(n) * f.coefficient((1,) * n)
 
 
@@ -396,8 +398,9 @@ def h_n(n: int) -> PExpr:
     """h_n = sum_{lam |- n} p_lam / z_lam, over the denominator n! (z_lam divides n!)."""
     if n < 0:
         raise ParameterError("h_n needs n >= 0")
+    lams = partitions_of(n)  # ParameterError for a non-integer n
     size = factorial(n)
-    return _expr(_reduce(size, {lam: size // z_lambda(lam) for lam in partitions_of(n)}))
+    return _expr(_reduce(size, {lam: size // z_lambda(lam) for lam in lams}))
 
 
 def e_n(n: int) -> PExpr:
@@ -508,9 +511,6 @@ class Series:
             )
         return self.components.get(d, PExpr.zero())
 
-    def truncate(self, n: int) -> "Series":
-        return Series({d: f for d, f in self.components.items() if d <= n}, min(n, self.trunc))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -543,15 +543,6 @@ class Series:
             inv.append(_kernel([(-1, comps[k], inv[d - k]) for k in range(1, d + 1)]))
         keys: dict[int, Partition] = {}
         return Series({d: _unpack(f, w, keys) for d, f in enumerate(inv)}, self.trunc)
-
-    def substitute_p(self, a: int) -> "Series":
-        """The series with p_i -> p_{a*i} applied to every component (degree a*d)."""
-        if a < 1:
-            raise ParameterError("substitute_p needs a >= 1")
-        return Series(
-            {a * d: plethysm_p(a, f) for d, f in self.components.items()},
-            a * self.trunc,
-        )
 
     def omega(self) -> "Series":
         return Series({d: omega(f) for d, f in self.components.items()}, self.trunc)
@@ -687,6 +678,8 @@ def plethystic_sum(
     distributive pass, cached on the series (Series._pleth_halves); the
     plain sum of the two is cached beside them.
     """
+    if type(n) is not int:
+        raise ParameterError(f"degree must be an integer, got {n!r}")
     if kind not in ("h", "e"):
         raise ParameterError(f"kind must be 'h' or 'e', got {kind!r}")
     if parity not in (None, 0, 1):
@@ -774,6 +767,7 @@ def product_expansion(factors, n: int) -> PExpr:
     """
     if n < 0:
         raise ParameterError("degree must be >= 0")
+    lams = partitions_of(n)  # ParameterError for a non-integer n
     polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
     for m, c, sign in factors:
         if not isinstance(m, int) or m < 1:
@@ -790,7 +784,7 @@ def product_expansion(factors, n: int) -> PExpr:
             sum(old[i] * factor[j - i] for i in range(j + 1)) for j in range(len(factor))
         ]
     terms = {}
-    for lam in partitions_of(n):
+    for lam in lams:
         mults = multiplicities(lam)
         if all(m in polys for m in mults):
             coeff = prod(polys[m][j] for m, j in mults.items())

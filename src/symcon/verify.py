@@ -58,7 +58,6 @@ from .repmodels import (
     MODULE_FORMS,
     MODULE_IDS,
     SUMS,
-    exterior_from_symmetric,
     f_eval,
     f_eval_direct,
     foulkes,
@@ -78,9 +77,9 @@ from .symfunc import (
     dimension,
     omega,
     p1_derivative,
+    plethysm_p,
     plethystic_sum,
     product_expansion,
-    series_H,
 )
 from . import tables_data
 
@@ -169,9 +168,9 @@ def _first_failed(checks) -> tuple:
     return "PASS", None
 
 
-@lru_cache(maxsize=None)
-def _module_schur(mid: str, n: int) -> SchurExpansion:
-    return to_schur(module_char(mid, n), n)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True must miss and raise
+def _module_schur(mid: str, n: int, max_n: int = 20) -> SchurExpansion:
+    return to_schur(module_char(mid, n), n, max_n)
 
 
 def check_positivity(
@@ -224,12 +223,6 @@ def _F(k: int) -> Series:
     return foulkes_series(k, CATALOG_TRUNC)
 
 
-@lru_cache(maxsize=None)
-def _exterior_of_H(k: int) -> Series:
-    """G / G[p_2] for G = sum_n H_n[F_k] (Lemma 5.5), once per weight k."""
-    return exterior_from_symmetric(series_H(_F(k)))
-
-
 # Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
 # as flavor -> (x, c, s_m on odd m, s_m on even m).
 _FLAVORS = {
@@ -261,8 +254,8 @@ def _general_factors(n: int, k: int, flavor: str):
 # side is a tuple of (coefficient, name) terms, "~name" meaning omega(name)
 # (repmodels.linear_combination).  A name at weight k is a plethystic sum of
 # SUMS over F_k, a product form of _FLAVORS, a module id or w:<k>, the
-# termwise sum of Theorem 4.15.1, the G/G[p2] series of Lemma 5.5, or a
-# power-sum family kind (given k when k >= 1).
+# termwise sum of Theorem 4.15.1, the product E[F] G[p2] of Lemma 5.5 at
+# degree n, or a power-sum family kind (given k when k >= 1).
 
 
 def _one(name: str) -> tuple:
@@ -333,7 +326,8 @@ _PROP65 = (
     (3, (("doubled", ((2, "alt-induced"),), ((1, "psi"), (1, "~psi"), (2, "u-do"))),)),
     (4, (("u+ recovery", _one("u-plus"), ((1, "psi"), (1, "~psi"), (-1, "alt-induced"))),)),
 )
-_LEM55 = (("G/G[p2] == E[F]", _one("G/G[p2]"), _one("E")),)
+# Lemma 5.5, E[F] = G / G[p2] with G = H[F], multiplied out: G[p2] has constant term 1.
+_LEM55 = (("G == E[F] G[p2]", _one("H"), _one("E G[p2]")),)
 _COR510 = (  # at k = 2; its two half sums must be Schur-nonnegative
     ("W == sum H", _one("w:2"), _one("H")),
     ("alternating form", _one("mixed-sym"), _one("Hs")),
@@ -358,8 +352,13 @@ def _term(k: int, n: int, name: str) -> PExpr:
                 h = H_lambda(lam, _F(k))
                 total = total + h + omega(h)
         return total
-    if name == "G/G[p2]":
-        return _exterior_of_H(k).component(n)
+    if name == "E G[p2]":  # sum over j of E[F] at n - 2j times G = H[F] at j, through p2
+        F = _F(k)
+        return sum(
+            (plethystic_sum(F, n - 2 * j, "e") * plethysm_p(2, plethystic_sum(F, j))
+             for j in range(n // 2 + 1)),
+            PExpr.zero(),
+        )
     return power_sum_family(FamilySpec(name, k=k or None), n)
 
 
@@ -718,12 +717,13 @@ def _run_table(kind: str, n: int) -> tuple:
     return "PASS", None
 
 
-def table_decomposition(kind: str, n: int) -> dict[str, SchurExpansion]:
-    """Computed decomposition(s) rendered by the CLI `table` command."""
+def table_decomposition(kind: str, n: int, max_n: int = 20) -> dict[str, SchurExpansion]:
+    """Computed decomposition(s) rendered by the CLI `table` command; max_n caps the
+    character table's degree, as in to_schur."""
     mids = _TABLE_MODULES.get(kind.lower())
     if mids is None:
         raise ParameterError(f"unknown table {kind!r}")
-    return {mid: _module_schur(mid, n) for mid in mids}
+    return {mid: _module_schur(mid, n, max_n) for mid in mids}
 
 
 _CEX_B = FamilySpec(

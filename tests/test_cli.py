@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symcon.cli import main
 
@@ -120,6 +121,16 @@ def test_env_override_warns(capsys, monkeypatch):
     assert "unsupported" in err
 
 
+def test_table_honours_the_env_cap(capsys, monkeypatch):
+    # as expand does: SYMCON_MAX_N above the hard cap lets --max-n reach the table's degree
+    monkeypatch.setenv("SYMCON_MAX_N", "21")
+    code, out, err = run_cli(capsys, "table", "t1", "21", "--max-n", "21", "--format", "json")
+    assert code == 0, err
+    code, expanded, _ = run_cli(capsys, "expand", "psi", "21", "--max-n", "21", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["blocks"]["psi"] == json.loads(expanded)
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_env_max_n_must_be_positive(capsys, monkeypatch, value):
     monkeypatch.setenv("SYMCON_MAX_N", value)
@@ -234,3 +245,77 @@ def test_render_output_pinned(capsys, command, target, fmt):
     code, out, _ = run_cli(capsys, command, target, "20", "--max-n", "20", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _RENDER_DIGESTS[command, target, fmt]
+
+
+# ---------------------------------------------------------------------------
+# The argument grammar, valid and malformed, run in-process
+
+_JUNK = st.sampled_from(["", "x", "2.5", "-1", "1e3", "[2,1]", "all:", "\u00e9"])
+_DEGREES = st.one_of(st.integers(-1, 6).map(str), st.integers(1, 6).map(str), _JUNK)
+_MODULES = st.sampled_from([
+    "psi", "eps", "psi-a", "psi-abar", "eps-a", "eps-abar", "u-plus", "u-minus",
+    "u-do", "alt-induced", "w:2", "w:3", "family:odd-parts", "family:one-or-k:3",
+    "family:prime-family:3", "family:lex-from:[2,1]", "family:lex-from:[3,1]",
+])
+_TARGETS = st.one_of(
+    _MODULES,
+    _MODULES,
+    st.sampled_from([
+        "w:1", "w:x", "w:", "family:one-or-k", "family:one-or-k:x", "family:prime-family:4",
+        "family:lex-from:x", "family:distinct:2", "family:explicit", "family:bogus",
+        "family:", "not-a-module",
+    ]),
+    _JUNK,
+)
+_SELECTORS = st.one_of(
+    st.sampled_from([
+        "all", "identities", "thm4.2", "thm4.2.6", "thm5.9.5:k2", "lem5.5", "cor5.2",
+        "prop5.4", "prop3.6", "routes", "dims", "tables", "tables.t3", "counterexamples",
+        "conjecture", "coverage", "lemmas", "oracles.maj", "thm9.9", "thm4",
+    ]),
+    _JUNK,
+)
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """A command line: mostly well formed, with a malformed piece now and then."""
+    command = draw(st.sampled_from(["expand", "verify", "table", "bogus"]))
+    if command == "expand":
+        argv = [command, draw(_TARGETS), draw(_DEGREES)]
+    elif command == "verify":
+        argv = [command, draw(_SELECTORS)]
+    elif command == "table":
+        kinds = st.sampled_from(["t1", "t2", "t3", "t4"])
+        argv = [command, draw(st.one_of(kinds, kinds, _JUNK)), draw(_DEGREES)]
+    else:
+        argv = [command]
+    options = {
+        "--max-n": _DEGREES,
+        "--format": st.sampled_from(["pretty", "json", "csv", "pretty", "json", "csv", "xml"]),
+        "--out": st.sampled_from([
+            str(out_dir / "out.txt"), str(out_dir / "out.csv"), str(out_dir / "out.json"),
+            str(out_dir), str(out_dir / "missing" / "out.txt"),
+        ]),
+    }
+    if command == "verify" or draw(st.integers(0, 7)) == 0:  # other commands reject it
+        options["--threads"] = st.sampled_from(["1", "2", "auto", "0", "x"])
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(st.integers(0, 7)) == 0:  # an argument out of place
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2(capsys, tmp_path, data):
+    argv = data.draw(_argv(tmp_path), label="argv")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv

@@ -32,6 +32,14 @@ def test_partitions_of_small():
     assert len(partitions_of(10)) == 42
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+def test_partitions_of_rejects_non_integers(n):
+    partitions_of(2)
+    partitions_of(1)  # the cache holds the integer degrees; their lookalikes still raise
+    with pytest.raises(ParameterError):
+        partitions_of(n)
+
+
 def test_reverse_lex_order_is_total():
     for n in range(0, 13):
         parts = partitions_of(n)

@@ -224,6 +224,29 @@ def test_lie_identity_raises_outside_its_series():
         lie_identity("pbw2", 3, 6)
 
 
+@pytest.mark.parametrize("x", [2.5, 2.0, True])
+def test_degree_and_weight_arguments_must_be_integers(x):
+    with pytest.raises(ParameterError):
+        foulkes(x, 0)
+    with pytest.raises(ParameterError):
+        foulkes(4, x)
+    with pytest.raises(ParameterError):
+        w_route_a(x, 2)
+    with pytest.raises(ParameterError):
+        w_route_b(x, 2)
+    with pytest.raises(ParameterError):
+        w_route_a(4, x)
+    with pytest.raises(ParameterError):
+        w_route_b(4, x)
+    with pytest.raises(ParameterError):
+        module_char("psi", x)
+    with pytest.raises(ParameterError):
+        power_sum_family(FamilySpec("all"), x)
+    for name in LIE_IDENTITIES:
+        with pytest.raises(ParameterError):
+            lie_identity(name, x, 6)
+
+
 def test_foulkes_products_report():
     # the product forms of the weight-k family (Theorem 5.9) and the k = 2
     # block and half sums (Corollary 5.10), as catalog entries

@@ -511,6 +511,41 @@ def test_packed_width_boundaries(N):
     assert (geometric * geometric).component(N) == (N + 1) * PExpr.p(*[1] * N)
 
 
+@pytest.mark.parametrize("n", [3.0, 2.5, True])
+def test_plethystic_sum_rejects_non_integer_degrees(n):
+    from symcon.repmodels import foulkes
+
+    F = Series({i: foulkes(i, 0) for i in range(1, 6)}, 5)
+    with pytest.raises(ParameterError):  # cold
+        plethystic_sum(F, n)
+    for d in (1, 2, 3):
+        plethystic_sum(F, d)
+        plethystic_sum(F, d, "e", parity=1)
+    for kind, parity in (("h", None), ("e", 1)):  # warm: degrees 1 and 3 are cached
+        with pytest.raises(ParameterError):
+            plethystic_sum(F, n, kind, parity)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True])
+def test_degree_arguments_must_be_integers(n):
+    h_n(2)
+    product_expansion([(1, -1, -1)], 2)
+    with pytest.raises(ParameterError):
+        h_n(n)
+    with pytest.raises(ParameterError):
+        e_n(n)
+    for factors in ([], [(1, -1, -1)]):
+        with pytest.raises(ParameterError):
+            product_expansion(factors, n)
+    with pytest.raises(ParameterError):
+        dimension(p(1, 1), n)
+
+
+def test_dimension_rejects_a_negative_degree():
+    with pytest.raises(ParameterError):
+        dimension(PExpr.zero(), -1)
+
+
 def test_series_rejects_non_integer_truncation():
     for trunc in (2.5, "3", Fraction(3), None):
         with pytest.raises(ParameterError):

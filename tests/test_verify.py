@@ -17,6 +17,7 @@ from symcon.verify import (
     reproduce_table,
     run_selector,
     select_entries,
+    table_decomposition,
 )
 from symcon import tables_data
 
@@ -317,12 +318,19 @@ def test_lie_identities_beyond_the_truncation_raise():
 
 @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
 def test_non_integer_degrees_raise(n):
+    for m in (1, 3):  # warm caches at the integers that 3.0 and True equal
+        check_positivity(FamilySpec("all"), m)
+        table_decomposition("t1", m)
     with pytest.raises(ParameterError):
         check_identity("thm4.2.1", n)
     with pytest.raises(ParameterError):
         list(run_selector("thm4.2.1", n))
     with pytest.raises(ParameterError):
         reproduce_table("t1", n)
+    with pytest.raises(ParameterError):
+        check_positivity(FamilySpec("all"), n)
+    with pytest.raises(ParameterError):
+        table_decomposition("t1", n)
 
 
 def test_every_entry_rejects_a_negative_degree():
@@ -349,11 +357,54 @@ def test_lie_identities_stay_at_the_degree_checked():
         assert {r.status for r in run_selector(selector, 3)} == {"PASS"}
         degrees = {
             key[2]
-            for F in (foulkes_series(1, 12), _pi_alt(12)[0])
+            for F in (foulkes_series(1, 12), _pi_alt(12))
             for key in F._pleth_cache
             if key[0] == "sum"
         }
         assert max(degrees) == 3
+
+
+def test_lemma55_stays_at_the_degree_checked():
+    # a run to degree 3 expands the plethystic sums of F_0, F_1 and F_2 to degree 3 only
+    from symcon.repmodels import foulkes_series
+
+    _clear_run_caches()
+    assert {r.status for r in run_selector("lem5.5", 3)} == {"PASS"}
+    for k in (0, 1, 2):
+        degrees = {
+            key[2] for key in foulkes_series(k, 12)._pleth_cache if key[0] in ("sum", "total")
+        }
+        assert max(degrees) == 3, k
+
+
+def test_cadogan_inverse_composes_only_to_the_degree_checked(monkeypatch):
+    from symcon import repmodels
+
+    truncs = []
+    real = repmodels.plethysm_into
+
+    def plethysm_into(f, R):
+        truncs.append(R.trunc)
+        return real(f, R)
+
+    monkeypatch.setattr(repmodels, "plethysm_into", plethysm_into)
+    _clear_run_caches()
+    assert {r.status for r in run_selector("cor5.2.2", 3)} == {"PASS"}
+    assert truncs and max(truncs) <= 3
+
+
+def test_identities_do_not_depend_on_the_series_truncation(monkeypatch):
+    # the truncation only bounds the degrees a check may read
+    from symcon import verify
+
+    _clear_run_caches()
+    at_12 = list(run_selector("identities", 10))
+    _clear_run_caches()
+    monkeypatch.setattr(verify, "CATALOG_TRUNC", 21)
+    try:
+        assert list(run_selector("identities", 10)) == at_12
+    finally:
+        _clear_run_caches()
 
 
 @pytest.mark.parametrize(
@@ -397,8 +448,8 @@ def _clear_run_caches():
     from symcon import characters, repmodels, verify
 
     for cached in (
-        verify._module_schur, verify._exterior_of_H, verify._restricted,
-        repmodels.foulkes, repmodels.foulkes_series, repmodels._pi_alt,
+        verify._module_schur, verify._restricted,
+        repmodels.foulkes_series, repmodels._pi_alt,
         characters._build_table,
     ):
         cached.cache_clear()
