@@ -14,11 +14,11 @@ from math import gcd
 from .errors import ParameterError
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization by trial division, as ((p, e), ...)."""
-    if n < 1:
-        raise ParameterError(f"factorize needs a positive integer, got {n}")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"factorize needs a positive integer, got {n!r}")
     out = []
     d = 2
     while d * d <= n:
@@ -36,8 +36,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def totient(d: int) -> int:
     """Euler's phi."""
-    if d < 1:
-        raise ParameterError(f"totient needs a positive integer, got {d}")
+    if type(d) is not int or d < 1:
+        raise ParameterError(f"totient needs a positive integer, got {d!r}")
     out = d
     for p, _ in factorize(d):
         out -= out // p
@@ -46,8 +46,8 @@ def totient(d: int) -> int:
 
 def moebius(d: int) -> int:
     """Moebius mu: 0 on non-squarefree, else (-1)^(number of prime factors)."""
-    if d < 1:
-        raise ParameterError(f"moebius needs a positive integer, got {d}")
+    if type(d) is not int or d < 1:
+        raise ParameterError(f"moebius needs a positive integer, got {d!r}")
     fac = factorize(d)
     if any(e > 1 for _, e in fac):
         return 0
@@ -56,8 +56,8 @@ def moebius(d: int) -> int:
 
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, increasing."""
-    if n < 1:
-        raise ParameterError(f"divisors needs a positive integer, got {n}")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"divisors needs a positive integer, got {n!r}")
     out = [1]
     for p, e in factorize(n):
         out = [d * p**j for d in out for j in range(e + 1)]
@@ -69,8 +69,8 @@ def ramanujan_sum(d: int, k: int) -> int:
 
     c_d(0) = totient(d) and c_1(k) = 1 for every k.
     """
-    if d < 1:
-        raise ParameterError(f"ramanujan_sum needs d >= 1, got {d}")
+    if type(d) is not int or type(k) is not int or d < 1:
+        raise ParameterError(f"ramanujan_sum needs integers d >= 1, k; got {d!r}, {k!r}")
     k = k % d
     g = gcd(d, k) if k else d
     m = d // g
@@ -84,8 +84,8 @@ def ramanujan_sum(d: int, k: int) -> int:
 
 def ramanujan_sum_oracle(d: int, k: int) -> int:
     """c_d(k) by the divisor sum sum_{e | gcd(d,k)} e * mu(d/e)."""
-    if d < 1:
-        raise ParameterError(f"ramanujan_sum_oracle needs d >= 1, got {d}")
+    if type(d) is not int or type(k) is not int or d < 1:
+        raise ParameterError(f"ramanujan_sum_oracle needs integers d >= 1, k; got {d!r}, {k!r}")
     k = k % d
     g = gcd(d, k) if k else d
     return sum(e * moebius(d // e) for e in divisors(g))

@@ -70,8 +70,8 @@ def f_eval(n: int, k: int, sign: int) -> int:
     k >= 1: f_n(1) = 1 iff n | k; f_n(-1) = -1 if n odd and n | k,
     +1 if n even with (n/2) | k but n not | k, else 0.
     """
-    if n < 1:
-        raise ParameterError(f"f_eval needs n >= 1, got {n}")
+    if type(n) is not int or type(k) is not int or n < 1:
+        raise ParameterError(f"f_eval needs integers n >= 1 and k, got n={n!r}, k={k!r}")
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
     if k == 0:
@@ -87,9 +87,11 @@ def f_eval(n: int, k: int, sign: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def foulkes_series(k: int, trunc: int) -> Series:
     """Graded series of foulkes(i, k) for 1 <= i <= trunc (shared, read-only)."""
+    if type(k) is not int or type(trunc) is not int:
+        raise ParameterError(f"foulkes_series needs integers, got k={k!r}, trunc={trunc!r}")
     return Series.from_function(lambda i: foulkes(i, k), trunc)
 
 
@@ -238,7 +240,7 @@ LIE_IDENTITIES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _pi_alt(trunc: int) -> Series:
     """pi^alt truncated at trunc, shared by every degree up to it."""
     return foulkes_series(1, trunc).omega().alternate()
@@ -267,6 +269,8 @@ def lie_identity(name: str, n: int, trunc: int) -> tuple[PExpr, PExpr]:
 def lie_series_identities(n_max: int) -> list[tuple[str, int, bool, str]]:
     """(identity name, degree, ok, detail) for every free-Lie identity at every
     degree up to n_max, series at n_max; cadogan-inverse from degree 1 on."""
+    if type(n_max) is not int:
+        raise ParameterError(f"free-Lie identities need an integer degree, got {n_max!r}")
     out = []
     for name, (*_, detail) in LIE_IDENTITIES.items():
         for n in range(name == "cadogan-inverse", n_max + 1):

@@ -24,13 +24,14 @@ Graded series (class Series) collect one homogeneous expression per
 degree up to a truncation bound; the formal variable t is never
 materialized because every t-power equals the degree it multiplies.
 The plethystic sum  sum_{lam |- n} prod_i h_{m_i}[f_i]  is the degree-n
-part of prod_i H(f_i) with H(t) = sum_m h_m t^m (Macdonald I.2, I.8).
-A series expands that product in one distributive pass over the parts
-and keeps the result, split into the two parities of n - len(lam), so
-every parity and sign variant is a signed sum of two cached halves.
-The Newton sequences and the pass stay packed in the width
-trunc.bit_length(); no degree up to trunc has a multiplicity above trunc.
-Series products and inverses pack each component once, in that width too.
+part G_n of H[F] = exp(sum_k p_k[F]/k) (Macdonald I.2, I.8), so
+n*G_n = sum_j A_j*G_{n-j}, A_j = sum_{d*k=j} d*p_k[f_d]: one Newton
+recurrence per kind and sign, cached on the series and extended on demand.
+The parity halves are (G +- S)/2, S the sum signed by (-1)^(n - len(lam)),
+and h_m[f_i] is the same recurrence on f_i alone.  All of it stays packed
+in the width trunc.bit_length(); no degree up to trunc has a multiplicity
+above trunc.  Series products and inverses pack each component once, in
+that width too.
 """
 
 from __future__ import annotations
@@ -423,34 +424,45 @@ def plethysm_p(a: int, g: PExpr) -> PExpr:
     return _expr((g.denominator, {tuple(a * p for p in k): v for k, v in g.numerators.items()}))
 
 
-def _newton_extend(seq: list[Packed], g: PExpr, sign: int, m: int, w: int) -> list[Packed]:
-    """Extend seq = [h_0[g], h_1[g], ...], packed in width w, in place through h_m[g].
+def _newton(cache: dict, key, comps: dict[int, PExpr], kind: str, signed: bool, m: int, w: int):
+    """G_0..G_m, packed in width w: G_n is the degree-n part of prod_d H(f_d) ("h") or
+    prod_d E(f_d) ("e") over the components f_d of comps, each term weighted by
+    (-1)^(n - len(lam)) if signed; that is, the sum over lam |- n of H_lambda (E_lambda).
 
-    e_m[g] for sign -1.  j*h_j[g] = sum_{r=1..j} sign^(r-1) * p_r[g] * h_{j-r}[g].
-    A key of h_j[g] joins at most j keys of g, so w must exceed m times
-    the length of the longest key of g.
+    H[F] = exp(sum_k p_k[F]/k) and E[F] = exp(sum_k (-1)^(k-1) p_k[F]/k) (Macdonald
+    I.2, I.8), so n*G_n = sum_{j=1..n} A_j*G_{n-j} with A_j the sum over d*k = j of
+    sigma*d*p_k[f_d], sigma = (-1)^(k-1) for "e" times (-1)^((d-1)*k) if signed.  The
+    pair (A, G) is cached under key and extended on demand; w must hold every part
+    multiplicity of the keys of G_m.
     """
-    if m < 0:
-        raise ParameterError(f"plethysm order must be >= 0, got {m}")
-    pg = [None] + [_pack(plethysm_p(r, g), w) for r in range(1, m + 1)]
-    for j in range(len(seq), m + 1):
-        seq.append(_kernel([(sign ** (r - 1), pg[r], seq[j - r]) for r in range(1, j + 1)], j))
-    return seq
+    A, G = cache.setdefault(key, ([_ZERO], [_ONE]))
+    for j in range(len(A), m + 1):
+        dk = [(d, j // d) for d in comps if d and j % d == 0]
+        A.append(_kernel([
+            ((-1) ** ((kind == "e") * (k - 1) + signed * (d - 1) * k) * d,
+             _pack(plethysm_p(k, comps[d]), w), _ONE)
+            for d, k in dk
+        ]))
+    for n in range(len(G), m + 1):
+        G.append(_kernel([(1, A[j], G[n - j]) for j in range(1, n + 1)], n))
+    return G
 
 
-def _plethysm(sign: int, m: int, g: PExpr) -> PExpr:
+def _plethysm(kind: str, m: int, g: PExpr) -> PExpr:
+    if type(m) is not int or m < 0:
+        raise ParameterError(f"plethysm order must be an integer >= 0, got {m!r}")
     w = _width(m * _longest(g))
-    return _unpack(_newton_extend([_ONE], g, sign, m, w)[m], w, {})
+    return _unpack(_newton({}, None, {1: g}, kind, False, m, w)[m], w, {})
 
 
 def plethysm_h(m: int, g: PExpr) -> PExpr:
     """h_m[g] via the Newton recurrence m*h_m[g] = sum_r p_r[g]*h_{m-r}[g]."""
-    return _plethysm(1, m, g)
+    return _plethysm("h", m, g)
 
 
 def plethysm_e(m: int, g: PExpr) -> PExpr:
     """e_m[g] via m*e_m[g] = sum_r (-1)^(r-1) p_r[g]*e_{m-r}[g]."""
-    return _plethysm(-1, m, g)
+    return _plethysm("e", m, g)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +476,13 @@ class Series:
     reading one raises TruncationError.  Instances memoize in
     _pleth_cache, for as long as they live:
 
-      * (kind, i): the plethysms h_0..h_M[f_i] / e_0..e_M[f_i] of one
-        Newton recurrence, packed in width trunc.bit_length();
+      * ("exp", kind, signed): the pair (A, G) of the Newton recurrence
+        on the plethystic exponential H[F] or E[F], plain or signed,
+        packed in width trunc.bit_length() (see _newton);
+      * (kind, i): the same pair for f_i alone, whose G is the plethysms
+        h_0..h_M[f_i] / e_0..e_M[f_i];
       * ("sum", kind, n) and ("total", kind, n): the parity halves of
-        every plethystic sum they were asked for, and the plain sum of
-        the two;
+        every plethystic sum they were asked for, and the plain sum;
       * ("pow", d): the powers R[p -> p*d]^0, ^1, ... of the series R
         itself, each packed in the same width as {degree: value} through
         trunc, for plethysm_into.
@@ -491,8 +505,8 @@ class Series:
             if fd is not None and fd != d:
                 raise DegreeError(f"component at degree {d} has degree {fd}")
             self.components[d] = f
-        # see the class docstring for the four kinds of entry
-        self._pleth_cache: dict[tuple, list | tuple[PExpr, PExpr] | PExpr] = {}
+        # see the class docstring for the five kinds of entry
+        self._pleth_cache: dict[tuple, tuple | list | PExpr] = {}
         # code -> key tuple, shared by the expressions the series hands out
         self._keys: dict[int, Partition] = {}
 
@@ -566,16 +580,20 @@ class Series:
     def _pleth(self, kind: str, i: int, m: int) -> list[Packed]:
         """The packed sequence h_0[f_i], h_1[f_i], ... ("h") or e_j[f_i] ("e"), through j = m.
 
-        One Newton recurrence per (kind, i), extended on demand.  Needs
-        m * i <= trunc, which bounds the multiplicities by trunc.
+        The recurrence of _newton on f_i alone, at degree 1, cached under (kind, i).
+        Needs m * i <= trunc, which bounds the multiplicities by trunc.
         """
-        seq = self._pleth_cache.get((kind, i))
-        if seq is None:
-            seq = self._pleth_cache[(kind, i)] = [_ONE]
-        if len(seq) <= m:
-            sign = 1 if kind == "h" else -1
-            _newton_extend(seq, self.component(i), sign, m, _width(self.trunc))
-        return seq
+        comps = {1: self.component(i)}
+        return _newton(self._pleth_cache, (kind, i), comps, kind, False, m, _width(self.trunc))
+
+    def _sums(self, kind: str, signed: bool, n: int) -> list[Packed]:
+        """G_0..G_n, packed: G_d sums H_lambda (E_lambda) over lam |- d, each weighted
+        by (-1)^(d - len(lam)) if signed; one recurrence, cached under ("exp", kind, signed)."""
+        if n < 0:
+            raise ParameterError(f"cannot partition a negative integer: {n}")
+        self.component(n)  # TruncationError beyond trunc
+        key = ("exp", kind, signed)
+        return _newton(self._pleth_cache, key, self.components, kind, signed, n, _width(self.trunc))
 
     def _powers(self, d: int, m: int) -> list[dict[int, Packed]]:
         """The packed powers R[p -> p*d]^0 .. ^m of this series R, {degree: value} through trunc.
@@ -598,37 +616,15 @@ class Series:
         return pows
 
     def _pleth_halves(self, kind: str, n: int) -> tuple[PExpr, PExpr]:
-        """(even, odd): the sums of H_lambda (E_lambda) over lam |- n with n - len(lam) even, odd.
-
-        One distributive pass over the parts i = n..1 expands the degree-n
-        part of prod_i sum_m h_m[f_i] t^(m*i).  Before part i is added,
-        acc[d] holds the two halves, split by the parity of d - len(mu), of
-        the sum over the partitions mu of d whose parts all exceed i;
-        adding m parts i moves that parity by m*(i-1).
-        """
+        """(even, odd): the sums of H_lambda (E_lambda) over lam |- n with n - len(lam)
+        even, odd; that is (G_n + S_n)/2 and (G_n - S_n)/2, S the signed sequence."""
         key = ("sum", kind, n)
         halves = self._pleth_cache.get(key)
-        if halves is not None:
-            return halves
-        if n < 0:
-            raise ParameterError(f"cannot partition a negative integer: {n}")
-        acc = [(_ONE, _ZERO)] + [(_ZERO, _ZERO)] * n
-        for i in range(n, 0, -1):
-            if not self.component(i):
-                continue
-            pleth = self._pleth(kind, i, n // i)
-            # At i = 1 only degree n is read afterwards.
-            for d in range(n, (n if i == 1 else i) - 1, -1):
-                acc[d] = tuple(
-                    _kernel(
-                        [
-                            (1, acc[d - m * i][h ^ (m * (i - 1) & 1)], pleth[m])
-                            for m in range(d // i + 1)
-                        ]
-                    )
-                    for h in (0, 1)
-                )
-        halves = self._pleth_cache[key] = tuple(map(self._unpack, acc[n]))
+        if halves is None:
+            G, S = (self._sums(kind, signed, n)[n] for signed in (False, True))
+            halves = self._pleth_cache[key] = tuple(
+                self._unpack(_kernel([(1, G, _ONE), (c, S, _ONE)], 2)) for c in (1, -1)
+            )
         return halves
 
 
@@ -674,9 +670,10 @@ def plethystic_sum(
     signed: "sign-exponent" weights by (-1)^(n - len(lam)),
             "length" weights by (-1)^len(lam).
 
-    Every option is a signed combination of the two parity halves of one
-    distributive pass, cached on the series (Series._pleth_halves); the
-    plain sum of the two is cached beside them.
+    The plain sum is the degree-n term of the Newton recurrence on H[F]
+    (E[F]), cached on the series (Series._sums); every other option is a
+    signed combination of the two parity halves (Series._pleth_halves),
+    read from that recurrence and its signed twin.
     """
     if type(n) is not int:
         raise ParameterError(f"degree must be an integer, got {n!r}")
@@ -692,8 +689,7 @@ def plethystic_sum(
         key = ("total", kind, n)
         total = F._pleth_cache.get(key)
         if total is None:
-            even, odd = F._pleth_halves(kind, n)
-            total = F._pleth_cache[key] = even + odd
+            total = F._pleth_cache[key] = F._unpack(F._sums(kind, False, n)[n])
         return total
     even, odd = F._pleth_halves(kind, n)
     if signed is not None:

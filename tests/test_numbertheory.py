@@ -3,6 +3,7 @@ import pytest
 from symcon.errors import ParameterError
 from symcon.numbertheory import (
     divisors,
+    factorize,
     moebius,
     ramanujan_sum,
     ramanujan_sum_oracle,
@@ -59,3 +60,17 @@ def test_bad_arguments():
         totient(0)
     with pytest.raises(ParameterError):
         ramanujan_sum(0, 3)
+
+
+@pytest.mark.parametrize("x", [2.5, 2.0, True])
+def test_integer_arguments_are_required(x):
+    # warm: 2.0 and True compare equal to the cached 2 and 1
+    factorize(2), factorize(1)
+    for fn in (factorize, totient, moebius, divisors):
+        with pytest.raises(ParameterError):
+            fn(x)
+    for args in ((x, 2), (4, x)):
+        with pytest.raises(ParameterError):
+            ramanujan_sum(*args)
+        with pytest.raises(ParameterError):
+            ramanujan_sum_oracle(*args)

@@ -15,6 +15,7 @@ from symcon.partitions import (
 from symcon.repmodels import (
     LIE_IDENTITIES,
     MODULE_IDS,
+    cyclic_weight,
     f_eval,
     f_eval_direct,
     foulkes,
@@ -245,6 +246,27 @@ def test_degree_and_weight_arguments_must_be_integers(x):
     for name in LIE_IDENTITIES:
         with pytest.raises(ParameterError):
             lie_identity(name, x, 6)
+    # warm: 2.0 and True compare equal to the cached 2 and 1
+    foulkes_series(0, 2), foulkes_series(1, 1), foulkes_series(2, 1)
+    for args in ((x, 0), (4, x)):
+        with pytest.raises(ParameterError):
+            cyclic_weight(*args)
+    for args in ((x, 0, 1), (2, x, 1)):
+        with pytest.raises(ParameterError):
+            f_eval(*args)
+    for args in ((0, x), (x, 2)):
+        with pytest.raises(ParameterError):
+            foulkes_series(*args)
+    with pytest.raises(ParameterError):
+        lie_series_identities(x)
+
+
+@pytest.mark.parametrize("N", [15, 16, 17])
+def test_two_routes_across_packed_width_boundaries(N):
+    # a series truncated at N packs in N.bit_length() bits: 4 at 15, 5 at 16 and 17
+    foulkes_series.cache_clear()
+    for mid in MODULE_IDS:
+        assert module_char_plethystic(mid, N) == module_char(mid, N), mid
 
 
 def test_foulkes_products_report():

@@ -419,7 +419,7 @@ def _reference_sum(F, n, kind, parity=None, signed=None):
 
 
 def _reference_series():
-    from symcon.repmodels import foulkes_series
+    from symcon.repmodels import _pi_alt, foulkes_series
 
     out = {f"k{k}": foulkes_series(k, 10) for k in (0, 1, 2, 5)}
     F = foulkes_series(0, 10)
@@ -427,6 +427,9 @@ def _reference_series():
     for name, keep in (("odd", lambda d: d % 2 == 1), ("one", lambda d: d == 1)):
         out[name] = F.restrict(keep)
         out[f"not-{name}"] = F.restrict(lambda d, keep=keep: not keep(d))
+    out["dense"] = Series.from_function(h_n, 10)
+    out["pi-alt"] = _pi_alt(10)  # fractional and negative coefficients
+    out["even"] = F.restrict(lambda d: d % 2 == 0)
     return out
 
 
@@ -539,6 +542,9 @@ def test_degree_arguments_must_be_integers(n):
             product_expansion(factors, n)
     with pytest.raises(ParameterError):
         dimension(p(1, 1), n)
+    for pleth in (plethysm_h, plethysm_e):
+        with pytest.raises(ParameterError):
+            pleth(n, p(1))
 
 
 def test_dimension_rejects_a_negative_degree():

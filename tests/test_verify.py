@@ -359,9 +359,18 @@ def test_lie_identities_stay_at_the_degree_checked():
             key[2]
             for F in (foulkes_series(1, 12), _pi_alt(12))
             for key in F._pleth_cache
-            if key[0] == "sum"
+            if key[0] in ("sum", "total")
         }
         assert max(degrees) == 3
+        # the exponential sequences behind those sums are extended to degree 3 only
+        lengths = {
+            len(seq)
+            for F in (foulkes_series(1, 12), _pi_alt(12))
+            for key, state in F._pleth_cache.items()
+            if key[0] == "exp"
+            for seq in state
+        }
+        assert max(lengths) == 4
 
 
 def test_lemma55_stays_at_the_degree_checked():
