@@ -264,6 +264,8 @@ def character_table(n: int, max_n: int = 20) -> CharacterTable:
         raise ParameterError(f"character table degree must be an integer, got {n!r}")
     if n < 0:
         raise ParameterError(f"character table needs n >= 0, got {n}")
+    if type(max_n) is not int:
+        raise ParameterError(f"character table cap must be an integer, got {max_n!r}")
     if n > max_n:
         raise CapacityError(f"character table degree {n} beyond cap {max_n}")
     return _build_table(n)

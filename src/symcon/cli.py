@@ -100,7 +100,7 @@ def cmd_expand(args) -> int:
     mid = parse_module(args.target)
     if args.n > cfg.max_n:
         raise SymconError(f"n={args.n} exceeds max_n={cfg.max_n}")
-    se = to_schur(module_char(mid, args.n), args.n, max_n=max(cfg.max_n, args.n))
+    se = to_schur(module_char(mid, args.n), args.n, max_n=cfg.max_n)
     if cfg.format == "json":
         _emit(json.dumps(se.to_json_dict()) + "\n", cfg)
     elif cfg.format == "csv":

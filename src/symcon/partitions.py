@@ -41,7 +41,7 @@ def is_partition(parts) -> bool:
     """True if `parts` is already a canonical partition tuple."""
     if not isinstance(parts, tuple):
         return False
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 
@@ -149,6 +149,8 @@ def _iter_syt_descents(lam: Partition):
 
 def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
     """Number of standard Young tableaux of shape lam with maj congruent to r mod n."""
+    if type(n) is not int or type(r) is not int:
+        raise ParameterError(f"modulus and residue must be integers, got {n!r}, {r!r}")
     lam = partition(lam)
     if sum(lam) != n:
         raise ParameterError(f"shape {lam} is not a partition of {n}")
@@ -224,9 +226,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
-        if self.kind in _PARAM_K and (self.k is None or self.k < 1):
-            raise ParameterError(f"family {self.kind!r} needs a parameter k >= 1")
-        if self.kind == "prime-family" and not _is_odd_prime(self.p or 0):
+        if self.kind in _PARAM_K and (type(self.k) is not int or self.k < 1):
+            raise ParameterError(f"family {self.kind!r} needs an integer parameter k >= 1")
+        if self.kind == "prime-family" and (type(self.p) is not int or not _is_odd_prime(self.p)):
             raise ParameterError("prime-family needs an odd prime p")
         if self.kind == "lex-from":
             if self.mu is None or not is_partition(self.mu):

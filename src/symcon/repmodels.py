@@ -31,6 +31,7 @@ from .partitions import FamilySpec, members, parse_family
 from .symfunc import (
     PExpr,
     Series,
+    _expr,
     h_n,
     omega,
     plethysm_into,
@@ -97,7 +98,7 @@ def foulkes_series(k: int, trunc: int) -> Series:
 
 def power_sum_family(spec: FamilySpec, n: int) -> PExpr:
     """sum of p_lam over the members of the family among partitions of n."""
-    return PExpr(dict.fromkeys(members(spec, n), 1))
+    return _expr((1, dict.fromkeys(members(spec, n), 1)))  # members yields canonical keys
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ The plethystic sum  sum_{lam |- n} prod_i h_{m_i}[f_i]  is the degree-n
 part G_n of H[F] = exp(sum_k p_k[F]/k) (Macdonald I.2, I.8), so
 n*G_n = sum_j A_j*G_{n-j}, A_j = sum_{d*k=j} d*p_k[f_d]: one Newton
 recurrence per kind and sign, cached on the series and extended on demand.
-The parity halves are (G +- S)/2, S the sum signed by (-1)^(n - len(lam)),
-and h_m[f_i] is the same recurrence on f_i alone.  All of it stays packed
+Every parity and sign option of the sum is (a*G_n + b*S_n)/2 for integer
+weights a, b, S the sum signed by (-1)^(n - len(lam)): one kernel call.
+h_m[f_i] is the same recurrence on f_i alone.  All of it stays packed
 in the width trunc.bit_length(); no degree up to trunc has a multiplicity
 above trunc.  Series products and inverses pack each component once, in
 that width too.
@@ -417,7 +418,7 @@ def e_n(n: int) -> PExpr:
 
 def plethysm_p(a: int, g: PExpr) -> PExpr:
     """p_a[g]: replace every key part i by a*i; coefficients unchanged."""
-    if not isinstance(a, int) or a < 1:
+    if type(a) is not int or a < 1:
         raise ParameterError(f"plethysm_p needs an integer a >= 1, got {a!r}")
     if a == 1:
         return g
@@ -481,8 +482,9 @@ class Series:
         packed in width trunc.bit_length() (see _newton);
       * (kind, i): the same pair for f_i alone, whose G is the plethysms
         h_0..h_M[f_i] / e_0..e_M[f_i];
-      * ("sum", kind, n) and ("total", kind, n): the parity halves of
-        every plethystic sum they were asked for, and the plain sum;
+      * ("sum", kind, n, a, b): the plethystic sum (a*G_n + b*S_n)/2,
+        G and S the plain and signed sequences, of every option it was
+        asked for (see plethystic_sum);
       * ("pow", d): the powers R[p -> p*d]^0, ^1, ... of the series R
         itself, each packed in the same width as {degree: value} through
         trunc, for plethysm_into.
@@ -494,7 +496,7 @@ class Series:
     __slots__ = ("components", "trunc", "_pleth_cache", "_keys")
 
     def __init__(self, components: dict[int, PExpr], trunc: int):
-        if not isinstance(trunc, int) or trunc < 0:
+        if type(trunc) is not int or trunc < 0:
             raise ParameterError(f"series truncation must be an integer >= 0, got {trunc!r}")
         self.trunc = trunc
         self.components: dict[int, PExpr] = {}
@@ -505,7 +507,6 @@ class Series:
             if fd is not None and fd != d:
                 raise DegreeError(f"component at degree {d} has degree {fd}")
             self.components[d] = f
-        # see the class docstring for the five kinds of entry
         self._pleth_cache: dict[tuple, tuple | list | PExpr] = {}
         # code -> key tuple, shared by the expressions the series hands out
         self._keys: dict[int, Partition] = {}
@@ -586,15 +587,6 @@ class Series:
         comps = {1: self.component(i)}
         return _newton(self._pleth_cache, (kind, i), comps, kind, False, m, _width(self.trunc))
 
-    def _sums(self, kind: str, signed: bool, n: int) -> list[Packed]:
-        """G_0..G_n, packed: G_d sums H_lambda (E_lambda) over lam |- d, each weighted
-        by (-1)^(d - len(lam)) if signed; one recurrence, cached under ("exp", kind, signed)."""
-        if n < 0:
-            raise ParameterError(f"cannot partition a negative integer: {n}")
-        self.component(n)  # TruncationError beyond trunc
-        key = ("exp", kind, signed)
-        return _newton(self._pleth_cache, key, self.components, kind, signed, n, _width(self.trunc))
-
     def _powers(self, d: int, m: int) -> list[dict[int, Packed]]:
         """The packed powers R[p -> p*d]^0 .. ^m of this series R, {degree: value} through trunc.
 
@@ -614,18 +606,6 @@ class Series:
         while len(pows) <= m:
             pows.append(_series_product(pows[-1], pows[1], self.trunc))
         return pows
-
-    def _pleth_halves(self, kind: str, n: int) -> tuple[PExpr, PExpr]:
-        """(even, odd): the sums of H_lambda (E_lambda) over lam |- n with n - len(lam)
-        even, odd; that is (G_n + S_n)/2 and (G_n - S_n)/2, S the signed sequence."""
-        key = ("sum", kind, n)
-        halves = self._pleth_cache.get(key)
-        if halves is None:
-            G, S = (self._sums(kind, signed, n)[n] for signed in (False, True))
-            halves = self._pleth_cache[key] = tuple(
-                self._unpack(_kernel([(1, G, _ONE), (c, S, _ONE)], 2)) for c in (1, -1)
-            )
-        return halves
 
 
 def _lambda_product(kind: str, lam, F: Series) -> PExpr:
@@ -670,35 +650,43 @@ def plethystic_sum(
     signed: "sign-exponent" weights by (-1)^(n - len(lam)),
             "length" weights by (-1)^len(lam).
 
-    The plain sum is the degree-n term of the Newton recurrence on H[F]
-    (E[F]), cached on the series (Series._sums); every other option is a
-    signed combination of the two parity halves (Series._pleth_halves),
-    read from that recurrence and its signed twin.
+    Every option is (a*G_n + b*S_n)/2 for integer weights (a, b), G_n the
+    plain sum (the Newton recurrence on H[F] or E[F], see _newton) and S_n
+    its twin signed by (-1)^(n - len(lam)): (2, 0) for the whole sum,
+    (1, 1) and (1, -1) for parity 0 and 1; a sign swaps the weights, and
+    "length" also multiplies them by (-1)^n.  The result is cached on the
+    series under ("sum", kind, n, a, b).
     """
     if type(n) is not int:
         raise ParameterError(f"degree must be an integer, got {n!r}")
     if kind not in ("h", "e"):
         raise ParameterError(f"kind must be 'h' or 'e', got {kind!r}")
-    if parity not in (None, 0, 1):
+    if not (parity is None or type(parity) is int and parity in (0, 1)):
         raise ParameterError(f"parity must be None, 0 or 1, got {parity!r}")
     if signed not in (None, "sign-exponent", "length"):
         raise ParameterError(
             f"signed must be None, 'sign-exponent' or 'length', got {signed!r}"
         )
-    if parity is None and signed is None:
-        key = ("total", kind, n)
-        total = F._pleth_cache.get(key)
-        if total is None:
-            total = F._pleth_cache[key] = F._unpack(F._sums(kind, False, n)[n])
-        return total
-    even, odd = F._pleth_halves(kind, n)
+    if n < 0:
+        raise ParameterError(f"cannot partition a negative integer: {n}")
+    F.component(n)  # TruncationError beyond trunc
+    a, b = (2, 0) if parity is None else (1, 1 - 2 * parity)
     if signed is not None:
-        odd = -odd
+        a, b = b, a
         if signed == "length" and n % 2:
-            even, odd = -even, -odd
-    if parity is None:
-        return even + odd
-    return odd if parity else even
+            a, b = -a, -b
+    key = ("sum", kind, n, a, b)
+    cache = F._pleth_cache
+    total = cache.get(key)
+    if total is None:
+        w = _width(F.trunc)
+        triples = [
+            (c, _newton(cache, ("exp", kind, sign), F.components, kind, sign, n, w)[n], _ONE)
+            for c, sign in ((a, False), (b, True))
+            if c  # a zero weight never extends its recurrence
+        ]
+        total = cache[key] = F._unpack(_kernel(triples, 2))
+    return total
 
 
 def series_H(F: Series, trunc: int | None = None) -> Series:
@@ -766,11 +754,11 @@ def product_expansion(factors, n: int) -> PExpr:
     lams = partitions_of(n)  # ParameterError for a non-integer n
     polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
     for m, c, sign in factors:
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ParameterError(f"factor degree must be an integer >= 1, got {m!r}")
         if sign not in (1, -1):
             raise ParameterError(f"factor sign must be +-1, got {sign}")
-        if not isinstance(c, int):
+        if type(c) is not int:
             raise ParameterError(f"factor exponent must be an integer, got {c!r}")
         if c == 0 or m > n:
             continue

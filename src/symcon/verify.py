@@ -84,6 +84,9 @@ from .symfunc import (
 from . import tables_data
 
 CATALOG_TRUNC = 12
+# the k of the k-parameterised entries: the k-families of thm1.1 and thm5.9 take
+# every k in KS, the w:k modules every k but the first (w needs k >= 2)
+KS = range(1, 7)
 
 
 @dataclass(frozen=True)
@@ -438,7 +441,7 @@ _POSITIVITY = (
     + [
         (f"thm1.1.{kind}:{k}", 1, FamilySpec(kind, k=k), "NONNEG", {})
         for kind in ("one-or-k", "divides-k", "thm59")
-        for k in range(1, 7)
+        for k in KS
     ]
     + [
         (f"thm1.1.prime-family:{p}", 1, FamilySpec("prime-family", p=p), "NONNEG", {})
@@ -521,7 +524,7 @@ _DIMS = {
     "u-minus": (1, 0, ()),
     "u-do": (2, 0, _self_conjugate("u-do") + (("u+ + u-do self-conjugacy", _U_EVEN),)),
     "alt-induced": (2, 1, _self_conjugate("alt-induced")),
-} | {f"w:{k}": (0, 1, ()) for k in range(2, 7)}
+} | {f"w:{k}": (0, 1, ()) for k in KS[1:]}
 
 
 def _run_dims(mid: str, n: int) -> tuple:
@@ -828,7 +831,7 @@ def _build_catalog() -> list[Entry]:
         + linear("prop4.13", _PROP413)
         + linear("thm4.15", _THM415)
         + linear("prop6.5", _PROP65)
-        + linear("thm5.9", _THM59, ks=range(1, 7))
+        + linear("thm5.9", _THM59, ks=KS)
         + [
             (f"cor5.2.{i}", "cor5.2", ten, _run_lie, (names,))
             for i, names in enumerate((("pbw",), ("cadogan", "cadogan-inverse"), ("lie-ext",)), 1)
@@ -869,7 +872,7 @@ def _build_catalog() -> list[Entry]:
         ]
         + [
             (f"routes.w:{k}", "routes", _span(0, 12), _run_routes_w, (k,))
-            for k in range(2, 7)
+            for k in KS[1:]
         ]
     )
     oracles = [

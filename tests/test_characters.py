@@ -121,6 +121,16 @@ def test_table_degree_must_be_an_int(n):
         character_table(n)
 
 
+@pytest.mark.parametrize("cap", [2.5, 20.0, True, "20", None])
+def test_capacity_must_be_an_int(cap):
+    with pytest.raises(ParameterError):
+        character_table(3, cap)
+    with pytest.raises(ParameterError):
+        character_table(2, cap)
+    with pytest.raises(ParameterError):
+        to_schur(PExpr.p(1), 1, cap)
+
+
 def test_lane_boundary_at_21():
     # the first degree whose bound sqrt(n!) needs 64-bit lanes in the build
     table = character_table(21, max_n=21)

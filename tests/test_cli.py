@@ -194,11 +194,12 @@ def test_out_file_errors(capsys, tmp_path, where):
 _CATALOG_DIGESTS = {
     "8": (1620, "fe6939fdbd39e20dbd03133451401403ec1f4a970c031f836e90217908039a49"),
     "12": (2051, "c93ace355c72fda08818eafe3c62d4021c70cb49b2d1227749a2d29e23a34f18"),
+    "20": (2055, "564b6008f1a47067b8f8f9cd965b2a05e6b9c5518927001438edc092d0d943ef"),
 }
 
 
 def test_catalog_output_pinned(capsys):
-    # the bytes of the whole catalog at n <= 8 and n <= 12; any change to a check's result shows here
+    # the bytes of the whole catalog at n <= 8, 12 and 20; any change to a check's result shows here
     for max_n, (lines, digest) in _CATALOG_DIGESTS.items():
         code, out, _ = run_cli(capsys, "verify", "all", "--max-n", max_n, "--format", "json")
         assert code == 0

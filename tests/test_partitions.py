@@ -8,6 +8,7 @@ from symcon.partitions import (
     FamilySpec,
     conjugate,
     in_family,
+    is_partition,
     maj_multiplicity,
     members,
     parse_family,
@@ -111,6 +112,12 @@ def test_maj_examples():
         maj_multiplicity((2, 1), 4, 0)
 
 
+@pytest.mark.parametrize("n, r", [(3, True), (3.0, 0), (3, 1.0), (True, 0)])
+def test_maj_arguments_must_be_integers(n, r):
+    with pytest.raises(ParameterError):
+        maj_multiplicity((2, 1) if n == 3 else (1,), n, r)
+
+
 def test_maj_residues_partition_the_tableaux():
     for n in range(1, 10):
         for lam in partitions_of(n):
@@ -170,6 +177,31 @@ def test_family_parsing():
         parse_family("one-or-k")
     with pytest.raises(ParameterError):
         parse_family("no-such-family")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("explicit", {"items": ((True,),)}),
+        ("explicit", {"items": ((2.0, 1),)}),
+        ("lex-from", {"mu": (True, True)}),
+        ("one-or-k", {"k": True}),
+        ("one-or-k", {"k": 2.0}),
+        ("thm59", {"k": 3.0}),
+        ("divides-k", {"k": "2"}),
+        ("prime-family", {"p": 3.0}),
+        ("prime-family", {"p": "3"}),
+    ],
+)
+def test_family_parameters_must_be_integers(kind, params):
+    with pytest.raises(ParameterError):
+        FamilySpec(kind, **params)
+
+
+def test_is_partition_needs_integer_parts():
+    assert is_partition((2, 1, 1)) and is_partition(())
+    for parts in ((True,), (True, True), (2.0, 1), (2, 1.0), [2, 1], (1, 2), (1, 0)):
+        assert not is_partition(parts), parts
 
 
 def test_partition_json_roundtrip():

@@ -6,6 +6,7 @@ import pytest
 from symcon.characters import to_schur
 from symcon.errors import ParameterError, TruncationError
 from symcon.partitions import (
+    FAMILY_KINDS,
     FamilySpec,
     conjugate,
     maj_multiplicity,
@@ -100,6 +101,33 @@ def test_power_sum_family_examples():
     assert power_sum_family(FamilySpec("all"), 3) == p(3) + p(2, 1) + p(1, 1, 1)
     assert power_sum_family(FamilySpec("odd-parts"), 2) == p(1, 1)
     assert power_sum_family(FamilySpec("do"), 3) == p(3)
+
+
+def _family_specs(n):
+    """One spec of every family kind at degree n, the parameterised kinds at several values."""
+    for kind in FAMILY_KINDS:
+        if kind in ("one-or-k", "divides-k", "thm59"):
+            yield from (FamilySpec(kind, k=k) for k in (1, 2, 3, 6))
+        elif kind == "prime-family":
+            yield from (FamilySpec(kind, p=q) for q in (3, 5))
+        elif kind == "lex-from":
+            lams = partitions_of(n)
+            yield from (FamilySpec(kind, mu=lams[i]) for i in {0, len(lams) // 2, len(lams) - 1})
+        elif kind == "explicit":
+            yield FamilySpec(kind, items=())
+            yield FamilySpec(kind, items=partitions_of(n)[::2] + ((9, 1),))
+        else:
+            yield FamilySpec(kind)
+
+
+def test_power_sum_family_fields_match_the_canonicalising_constructor():
+    for n in range(9):
+        for spec in _family_specs(n):
+            got = power_sum_family(spec, n)
+            want = PExpr(dict.fromkeys(members(spec, n), 1))
+            assert got.denominator == want.denominator, (spec, n)
+            assert got.numerators == want.numerators, (spec, n)
+            assert list(got.numerators) == list(want.numerators), (spec, n)
 
 
 def test_module_char_examples():

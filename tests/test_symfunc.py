@@ -480,11 +480,33 @@ def test_plethystic_sum_beyond_truncation():
 
 @pytest.mark.parametrize(
     "options",
-    [{"parity": 2}, {"parity": -1}, {"signed": "bogus"}, {"parity": 2, "signed": "length"}],
+    [
+        {"parity": 2},
+        {"parity": -1},
+        {"signed": "bogus"},
+        {"parity": 2, "signed": "length"},
+        {"parity": True},
+        {"parity": False},
+        {"parity": 1.0},
+        {"parity": 0.0},
+        {"parity": 1.0, "signed": "sign-exponent"},
+    ],
 )
 def test_plethystic_sum_rejects_unknown_options(options):
     with pytest.raises(ParameterError):
         plethystic_sum(_totient_series(4), 4, "h", **options)
+
+
+def test_plain_sum_leaves_the_signed_recurrence_cold():
+    from symcon.repmodels import foulkes_series
+
+    for kind in ("h", "e"):
+        F = Series(foulkes_series(0, 10).components, 10)
+        plethystic_sum(F, 10, kind)
+        assert ("exp", kind, False) in F._pleth_cache
+        assert not any(key[0] == "exp" and key[2] for key in F._pleth_cache), kind
+        plethystic_sum(F, 10, kind, parity=1)
+        assert ("exp", kind, True) in F._pleth_cache
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -545,6 +567,18 @@ def test_degree_arguments_must_be_integers(n):
     for pleth in (plethysm_h, plethysm_e):
         with pytest.raises(ParameterError):
             pleth(n, p(1))
+
+
+@pytest.mark.parametrize("x", [True, 2.0, "2"])
+def test_integer_parameters_reject_lookalikes(x):
+    with pytest.raises(ParameterError):
+        plethysm_p(x, p(1))
+    with pytest.raises(ParameterError):
+        Series({}, x)
+    with pytest.raises(ParameterError):
+        product_expansion([(x, -1, -1)], 2)
+    with pytest.raises(ParameterError):
+        product_expansion([(1, x, -1)], 2)
 
 
 def test_dimension_rejects_a_negative_degree():
