@@ -331,6 +331,8 @@ def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
 
     mult(nu) = sum_lam c_lam * chi^nu(lam).
     """
+    if n is not None and type(n) is not int:
+        raise ParameterError(f"Schur expansion needs an integer degree, got {n!r}")
     deg = f.homogeneous_degree()
     if deg is None:
         if n is None:

@@ -72,7 +72,7 @@ def ramanujan_sum(d: int, k: int) -> int:
     if type(d) is not int or type(k) is not int or d < 1:
         raise ParameterError(f"ramanujan_sum needs integers d >= 1, k; got {d!r}, {k!r}")
     k = k % d
-    g = gcd(d, k) if k else d
+    g = gcd(d, k)
     m = d // g
     mu = moebius(m)
     if mu == 0:
@@ -87,5 +87,5 @@ def ramanujan_sum_oracle(d: int, k: int) -> int:
     if type(d) is not int or type(k) is not int or d < 1:
         raise ParameterError(f"ramanujan_sum_oracle needs integers d >= 1, k; got {d!r}, {k!r}")
     k = k % d
-    g = gcd(d, k) if k else d
+    g = gcd(d, k)
     return sum(e * moebius(d // e) for e in divisors(g))

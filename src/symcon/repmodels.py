@@ -11,7 +11,8 @@ Both forms of the ten modules are written once, in MODULE_FORMS, as
 sides: linear combinations of named terms (power-sum families on one
 side, the plethystic sums of SUMS on the other), evaluated by
 linear_combination.  The two routes agreeing exactly is part of the
-verification contract.
+verification contract.  Every Foulkes series is read at one truncation,
+SERIES_TRUNC, so each weight k has one cached series for every reader.
 
 The free-Lie identities (k = 1: Corollary 5.2 and Proposition 5.4) are
 evaluated one degree at a time by lie_identity: a plethystic sum over the
@@ -65,20 +66,16 @@ def f_eval_direct(n: int, k: int, sign: int) -> Fraction:
 
 
 def f_eval(n: int, k: int, sign: int) -> int:
-    """f_n(+-1) by the closed case tables.
+    """f_n(+-1) by the closed case table: f_n(1) = 1 iff n | k; f_n(-1) = -1 if
+    n is odd and n | k, +1 if n is even with (n/2) | k but n not | k, else 0.
 
-    k = 0 (conjugation): f_n(1) = 1; f_n(-1) = -1 for odd n, else 0.
-    k >= 1: f_n(1) = 1 iff n | k; f_n(-1) = -1 if n odd and n | k,
-    +1 if n even with (n/2) | k but n not | k, else 0.
+    Every n divides 0, so k = 0 (conjugation) reads the same table:
+    f_n(1) = 1, and f_n(-1) = -1 for odd n, else 0.
     """
     if type(n) is not int or type(k) is not int or n < 1:
         raise ParameterError(f"f_eval needs integers n >= 1 and k, got n={n!r}, k={k!r}")
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
-    if k == 0:
-        if sign == 1:
-            return 1
-        return -1 if n % 2 == 1 else 0
     if sign == 1:
         return 1 if k % n == 0 else 0
     if n % 2 == 1:
@@ -86,6 +83,12 @@ def f_eval(n: int, k: int, sign: int) -> int:
     if k % (n // 2) == 0 and k % n != 0:
         return 1
     return 0
+
+
+# The truncation of every Foulkes series read here and in the catalog: each
+# degree up to 31 packs in the 5-bit fields that degree 20 already uses, and
+# 31 covers n + 1 for every n <= 30.
+SERIES_TRUNC = 31
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -165,11 +168,12 @@ def module_char(mid: str, n: int) -> PExpr:
 
 
 def module_char_plethystic(mid: str, n: int) -> PExpr:
-    """The same characteristic as an explicit sum of induced centralizer pieces."""
+    """The same characteristic as an explicit sum of induced centralizer pieces;
+    TruncationError for a named module at n > SERIES_TRUNC."""
     if type(n) is not int or n < 1:
         raise ParameterError(f"module characteristics need an integer n >= 1, got {n!r}")
     if mid in MODULE_FORMS:
-        F = foulkes_series(0, n)
+        F = foulkes_series(0, SERIES_TRUNC)
         return linear_combination(
             MODULE_FORMS[mid][1], lambda name: plethystic_sum(F, n, *SUMS[name])
         )
@@ -228,7 +232,7 @@ def w_route_b(n: int, k: int) -> PExpr:
 # ---------------------------------------------------------------------------
 # Series identities for the Moebius (free Lie) family
 #
-# L = foulkes_series(1, trunc) and pi^alt = sum (-1)^(i-1) omega(L_i).
+# L = foulkes_series(1, SERIES_TRUNC) and pi^alt = sum (-1)^(i-1) omega(L_i).
 # name -> (series of the left side's plethystic sum, its kind, the factors
 # (m, c, sign) of the right side's product_expansion, detail); cadogan-inverse
 # composes pi^alt into sum_{i>=1} h_i instead, and its right side is h_1.
@@ -241,15 +245,15 @@ LIE_IDENTITIES = {
 }
 
 
-@lru_cache(maxsize=None, typed=True)
-def _pi_alt(trunc: int) -> Series:
-    """pi^alt truncated at trunc, shared by every degree up to it."""
-    return foulkes_series(1, trunc).omega().alternate()
+@lru_cache(maxsize=None)
+def _pi_alt() -> Series:
+    """pi^alt, shared by every degree up to SERIES_TRUNC."""
+    return foulkes_series(1, SERIES_TRUNC).omega().alternate()
 
 
-def lie_identity(name: str, n: int, trunc: int) -> tuple[PExpr, PExpr]:
+def lie_identity(name: str, n: int) -> tuple[PExpr, PExpr]:
     """(left, right): both sides of the named free-Lie identity at degree n, over
-    series truncated at trunc; TruncationError for n > trunc.
+    the series truncated at SERIES_TRUNC; TruncationError for n > SERIES_TRUNC.
 
     The degree-n part of pi^alt o (H - 1) needs only pi^alt_1..pi^alt_n and
     h_1..h_n, so cadogan-inverse composes those and nothing beyond.
@@ -260,21 +264,22 @@ def lie_identity(name: str, n: int, trunc: int) -> tuple[PExpr, PExpr]:
         raise ParameterError(f"free-Lie identities need an integer n >= 0, got {n!r}")
     series, kind, factors, _ = LIE_IDENTITIES[name]
     if series is None:  # cadogan-inverse
-        outer = sum(map(_pi_alt(trunc).component, range(1, n + 1)), PExpr.zero())
+        outer = sum(map(_pi_alt().component, range(1, n + 1)), PExpr.zero())
         left = plethysm_into(outer, Series.from_function(h_n, n)).component(n)
         return left, (PExpr.p(1) if n == 1 else PExpr.zero())
-    F = foulkes_series(1, trunc) if series == "L" else _pi_alt(trunc)
+    F = foulkes_series(1, SERIES_TRUNC) if series == "L" else _pi_alt()
     return plethystic_sum(F, n, kind), product_expansion(factors, n)
 
 
 def lie_series_identities(n_max: int) -> list[tuple[str, int, bool, str]]:
     """(identity name, degree, ok, detail) for every free-Lie identity at every
-    degree up to n_max, series at n_max; cadogan-inverse from degree 1 on."""
+    degree up to n_max, from lie_identity; cadogan-inverse from degree 1 on.
+    TruncationError for n_max > SERIES_TRUNC."""
     if type(n_max) is not int:
         raise ParameterError(f"free-Lie identities need an integer degree, got {n_max!r}")
     out = []
     for name, (*_, detail) in LIE_IDENTITIES.items():
         for n in range(name == "cadogan-inverse", n_max + 1):
-            left, right = lie_identity(name, n, n_max)
+            left, right = lie_identity(name, n)
             out.append((name, n, left == right, detail))
     return out

@@ -26,13 +26,15 @@ materialized because every t-power equals the degree it multiplies.
 The plethystic sum  sum_{lam |- n} prod_i h_{m_i}[f_i]  is the degree-n
 part G_n of H[F] = exp(sum_k p_k[F]/k) (Macdonald I.2, I.8), so
 n*G_n = sum_j A_j*G_{n-j}, A_j = sum_{d*k=j} d*p_k[f_d]: one Newton
-recurrence per kind and sign, cached on the series and extended on demand.
+recurrence per kind and sign, cached on the series and extended on demand
+(the three cache kinds are listed under Series).
 Every parity and sign option of the sum is (a*G_n + b*S_n)/2 for integer
 weights a, b, S the sum signed by (-1)^(n - len(lam)): one kernel call.
 h_m[f_i] is the same recurrence on f_i alone.  All of it stays packed
 in the width trunc.bit_length(); no degree up to trunc has a multiplicity
-above trunc.  Series products and inverses pack each component once, in
-that width too.
+above trunc.  Series products, inverses and plethysm_into pack each
+component once, in that width too; plethysm_into keeps the powers of its
+inner series for one call only.
 """
 
 from __future__ import annotations
@@ -182,8 +184,8 @@ class PExpr:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "PExpr":
-        if exp < 0:
-            raise ParameterError("negative powers are not defined")
+        if type(exp) is not int or exp < 0:
+            raise ParameterError(f"powers need an integer exponent >= 0, got {exp!r}")
         out = PExpr.one()
         base = self
         while exp:
@@ -398,17 +400,17 @@ def dimension(f: PExpr, n: int | None = None) -> Fraction:
 
 def h_n(n: int) -> PExpr:
     """h_n = sum_{lam |- n} p_lam / z_lam, over the denominator n! (z_lam divides n!)."""
-    if n < 0:
-        raise ParameterError("h_n needs n >= 0")
-    lams = partitions_of(n)  # ParameterError for a non-integer n
+    if type(n) is not int or n < 0:
+        raise ParameterError(f"h_n needs an integer n >= 0, got {n!r}")
+    lams = partitions_of(n)
     size = factorial(n)
     return _expr(_reduce(size, {lam: size // z_lambda(lam) for lam in lams}))
 
 
 def e_n(n: int) -> PExpr:
     """e_n = omega(h_n) = sum_{lam |- n} (-1)^(n - len(lam)) p_lam / z_lam."""
-    if n < 0:
-        raise ParameterError("e_n needs n >= 0")
+    if type(n) is not int or n < 0:
+        raise ParameterError(f"e_n needs an integer n >= 0, got {n!r}")
     return omega(h_n(n))
 
 
@@ -484,10 +486,7 @@ class Series:
         h_0..h_M[f_i] / e_0..e_M[f_i];
       * ("sum", kind, n, a, b): the plethystic sum (a*G_n + b*S_n)/2,
         G and S the plain and signed sequences, of every option it was
-        asked for (see plethystic_sum);
-      * ("pow", d): the powers R[p -> p*d]^0, ^1, ... of the series R
-        itself, each packed in the same width as {degree: value} through
-        trunc, for plethysm_into.
+        asked for (see plethystic_sum).
 
     The cached PExprs take their keys from one per-series map of codes
     to key tuples, so they share one tuple per partition.
@@ -507,7 +506,7 @@ class Series:
             if fd is not None and fd != d:
                 raise DegreeError(f"component at degree {d} has degree {fd}")
             self.components[d] = f
-        self._pleth_cache: dict[tuple, tuple | list | PExpr] = {}
+        self._pleth_cache: dict[tuple, tuple | PExpr] = {}
         # code -> key tuple, shared by the expressions the series hands out
         self._keys: dict[int, Partition] = {}
 
@@ -515,11 +514,9 @@ class Series:
     def from_function(fn, trunc: int) -> "Series":
         return Series({d: fn(d) for d in range(1, trunc + 1)}, trunc)
 
-    @staticmethod
-    def one(trunc: int) -> "Series":
-        return Series({0: PExpr.one()}, trunc)
-
     def component(self, d: int) -> PExpr:
+        if type(d) is not int:
+            raise ParameterError(f"series degree must be an integer, got {d!r}")
         if d > self.trunc:
             raise TruncationError(
                 f"degree {d} beyond series truncation {self.trunc}"
@@ -586,26 +583,6 @@ class Series:
         """
         comps = {1: self.component(i)}
         return _newton(self._pleth_cache, (kind, i), comps, kind, False, m, _width(self.trunc))
-
-    def _powers(self, d: int, m: int) -> list[dict[int, Packed]]:
-        """The packed powers R[p -> p*d]^0 .. ^m of this series R, {degree: value} through trunc.
-
-        Cached under ("pow", d) and extended on demand, one kernel call
-        per output degree.  With no constant term the j-th power starts
-        at degree d*j, so every power beyond trunc // d is empty.
-        """
-        pows = self._pleth_cache.get(("pow", d))
-        if pows is None:
-            w = _width(self.trunc)
-            base = {
-                d * k: _pack(plethysm_p(d, g), w)
-                for k, g in self.components.items()
-                if d * k <= self.trunc
-            }
-            pows = self._pleth_cache[("pow", d)] = [{0: _ONE}, base]
-        while len(pows) <= m:
-            pows.append(_series_product(pows[-1], pows[1], self.trunc))
-        return pows
 
 
 def _lambda_product(kind: str, lam, F: Series) -> PExpr:
@@ -689,30 +666,38 @@ def plethystic_sum(
     return total
 
 
-def series_H(F: Series, trunc: int | None = None) -> Series:
-    """The symmetric-power series of F: degree-n component sum_{lam|-n} H_lambda[F]."""
-    n = F.trunc if trunc is None else min(trunc, F.trunc)
-    return Series({d: plethystic_sum(F, d) for d in range(n + 1)}, n)
-
-
 def plethysm_into(f: PExpr, R: Series) -> Series:
     """f[R] for a series R with no constant term, truncated at R.trunc.
 
     Linear in f; on a monomial c * p_lam it is c * prod_i R[p -> p*lam_i],
     that is c times the product over the distinct parts d of lam of
-    R[p -> p*d]^(m_d).  Those powers come packed from R's cache
-    (Series._powers), so they are shared by every key of f and by every f
-    plethysmed into R.  Each key's product stays packed and is taken only
-    through the degrees the truncation leaves room for; the keys are then
-    summed with f's numerators, over its denominator, in one kernel call
-    per output degree and unpacked once.
+    R[p -> p*d]^(m_d).  Those powers are built packed, {degree: value}
+    through R.trunc, once per call and shared by every key of f; with no
+    constant term the m-th power starts at degree d*m.  Each key's product
+    stays packed and is taken only through the degrees the truncation
+    leaves room for; the keys are then summed with f's numerators, over its
+    denominator, in one kernel call per output degree and unpacked once.
     """
     if R.component(0):
         raise ParameterError("plethysm into a series requires zero constant term")
     n = R.trunc
+    w = _width(n)
+    powers: dict[int, list[dict[int, Packed]]] = {}  # d -> R[p -> p*d]^0, ^1, ...
+
+    def power(d: int, m: int) -> dict[int, Packed]:
+        pows = powers.get(d)
+        if pows is None:
+            base = {
+                d * k: _pack(plethysm_p(d, g), w) for k, g in R.components.items() if d * k <= n
+            }
+            pows = powers[d] = [{0: _ONE}, base]
+        while len(pows) <= m:
+            pows.append(_series_product(pows[-1], pows[1], n))
+        return pows[m]
+
     triples: dict[int, list] = {}  # output degree -> (numerator, packed, packed)
     for key, num in f.numerators.items():
-        factors = [R._powers(d, m)[m] for d, m in multiplicities(key).items()]
+        factors = [power(d, m) for d, m in multiplicities(key).items()]
         if not all(factors):  # a power that vanishes through degree n
             continue
         # the product of all factors but the last, through the degrees the rest leave room for
@@ -749,9 +734,9 @@ def product_expansion(factors, n: int) -> PExpr:
     coefficient of p_lam is the product over the parts m of lam of
     [x^(m_m(lam))] prod_{factors at m} (1 + sign*x)^c.
     """
-    if n < 0:
-        raise ParameterError("degree must be >= 0")
-    lams = partitions_of(n)  # ParameterError for a non-integer n
+    if type(n) is not int or n < 0:
+        raise ParameterError(f"degree must be an integer >= 0, got {n!r}")
+    lams = partitions_of(n)
     polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
     for m, c, sign in factors:
         if type(m) is not int or m < 1:

@@ -57,6 +57,7 @@ from .repmodels import (
     HALF,
     MODULE_FORMS,
     MODULE_IDS,
+    SERIES_TRUNC,
     SUMS,
     f_eval,
     f_eval_direct,
@@ -83,7 +84,6 @@ from .symfunc import (
 )
 from . import tables_data
 
-CATALOG_TRUNC = 12
 # the k of the k-parameterised entries: the k-families of thm1.1 and thm5.9 take
 # every k in KS, the w:k modules every k but the first (w needs k >= 2)
 KS = range(1, 7)
@@ -223,7 +223,7 @@ def _positivity(se: SchurExpansion, mode: str, exceptions=()) -> tuple:
 
 
 def _F(k: int) -> Series:
-    return foulkes_series(k, CATALOG_TRUNC)
+    return foulkes_series(k, SERIES_TRUNC)
 
 
 # Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
@@ -382,7 +382,7 @@ def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
 
 def _run_lie(names, n: int) -> tuple:
     """PASS iff both sides of each named free-Lie identity agree at degree n."""
-    return _eq((name, *lie_identity(name, n, CATALOG_TRUNC)) for name in names)
+    return _eq((name, *lie_identity(name, n)) for name in names)
 
 
 def _run_prop36(n: int) -> tuple:
@@ -760,7 +760,7 @@ def _run_cex(which: str, n: int) -> tuple:
 
 def counterexamples() -> list[CheckResult]:
     """Confirm the three documented failures of naive positivity."""
-    return list(run_selector("counterexamples", CATALOG_TRUNC))
+    return list(run_selector("counterexamples"))
 
 
 def _segment_sums(n: int) -> list[tuple[Partition, tuple[int, ...]]]:

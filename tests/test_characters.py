@@ -282,6 +282,14 @@ def test_mult_canonicalises_and_rejects_keys():
             regular.mult(bad)
 
 
+@pytest.mark.parametrize("n", [1.0, "1", True])
+def test_to_schur_degree_must_be_an_int(n):
+    with pytest.raises(ParameterError):
+        to_schur(PExpr.p(1), n)
+    with pytest.raises(ParameterError):
+        to_schur(PExpr.zero(), n)
+
+
 def test_to_schur_zero_and_non_integral():
     zero = to_schur(PExpr.zero(), 5)
     assert zero.mults == {} and zero.verdict == "NONNEGATIVE"

@@ -15,7 +15,10 @@ from symcon.partitions import (
 )
 from symcon.repmodels import (
     LIE_IDENTITIES,
+    MODULE_FORMS,
     MODULE_IDS,
+    SERIES_TRUNC,
+    SUMS,
     cyclic_weight,
     f_eval,
     f_eval_direct,
@@ -23,6 +26,7 @@ from symcon.repmodels import (
     foulkes_series,
     lie_identity,
     lie_series_identities,
+    linear_combination,
     module_char,
     module_char_plethystic,
     parse_module,
@@ -30,7 +34,7 @@ from symcon.repmodels import (
     w_route_a,
     w_route_b,
 )
-from symcon.symfunc import PExpr, dimension, e_n, h_n, omega
+from symcon.symfunc import PExpr, dimension, e_n, h_n, omega, plethystic_sum
 
 p = PExpr.p
 
@@ -244,13 +248,12 @@ def test_lie_series_identities():
 
 def test_lie_identity_raises_outside_its_series():
     for name in LIE_IDENTITIES:
-        assert lie_identity(name, 6, 6)[0] == lie_identity(name, 6, 9)[0]
         with pytest.raises(TruncationError):
-            lie_identity(name, 7, 6)
+            lie_identity(name, SERIES_TRUNC + 1)
         with pytest.raises(ParameterError):
-            lie_identity(name, -1, 6)
+            lie_identity(name, -1)
     with pytest.raises(ParameterError):
-        lie_identity("pbw2", 3, 6)
+        lie_identity("pbw2", 3)
 
 
 @pytest.mark.parametrize("x", [2.5, 2.0, True])
@@ -273,7 +276,7 @@ def test_degree_and_weight_arguments_must_be_integers(x):
         power_sum_family(FamilySpec("all"), x)
     for name in LIE_IDENTITIES:
         with pytest.raises(ParameterError):
-            lie_identity(name, x, 6)
+            lie_identity(name, x)
     # warm: 2.0 and True compare equal to the cached 2 and 1
     foulkes_series(0, 2), foulkes_series(1, 1), foulkes_series(2, 1)
     for args in ((x, 0), (4, x)):
@@ -293,8 +296,21 @@ def test_degree_and_weight_arguments_must_be_integers(x):
 def test_two_routes_across_packed_width_boundaries(N):
     # a series truncated at N packs in N.bit_length() bits: 4 at 15, 5 at 16 and 17
     foulkes_series.cache_clear()
+    F = foulkes_series(0, N)
     for mid in MODULE_IDS:
-        assert module_char_plethystic(mid, N) == module_char(mid, N), mid
+        pleth = linear_combination(
+            MODULE_FORMS[mid][1], lambda name: plethystic_sum(F, N, *SUMS[name])
+        )
+        assert pleth == module_char(mid, N), mid
+
+
+def test_module_routes_share_one_series():
+    # every degree of every named module reads the one series of weight 0
+    foulkes_series.cache_clear()
+    for n in range(1, 21):
+        for mid in MODULE_IDS:
+            module_char_plethystic(mid, n)
+    assert foulkes_series.cache_info().currsize == 1
 
 
 def test_foulkes_products_report():

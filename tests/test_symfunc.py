@@ -428,7 +428,7 @@ def _reference_series():
         out[name] = F.restrict(keep)
         out[f"not-{name}"] = F.restrict(lambda d, keep=keep: not keep(d))
     out["dense"] = Series.from_function(h_n, 10)
-    out["pi-alt"] = _pi_alt(10)  # fractional and negative coefficients
+    out["pi-alt"] = _pi_alt()  # fractional and negative coefficients
     out["even"] = F.restrict(lambda d: d % 2 == 0)
     return out
 
@@ -569,6 +569,21 @@ def test_degree_arguments_must_be_integers(n):
             pleth(n, p(1))
 
 
+@pytest.mark.parametrize("n", ["2", 2.0, 1.0, True])
+def test_degrees_and_exponents_are_checked_before_they_are_compared(n):
+    # a string degree would otherwise meet n < 0 or d > trunc and raise a bare TypeError
+    with pytest.raises(ParameterError):
+        h_n(n)
+    with pytest.raises(ParameterError):
+        e_n(n)
+    with pytest.raises(ParameterError):
+        product_expansion([], n)
+    with pytest.raises(ParameterError):
+        Series({1: p(1)}, 3).component(n)
+    with pytest.raises(ParameterError):
+        p(1) ** n
+
+
 @pytest.mark.parametrize("x", [True, 2.0, "2"])
 def test_integer_parameters_reject_lookalikes(x):
     with pytest.raises(ParameterError):
@@ -664,6 +679,14 @@ def test_plethysm_into_independent_of_cache_state():
             assert plethysm_into(f, R) == w, f  # again, on the warm cache
 
 
+def test_plethysm_into_keeps_no_powers_on_the_inner_series():
+    # the powers of R[p -> p*d] live for one call: nothing is cached on R
+    R = _inner_series()
+    for f in PLETHYSM_INTO_FS:
+        plethysm_into(f, R)
+    assert R._pleth_cache == {}
+
+
 def test_plethysm_into_rejects_constant_term():
     R = Series({0: PExpr.one(), 1: p(1)}, 4)
     with pytest.raises(ParameterError):
@@ -695,7 +718,7 @@ def test_product_expansion_families():
 
 def _product_series_reference(factors, n):
     """prod (1 + sign*t^m*p_m)^c at t^n, one truncated Series product per factor."""
-    out = Series.one(n)
+    out = Series({0: PExpr.one()}, n)
     for m, c, sign in factors:
         if c == 0 or m > n:
             continue
@@ -809,9 +832,7 @@ def test_derivative_recurrence():
 
 def test_series_inverse():
     F = _totient_series(8)
-    from symcon.symfunc import series_H
-
-    G = series_H(F)
+    G = Series({d: plethystic_sum(F, d) for d in range(9)}, 8)
     prod = G * G.inverse()
     assert prod.component(0) == PExpr.one()
     for d in range(1, 9):

@@ -306,12 +306,14 @@ def test_lem47_prime_coverage_beyond_seven(monkeypatch):
 
 
 def test_lie_identities_beyond_the_truncation_raise():
-    # the Lie reports cover degrees 0..12 only: reading outside them is an
+    # the series cover degrees 0..SERIES_TRUNC only: reading outside them is an
     # error, as for every other series-backed identity, not a silent PASS
+    from symcon.repmodels import SERIES_TRUNC
+
     for cid in ("cor5.2.1", "cor5.2.2", "cor5.2.3", "prop5.4", "thm4.2.1"):
         assert check_identity(cid, 12).status == "PASS"
         with pytest.raises(TruncationError):
-            check_identity(cid, 13)
+            check_identity(cid, SERIES_TRUNC + 1)
         with pytest.raises(ParameterError):
             check_identity(cid, -1)
 
@@ -350,14 +352,14 @@ def test_lie_identities_pass_without_detail_from_degree_zero():
 
 def test_lie_identities_stay_at_the_degree_checked():
     # a run to degree 3 expands the plethystic sums of L and pi^alt to degree 3 only
-    from symcon.repmodels import _pi_alt, foulkes_series
+    from symcon.repmodels import SERIES_TRUNC, _pi_alt, foulkes_series
 
     for selector in ("cor5.2", "prop5.4"):
         _clear_run_caches()
         assert {r.status for r in run_selector(selector, 3)} == {"PASS"}
         degrees = {
             key[2]
-            for F in (foulkes_series(1, 12), _pi_alt(12))
+            for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt())
             for key in F._pleth_cache
             if key[0] in ("sum", "total")
         }
@@ -365,7 +367,7 @@ def test_lie_identities_stay_at_the_degree_checked():
         # the exponential sequences behind those sums are extended to degree 3 only
         lengths = {
             len(seq)
-            for F in (foulkes_series(1, 12), _pi_alt(12))
+            for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt())
             for key, state in F._pleth_cache.items()
             if key[0] == "exp"
             for seq in state
@@ -373,15 +375,24 @@ def test_lie_identities_stay_at_the_degree_checked():
         assert max(lengths) == 4
 
 
+@pytest.mark.parametrize("n", [13, 20])
+def test_identities_pass_past_twelve(n):
+    # every series the identities read is truncated far above the hard cap of 20
+    for entry in select_entries("identities"):
+        assert entry.check(n).status == "PASS", entry.id
+
+
 def test_lemma55_stays_at_the_degree_checked():
     # a run to degree 3 expands the plethystic sums of F_0, F_1 and F_2 to degree 3 only
-    from symcon.repmodels import foulkes_series
+    from symcon.repmodels import SERIES_TRUNC, foulkes_series
 
     _clear_run_caches()
     assert {r.status for r in run_selector("lem5.5", 3)} == {"PASS"}
     for k in (0, 1, 2):
         degrees = {
-            key[2] for key in foulkes_series(k, 12)._pleth_cache if key[0] in ("sum", "total")
+            key[2]
+            for key in foulkes_series(k, SERIES_TRUNC)._pleth_cache
+            if key[0] in ("sum", "total")
         }
         assert max(degrees) == 3, k
 
@@ -404,14 +415,15 @@ def test_cadogan_inverse_composes_only_to_the_degree_checked(monkeypatch):
 
 def test_identities_do_not_depend_on_the_series_truncation(monkeypatch):
     # the truncation only bounds the degrees a check may read
-    from symcon import verify
+    from symcon import repmodels, verify
 
     _clear_run_caches()
-    at_12 = list(run_selector("identities", 10))
+    at_trunc = list(run_selector("identities", 10))
     _clear_run_caches()
-    monkeypatch.setattr(verify, "CATALOG_TRUNC", 21)
+    for module in (repmodels, verify):
+        monkeypatch.setattr(module, "SERIES_TRUNC", 12)
     try:
-        assert list(run_selector("identities", 10)) == at_12
+        assert list(run_selector("identities", 10)) == at_trunc
     finally:
         _clear_run_caches()
 
@@ -427,8 +439,8 @@ def test_a_broken_lie_side_fails_and_names_the_identity(monkeypatch, cid, broken
 
     real = verify.lie_identity
 
-    def lie_identity(name, n, trunc):
-        left, right = real(name, n, trunc)
+    def lie_identity(name, n):
+        left, right = real(name, n)
         return (left + PExpr.p(1) ** n if name == broken else left), right
 
     monkeypatch.setattr(verify, "lie_identity", lie_identity)
