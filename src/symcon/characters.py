@@ -54,7 +54,7 @@ from itertools import permutations
 from math import factorial, isqrt
 from operator import mul, sub
 
-from .errors import CapacityError, DegreeError, ParameterError
+from .errors import CapacityError, DegreeError, ParameterError, integer
 from .partitions import Partition, partition, partitions_of, pretty, z_lambda
 from .symfunc import PExpr
 
@@ -260,13 +260,8 @@ def _build_table(n: int) -> CharacterTable:
 
 def character_table(n: int, max_n: int = 20) -> CharacterTable:
     """Character table of degree n, built once per process and shared read-only."""
-    if type(n) is not int:
-        raise ParameterError(f"character table degree must be an integer, got {n!r}")
-    if n < 0:
-        raise ParameterError(f"character table needs n >= 0, got {n}")
-    if type(max_n) is not int:
-        raise ParameterError(f"character table cap must be an integer, got {max_n!r}")
-    if n > max_n:
+    integer(n, "character table degree", 0)
+    if n > integer(max_n, "character table cap"):
         raise CapacityError(f"character table degree {n} beyond cap {max_n}")
     return _build_table(n)
 
@@ -331,8 +326,8 @@ def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
 
     mult(nu) = sum_lam c_lam * chi^nu(lam).
     """
-    if n is not None and type(n) is not int:
-        raise ParameterError(f"Schur expansion needs an integer degree, got {n!r}")
+    if n is not None:
+        integer(n, "Schur expansion degree")
     deg = f.homogeneous_degree()
     if deg is None:
         if n is None:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-argument rule.
+
+Every integer argument of a public entry point (a degree, a weight k, a part,
+a truncation) is checked by `integer`, so a float, bool, string or None, or a
+value below the entry point's bound, raises ParameterError with one wording.
+"""
 
 
 class SymconError(Exception):
@@ -23,3 +28,12 @@ class CapacityError(SymconError, ValueError):
 
 class CatalogError(SymconError, LookupError):
     """An unknown identity-catalog key or selector."""
+
+
+def integer(x, what: str, lo: int | None = None) -> int:
+    """x itself if its type is int (a bool is not) and, given lo, x >= lo;
+    else ParameterError("{what} must be an integer[ >= lo], got {x!r}")."""
+    if type(x) is int and (lo is None or x >= lo):
+        return x
+    bound = "" if lo is None else f" >= {lo}"
+    raise ParameterError(f"{what} must be an integer{bound}, got {x!r}")

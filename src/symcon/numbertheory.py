@@ -11,14 +11,13 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import ParameterError
+from .errors import integer
 
 
 @lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization by trial division, as ((p, e), ...)."""
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"factorize needs a positive integer, got {n!r}")
+    integer(n, "factorize argument", 1)
     out = []
     d = 2
     while d * d <= n:
@@ -36,9 +35,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def totient(d: int) -> int:
     """Euler's phi."""
-    if type(d) is not int or d < 1:
-        raise ParameterError(f"totient needs a positive integer, got {d!r}")
-    out = d
+    out = integer(d, "totient argument", 1)
     for p, _ in factorize(d):
         out -= out // p
     return out
@@ -46,9 +43,7 @@ def totient(d: int) -> int:
 
 def moebius(d: int) -> int:
     """Moebius mu: 0 on non-squarefree, else (-1)^(number of prime factors)."""
-    if type(d) is not int or d < 1:
-        raise ParameterError(f"moebius needs a positive integer, got {d!r}")
-    fac = factorize(d)
+    fac = factorize(integer(d, "moebius argument", 1))
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
@@ -56,10 +51,8 @@ def moebius(d: int) -> int:
 
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, increasing."""
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"divisors needs a positive integer, got {n!r}")
     out = [1]
-    for p, e in factorize(n):
+    for p, e in factorize(integer(n, "divisors argument", 1)):
         out = [d * p**j for d in out for j in range(e + 1)]
     return tuple(sorted(out))
 
@@ -69,9 +62,8 @@ def ramanujan_sum(d: int, k: int) -> int:
 
     c_d(0) = totient(d) and c_1(k) = 1 for every k.
     """
-    if type(d) is not int or type(k) is not int or d < 1:
-        raise ParameterError(f"ramanujan_sum needs integers d >= 1, k; got {d!r}, {k!r}")
-    k = k % d
+    d = integer(d, "Ramanujan sum modulus d", 1)
+    k = integer(k, "Ramanujan sum argument k") % d
     g = gcd(d, k)
     m = d // g
     mu = moebius(m)
@@ -84,8 +76,7 @@ def ramanujan_sum(d: int, k: int) -> int:
 
 def ramanujan_sum_oracle(d: int, k: int) -> int:
     """c_d(k) by the divisor sum sum_{e | gcd(d,k)} e * mu(d/e)."""
-    if type(d) is not int or type(k) is not int or d < 1:
-        raise ParameterError(f"ramanujan_sum_oracle needs integers d >= 1, k; got {d!r}, {k!r}")
-    k = k % d
+    d = integer(d, "Ramanujan sum modulus d", 1)
+    k = integer(k, "Ramanujan sum argument k") % d
     g = gcd(d, k)
     return sum(e * moebius(d // e) for e in divisors(g))

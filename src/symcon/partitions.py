@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 Partition = tuple[int, ...]
 
@@ -25,14 +25,7 @@ def partition(parts) -> Partition:
     Parts are sorted decreasingly; zero parts are dropped; negative or
     non-integer parts raise ParameterError.
     """
-    out = []
-    for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ParameterError(f"partition parts must be integers, got {p!r}")
-        if p < 0:
-            raise ParameterError(f"partition parts must be nonnegative, got {p}")
-        if p > 0:
-            out.append(p)
+    out = [p for p in parts if integer(p, "partition part", 0)]  # drops zero parts
     out.sort(reverse=True)
     return tuple(out)
 
@@ -53,11 +46,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     The check runs on a cache miss only; lru_cache keys 2.0 and True apart
     from 2 and 1, so they always reach it.
     """
-    if type(n) is not int:
-        raise ParameterError(f"cannot partition a non-integer: {n!r}")
-    if n < 0:
-        raise ParameterError(f"cannot partition a negative integer: {n}")
-    return tuple(_gen_partitions(n, n))
+    return tuple(_gen_partitions(integer(n, "partition size", 0), n))
 
 
 def _gen_partitions(n: int, max_part: int):
@@ -149,8 +138,8 @@ def _iter_syt_descents(lam: Partition):
 
 def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
     """Number of standard Young tableaux of shape lam with maj congruent to r mod n."""
-    if type(n) is not int or type(r) is not int:
-        raise ParameterError(f"modulus and residue must be integers, got {n!r}, {r!r}")
+    integer(n, "maj modulus")
+    integer(r, "maj residue")
     lam = partition(lam)
     if sum(lam) != n:
         raise ParameterError(f"shape {lam} is not a partition of {n}")
@@ -226,10 +215,11 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
-        if self.kind in _PARAM_K and (type(self.k) is not int or self.k < 1):
-            raise ParameterError(f"family {self.kind!r} needs an integer parameter k >= 1")
-        if self.kind == "prime-family" and (type(self.p) is not int or not _is_odd_prime(self.p)):
-            raise ParameterError("prime-family needs an odd prime p")
+        if self.kind in _PARAM_K:
+            integer(self.k, f"family {self.kind!r} parameter k", 1)
+        if self.kind == "prime-family":
+            if not _is_odd_prime(integer(self.p, "prime-family parameter p")):
+                raise ParameterError("prime-family needs an odd prime p")
         if self.kind == "lex-from":
             if self.mu is None or not is_partition(self.mu):
                 raise ParameterError("lex-from needs a partition mu")

@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .numbertheory import divisors, ramanujan_sum
-from .partitions import FamilySpec, members, parse_family
+from .partitions import FamilySpec, _parse_int, members, parse_family
 from .symfunc import (
     PExpr,
     Series,
@@ -48,21 +48,17 @@ def cyclic_weight(d: int, k: int) -> int:
 
 def foulkes(n: int, k: int) -> PExpr:
     """Characteristic of the k-th cyclic character induced from C_n to S_n."""
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"foulkes needs an integer n >= 1, got {n!r}")
-    if type(k) is not int or k < 0:
-        raise ParameterError(f"foulkes needs an integer k >= 0, got {k!r}")
+    integer(n, "foulkes degree n", 1)
+    integer(k, "foulkes weight k", 0)
     return PExpr({(d,) * (n // d): cyclic_weight(d, k) for d in divisors(n)}) * Fraction(1, n)
 
 
 def f_eval_direct(n: int, k: int, sign: int) -> Fraction:
-    """Direct evaluation of the one-variable polynomial f_n at +-1."""
+    """Direct evaluation of the one-variable polynomial f_n at +-1: the divisor sum
+    (1/n) sum_{d | n} c_d(k) * sign^(n/d), summed over the integers."""
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
-    total = Fraction(0)
-    for d in divisors(n):
-        total += Fraction(cyclic_weight(d, k), n) * sign ** (n // d)
-    return total
+    return Fraction(sum(cyclic_weight(d, k) * sign ** (n // d) for d in divisors(n)), n)
 
 
 def f_eval(n: int, k: int, sign: int) -> int:
@@ -72,8 +68,8 @@ def f_eval(n: int, k: int, sign: int) -> int:
     Every n divides 0, so k = 0 (conjugation) reads the same table:
     f_n(1) = 1, and f_n(-1) = -1 for odd n, else 0.
     """
-    if type(n) is not int or type(k) is not int or n < 1:
-        raise ParameterError(f"f_eval needs integers n >= 1 and k, got n={n!r}, k={k!r}")
+    integer(n, "f_eval degree n", 1)
+    integer(k, "f_eval weight k")
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
     if sign == 1:
@@ -94,9 +90,8 @@ SERIES_TRUNC = 31
 @lru_cache(maxsize=None, typed=True)
 def foulkes_series(k: int, trunc: int) -> Series:
     """Graded series of foulkes(i, k) for 1 <= i <= trunc (shared, read-only)."""
-    if type(k) is not int or type(trunc) is not int:
-        raise ParameterError(f"foulkes_series needs integers, got k={k!r}, trunc={trunc!r}")
-    return Series.from_function(lambda i: foulkes(i, k), trunc)
+    integer(k, "foulkes_series weight k")
+    return Series.from_function(lambda i: foulkes(i, k), trunc)  # from_function checks trunc
 
 
 def power_sum_family(spec: FamilySpec, n: int) -> PExpr:
@@ -153,15 +148,17 @@ def linear_combination(side, term) -> PExpr:
 
 
 def module_char(mid: str, n: int) -> PExpr:
-    """Closed power-sum form of a named module's characteristic."""
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"module characteristics need an integer n >= 1, got {n!r}")
+    """Closed power-sum form of a named module's characteristic.
+
+    mid is a name in MODULE_IDS, "w:<k>" or "family:<spec>"; a "w:<k>" whose k
+    is not an integer >= 2 raises ParameterError, as in parse_module."""
+    integer(n, "module degree", 1)
     if mid in MODULE_FORMS:
         return linear_combination(
             MODULE_FORMS[mid][0], lambda kind: power_sum_family(FamilySpec(kind), n)
         )
     if mid.startswith("w:"):
-        return w_route_a(n, int(mid.split(":", 1)[1]))
+        return w_route_a(n, _w_weight(mid))
     if mid.startswith("family:"):
         return power_sum_family(parse_family(mid.split(":", 1)[1]), n)
     raise ParameterError(f"unknown module id {mid!r}")
@@ -170,35 +167,34 @@ def module_char(mid: str, n: int) -> PExpr:
 def module_char_plethystic(mid: str, n: int) -> PExpr:
     """The same characteristic as an explicit sum of induced centralizer pieces;
     TruncationError for a named module at n > SERIES_TRUNC."""
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"module characteristics need an integer n >= 1, got {n!r}")
+    integer(n, "module degree", 1)
     if mid in MODULE_FORMS:
         F = foulkes_series(0, SERIES_TRUNC)
         return linear_combination(
             MODULE_FORMS[mid][1], lambda name: plethystic_sum(F, n, *SUMS[name])
         )
     if mid.startswith("w:"):
-        return w_route_b(n, int(mid.split(":", 1)[1]))
+        return w_route_b(n, _w_weight(mid))
     raise ParameterError(f"no plethystic route for module id {mid!r}")
 
 
 def parse_module(text: str) -> str:
-    """Validate a CLI module string and return it in canonical form."""
+    """Validate a CLI module string and return it in canonical form; a "w:<k>" is
+    read by the same parse as module_char and module_char_plethystic."""
     if text in MODULE_IDS:
         return text
     if text.startswith("w:"):
-        k = text.split(":", 1)[1]
-        try:
-            kk = int(k)
-        except ValueError as exc:
-            raise ParameterError(f"w needs an integer parameter, got {k!r}") from exc
-        if kk < 2:
-            raise ParameterError("w needs k >= 2")
+        _w_weight(text)
         return text
     if text.startswith("family:"):
         parse_family(text.split(":", 1)[1])
         return text
     raise ParameterError(f"unknown module or family {text!r}")
+
+
+def _w_weight(mid: str) -> int:
+    """k of the module id "w:<k>"; ParameterError unless k reads as an integer >= 2."""
+    return integer(_parse_int(mid[2:]), "w parameter k", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +203,8 @@ def parse_module(text: str) -> str:
 
 def w_route_a(n: int, k: int) -> PExpr:
     """sum_r p_k^r * p_1^(n - k*r)."""
-    if type(n) is not int or type(k) is not int or n < 0 or k < 2:
-        raise ParameterError(f"w needs integers n >= 0 and k >= 2, got n={n!r}, k={k!r}")
+    integer(n, "w degree n", 0)
+    integer(k, "w parameter k", 2)
     return PExpr(dict.fromkeys(((k,) * r + (1,) * (n - k * r) for r in range(n // k + 1)), 1))
 
 
@@ -218,8 +214,8 @@ def w_route_b(n: int, k: int) -> PExpr:
     With n = m*k + t, alpha = p_1^k - p_k and beta = p_1^k + p_k:
     block = 2^(-m) * sum over odd j of C(m+1, j) * beta^(m+1-j) * alpha^(j-1).
     """
-    if type(n) is not int or type(k) is not int or n < 0 or k < 2:
-        raise ParameterError(f"w needs integers n >= 0 and k >= 2, got n={n!r}, k={k!r}")
+    integer(n, "w degree n", 0)
+    integer(k, "w parameter k", 2)
     m, t = divmod(n, k)
     alpha = PExpr.p(1) ** k - PExpr.p(k)
     beta = PExpr.p(1) ** k + PExpr.p(k)
@@ -260,8 +256,7 @@ def lie_identity(name: str, n: int) -> tuple[PExpr, PExpr]:
     """
     if name not in LIE_IDENTITIES:
         raise ParameterError(f"unknown free-Lie identity {name!r}")
-    if type(n) is not int or n < 0:
-        raise ParameterError(f"free-Lie identities need an integer n >= 0, got {n!r}")
+    integer(n, "free-Lie identity degree", 0)
     series, kind, factors, _ = LIE_IDENTITIES[name]
     if series is None:  # cadogan-inverse
         outer = sum(map(_pi_alt().component, range(1, n + 1)), PExpr.zero())
@@ -275,8 +270,7 @@ def lie_series_identities(n_max: int) -> list[tuple[str, int, bool, str]]:
     """(identity name, degree, ok, detail) for every free-Lie identity at every
     degree up to n_max, from lie_identity; cadogan-inverse from degree 1 on.
     TruncationError for n_max > SERIES_TRUNC."""
-    if type(n_max) is not int:
-        raise ParameterError(f"free-Lie identities need an integer degree, got {n_max!r}")
+    integer(n_max, "free-Lie identity degree")
     out = []
     for name, (*_, detail) in LIE_IDENTITIES.items():
         for n in range(name == "cadogan-inverse", n_max + 1):

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
 
-from .errors import DegreeError, ParameterError, TruncationError
+from .errors import DegreeError, ParameterError, TruncationError, integer
 from .partitions import Partition, multiplicities, partitions_of, sign_exponent, z_lambda
 
 Packed = tuple[int, dict[int, int]]  # (denominator, {code: numerator})
@@ -184,8 +184,7 @@ class PExpr:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "PExpr":
-        if type(exp) is not int or exp < 0:
-            raise ParameterError(f"powers need an integer exponent >= 0, got {exp!r}")
+        integer(exp, "power exponent", 0)
         out = PExpr.one()
         base = self
         while exp:
@@ -389,8 +388,8 @@ def dimension(f: PExpr, n: int | None = None) -> Fraction:
         n = f.homogeneous_degree()
         if n is None:
             return Fraction(0)
-    elif type(n) is not int or n < 0:
-        raise ParameterError(f"dimension needs an integer degree >= 0, got {n!r}")
+    else:
+        integer(n, "dimension degree", 0)
     return factorial(n) * f.coefficient((1,) * n)
 
 
@@ -400,17 +399,13 @@ def dimension(f: PExpr, n: int | None = None) -> Fraction:
 
 def h_n(n: int) -> PExpr:
     """h_n = sum_{lam |- n} p_lam / z_lam, over the denominator n! (z_lam divides n!)."""
-    if type(n) is not int or n < 0:
-        raise ParameterError(f"h_n needs an integer n >= 0, got {n!r}")
-    lams = partitions_of(n)
+    lams = partitions_of(integer(n, "degree", 0))
     size = factorial(n)
     return _expr(_reduce(size, {lam: size // z_lambda(lam) for lam in lams}))
 
 
 def e_n(n: int) -> PExpr:
     """e_n = omega(h_n) = sum_{lam |- n} (-1)^(n - len(lam)) p_lam / z_lam."""
-    if type(n) is not int or n < 0:
-        raise ParameterError(f"e_n needs an integer n >= 0, got {n!r}")
     return omega(h_n(n))
 
 
@@ -420,9 +415,7 @@ def e_n(n: int) -> PExpr:
 
 def plethysm_p(a: int, g: PExpr) -> PExpr:
     """p_a[g]: replace every key part i by a*i; coefficients unchanged."""
-    if type(a) is not int or a < 1:
-        raise ParameterError(f"plethysm_p needs an integer a >= 1, got {a!r}")
-    if a == 1:
+    if integer(a, "plethysm_p index a", 1) == 1:
         return g
     return _expr((g.denominator, {tuple(a * p for p in k): v for k, v in g.numerators.items()}))
 
@@ -452,9 +445,7 @@ def _newton(cache: dict, key, comps: dict[int, PExpr], kind: str, signed: bool, 
 
 
 def _plethysm(kind: str, m: int, g: PExpr) -> PExpr:
-    if type(m) is not int or m < 0:
-        raise ParameterError(f"plethysm order must be an integer >= 0, got {m!r}")
-    w = _width(m * _longest(g))
+    w = _width(integer(m, "plethysm order", 0) * _longest(g))
     return _unpack(_newton({}, None, {1: g}, kind, False, m, w)[m], w, {})
 
 
@@ -495,12 +486,10 @@ class Series:
     __slots__ = ("components", "trunc", "_pleth_cache", "_keys")
 
     def __init__(self, components: dict[int, PExpr], trunc: int):
-        if type(trunc) is not int or trunc < 0:
-            raise ParameterError(f"series truncation must be an integer >= 0, got {trunc!r}")
-        self.trunc = trunc
+        self.trunc = integer(trunc, "series truncation", 0)
         self.components: dict[int, PExpr] = {}
         for d, f in components.items():
-            if d > trunc or not f:
+            if integer(d, "series degree") > trunc or not f:
                 continue
             fd = f.homogeneous_degree()
             if fd is not None and fd != d:
@@ -512,12 +501,12 @@ class Series:
 
     @staticmethod
     def from_function(fn, trunc: int) -> "Series":
+        """The series of fn(d) for 1 <= d <= trunc; trunc is checked before fn runs."""
+        integer(trunc, "series truncation", 0)
         return Series({d: fn(d) for d in range(1, trunc + 1)}, trunc)
 
     def component(self, d: int) -> PExpr:
-        if type(d) is not int:
-            raise ParameterError(f"series degree must be an integer, got {d!r}")
-        if d > self.trunc:
+        if integer(d, "series degree") > self.trunc:
             raise TruncationError(
                 f"degree {d} beyond series truncation {self.trunc}"
             )
@@ -634,8 +623,7 @@ def plethystic_sum(
     "length" also multiplies them by (-1)^n.  The result is cached on the
     series under ("sum", kind, n, a, b).
     """
-    if type(n) is not int:
-        raise ParameterError(f"degree must be an integer, got {n!r}")
+    integer(n, "degree", 0)
     if kind not in ("h", "e"):
         raise ParameterError(f"kind must be 'h' or 'e', got {kind!r}")
     if not (parity is None or type(parity) is int and parity in (0, 1)):
@@ -644,8 +632,6 @@ def plethystic_sum(
         raise ParameterError(
             f"signed must be None, 'sign-exponent' or 'length', got {signed!r}"
         )
-    if n < 0:
-        raise ParameterError(f"cannot partition a negative integer: {n}")
     F.component(n)  # TruncationError beyond trunc
     a, b = (2, 0) if parity is None else (1, 1 - 2 * parity)
     if signed is not None:
@@ -734,18 +720,13 @@ def product_expansion(factors, n: int) -> PExpr:
     coefficient of p_lam is the product over the parts m of lam of
     [x^(m_m(lam))] prod_{factors at m} (1 + sign*x)^c.
     """
-    if type(n) is not int or n < 0:
-        raise ParameterError(f"degree must be an integer >= 0, got {n!r}")
-    lams = partitions_of(n)
+    lams = partitions_of(integer(n, "degree", 0))
     polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
     for m, c, sign in factors:
-        if type(m) is not int or m < 1:
-            raise ParameterError(f"factor degree must be an integer >= 1, got {m!r}")
+        integer(m, "factor degree", 1)
         if sign not in (1, -1):
             raise ParameterError(f"factor sign must be +-1, got {sign}")
-        if type(c) is not int:
-            raise ParameterError(f"factor exponent must be an integer, got {c!r}")
-        if c == 0 or m > n:
+        if integer(c, "factor exponent") == 0 or m > n:
             continue
         factor = [_binomial(c, j) * sign**j for j in range(n // m + 1)]
         old = polys.get(m)

@@ -40,8 +40,14 @@ from functools import cache, lru_cache, partial
 from itertools import accumulate
 from math import factorial
 
-from .characters import SchurExpansion, alternant_oracle, character_table, to_schur
-from .errors import CatalogError, ParameterError
+from .characters import (
+    ALTERNANT_MAX_N,
+    SchurExpansion,
+    alternant_oracle,
+    character_table,
+    to_schur,
+)
+from .errors import CatalogError, ParameterError, integer
 from .numbertheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
 from .partitions import (
     FamilySpec,
@@ -113,9 +119,7 @@ class Entry:
 
     def check(self, n: int) -> CheckResult:
         """The entry's result at degree n."""
-        if type(n) is not int or n < 0:
-            raise ParameterError(f"degree must be an integer >= 0, got {n!r}")
-        return CheckResult(self.id, n, *self.run(n))
+        return CheckResult(self.id, integer(n, "degree", 0), *self.run(n))
 
     def matches(self, selector: str) -> bool:
         if selector in ("all", self.id, self.group) or selector in self.tags:
@@ -876,7 +880,7 @@ def _build_catalog() -> list[Entry]:
         ]
     )
     oracles = [
-        ("oracles.mn-alternant", "oracles", _span(1, 6), _run_mn_alternant, ()),
+        ("oracles.mn-alternant", "oracles", _span(1, ALTERNANT_MAX_N), _run_mn_alternant, ()),
         ("oracles.ramanujan", "oracles", _span(1, 60, floor=60), _run_ramanujan, ()),
         ("oracles.maj", "oracles", _span(1, 9), _run_maj, ()),
     ]
@@ -885,11 +889,10 @@ def _build_catalog() -> list[Entry]:
         (cid, "lemmas", thirty, _run_feval_lemma, (ks,))
         for cid, ks in (("lem4.1", (0,)), ("lem5.1", (1,)), ("lem5.7", range(1, 13)))
     ]
-    tables = [
-        ("tables.t1", "tables", _span(1, 16, floor=10), _run_table, ("t1",)),
-        ("tables.t2", "tables", _span(1, 10, floor=10), _run_table, ("t2",)),
-        ("tables.t3", "tables", _span(2, 8), _run_table, ("t3",)),
-        ("tables.t4", "tables", _span(2, 8), _run_table, ("t4",)),
+    tables = [  # each over the degrees its fixture holds; t1 and t2 always reach 10
+        (f"tables.{kind}", "tables", _span(*tables_data.table_range(kind), floor=floor),
+         _run_table, (kind,))
+        for kind, floor in (("t1", 10), ("t2", 10), ("t3", 0), ("t4", 0))
     ]
     cex = [
         ("cex.a", "counterexamples", _fixed((4, 5, 6)), _run_cex, ("a",)),
@@ -933,8 +936,7 @@ def select_entries(selector: str) -> list[Entry]:
 
 def run_selector(selector: str, max_n: int = 12):
     """Yield CheckResults for all matching entries, in catalog order."""
-    if type(max_n) is not int:
-        raise ParameterError(f"max_n must be an integer, got {max_n!r}")
+    integer(max_n, "max_n")
     for entry in select_entries(selector):
         for n in entry.ns(max_n):
             yield entry.check(n)

@@ -356,3 +356,13 @@ def test_parse_module():
         parse_module("w:1")
     with pytest.raises(ParameterError):
         parse_module("nonsense")
+
+
+@pytest.mark.parametrize("mid", ["w:x", "w:", "w:2.0", "w:1", "w:-3"])
+def test_w_module_ids_are_read_by_one_parse(mid):
+    # ParameterError subclasses ValueError, so assert the subclass: int() alone raised ValueError
+    for read in (parse_module, lambda m: module_char(m, 3), lambda m: module_char_plethystic(m, 3)):
+        with pytest.raises(ParameterError):
+            read(mid)
+    assert module_char("w:3", 7) == w_route_a(7, 3)
+    assert module_char_plethystic("w:3", 7) == w_route_b(7, 3)

@@ -607,6 +607,14 @@ def test_series_rejects_non_integer_truncation():
             Series({}, trunc)
     with pytest.raises(ParameterError):
         Series({}, -1)
+    # the degree keys too: a string key failed in `d > trunc`, a float or bool one was stored
+    for d in ("1", 1.0, True):
+        with pytest.raises(ParameterError):
+            Series({d: p(1)}, 3)
+    # from_function checks trunc before range() sees it
+    for trunc in (2.0, "2"):
+        with pytest.raises(ParameterError):
+            Series.from_function(h_n, trunc)
 
 
 def test_series_component_truncation_error():
