@@ -26,7 +26,9 @@ decoded by adding and XOR-ing the top bit of every lane and reading the
 bytes into an `array`.  Level n is transposed once into packed columns:
 `CharacterTable.columns[j]` packs chi^nu(mu_j) over nu in `partitions_of(n)`
 order in signed 64-bit lanes, and `to_schur` is one multiply-add of integer
-numerators against those columns per class.
+numerators against those columns per class; the Conjecture 1.5 scan
+(`CharacterTable.negative_segments`) is the same with every numerator 1.
+No other module reads the lanes.
 
 A `SchurExpansion` keeps what `to_schur` computes: one integer numerator per
 nu |- n, in `partitions_of(n)` order, over one denominator, divided out to 1
@@ -55,7 +57,9 @@ from math import factorial, isqrt
 from operator import mul, sub
 
 from .errors import CapacityError, DegreeError, ParameterError, integer
-from .partitions import Partition, partition, partitions_of, pretty, z_lambda
+from .partitions import (
+    Partition, partition, partition_index, partition_position, partitions_of, pretty, z_lambda
+)
 from .symfunc import PExpr
 
 ALTERNANT_MAX_N = 6
@@ -152,8 +156,8 @@ class CharacterTable:
     """The matrix chi^nu(mu), rows and columns in reverse-lex order (`parts`).
 
     columns[j] packs the column of parts[j]: sum_i chi^parts[i](parts[j]) *
-    2^(64 i).  `rows` decodes the whole matrix on demand; `peak` is the
-    largest |chi|, the largest degree.
+    2^(64 i).  `chi` decodes one column, `negative_segments` scans their running
+    sums; `index` is `partition_index(n)`; `peak` is the largest |chi|.
     """
 
     n: int
@@ -162,23 +166,28 @@ class CharacterTable:
     index: dict[Partition, int] = field(repr=False)
     peak: int
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        count = len(self.parts)
-        return tuple(zip(*(_lanes(c, count, COLUMN_WIDTH) for c in self.columns)))
-
     def chi(self, nu: Partition, mu: Partition) -> int:
-        index = self.index
-        try:
-            i, j = index[tuple(nu)], index[tuple(mu)]
-        except KeyError:  # canonicalise only on a miss, so canonical keys stay fast
-            nu, mu = partition(nu), partition(mu)
-            if nu not in index or mu not in index:
-                raise ParameterError(
-                    f"shape {nu} and class {mu} must be partitions of {self.n}"
-                ) from None
-            i, j = index[nu], index[mu]
+        i, j = partition_position(nu, self.n), partition_position(mu, self.n)
         return _lanes(self.columns[j], len(self.parts), COLUMN_WIDTH)[i]
+
+    def negative_segments(self) -> list[tuple[Partition, tuple[Partition, ...]]]:
+        """(mu, the shapes nu of negative multiplicity) for each final segment
+        sum_{lam >= mu} p_lam that is not Schur-nonnegative, mu from (1^n) upward.
+
+        Lane nu of the running sum S of the columns from (1^n) is negative exactly
+        when its top bit in S + bias is clear, so only a segment with
+        ~(S + bias) & bias nonzero is decoded.  No lane of S exceeds p(n) * peak
+        in size; past 2^62 the scan raises CapacityError rather than wrap."""
+        count = len(self.parts)
+        if self.peak.bit_length() + count.bit_length() >= COLUMN_WIDTH - 1:
+            raise CapacityError(f"segment sums of degree {self.n} overflow 64-bit lanes")
+        bias, total, out = _bias(count, COLUMN_WIDTH), 0, []
+        for mu, column in zip(reversed(self.parts), reversed(self.columns)):
+            total += column
+            if ~(total + bias) & bias:
+                lanes = _lanes(total, count, COLUMN_WIDTH)
+                out.append((mu, tuple(nu for nu, m in zip(self.parts, lanes) if m < 0)))
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -236,8 +245,7 @@ def _build_table(n: int) -> CharacterTable:
             row.append(total)
         values.append(row)
         where.append(positions)
-    parts = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(parts)}
+    parts, index = partitions_of(n), partition_index(n)
     count = len(parts)
     # Transpose level n once, as bytes: with every lane lifted by 2^(width-1)
     # the lanes are unsigned, so lane j of shape i is copied to 64-bit lane i
@@ -296,14 +304,7 @@ class SchurExpansion:
         return {nu: Fraction(m, d) for nu, m in zip(partitions_of(self.n), self.numerators) if m}
 
     def mult(self, nu: Partition) -> Fraction:
-        index = _build_table(self.n).index
-        i = index.get(tuple(nu))
-        if i is None:  # canonicalise only on a miss, so canonical keys stay fast
-            key = partition(nu)
-            i = index.get(key)
-            if i is None:
-                raise ParameterError(f"shape {key} is not a partition of {self.n}")
-        return Fraction(self.numerators[i], self.denominator)
+        return Fraction(self.numerators[partition_position(nu, self.n)], self.denominator)
 
     def terms(self):
         """(nu, m) for every shape that occurs, in partitions_of(n) order: m is

@@ -49,6 +49,21 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(_gen_partitions(integer(n, "partition size", 0), n))
 
 
+@lru_cache(maxsize=None)
+def partition_index(n: int) -> dict[Partition, int]:
+    """{lam: position of lam in partitions_of(n)}, shared read-only."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
+
+
+def partition_position(lam, n: int) -> int:
+    """The position of lam in partitions_of(n), canonicalising lam only on a miss."""
+    index = partition_index(n)
+    i = index.get(tuple(lam))
+    if i is None and (i := index.get(partition(lam))) is None:
+        raise ParameterError(f"{partition(lam)} is not a partition of {n}")
+    return i
+
+
 def _gen_partitions(n: int, max_part: int):
     if n == 0:
         yield ()

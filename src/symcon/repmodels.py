@@ -90,7 +90,7 @@ SERIES_TRUNC = 31
 @lru_cache(maxsize=None, typed=True)
 def foulkes_series(k: int, trunc: int) -> Series:
     """Graded series of foulkes(i, k) for 1 <= i <= trunc (shared, read-only)."""
-    integer(k, "foulkes_series weight k")
+    integer(k, "foulkes_series weight k", 0)
     return Series.from_function(lambda i: foulkes(i, k), trunc)  # from_function checks trunc
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import accumulate
 from math import factorial
 
 from .characters import (
@@ -767,26 +766,10 @@ def counterexamples() -> list[CheckResult]:
     return list(run_selector("counterexamples"))
 
 
-def _segment_sums(n: int) -> list[tuple[Partition, tuple[int, ...]]]:
-    """(mu, mults) for every mu |- n, from (1^n) upward: the Schur multiplicities
-    of the final segment sum_{lam >= mu} p_lam, over nu in partitions_of(n) order.
-
-    The multiplicity of nu is sum_lam chi^nu(lam), so the segments are the
-    running sums of each table row read from its last column.
-    """
-    table = character_table(n)
-    suffix = zip(*(accumulate(reversed(row)) for row in table.rows))
-    return list(zip(reversed(table.parts), suffix))
-
-
 def _run_conjecture(n: int) -> tuple:
-    violations = []
-    parts = partitions_of(n)
-    for mu, mults in _segment_sums(n):
-        bad = [nu for nu, m in zip(parts, mults) if m < 0]
-        if bad:
-            violations.append({"from": list(mu), "nu": [list(b) for b in bad[:3]]})
-    return "REPORT", {"segments": len(parts), "violations": violations}
+    segments = character_table(n).negative_segments()
+    bad = [{"from": list(mu), "nu": [list(nu) for nu in nus[:3]]} for mu, nus in segments]
+    return "REPORT", {"segments": len(partitions_of(n)), "violations": bad}
 
 
 def conjecture_scan(n: int) -> list[CheckResult]:

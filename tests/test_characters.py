@@ -14,7 +14,14 @@ from symcon.characters import (
     to_schur,
 )
 from symcon.errors import CapacityError, DegreeError, ParameterError
-from symcon.partitions import conjugate, partitions_of, sign_exponent, syt_count, z_lambda
+from symcon.partitions import (
+    conjugate,
+    partition_index,
+    partitions_of,
+    sign_exponent,
+    syt_count,
+    z_lambda,
+)
 from symcon.symfunc import PExpr
 
 
@@ -58,11 +65,16 @@ def test_non_canonical_keys_are_canonicalised():
         character_table(3).chi((2, 2), (3,))  # a shape of 4, not of 3
 
 
+def _rows(table):
+    """The whole matrix chi^nu(mu), one row per nu, decoded through chi."""
+    return tuple(tuple(table.chi(nu, mu) for mu in table.parts) for nu in table.parts)
+
+
 def test_small_table_row():
     t3 = character_table(3)
-    assert t3.rows[t3.index[(2, 1)]] == (-1, 0, 2)
+    assert _rows(t3)[t3.index[(2, 1)]] == (-1, 0, 2)
     t1 = character_table(1)
-    assert t1.rows == ((1,),)
+    assert _rows(t1) == ((1,),)
 
 
 def _strip_removals_by_beads(lam, k):
@@ -90,8 +102,9 @@ def test_table_matches_mn_character():
     for n in range(0, 13):
         table = character_table(n)
         assert table.parts == partitions_of(n)
+        rows = _rows(table)
         for nu in table.parts:
-            assert table.rows[table.index[nu]] == tuple(
+            assert rows[table.index[nu]] == tuple(
                 mn_character(nu, mu) for mu in table.parts
             )
 
@@ -100,8 +113,8 @@ def test_table_build_leaves_mn_cache_alone():
     before = _mn.cache_info().currsize
     table = _build_table.__wrapped__(20)  # a fresh build, whatever is cached
     assert _mn.cache_info().currsize == before
-    assert len(table.rows) == len(table.parts) == 627
-    assert table.rows[table.index[(20,)]] == (1,) * 627
+    assert len(table.columns) == len(table.parts) == 627
+    assert tuple(table.chi((20,), mu) for mu in table.parts) == (1,) * 627
     assert table.chi((19, 1), (1,) * 20) == 19
 
 
@@ -146,10 +159,10 @@ def test_lane_boundary_at_21():
 def test_column_orthogonality():
     for n in range(1, 11):
         table = character_table(n)
-        parts = table.parts
+        parts, rows = table.parts, _rows(table)
         for i, lam in enumerate(parts):
             for j in range(i, len(parts)):
-                s = sum(row[i] * row[j] for row in table.rows)
+                s = sum(row[i] * row[j] for row in rows)
                 assert s == (z_lambda(lam) if i == j else 0)
 
 
@@ -272,6 +285,27 @@ def test_to_schur_capacity_error(monkeypatch):
         to_schur(PExpr.p(3))
 
 
+def test_segment_sums_cannot_wrap_under_the_cap():
+    # a running sum of p(n) columns stays below 2^62 in every 64-bit lane
+    for n in range(0, 21):
+        table = character_table(n)
+        assert table.peak.bit_length() + len(table.parts).bit_length() < 63, n
+        assert table.index is partition_index(n)
+
+
+def test_segment_scan_capacity_error():
+    from symcon import characters
+
+    table = character_table(3)
+    # bits(peak) + bits(p(3)) = 63 is refused, 62 is scanned
+    huge = characters.CharacterTable(3, table.parts, table.columns, table.index, 2**60)
+    with pytest.raises(CapacityError):
+        huge.negative_segments()
+    large = characters.CharacterTable(3, table.parts, table.columns, table.index, 2**59)
+    assert large.negative_segments() == []
+    assert table.negative_segments() == []
+
+
 def test_mult_canonicalises_and_rejects_keys():
     regular = to_schur(PExpr.p(1, 1, 1))  # mult(nu) = f^nu
     assert regular.mult((1, 2)) == regular.mult([2, 1]) == 2
@@ -280,6 +314,25 @@ def test_mult_canonicalises_and_rejects_keys():
     for bad in ((2, -1), (2, 2), (4,)):
         with pytest.raises(ParameterError):
             regular.mult(bad)
+
+
+@pytest.mark.parametrize("n", [22, 34])
+def test_mult_looks_up_a_shape_without_a_table(monkeypatch, n):
+    # a hand-built expansion past the cap: mult finds the position of a shape
+    # in partitions_of(n) and never builds (or overflows) a character table
+    from symcon import characters
+
+    def no_table(n):
+        raise AssertionError("a character table was built")
+
+    monkeypatch.setattr(characters, "_build_table", no_table)
+    parts = partitions_of(n)
+    se = characters.SchurExpansion(n, tuple(range(1, len(parts) + 1)), 3, "NON_INTEGRAL")
+    assert se.mult((n,)) == Fraction(1, 3)
+    assert se.mult([1] * n) == Fraction(len(parts), 3)
+    assert se.mult((1, n - 1)) == Fraction(2, 3)  # canonicalised to (n-1, 1)
+    with pytest.raises(ParameterError):
+        se.mult((n - 1,))
 
 
 @pytest.mark.parametrize("n", [1.0, "1", True])

@@ -14,6 +14,8 @@ from symcon.partitions import (
     parse_family,
     partition,
     partition_from_json,
+    partition_index,
+    partition_position,
     partitions_of,
     revlex_follows,
     syt_count,
@@ -39,6 +41,19 @@ def test_partitions_of_rejects_non_integers(n):
     partitions_of(1)  # the cache holds the integer degrees; their lookalikes still raise
     with pytest.raises(ParameterError):
         partitions_of(n)
+
+
+def test_partition_positions():
+    for n in range(0, 9):
+        index = partition_index(n)
+        assert index is partition_index(n)  # one shared map per degree
+        assert list(index) == list(partitions_of(n))
+        assert list(index.values()) == list(range(len(index)))
+    assert partition_position((2, 1, 1), 4) == 3
+    assert partition_position([1, 2, 1], 4) == partition_position((2, 1, 1, 0), 4) == 3
+    for bad in ((3,), (5,), (2, -1), (2.5, 1.5)):
+        with pytest.raises(ParameterError):
+            partition_position(bad, 4)
 
 
 def test_reverse_lex_order_is_total():

@@ -292,6 +292,17 @@ def test_degree_and_weight_arguments_must_be_integers(x):
         lie_series_identities(x)
 
 
+def test_foulkes_series_refuses_a_negative_weight():
+    # the series agrees with foulkes(n, k), which refuses k < 0, and caches nothing
+    foulkes_series.cache_clear()
+    with pytest.raises(ParameterError):
+        foulkes(1, -1)
+    for trunc in (0, 3):
+        with pytest.raises(ParameterError):
+            foulkes_series(-1, trunc)
+    assert foulkes_series.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("N", [15, 16, 17])
 def test_two_routes_across_packed_width_boundaries(N):
     # a series truncated at N packs in N.bit_length() bits: 4 at 15, 5 at 16 and 17

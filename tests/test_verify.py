@@ -139,18 +139,66 @@ def test_conjecture_scan_clean():
 
 
 def test_conjecture_segments_match_to_schur():
-    from symcon.characters import to_schur
-    from symcon.verify import _segment_sums
+    from symcon.characters import CharacterTable, character_table, to_schur
 
     for n in range(1, 9):
         parts = partitions_of(n)
-        segments = _segment_sums(n)
-        assert tuple(mu for mu, _ in segments) == parts[::-1]
-        tail = PExpr.zero()  # the old route: one to_schur call per segment
-        for mu, mults in segments:
+        table = character_table(n)
+        # the table with every column negated: its negative lanes are the
+        # positive multiplicities of the table's own segments
+        negated = CharacterTable(
+            n, parts, tuple(-c for c in table.columns), table.index, table.peak
+        )
+        negative, positive = [], []
+        tail = PExpr.zero()  # the reference: one to_schur call per segment
+        for mu in reversed(parts):
             tail = tail + PExpr.term(mu)
-            se = to_schur(tail, n)
-            assert list(mults) == [se.mult(nu) for nu in parts], (n, mu)
+            mults = to_schur(tail, n).mults
+            for out, keep in ((negative, lambda m: m < 0), (positive, lambda m: m > 0)):
+                shapes = tuple(nu for nu in parts if keep(mults.get(nu, 0)))
+                if shapes:
+                    out.append((mu, shapes))
+        assert table.negative_segments() == negative, n
+        assert negated.negative_segments() == positive, n
+        assert [mu for mu, _ in positive] == list(reversed(parts))  # (n) occurs in each
+
+
+def test_conjecture_scan_reports_violating_segments(monkeypatch):
+    # a hand-built table whose running sums go negative, with values large
+    # enough that lanes borrow from each other
+    import random
+
+    from symcon import verify
+    from symcon.characters import CharacterTable
+    from symcon.partitions import partition_index
+
+    n, rng = 5, random.Random(5)
+    parts = partitions_of(n)
+    count = len(parts)
+    # [nu][mu]: the column of (1^n), the first segment alone, is positive and
+    # the others lean negative, so the sums go negative one lane after another
+    matrix = [[rng.randrange(-2**50, 2**48) for _ in parts] for _ in parts]
+    for row in matrix:
+        row[-1] = rng.randrange(2**50, 2**51)
+    peak = max(abs(v) for row in matrix for v in row)
+    columns = tuple(
+        sum(matrix[i][j] << 64 * i for i in range(count)) for j in range(count)
+    )
+    table = CharacterTable(n, parts, columns, partition_index(n), peak)
+    assert all(table.chi(nu, mu) == matrix[i][j]
+               for i, nu in enumerate(parts) for j, mu in enumerate(parts))
+    want, sums, most = [], [0] * count, 0  # a plain running sum of the decoded columns
+    for j in reversed(range(count)):
+        sums = [s + table.chi(nu, parts[j]) for s, nu in zip(sums, parts)]
+        bad = [list(nu) for nu, s in zip(parts, sums) if s < 0]
+        if bad:
+            want.append({"from": list(parts[j]), "nu": bad[:3]})
+        most = max(most, len(bad))
+    assert 0 < len(want) < count and most > 3  # clean, violating and cut segments
+    monkeypatch.setattr(verify, "character_table", lambda n: table)
+    status, detail = verify._run_conjecture(n)
+    assert status == "REPORT"
+    assert detail == {"segments": count, "violations": want}
 
 
 def test_per_class_coverage_small():
@@ -350,6 +398,18 @@ def test_lie_identities_pass_without_detail_from_degree_zero():
             assert check_identity(cid, n) == CheckResult(cid, n, "PASS", None)
 
 
+def _cache_keys(F):
+    """The keys of F._pleth_cache, each checked to be one of the three kinds
+    the Series docstring lists."""
+    for key in F._pleth_cache:
+        assert (
+            key[0] == "exp" and len(key) == 3 and key[1] in ("h", "e")
+            or key[0] == "sum" and len(key) == 5 and key[1] in ("h", "e")
+            or len(key) == 2 and key[0] in ("h", "e") and type(key[1]) is int
+        ), key
+    return list(F._pleth_cache)
+
+
 def test_lie_identities_stay_at_the_degree_checked():
     # a run to degree 3 expands the plethystic sums of L and pi^alt to degree 3 only
     from symcon.repmodels import SERIES_TRUNC, _pi_alt, foulkes_series
@@ -360,8 +420,8 @@ def test_lie_identities_stay_at_the_degree_checked():
         degrees = {
             key[2]
             for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt())
-            for key in F._pleth_cache
-            if key[0] in ("sum", "total")
+            for key in _cache_keys(F)
+            if key[0] == "sum"
         }
         assert max(degrees) == 3
         # the exponential sequences behind those sums are extended to degree 3 only
@@ -391,8 +451,8 @@ def test_lemma55_stays_at_the_degree_checked():
     for k in (0, 1, 2):
         degrees = {
             key[2]
-            for key in foulkes_series(k, SERIES_TRUNC)._pleth_cache
-            if key[0] in ("sum", "total")
+            for key in _cache_keys(foulkes_series(k, SERIES_TRUNC))
+            if key[0] == "sum"
         }
         assert max(degrees) == 3, k
 
