@@ -23,10 +23,11 @@ bound |chi^lam| <= f^lam <= sqrt(n!) fits a signed 32-bit lane (n <= 20), 64
 bits above, and past that the build raises CapacityError before enumerating
 anything.  Low lanes are cut off by a mask and one sign fix; lanes are
 decoded by adding and XOR-ing the top bit of every lane and reading the
-bytes into an `array`.  Level n is transposed once into packed columns:
-`CharacterTable.columns[j]` packs chi^nu(mu_j) over nu in `partitions_of(n)`
-order in signed 64-bit lanes, and `to_schur` is one multiply-add of integer
-numerators against those columns per class; the Conjecture 1.5 scan
+bytes into an `array`, or one at a time by lifting the lanes up to it.
+Level n is transposed once into packed columns: `CharacterTable.columns[j]`
+packs chi^nu(mu_j) over nu in `partitions_of(n)` order in signed 64-bit
+lanes, and `to_schur` is one multiply-add of integer numerators against
+those columns per class; the Conjecture 1.5 scan
 (`CharacterTable.negative_segments`) is the same with every numerator 1.
 No other module reads the lanes.
 
@@ -56,7 +57,7 @@ from itertools import permutations
 from math import factorial, isqrt
 from operator import mul, sub
 
-from .errors import CapacityError, DegreeError, ParameterError, integer
+from .errors import CapacityError, DegreeError, integer
 from .partitions import (
     Partition, partition, partition_index, partition_position, partitions_of, pretty, z_lambda
 )
@@ -109,12 +110,8 @@ def _mn(nu: Partition, mu: Partition) -> int:
 
 def mn_character(nu: Partition, mu: Partition) -> int:
     """chi^nu evaluated on the class of cycle type mu."""
-    nu, mu = partition(nu), partition(mu)
-    if sum(nu) != sum(mu):
-        raise ParameterError(
-            f"shape {nu} and class {mu} have different sizes"
-        )
-    return _mn(nu, mu)
+    nu = partition(nu)
+    return _mn(nu, partition(mu, sum(nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +136,12 @@ def _lanes(x: int, count: int, width: int) -> array:
     return out
 
 
+def _lane(x: int, i: int, width: int) -> int:
+    """The signed lane v_i of x = sum_j v_j 2^(width j), alone: with lanes 0..i
+    lifted by the bias, bits width*i .. width*(i+1)-1 hold v_i lifted."""
+    return ((x + _bias(i + 1, width)) >> width * i & (1 << width) - 1) - (1 << width - 1)
+
+
 def _beads(lam: Partition, count: int) -> int:
     """The bead bitmask of lam on `count` beads: bit lam_i + count-1-i for each row i."""
     mask = (1 << count - len(lam)) - 1  # the zero rows fill the lowest slots
@@ -156,7 +159,7 @@ class CharacterTable:
     """The matrix chi^nu(mu), rows and columns in reverse-lex order (`parts`).
 
     columns[j] packs the column of parts[j]: sum_i chi^parts[i](parts[j]) *
-    2^(64 i).  `chi` decodes one column, `negative_segments` scans their running
+    2^(64 i).  `chi` reads one lane, `negative_segments` scans their running
     sums; `index` is `partition_index(n)`; `peak` is the largest |chi|.
     """
 
@@ -168,7 +171,7 @@ class CharacterTable:
 
     def chi(self, nu: Partition, mu: Partition) -> int:
         i, j = partition_position(nu, self.n), partition_position(mu, self.n)
-        return _lanes(self.columns[j], len(self.parts), COLUMN_WIDTH)[i]
+        return _lane(self.columns[j], i, COLUMN_WIDTH)
 
     def negative_segments(self) -> list[tuple[Partition, tuple[Partition, ...]]]:
         """(mu, the shapes nu of negative multiplicity) for each final segment
@@ -362,10 +365,13 @@ def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
 
 
 def schur_to_power(nu: Partition) -> PExpr:
-    """s_nu as a power-sum expression: sum_lam chi^nu(lam)/z_lam * p_lam."""
+    """s_nu as a power-sum expression: sum_lam chi^nu(lam)/z_lam * p_lam, each
+    chi^nu(lam) read as lane nu of the column of lam."""
+    nu = partition(nu)
     table = character_table(sum(nu))
-    values = ((lam, table.chi(nu, lam)) for lam in table.parts)
-    return PExpr({lam: Fraction(v, z_lambda(lam)) for lam, v in values if v})
+    i = table.index[nu]
+    values = (_lane(column, i, COLUMN_WIDTH) for column in table.columns)
+    return PExpr({lam: Fraction(v, z_lambda(lam)) for lam, v in zip(table.parts, values) if v})
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +399,9 @@ def alternant_oracle(nu: Partition, mu: Partition) -> int:
     term sign(sigma) * x^(sigma(delta)) of the alternant a_delta with
     sigma(delta) = nu + delta - e, if there is one.
     """
-    nu, mu = partition(nu), partition(mu)
+    nu = partition(nu)
     n = sum(nu)
-    if sum(mu) != n:
-        raise ParameterError(f"shape {nu} and class {mu} have different sizes")
+    mu = partition(mu, n)
     if n > ALTERNANT_MAX_N:
         raise CapacityError(f"alternant oracle capped at n={ALTERNANT_MAX_N}")
     if n == 0:

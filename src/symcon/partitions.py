@@ -1,10 +1,14 @@
 """Integer partitions and partition families.
 
 A partition is stored as a tuple of weakly decreasing positive integers;
-the empty tuple is the unique partition of 0.  Enumeration follows the
-reverse-lexicographic order in which (n) comes first and (1^n) last: of
-two distinct partitions, the one with the larger part at the first index
-where they differ comes earlier.
+the empty tuple is the unique partition of 0.  `partition` is the one rule
+that reads a partition from a caller: every shape, class and power-sum index
+of the library goes through it, with the size it must have where there is
+one, and a key already canonical comes back as itself, so keys stay shared.
+
+Enumeration follows the reverse-lexicographic order in which (n) comes
+first and (1^n) last: of two distinct partitions, the one with the larger
+part at the first index where they differ comes earlier.
 """
 
 from __future__ import annotations
@@ -19,24 +23,20 @@ from .errors import ParameterError, integer
 Partition = tuple[int, ...]
 
 
-def partition(parts) -> Partition:
-    """Canonicalize an iterable of parts into a partition tuple.
+def partition(parts, n: int | None = None, lo: int = 0) -> Partition:
+    """The parts sorted decreasingly, or parts itself when it is already that tuple.
 
-    Parts are sorted decreasingly; zero parts are dropped; negative or
-    non-integer parts raise ParameterError.
+    Each part goes through `integer` with lowest part lo: 0 for shapes and
+    classes, whose zero parts are dropped, 1 for power-sum indices.  Given n,
+    a key of another size raises "{key} is not a partition of {n}".
     """
-    out = [p for p in parts if integer(p, "partition part", 0)]  # drops zero parts
-    out.sort(reverse=True)
-    return tuple(out)
-
-
-def is_partition(parts) -> bool:
-    """True if `parts` is already a canonical partition tuple."""
-    if not isinstance(parts, tuple):
-        return False
-    return all(type(p) is int and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    try:  # the filter drops zero parts
+        key = tuple(sorted((p for p in parts if integer(p, "partition part", lo)), reverse=True))
+    except TypeError:  # parts is not iterable
+        raise ParameterError(f"not a partition: {parts!r}") from None
+    if n is not None and sum(key) != integer(n, "partition size", 0):
+        raise ParameterError(f"{key} is not a partition of {n}")
+    return parts if key == parts else key
 
 
 @lru_cache(maxsize=None)
@@ -56,12 +56,8 @@ def partition_index(n: int) -> dict[Partition, int]:
 
 
 def partition_position(lam, n: int) -> int:
-    """The position of lam in partitions_of(n), canonicalising lam only on a miss."""
-    index = partition_index(n)
-    i = index.get(tuple(lam))
-    if i is None and (i := index.get(partition(lam))) is None:
-        raise ParameterError(f"{partition(lam)} is not a partition of {n}")
-    return i
+    """The position of lam in partitions_of(n)."""
+    return partition_index(n)[partition(lam, n)]
 
 
 def _gen_partitions(n: int, max_part: int):
@@ -155,9 +151,7 @@ def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
     """Number of standard Young tableaux of shape lam with maj congruent to r mod n."""
     integer(n, "maj modulus")
     integer(r, "maj residue")
-    lam = partition(lam)
-    if sum(lam) != n:
-        raise ParameterError(f"shape {lam} is not a partition of {n}")
+    lam = partition(lam, n)
     if not 0 <= r < n:
         raise ParameterError(f"residue {r} out of range for modulus {n}")
     count = 0
@@ -235,19 +229,21 @@ class FamilySpec:
         if self.kind == "prime-family":
             if not _is_odd_prime(integer(self.p, "prime-family parameter p")):
                 raise ParameterError("prime-family needs an odd prime p")
-        if self.kind == "lex-from":
-            if self.mu is None or not is_partition(self.mu):
-                raise ParameterError("lex-from needs a partition mu")
+        # mu and each explicit item must equal their own `partition`, so be tuples
+        if self.kind == "lex-from" and partition(self.mu) != self.mu:
+            raise ParameterError("lex-from needs a partition mu")
         if self.kind == "explicit":
-            if self.items is None:
-                raise ParameterError("explicit family needs a list of partitions")
+            if not isinstance(self.items, tuple):
+                raise ParameterError("explicit family needs a tuple of partitions")
             for lam in self.items:
-                if not is_partition(lam):
+                if partition(lam) != lam:
                     raise ParameterError(f"explicit member {lam!r} is not a partition")
 
 
 def in_family(lam: Partition, spec: FamilySpec) -> bool:
-    """Membership predicate; lam is assumed canonical."""
+    """Membership predicate.  lam is taken canonical and is not checked, because
+    `members` calls this once per shape; a lex-from start must be a partition
+    of |lam|, which `partition` checks."""
     kind = spec.kind
     if kind == "all":
         return True
@@ -290,11 +286,7 @@ def in_family(lam: Partition, spec: FamilySpec) -> bool:
                 return False
         return True
     if kind == "lex-from":
-        if sum(spec.mu) != sum(lam):
-            raise ParameterError(
-                f"lex segment start {spec.mu} is not a partition of {sum(lam)}"
-            )
-        return revlex_follows(lam, spec.mu)
+        return revlex_follows(lam, partition(spec.mu, sum(lam)))
     if kind == "explicit":
         return lam in spec.items
     raise ParameterError(f"unknown family kind {kind!r}")
@@ -302,8 +294,6 @@ def in_family(lam: Partition, spec: FamilySpec) -> bool:
 
 def members(spec: FamilySpec, n: int) -> tuple[Partition, ...]:
     """Members of the family among partitions of n, in reverse-lex order."""
-    if spec.kind == "lex-from" and sum(spec.mu) != n:
-        raise ParameterError(f"lex segment start {spec.mu} is not a partition of {n}")
     return tuple(lam for lam in partitions_of(n) if in_family(lam, spec))
 
 

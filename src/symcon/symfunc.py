@@ -44,25 +44,9 @@ from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
 
 from .errors import DegreeError, ParameterError, TruncationError, integer
-from .partitions import Partition, multiplicities, partitions_of, sign_exponent, z_lambda
+from .partitions import Partition, multiplicities, partition, partitions_of, sign_exponent, z_lambda
 
 Packed = tuple[int, dict[int, int]]  # (denominator, {code: numerator})
-
-
-def _canonical_key(parts) -> Partition:
-    """The parts in decreasing order; ParameterError unless every part is an int >= 1.
-
-    A tuple already in order is returned itself, so keys stay shared.
-    """
-    try:
-        key = tuple(sorted(parts, reverse=True))
-    except TypeError as exc:
-        raise ParameterError(f"not a power-sum index: {parts!r}") from exc
-    if key == parts:
-        key = parts
-    if not all(type(p) is int for p in key) or key and key[-1] < 1:
-        raise ParameterError(f"power-sum indices must be integers >= 1, got {key}")
-    return key
 
 
 def _rational(x, what: str) -> Rational:
@@ -99,11 +83,12 @@ class PExpr:
     __slots__ = ("denominator", "numerators")
 
     def __init__(self, terms=None):
-        """sum of c * p_key over the terms; the parts of a key may come in any order."""
+        """sum of c * p_key over the terms; each key is read by `partition` with
+        lowest part 1 (there is no p_0), so its parts may come in any order."""
         clean: dict[Partition, Rational] = {}
         for key, val in (terms or {}).items():
             val = _rational(val, "power-sum coefficient")
-            key = _canonical_key(key)
+            key = partition(key, lo=1)
             clean[key] = clean.get(key, 0) + val
         denom = lcm(*(c.denominator for c in clean.values()))
         self.denominator, self.numerators = _reduce(
@@ -129,12 +114,12 @@ class PExpr:
     @staticmethod
     def p(*parts: int) -> "PExpr":
         """p_{(parts)}; PExpr.p(2,1) is the monomial p_2 p_1."""
-        return PExpr({parts: 1})
+        return PExpr.term(parts)
 
     @staticmethod
     def term(lam, c: Rational = 1) -> "PExpr":
         """c * p_lam; the parts of lam may come in any order."""
-        return PExpr({tuple(lam): c})
+        return PExpr({partition(lam, lo=1): c})
 
     # -- ring structure ----------------------------------------------------
 
@@ -198,7 +183,7 @@ class PExpr:
 
     def coefficient(self, lam) -> Fraction:
         """The coefficient of p_lam; the parts of lam may come in any order."""
-        return Fraction(self.numerators.get(_canonical_key(lam), 0), self.denominator)
+        return Fraction(self.numerators.get(partition(lam, lo=1), 0), self.denominator)
 
     def degrees(self) -> set[int]:
         return {sum(k) for k in self.numerators}
@@ -576,7 +561,7 @@ class Series:
 
 def _lambda_product(kind: str, lam, F: Series) -> PExpr:
     """prod over distinct parts i of h_{m_i}[f_i] ("h") or e_{m_i}[f_i] ("e")."""
-    mults = multiplicities(_canonical_key(lam))
+    mults = multiplicities(partition(lam, lo=1))
     if sum(i * m for i, m in mults.items()) > F.trunc:
         # beyond the width of F's packed sequences
         pleth = plethysm_h if kind == "h" else plethysm_e
@@ -590,7 +575,8 @@ def _lambda_product(kind: str, lam, F: Series) -> PExpr:
 def H_lambda(lam: Partition, F: Series) -> PExpr:
     """prod over distinct parts i of h_{m_i}[f_i]; 1 for the empty partition.
 
-    The parts of lam may come in any order.
+    lam is read by `partition` as a power-sum index is (lowest part 1), so
+    its parts may come in any order.
     """
     return _lambda_product("h", lam, F)
 
@@ -598,7 +584,8 @@ def H_lambda(lam: Partition, F: Series) -> PExpr:
 def E_lambda(lam: Partition, F: Series) -> PExpr:
     """prod over distinct parts i of e_{m_i}[f_i]; 1 for the empty partition.
 
-    The parts of lam may come in any order.
+    lam is read by `partition` as a power-sum index is (lowest part 1), so
+    its parts may come in any order.
     """
     return _lambda_product("e", lam, F)
 

@@ -92,6 +92,17 @@ from . import tables_data
 # the k of the k-parameterised entries: the k-families of thm1.1 and thm5.9 take
 # every k in KS, the w:k modules every k but the first (w needs k >= 2)
 KS = range(1, 7)
+# the degrees of each documented counterexample: cex.b and cex.c are explicit
+# families of partitions of 6
+CEX_DEGREES = {"a": (4, 5, 6), "b": (6,), "c": (6,)}
+# the number-theory entries are cheap, so they run to these degrees at any max_n
+LEMMA_TOP = 30  # lem3.3, lem4.1, lem5.1, lem5.7
+RAMANUJAN_TOP = 60  # oracles.ramanujan
+# their weights k: c_d(k) against the divisor-sum oracle, c_d(k) = c_d(k mod d),
+# and lem3.3 at every k of LEMMA_KS, lem5.7 at every k >= 1
+RAMANUJAN_KS = range(61)
+RAMANUJAN_PERIOD_KS = range(121)
+LEMMA_KS = range(13)
 
 
 @dataclass(frozen=True)
@@ -640,12 +651,12 @@ def _run_mn_alternant(n: int) -> tuple:
 
 
 def _run_ramanujan(d: int) -> tuple:
-    for k in range(0, 61):
+    for k in RAMANUJAN_KS:
         if ramanujan_sum(d, k) != ramanujan_sum_oracle(d, k):
             return "FAIL", {"witness": [{"d": d, "k": k}]}
     if ramanujan_sum(d, 0) != totient(d):
         return "FAIL", {"failed": "c_d(0) == phi(d)"}
-    for k in range(0, 121):
+    for k in RAMANUJAN_PERIOD_KS:
         if ramanujan_sum(d, k) != ramanujan_sum(d, k % d):
             return "FAIL", {"failed": "periodicity"}
     return "PASS", None
@@ -660,7 +671,7 @@ def _run_maj(n: int) -> tuple:
 
 
 def _run_lem33(n: int) -> tuple:
-    for k in range(0, 13):
+    for k in LEMMA_KS:
         lhs = f_eval_direct(n, k, -1)
         if n % 2 == 1:
             rhs = -f_eval_direct(n, k, 1)
@@ -864,13 +875,14 @@ def _build_catalog() -> list[Entry]:
     )
     oracles = [
         ("oracles.mn-alternant", "oracles", _span(1, ALTERNANT_MAX_N), _run_mn_alternant, ()),
-        ("oracles.ramanujan", "oracles", _span(1, 60, floor=60), _run_ramanujan, ()),
+        ("oracles.ramanujan", "oracles", _span(1, RAMANUJAN_TOP, floor=RAMANUJAN_TOP),
+         _run_ramanujan, ()),
         ("oracles.maj", "oracles", _span(1, 9), _run_maj, ()),
     ]
-    thirty = _span(1, 30, floor=30)
-    lemmas = [("lem3.3", "lemmas", thirty, _run_lem33, ())] + [
-        (cid, "lemmas", thirty, _run_feval_lemma, (ks,))
-        for cid, ks in (("lem4.1", (0,)), ("lem5.1", (1,)), ("lem5.7", range(1, 13)))
+    lemma_ns = _span(1, LEMMA_TOP, floor=LEMMA_TOP)
+    lemmas = [("lem3.3", "lemmas", lemma_ns, _run_lem33, ())] + [
+        (cid, "lemmas", lemma_ns, _run_feval_lemma, (ks,))
+        for cid, ks in (("lem4.1", (0,)), ("lem5.1", (1,)), ("lem5.7", LEMMA_KS[1:]))
     ]
     tables = [  # each over the degrees its fixture holds; t1 and t2 always reach 10
         (f"tables.{kind}", "tables", _span(*tables_data.table_range(kind), floor=floor),
@@ -878,9 +890,8 @@ def _build_catalog() -> list[Entry]:
         for kind, floor in (("t1", 10), ("t2", 10), ("t3", 0), ("t4", 0))
     ]
     cex = [
-        ("cex.a", "counterexamples", _fixed((4, 5, 6)), _run_cex, ("a",)),
-        ("cex.b", "counterexamples", _fixed((6,)), _run_cex, ("b",)),
-        ("cex.c", "counterexamples", _fixed((6,)), _run_cex, ("c",)),
+        (f"cex.{which}", "counterexamples", _fixed(ns), _run_cex, (which,))
+        for which, ns in CEX_DEGREES.items()
     ]
     scans = [
         ("conjecture1.5", "conjecture", _span(1, 8), _run_conjecture, ()),

@@ -226,6 +226,22 @@ def test_schur_power_roundtrip():
             assert back.mults == {nu: Fraction(1)}
 
 
+@pytest.mark.parametrize(
+    "nu", [(20,), (1,) * 20, (10, 10), (3,) * 6 + (2,), (5, 4, 3, 2, 2, 1, 1, 1, 1)]
+)
+def test_schur_to_power_reads_one_lane_at_n20(nu):
+    # lanes far from 0 ((1^20) is lane 626), against the independent recursion
+    f = schur_to_power(nu)
+    for lam in partitions_of(20):
+        assert f.coefficient(lam) == Fraction(mn_character(nu, lam), z_lambda(lam)), lam
+    assert schur_to_power(list(reversed(nu)) + [0]) == f
+
+
+def test_schur_to_power_reads_the_shape_before_its_size():
+    with pytest.raises(ParameterError, match="partition part must be an integer >= 0, got 2.0"):
+        schur_to_power((2.0, 1))
+
+
 def test_json_shape():
     se = to_schur(sum((PExpr.term(lam) for lam in partitions_of(3)), PExpr.zero()))
     assert se.to_json_dict() == {

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from symcon.characters import character_table, to_schur
+from symcon.characters import (
+    alternant_oracle,
+    character_table,
+    mn_character,
+    schur_to_power,
+    to_schur,
+)
 from symcon.errors import ParameterError, integer
 from symcon.numbertheory import (
     divisors,
@@ -12,7 +18,18 @@ from symcon.numbertheory import (
     ramanujan_sum_oracle,
     totient,
 )
-from symcon.partitions import FamilySpec, maj_multiplicity, partition, partitions_of
+from symcon.partitions import (
+    FamilySpec,
+    conjugate,
+    hook_lengths,
+    maj_multiplicity,
+    members,
+    partition,
+    partition_position,
+    partitions_of,
+    syt_count,
+    z_lambda,
+)
 from symcon.repmodels import (
     f_eval,
     foulkes,
@@ -25,6 +42,8 @@ from symcon.repmodels import (
     w_route_b,
 )
 from symcon.symfunc import (
+    E_lambda,
+    H_lambda,
     PExpr,
     Series,
     dimension,
@@ -121,3 +140,78 @@ ENTRY_POINTS = {
 def test_every_integer_argument_goes_through_the_one_rule(name):
     with pytest.raises(ParameterError, match=r" must be an integer( >= -?\d+)?, got "):
         ENTRY_POINTS[name]()
+
+
+# Every entry point that reads a partition, each given the same bad ones: all of
+# them raise ParameterError through `partitions.partition`, cold and after a valid
+# call on the equal canonical key (a warm cache or index must not let one through).
+N = 4
+TABLE = character_table(N)
+SCHUR = to_schur(p(*(1,) * N))
+PARTITION_ENTRY_POINTS = {
+    "partition": lambda lam: partition(lam, N),
+    "partition lo=1": lambda lam: partition(lam, N, lo=1),
+    "z_lambda": z_lambda,
+    "conjugate": conjugate,
+    "hook_lengths": hook_lengths,
+    "syt_count": syt_count,
+    "maj_multiplicity": lambda lam: maj_multiplicity(lam, N, 0),
+    "mn_character shape": lambda lam: mn_character(lam, (N,)),
+    "mn_character class": lambda lam: mn_character((N,), lam),
+    "alternant_oracle shape": lambda lam: alternant_oracle(lam, (N,)),
+    "alternant_oracle class": lambda lam: alternant_oracle((N,), lam),
+    "CharacterTable.chi shape": lambda lam: TABLE.chi(lam, (N,)),
+    "CharacterTable.chi class": lambda lam: TABLE.chi((N,), lam),
+    "SchurExpansion.mult": SCHUR.mult,
+    "schur_to_power": schur_to_power,
+    "partition_position": lambda lam: partition_position(lam, N),
+    "PExpr.p": lambda lam: p(*lam),
+    "PExpr.term": PExpr.term,
+    "PExpr.coefficient": p(2, 2).coefficient,
+    "H_lambda": lambda lam: H_lambda(lam, F),
+    "E_lambda": lambda lam: E_lambda(lam, F),
+    "FamilySpec lex-from": lambda lam: members(FamilySpec("lex-from", mu=lam), N),
+    "FamilySpec explicit": lambda lam: FamilySpec("explicit", items=(lam,)),
+}
+SIZED = {
+    "partition", "partition lo=1", "maj_multiplicity", "mn_character shape",
+    "mn_character class", "alternant_oracle shape", "alternant_oracle class",
+    "CharacterTable.chi shape", "CharacterTable.chi class", "SchurExpansion.mult",
+    "partition_position", "FamilySpec lex-from",
+}
+BAD_PARTITIONS = {  # name: (bad input, a valid input to warm up on)
+    "None": (None, (2, 2)),
+    "int": (5, (2, 2)),
+    "float part": ((2.0, 2), (2, 2)),
+    "bool parts": ((True,) * N, (1,) * N),
+    "negative part": ((2, -1), (2, 1, 1)),
+    "wrong size": ((3,), (3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PARTITIONS)
+def test_every_partition_argument_goes_through_the_one_rule(name):
+    bad, warm = BAD_PARTITIONS[name]
+    let_through = []
+    for entry, call in PARTITION_ENTRY_POINTS.items():
+        if name == "wrong size" and entry not in SIZED:
+            continue  # (3,) is a partition; only a size makes it a wrong one
+        if entry == "PExpr.p" and not isinstance(bad, tuple):
+            continue  # p takes its parts as arguments: p(5) is p_5
+        for state in ("cold", "warm"):
+            if state == "warm":
+                call(warm)
+            try:
+                got = call(bad)
+            except ParameterError:
+                continue
+            except Exception as exc:
+                got = exc
+            let_through.append(f"{entry} ({state}): {got!r}")
+    assert not let_through
+
+
+@pytest.mark.parametrize("items", [5, [(2, 1)]])
+def test_explicit_family_needs_a_tuple_of_partitions(items):
+    with pytest.raises(ParameterError):
+        FamilySpec("explicit", items=items)

@@ -8,7 +8,6 @@ from symcon.partitions import (
     FamilySpec,
     conjugate,
     in_family,
-    is_partition,
     maj_multiplicity,
     members,
     parse_family,
@@ -214,9 +213,15 @@ def test_family_parameters_must_be_integers(kind, params):
 
 
 def test_is_partition_needs_integer_parts():
-    assert is_partition((2, 1, 1)) and is_partition(())
+    # a family's mu and explicit items must be tuples equal to their own `partition`
+    for lam in ((2, 1, 1), ()):
+        FamilySpec("lex-from", mu=lam)
+        FamilySpec("explicit", items=(lam,))
     for parts in ((True,), (True, True), (2.0, 1), (2, 1.0), [2, 1], (1, 2), (1, 0)):
-        assert not is_partition(parts), parts
+        with pytest.raises(ParameterError):
+            FamilySpec("lex-from", mu=parts)
+        with pytest.raises(ParameterError):
+            FamilySpec("explicit", items=(parts,))
 
 
 def test_partition_json_roundtrip():
