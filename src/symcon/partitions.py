@@ -8,7 +8,13 @@ one, and a key already canonical comes back as itself, so keys stay shared.
 
 Enumeration follows the reverse-lexicographic order in which (n) comes
 first and (1^n) last: of two distinct partitions, the one with the larger
-part at the first index where they differ comes earlier.
+part at the first index where they differ comes earlier.  `partitions_of`
+walks it once per degree with Zoghbi and Stojmenovic's ZS1 (1998), which
+turns one list into the next partition in place.
+
+Family membership reads masks, not parts: each shape of a degree is cached
+once as (lam, parts mask, repeated-parts mask, sign parity), with bit p set
+for a part p, and each family kind is one rule on them (see `_rule`).
 """
 
 from __future__ import annotations
@@ -41,12 +47,31 @@ def partition(parts, n: int | None = None, lo: int = 0) -> Partition:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, exactly once, in reverse-lexicographic order.
+    """All partitions of n, exactly once, in reverse-lexicographic order (ZS1).
 
     The check runs on a cache miss only; lru_cache keys 2.0 and True apart
     from 2 and 1, so they always reach it.
     """
-    return tuple(_gen_partitions(integer(n, "partition size", 0), n))
+    if integer(n, "partition size", 0) == 0:
+        return ((),)
+    x = [1] * n  # x[:m] is the current partition; x[h] its last part above 1
+    x[0], m, h = n, 1, 0
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:  # 2 becomes 1 + 1
+            x[h], m, h = 1, m + 1, h - 1
+        else:  # lower x[h] to r; the freed t = 1 + (ones after it) follows in parts r, then t % r
+            r = x[h] - 1
+            t, x[h] = m - h, r
+            while t >= r:
+                h += 1
+                x[h], t = r, t - r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        out.append(tuple(x[:m]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -60,17 +85,8 @@ def partition_position(lam, n: int) -> int:
     return partition_index(n)[partition(lam, n)]
 
 
-def _gen_partitions(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - first, first):
-            yield (first,) + rest
-
-
-def multiplicities(lam: Partition) -> dict[int, int]:
-    """Map part value -> multiplicity m_i(lam), keyed in decreasing part order."""
+def _multiplicities(lam: Partition) -> dict[int, int]:
+    """Map part value -> multiplicity m_i(lam), keyed in decreasing part order; lam canonical."""
     out: dict[int, int] = {}
     for p in lam:
         out[p] = out.get(p, 0) + 1
@@ -80,7 +96,7 @@ def multiplicities(lam: Partition) -> dict[int, int]:
 def z_lambda(lam: Partition) -> int:
     """Centralizer order prod_i i^{m_i} * m_i! of a permutation of cycle type lam."""
     z = 1
-    for i, m in multiplicities(partition(lam)).items():
+    for i, m in _multiplicities(partition(lam)).items():
         z *= i**m * factorial(m)
     return z
 
@@ -97,8 +113,8 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(cols)
 
 
-def sign_exponent(lam: Partition) -> int:
-    """|lam| - length(lam); the sign of a permutation of type lam is (-1)**this."""
+def _sign_exponent(lam: Partition) -> int:
+    """|lam| - length(lam), lam canonical; a permutation of type lam has sign (-1)**this."""
     return sum(lam) - len(lam)
 
 
@@ -159,16 +175,6 @@ def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
         if sum(descents) % n == r:
             count += 1
     return count
-
-
-def revlex_follows(lam: Partition, mu: Partition) -> bool:
-    """True if lam equals mu or comes after mu in reverse-lexicographic order."""
-    la = list(lam) + [0] * max(0, len(mu) - len(lam))
-    mb = list(mu) + [0] * max(0, len(lam) - len(mu))
-    for a, b in zip(la, mb):
-        if a != b:
-            return a < b
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -240,61 +246,76 @@ class FamilySpec:
                     raise ParameterError(f"explicit member {lam!r} is not a partition")
 
 
-def in_family(lam: Partition, spec: FamilySpec) -> bool:
-    """Membership predicate.  lam is taken canonical and is not checked, because
-    `members` calls this once per shape; a lex-from start must be a partition
-    of |lam|, which `partition` checks."""
-    kind = spec.kind
-    if kind == "all":
-        return True
-    if kind == "odd-parts":
-        return all(p % 2 == 1 for p in lam)
-    if kind == "even-sign":
-        return sign_exponent(lam) % 2 == 0
-    if kind == "odd-sign":
-        return sign_exponent(lam) % 2 == 1
-    if kind == "do":
-        return len(set(lam)) == len(lam) and all(p % 2 == 1 for p in lam)
-    if kind == "not-do":
-        return not in_family(lam, FamilySpec("do"))
-    if kind == "not-do-even-sign":
-        return sign_exponent(lam) % 2 == 0 and not in_family(lam, FamilySpec("do"))
-    if kind == "distinct":
-        return len(set(lam)) == len(lam)
-    if kind == "one-or-k":
-        return all(p in (1, spec.k) for p in lam)
-    if kind == "divides-k":
-        return all(spec.k % p == 0 for p in lam)
-    if kind == "thm59":
-        k = spec.k
-        mults = multiplicities(lam)
-        for part, m in mults.items():
-            if part % 2 == 1:
-                if k % part != 0:
-                    return False
-            else:
-                if m > 1 or k % part == 0 or k % (part // 2) != 0:
-                    return False
-        return True
-    if kind == "prime-family":
-        allowed = {1, 2, spec.p, 2 * spec.p}
-        mults = multiplicities(lam)
-        for part, m in mults.items():
-            if part not in allowed:
-                return False
-            if part % 2 == 0 and m > 1:
-                return False
-        return True
-    if kind == "lex-from":
-        return revlex_follows(lam, partition(spec.mu, sum(lam)))
-    if kind == "explicit":
-        return lam in spec.items
-    raise ParameterError(f"unknown family kind {kind!r}")
+def _mask(lam: Partition) -> tuple[int, int, int]:
+    """(parts mask, repeated-parts mask, sign parity) of a canonical lam."""
+    parts = repeated = 0
+    for p in lam:
+        repeated |= parts & (1 << p)
+        parts |= 1 << p
+    return parts, repeated, (sum(lam) - len(lam)) & 1
+
+
+@lru_cache(maxsize=64)
+def _masks(n: int) -> tuple[tuple[Partition, int, int, int], ...]:
+    """(lam, *_mask(lam)) for every lam of partitions_of(n), in order; partitions_of checks n."""
+    return tuple((lam, *_mask(lam)) for lam in partitions_of(n))
+
+
+@lru_cache(maxsize=1024)
+def _rule(spec: FamilySpec, n: int) -> tuple[int, int, bool, tuple[int, ...]]:
+    """(forbidden parts, forbidden repeated parts, negate, allowed sign parities) at degree n.
+
+    A shape is a member when (no forbidden part and no forbidden repeated part)
+    != negate and its sign parity is allowed.
+    """
+    k, p = spec.k, spec.p
+    even, every = (lambda q: q % 2 == 0), (lambda q: True)
+    bad, twice = {  # which parts a member may not have, and which not twice
+        "odd-parts": (even, None),
+        "do": (even, every),
+        "not-do": (even, every),
+        "not-do-even-sign": (even, every),
+        "distinct": (None, every),
+        "one-or-k": (lambda q: q not in (1, k), None),
+        "divides-k": (lambda q: k % q, None),
+        # odd parts divide k; an even part 2j, at most once, has j | k but not 2j | k
+        "thm59": (lambda q: k % q if q % 2 else k % q == 0 or k % (q // 2), even),
+        "prime-family": (lambda q: q not in (1, 2, p, 2 * p), even),
+    }.get(spec.kind, (None, None))
+    forbid, repeat = (sum(1 << q for q in range(1, n + 1) if f and f(q)) for f in (bad, twice))
+    signs = {"even-sign": (0,), "odd-sign": (1,), "not-do-even-sign": (0,)}.get(spec.kind, (0, 1))
+    return forbid, repeat, spec.kind.startswith("not-do"), signs
+
+
+def in_family(lam, spec: FamilySpec) -> bool:
+    """Whether lam lies in the family: `members`' rule, read on the masks of lam alone.
+
+    lam goes through `partition`; lex-from and explicit ask `members` at |lam|.
+    """
+    lam = partition(lam)
+    if spec.kind in ("lex-from", "explicit"):
+        return lam in members(spec, sum(lam))
+    forbid, repeat, negate, signs = _rule(spec, sum(lam))
+    parts, repeated, sign = _mask(lam)
+    return (not (parts & forbid or repeated & repeat)) != negate and sign in signs
 
 
 def members(spec: FamilySpec, n: int) -> tuple[Partition, ...]:
-    """Members of the family among partitions of n, in reverse-lex order."""
-    return tuple(lam for lam in partitions_of(n) if in_family(lam, spec))
+    """Members of the family among partitions of n, in reverse-lex order.
+
+    One filter over the cached masks of degree n; lex-from is the suffix of
+    partitions_of(n) from mu, and explicit a filter on the items.
+    """
+    masks = _masks(n)  # checks n before the rule reads it
+    if spec.kind == "lex-from":
+        return partitions_of(n)[partition_position(spec.mu, n):]
+    if spec.kind == "explicit":
+        return tuple(lam for lam, *_ in masks if lam in spec.items)
+    forbid, repeat, negate, signs = _rule(spec, n)
+    return tuple(
+        lam for lam, parts, repeated, sign in masks
+        if (not (parts & forbid or repeated & repeat)) != negate and sign in signs
+    )
 
 
 def parse_family(text: str) -> FamilySpec:

@@ -44,7 +44,7 @@ from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
 
 from .errors import DegreeError, ParameterError, TruncationError, integer
-from .partitions import Partition, multiplicities, partition, partitions_of, sign_exponent, z_lambda
+from .partitions import Partition, _multiplicities, _sign_exponent, partition, partitions_of, z_lambda
 
 Packed = tuple[int, dict[int, int]]  # (denominator, {code: numerator})
 
@@ -333,7 +333,7 @@ def _series_product(a: dict[int, Packed], b: dict[int, Packed], top: int) -> dic
 
 def omega(f: PExpr) -> PExpr:
     """The involution with omega(p_i) = (-1)^(i-1) p_i."""
-    nums = {k: (v if sign_exponent(k) % 2 == 0 else -v) for k, v in f.numerators.items()}
+    nums = {k: (v if _sign_exponent(k) % 2 == 0 else -v) for k, v in f.numerators.items()}
     return _expr((f.denominator, nums))
 
 
@@ -561,7 +561,7 @@ class Series:
 
 def _lambda_product(kind: str, lam, F: Series) -> PExpr:
     """prod over distinct parts i of h_{m_i}[f_i] ("h") or e_{m_i}[f_i] ("e")."""
-    mults = multiplicities(partition(lam, lo=1))
+    mults = _multiplicities(partition(lam, lo=1))
     if sum(i * m for i, m in mults.items()) > F.trunc:
         # beyond the width of F's packed sequences
         pleth = plethysm_h if kind == "h" else plethysm_e
@@ -670,7 +670,7 @@ def plethysm_into(f: PExpr, R: Series) -> Series:
 
     triples: dict[int, list] = {}  # output degree -> (numerator, packed, packed)
     for key, num in f.numerators.items():
-        factors = [power(d, m) for d, m in multiplicities(key).items()]
+        factors = [power(d, m) for d, m in _multiplicities(key).items()]
         if not all(factors):  # a power that vanishes through degree n
             continue
         # the product of all factors but the last, through the degrees the rest leave room for
@@ -722,7 +722,7 @@ def product_expansion(factors, n: int) -> PExpr:
         ]
     terms = {}
     for lam in lams:
-        mults = multiplicities(lam)
+        mults = _multiplicities(lam)
         if all(m in polys for m in mults):
             coeff = prod(polys[m][j] for m, j in mults.items())
             if coeff:

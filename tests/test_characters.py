@@ -18,7 +18,7 @@ from symcon.partitions import (
     conjugate,
     partition_index,
     partitions_of,
-    sign_exponent,
+    _sign_exponent,
     syt_count,
     z_lambda,
 )
@@ -179,7 +179,7 @@ def test_conjugate_row_sign_rule():
         for nu in table.parts:
             nut = conjugate(nu)
             for mu in table.parts:
-                assert table.chi(nut, mu) == (-1) ** sign_exponent(mu) * table.chi(nu, mu)
+                assert table.chi(nut, mu) == (-1) ** _sign_exponent(mu) * table.chi(nu, mu)
 
 
 def test_alternant_oracle_exhaustive():
@@ -284,7 +284,7 @@ def test_to_schur_exact_at_large_degree(n):
     # h_n = sum p_lam / z_lam and e_n = sum eps_lam p_lam / z_lam; the common
     # denominator is large, so the numerators span several limbs
     h = PExpr({lam: Fraction(1, z_lambda(lam)) for lam in partitions_of(n)})
-    e = PExpr({lam: Fraction((-1) ** sign_exponent(lam), z_lambda(lam)) for lam in partitions_of(n)})
+    e = PExpr({lam: Fraction((-1) ** _sign_exponent(lam), z_lambda(lam)) for lam in partitions_of(n)})
     se = to_schur(h, max_n=n)
     assert se.mults == {(n,): 1} and se.verdict == "NONNEGATIVE"
     assert to_schur(e, max_n=n).mults == {(1,) * n: 1}

@@ -3,8 +3,10 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+import symcon.partitions
 from symcon.errors import ParameterError
 from symcon.partitions import (
+    FAMILY_KINDS,
     FamilySpec,
     conjugate,
     in_family,
@@ -16,10 +18,12 @@ from symcon.partitions import (
     partition_index,
     partition_position,
     partitions_of,
-    revlex_follows,
     syt_count,
     z_lambda,
 )
+
+import partition_reference as ref
+from partition_reference import revlex_follows
 
 
 def partitions_st(max_n=10):
@@ -235,3 +239,56 @@ def test_explicit_family_membership(lam):
     spec = FamilySpec("explicit", items=(lam,))
     assert in_family(lam, spec)
     assert members(spec, sum(lam)) == (lam,)
+
+
+def test_partitions_of_matches_recursive_reference():
+    for n in range(0, 31):
+        assert partitions_of(n) == tuple(ref.gen_partitions(n))
+
+
+def _reference_specs(n):
+    """One spec of every kind, with the parameters the families take at degree n."""
+    specs = [FamilySpec(kind) for kind in FAMILY_KINDS if kind not in
+             ("one-or-k", "divides-k", "thm59", "prime-family", "lex-from", "explicit")]
+    specs += [FamilySpec(kind, k=k) for kind in ("one-or-k", "divides-k", "thm59")
+              for k in range(1, 13)]
+    specs += [FamilySpec("prime-family", p=p) for p in (3, 5, 7, 11)]
+    if n <= 8:
+        specs += [FamilySpec("lex-from", mu=mu) for mu in partitions_of(n)]
+    specs.append(FamilySpec("explicit", items=((2, 1), (1,) * n, (3, 3, 1), (4, 2), (9, 9))))
+    assert {spec.kind for spec in specs} | {"lex-from"} == set(FAMILY_KINDS)
+    return specs
+
+
+def test_members_match_reference_filter():
+    for n in range(0, 15):
+        for spec in _reference_specs(n):
+            got = members(spec, n)
+            assert got == ref.members(spec, n), (spec, n)
+            for lam in partitions_of(n):
+                assert in_family(lam, spec) == (lam in got), (lam, spec)
+
+
+_DEGREE_SPECS = (
+    FamilySpec("all"),
+    FamilySpec("odd-parts"),
+    FamilySpec("not-do-even-sign"),
+    FamilySpec("thm59", k=4),
+    FamilySpec("prime-family", p=3),
+    FamilySpec("lex-from", mu=(1, 1)),
+    FamilySpec("explicit", items=((2,),)),
+)
+
+
+@pytest.mark.parametrize("spec", _DEGREE_SPECS)
+@pytest.mark.parametrize("n", [2.0, True, -1])
+def test_members_checks_the_degree_first(spec, n):
+    # cold: nothing cached yet, so the degree check is the first thing to run
+    for cached in (partitions_of, symcon.partitions.partition_index,
+                   symcon.partitions._masks, symcon.partitions._rule):
+        cached.cache_clear()
+    with pytest.raises(ParameterError):
+        members(spec, n)
+    members(spec, 2)  # warm: degree 2 is cached; its lookalikes still raise
+    with pytest.raises(ParameterError):
+        members(spec, n)
