@@ -15,6 +15,9 @@ turns one list into the next partition in place.
 Family membership reads masks, not parts: each shape of a degree is cached
 once as (lam, parts mask, repeated-parts mask, sign parity), with bit p set
 for a part p, and each family kind is one rule on them (see `_rule`).
+
+No tableau is enumerated: `syt_count` and `maj_multiplicity` read the
+hook-length formula and its q-analogue.
 """
 
 from __future__ import annotations
@@ -136,45 +139,28 @@ def syt_count(lam: Partition) -> int:
     return num
 
 
-def _iter_syt_descents(lam: Partition):
-    """Yield the descent set of every standard Young tableau of shape lam.
-
-    Entries 1..n are placed in increasing order; i is a descent when i+1
-    lands in a strictly lower row.
-    """
-    n = sum(lam)
-    rows = len(lam)
-    filled = [0] * rows  # cells used so far in each row
-    row_of = [0] * (n + 2)
-
-    def place(i: int):
-        if i > n:
-            yield frozenset(
-                d for d in range(1, n) if row_of[d + 1] > row_of[d]
-            )
-            return
-        for r in range(rows):
-            if filled[r] < lam[r] and (r == 0 or filled[r] < filled[r - 1]):
-                filled[r] += 1
-                row_of[i] = r
-                yield from place(i + 1)
-                filled[r] -= 1
-
-    yield from place(1)
-
-
 def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
-    """Number of standard Young tableaux of shape lam with maj congruent to r mod n."""
+    """Number of standard Young tableaux of shape lam with maj congruent to r mod n.
+
+    Over all of them, sum_T q^maj(T) = q^b prod_{j<=n} (1 - q^j) / prod_h (1 - q^h)
+    (q-hook-length formula, Stanley EC2 7.21.5), h over the hooks, b = sum_i i*lam_i
+    with rows from 0; the polynomial's coefficients at e + b = r mod n are summed.
+    """
     integer(n, "maj modulus")
     integer(r, "maj residue")
     lam = partition(lam, n)
     if not 0 <= r < n:
         raise ParameterError(f"residue {r} out of range for modulus {n}")
-    count = 0
-    for descents in _iter_syt_descents(lam):
-        if sum(descents) % n == r:
-            count += 1
-    return count
+    top = n * (n + 1) // 2
+    poly = [1] + [0] * top
+    for j in range(1, n + 1):  # times 1 - q^j
+        for e in range(top, j - 1, -1):
+            poly[e] -= poly[e - j]
+    for h in hook_lengths(lam):  # over 1 - q^h: a running sum with stride h
+        for e in range(h, top + 1):
+            poly[e] += poly[e - h]
+    b = sum(i * p for i, p in enumerate(lam))
+    return sum(poly[(r - b) % n :: n])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +297,14 @@ def members(spec: FamilySpec, n: int) -> tuple[Partition, ...]:
         return partitions_of(n)[partition_position(spec.mu, n):]
     if spec.kind == "explicit":
         return tuple(lam for lam, *_ in masks if lam in spec.items)
-    forbid, repeat, negate, signs = _rule(spec, n)
+    return _shapes(n, *_rule(spec, n))
+
+
+def _shapes(n: int, forbid: int, repeat: int = 0, negate: bool = False, signs=(0, 1)):
+    """The shapes of n, in reverse-lex order, that `_rule`'s fields admit; forbid is
+    a parts mask, ~allowed for a caller that admits only the parts in allowed."""
     return tuple(
-        lam for lam, parts, repeated, sign in masks
+        lam for lam, parts, repeated, sign in _masks(n)
         if (not (parts & forbid or repeated & repeat)) != negate and sign in signs
     )
 

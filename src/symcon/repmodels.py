@@ -202,10 +202,10 @@ def _w_weight(mid: str) -> int:
 
 
 def w_route_a(n: int, k: int) -> PExpr:
-    """sum_r p_k^r * p_1^(n - k*r)."""
+    """sum_r p_k^r * p_1^(n - k*r): the family one-or-k."""
     integer(n, "w degree n", 0)
     integer(k, "w parameter k", 2)
-    return PExpr(dict.fromkeys(((k,) * r + (1,) * (n - k * r) for r in range(n // k + 1)), 1))
+    return power_sum_family(FamilySpec("one-or-k", k=k), n)
 
 
 def w_route_b(n: int, k: int) -> PExpr:

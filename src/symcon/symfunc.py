@@ -44,7 +44,9 @@ from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
 
 from .errors import DegreeError, ParameterError, TruncationError, integer
-from .partitions import Partition, _multiplicities, _sign_exponent, partition, partitions_of, z_lambda
+from .partitions import (
+    Partition, _multiplicities, _shapes, _sign_exponent, partition, partitions_of, z_lambda
+)
 
 Packed = tuple[int, dict[int, int]]  # (denominator, {code: numerator})
 
@@ -707,7 +709,7 @@ def product_expansion(factors, n: int) -> PExpr:
     coefficient of p_lam is the product over the parts m of lam of
     [x^(m_m(lam))] prod_{factors at m} (1 + sign*x)^c.
     """
-    lams = partitions_of(integer(n, "degree", 0))
+    integer(n, "degree", 0)
     polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
     for m, c, sign in factors:
         integer(m, "factor degree", 1)
@@ -721,10 +723,8 @@ def product_expansion(factors, n: int) -> PExpr:
             sum(old[i] * factor[j - i] for i in range(j + 1)) for j in range(len(factor))
         ]
     terms = {}
-    for lam in lams:
-        mults = _multiplicities(lam)
-        if all(m in polys for m in mults):
-            coeff = prod(polys[m][j] for m, j in mults.items())
-            if coeff:
-                terms[lam] = coeff
+    for lam in _shapes(n, ~sum(1 << m for m in polys)):  # every part has a factor
+        coeff = prod(polys[m][j] for m, j in _multiplicities(lam).items())
+        if coeff:
+            terms[lam] = coeff
     return _expr((1, terms))

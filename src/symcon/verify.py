@@ -51,7 +51,6 @@ from .numbertheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
 from .partitions import (
     FamilySpec,
     Partition,
-    _multiplicities,
     conjugate,
     maj_multiplicity,
     members,
@@ -593,7 +592,7 @@ def _run_prop422(n: int) -> tuple:
         want = sum(len(lam) - 1 for lam in members(FamilySpec("distinct"), n)) + sum(
             1  # one part twice, every other part once
             for lam in partitions_of(n)
-            if sorted(_multiplicities(lam).values(), reverse=True)[:2] in ([2], [2, 1])
+            if len(lam) == len(set(lam)) + 1
         )
         checks.append(("near-trivial", se.mult((n - 1, 1)) == want))
         checks.append(("near-sign", se.mult((2,) + (1,) * (n - 2)) == want))

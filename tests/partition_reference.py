@@ -1,9 +1,11 @@
 """Reference partition enumeration and family membership for the tests.
 
 These are the straightforward forms that `symcon.partitions` replaced with
-its single pass per degree: a recursive generator in reverse-lexicographic
-order, a pairwise order comparator, and one predicate per family kind that
-reads the parts of one shape.  The tests check the library against them.
+its single pass per degree and its closed formulas: a recursive generator in
+reverse-lexicographic order, a pairwise order comparator, one predicate per
+family kind that reads the parts of one shape, and a walk over the standard
+Young tableaux of a shape for the major index.  The tests check the library
+against them.
 """
 
 from __future__ import annotations
@@ -89,3 +91,33 @@ def in_family(lam, spec) -> bool:
 def members(spec, n: int) -> tuple:
     """The reference filter: every partition of n in reverse-lex order that lies in spec."""
     return tuple(lam for lam in gen_partitions(n) if in_family(lam, spec))
+
+
+def iter_syt_descents(lam):
+    """Yield the descent set of every standard Young tableau of the canonical shape lam.
+
+    Entries 1..n are placed in increasing order; i is a descent when i+1
+    lands in a strictly lower row.
+    """
+    n = sum(lam)
+    rows = len(lam)
+    filled = [0] * rows  # cells used so far in each row
+    row_of = [0] * (n + 2)
+
+    def place(i: int):
+        if i > n:
+            yield frozenset(d for d in range(1, n) if row_of[d + 1] > row_of[d])
+            return
+        for r in range(rows):
+            if filled[r] < lam[r] and (r == 0 or filled[r] < filled[r - 1]):
+                filled[r] += 1
+                row_of[i] = r
+                yield from place(i + 1)
+                filled[r] -= 1
+
+    yield from place(1)
+
+
+def maj_multiplicity(lam, n: int, r: int) -> int:
+    """The number of standard Young tableaux of shape lam with maj congruent to r mod n."""
+    return sum(1 for descents in iter_syt_descents(lam) if sum(descents) % n == r)

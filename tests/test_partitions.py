@@ -137,9 +137,16 @@ def test_maj_arguments_must_be_integers(n, r):
 
 
 def test_maj_residues_partition_the_tableaux():
-    for n in range(1, 10):
+    for n in range(1, 15):
         for lam in partitions_of(n):
             assert sum(maj_multiplicity(lam, n, r) for r in range(n)) == syt_count(lam)
+
+
+def test_maj_matches_the_tableau_walk():
+    for n in range(1, 10):
+        for lam in partitions_of(n):
+            for r in range(n):
+                assert maj_multiplicity(lam, n, r) == ref.maj_multiplicity(lam, n, r), (lam, r)
 
 
 def test_family_examples():
