@@ -22,6 +22,7 @@ from .partitions import (
     conjugate,
     in_family,
     maj_multiplicity,
+    maj_residues,
     members,
     parse_family,
     partition,

@@ -16,8 +16,8 @@ Family membership reads masks, not parts: each shape of a degree is cached
 once as (lam, parts mask, repeated-parts mask, sign parity), with bit p set
 for a part p, and each family kind is one rule on them (see `_rule`).
 
-No tableau is enumerated: `syt_count` and `maj_multiplicity` read the
-hook-length formula and its q-analogue.
+No tableau is enumerated: `syt_count` reads the hook-length formula, and
+`maj_residues` (which `maj_multiplicity` reads) its q-analogue.
 """
 
 from __future__ import annotations
@@ -139,18 +139,17 @@ def syt_count(lam: Partition) -> int:
     return num
 
 
-def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
-    """Number of standard Young tableaux of shape lam with maj congruent to r mod n.
+def maj_residues(lam: Partition) -> tuple[int, ...]:
+    """Standard Young tableaux of shape lam counted by maj mod n = |lam|:
+    entry r is the number with maj congruent to r, and the n entries sum to
+    syt_count(lam).
 
     Over all of them, sum_T q^maj(T) = q^b prod_{j<=n} (1 - q^j) / prod_h (1 - q^h)
     (q-hook-length formula, Stanley EC2 7.21.5), h over the hooks, b = sum_i i*lam_i
-    with rows from 0; the polynomial's coefficients at e + b = r mod n are summed.
+    with rows from 0; entry r sums the polynomial's coefficients at e + b = r mod n.
     """
-    integer(n, "maj modulus")
-    integer(r, "maj residue")
-    lam = partition(lam, n)
-    if not 0 <= r < n:
-        raise ParameterError(f"residue {r} out of range for modulus {n}")
+    lam = partition(lam)
+    n = sum(lam)
     top = n * (n + 1) // 2
     poly = [1] + [0] * top
     for j in range(1, n + 1):  # times 1 - q^j
@@ -160,7 +159,18 @@ def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
         for e in range(h, top + 1):
             poly[e] += poly[e - h]
     b = sum(i * p for i, p in enumerate(lam))
-    return sum(poly[(r - b) % n :: n])
+    return tuple(sum(poly[(r - b) % n :: n]) for r in range(n))
+
+
+def maj_multiplicity(lam: Partition, n: int, r: int) -> int:
+    """Number of standard Young tableaux of shape lam with maj congruent to r mod n:
+    entry r of maj_residues(lam)."""
+    integer(n, "maj modulus")
+    integer(r, "maj residue")
+    lam = partition(lam, n)
+    if not 0 <= r < n:
+        raise ParameterError(f"residue {r} out of range for modulus {n}")
+    return maj_residues(lam)[r]
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,11 @@ class PExpr:
 
     @staticmethod
     def zero() -> "PExpr":
-        return PExpr()
+        return _expr((1, {}))
 
     @staticmethod
     def one() -> "PExpr":
-        return PExpr({(): 1})
+        return _expr((1, {(): 1}))
 
     @staticmethod
     def p(*parts: int) -> "PExpr":

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from math import factorial
 
 from .characters import (
@@ -376,10 +376,23 @@ def _term(k: int, n: int, name: str) -> PExpr:
     return power_sum_family(FamilySpec(name, k=k or None), n)
 
 
+def _terms(k: int, n: int):
+    """name -> _term(k, n, name), each name built once: a name on several sides
+    of one check is shared."""
+    built: dict[str, PExpr] = {}
+
+    def term(name: str) -> PExpr:
+        if name not in built:
+            built[name] = _term(k, n, name)
+        return built[name]
+
+    return term
+
+
 def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
     """PASS iff both sides of every pair agree and every side of `nonneg` is
     Schur-nonnegative."""
-    term = cache(partial(_term, k, n))  # a name on several sides is built once
+    term = _terms(k, n)
     res = _eq([
         (label, linear_combination(lhs, term), linear_combination(rhs, term))
         for label, lhs, rhs in pairs
@@ -540,7 +553,7 @@ _DIMS = {
 
 def _run_dims(mid: str, n: int) -> tuple:
     _, ratio, sides = _DIMS[mid]
-    term = cache(partial(_term, 0, n))  # a name on several sides is built once
+    term = _terms(0, n)
     got = dimension(term(mid), n)
     if got != ratio * factorial(n):
         return "FAIL", {"failed": "dimension", "got": str(got)}
@@ -650,10 +663,10 @@ def _run_ramanujan(d: int) -> tuple:
         if ramanujan_sum(d, k) != ramanujan_sum_oracle(d, k):
             return "FAIL", {"witness": [{"d": d, "k": k}]}
     if ramanujan_sum(d, 0) != totient(d):
-        return "FAIL", {"failed": "c_d(0) == phi(d)"}
+        return "FAIL", {"failed": "c_d(0) == phi(d)", "witness": [{"d": d, "k": 0}]}
     for k in RAMANUJAN_PERIOD_KS:
         if ramanujan_sum(d, k) != ramanujan_sum(d, k % d):
-            return "FAIL", {"failed": "periodicity"}
+            return "FAIL", {"failed": "periodicity", "witness": [{"d": d, "k": k}]}
     return "PASS", None
 
 

@@ -23,6 +23,7 @@ from symcon.partitions import (
     conjugate,
     hook_lengths,
     maj_multiplicity,
+    maj_residues,
     members,
     partition,
     partition_position,
@@ -156,6 +157,7 @@ PARTITION_ENTRY_POINTS = {
     "hook_lengths": hook_lengths,
     "syt_count": syt_count,
     "maj_multiplicity": lambda lam: maj_multiplicity(lam, N, 0),
+    "maj_residues": maj_residues,
     "mn_character shape": lambda lam: mn_character(lam, (N,)),
     "mn_character class": lambda lam: mn_character((N,), lam),
     "alternant_oracle shape": lambda lam: alternant_oracle(lam, (N,)),

@@ -11,6 +11,7 @@ from symcon.partitions import (
     conjugate,
     in_family,
     maj_multiplicity,
+    maj_residues,
     members,
     parse_family,
     partition,
@@ -139,7 +140,9 @@ def test_maj_arguments_must_be_integers(n, r):
 def test_maj_residues_partition_the_tableaux():
     for n in range(1, 15):
         for lam in partitions_of(n):
-            assert sum(maj_multiplicity(lam, n, r) for r in range(n)) == syt_count(lam)
+            counts = maj_residues(lam)
+            assert len(counts) == n and sum(counts) == syt_count(lam), lam
+    assert maj_residues((1, 2)) == (0, 1, 1) and maj_residues(()) == ()
 
 
 def test_maj_matches_the_tableau_walk():

@@ -292,6 +292,26 @@ def test_dims_runner_builds_each_name_once(monkeypatch):
         assert built == Counter(names)
 
 
+def test_ramanujan_fails_name_a_witness(monkeypatch):
+    from symcon import numbertheory, verify
+
+    assert verify._run_ramanujan(6) == ("PASS", None)
+    real = numbertheory.ramanujan_sum
+    # c_d(0) off by one on both routes: only the totient check sees it
+    off_at_zero = lambda d, k: real(d, k) + (k == 0)
+    monkeypatch.setattr(verify, "ramanujan_sum", off_at_zero)
+    monkeypatch.setattr(verify, "ramanujan_sum_oracle", off_at_zero)
+    assert verify._run_ramanujan(6) == (
+        "FAIL", {"failed": "c_d(0) == phi(d)", "witness": [{"d": 6, "k": 0}]}
+    )
+    # wrong past the oracle's k range: the first k that breaks periodicity
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "ramanujan_sum", lambda d, k: real(d, k) + (k > 60))
+    assert verify._run_ramanujan(6) == (
+        "FAIL", {"failed": "periodicity", "witness": [{"d": 6, "k": 61}]}
+    )
+
+
 def test_routes_rows_share_the_catalog_series(monkeypatch):
     from symcon import repmodels, verify
 
