@@ -1,10 +1,14 @@
+import tracemalloc
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symcon.characters import (
+    COLUMN_WIDTH,
     _build_table,
+    _lanes,
     _mn,
     _strip_removals,
     alternant_oracle,
@@ -167,10 +171,63 @@ def test_column_orthogonality():
 
 
 def test_degree_column_is_syt_count():
-    for n in range(1, 11):
+    for n in range(1, 21):
         table = character_table(n)
         for nu in table.parts:
             assert table.chi(nu, (1,) * n) == syt_count(nu)
+
+
+def test_column_orthogonality_diagonal():
+    # sum_nu chi^nu(mu)^2 = z_mu for every class, every column decoded whole
+    for n in range(1, 21):
+        table = character_table(n)
+        count = len(table.parts)
+        for mu, column in zip(table.parts, table.columns):
+            assert sum(v * v for v in _lanes(column, count, COLUMN_WIDTH)) == z_lambda(mu), mu
+
+
+# sha256 of every column as p(n) signed 64-bit little-endian lanes, in
+# partitions_of(n) order, with the peak |chi|: computed by walking every
+# border strip of every row
+_PINNED = {
+    20: ("cd7a7d31c1bbf553037549820666c8697a0c7dedf3391be17904c4790ba9b901", 249420600),
+    21: ("440f39c5aa507c5e2c469e9607f78b7309b9b8a432edf6adbc6e231887adb692", 1118939184),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED))
+def test_columns_are_pinned(n):
+    table = character_table(n, max_n=n)
+    size = len(table.columns) * COLUMN_WIDTH // 8
+    packed = b"".join(c.to_bytes(size, "little", signed=True) for c in table.columns)
+    assert (sha256(packed).hexdigest(), table.peak) == _PINNED[n]
+
+
+def test_conjugate_rows_against_mn_character():
+    # Every self-conjugate shape, and both members of sampled conjugate pairs,
+    # against the recursion: the build walks one row of a pair and derives the other.
+    for n in range(13, 22):
+        table = character_table(n, max_n=n)
+        parts = table.parts
+        shapes = [nu for nu in parts if conjugate(nu) == nu]
+        for nu in parts[n % 5 :: 67]:
+            if conjugate(nu) != nu:
+                shapes += [nu, conjugate(nu)]
+        for nu in shapes:
+            assert [table.chi(nu, mu) for mu in parts] == [mn_character(nu, mu) for mu in parts], nu
+
+
+def test_table_build_memory():
+    # each level is dropped once no later level reads it: a fresh build at
+    # n = 20 peaks near 6.3 MiB under tracemalloc (10.6 MiB holding every level)
+    character_table(20)  # partitions and their indexes cached
+    tracemalloc.start()
+    try:
+        _build_table.__wrapped__(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20, peak
 
 
 def test_conjugate_row_sign_rule():
