@@ -73,6 +73,7 @@ from .partitions import (
 from .symfunc import PExpr
 
 ALTERNANT_MAX_N = 6
+TABLE_CAP = 20  # the highest table degree built unless a caller raises the cap
 COLUMN_WIDTH = 64  # bits per lane of a packed column
 _TYPECODES = {32: "i", 64: "q"}  # array typecodes of signed 4- and 8-byte integers
 
@@ -303,7 +304,7 @@ def _build_table(n: int) -> CharacterTable:
     return CharacterTable(n, parts, tuple(columns), index, peak)
 
 
-def character_table(n: int, max_n: int = 20) -> CharacterTable:
+def character_table(n: int, max_n: int = TABLE_CAP) -> CharacterTable:
     """Character table of degree n, built once per process and shared read-only."""
     integer(n, "character table degree", 0)
     if n > integer(max_n, "character table cap"):
@@ -359,7 +360,7 @@ class SchurExpansion:
         return " + ".join(f"{m}·{pretty(nu)}" for nu, m in self.terms()) or "0"
 
 
-def to_schur(f: PExpr, n: int | None = None, max_n: int = 20) -> SchurExpansion:
+def to_schur(f: PExpr, n: int | None = None, max_n: int = TABLE_CAP) -> SchurExpansion:
     """Expand a homogeneous power-sum expression in the Schur basis.
 
     mult(nu) = sum_lam c_lam * chi^nu(lam).

@@ -17,44 +17,36 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .characters import SchurExpansion, to_schur
+from .characters import TABLE_CAP, SchurExpansion, to_schur
 from .errors import SymconError
 from .partitions import pretty
 from .repmodels import module_char, parse_module
-from .verify import run_selector, table_decomposition
+from .verify import DEFAULT_MAX_N, TABLES, run_selector, table_decomposition
 
-HARD_CAP = 20
 ENV_MAX_N = "SYMCON_MAX_N"
 
 
-@dataclass
-class RunConfig:
-    max_n: int = 12
-    format: str = "pretty"
-    out: str | None = None
-
-
-def _resolve_config(args) -> RunConfig:
-    cap = HARD_CAP
+def _resolve_max_n(args) -> int:
+    """The run's degree cap: --max-n, else SYMCON_MAX_N, else DEFAULT_MAX_N; at
+    most TABLE_CAP, unless SYMCON_MAX_N raises that."""
+    cap, default = TABLE_CAP, DEFAULT_MAX_N
     env = os.environ.get(ENV_MAX_N)
-    env_val = None
     if env is not None:
         try:
-            env_val = int(env)
+            default = int(env)
         except ValueError:
             raise SymconError(f"{ENV_MAX_N} must be an integer, got {env!r}")
-        if env_val < 1:
-            raise SymconError(f"{ENV_MAX_N} must be >= 1, got {env_val}")
-        if env_val > HARD_CAP:
+        if default < 1:
+            raise SymconError(f"{ENV_MAX_N} must be >= 1, got {default}")
+        if default > TABLE_CAP:
             print(
-                f"warning: {ENV_MAX_N}={env_val} exceeds the supported cap "
-                f"{HARD_CAP}; degrees above it are unsupported",
+                f"warning: {ENV_MAX_N}={default} exceeds the supported cap "
+                f"{TABLE_CAP}; degrees above it are unsupported",
                 file=sys.stderr,
             )
-            cap = env_val
-    max_n = args.max_n if args.max_n is not None else (12 if env_val is None else env_val)
+            cap = default
+    max_n = default if args.max_n is None else args.max_n
     if max_n < 1:
         raise SymconError("--max-n must be >= 1")
     if max_n > cap:
@@ -69,16 +61,16 @@ def _resolve_config(args) -> RunConfig:
             raise SymconError("--threads must be an integer or 'auto'")
         if threads < 1:
             raise SymconError("--threads must be >= 1")
-    return RunConfig(max_n=max_n, format=args.format, out=args.out)
+    return max_n
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
+def _emit(text: str, out: str | None) -> None:
+    if out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SymconError(f"cannot write --out {cfg.out}: {exc.strerror}") from exc
+            raise SymconError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -96,34 +88,34 @@ def _expansion_rows(se: SchurExpansion):
 
 
 def cmd_expand(args) -> int:
-    cfg = _resolve_config(args)
+    max_n = _resolve_max_n(args)
     mid = parse_module(args.target)
-    if args.n > cfg.max_n:
-        raise SymconError(f"n={args.n} exceeds max_n={cfg.max_n}")
-    se = to_schur(module_char(mid, args.n), args.n, max_n=cfg.max_n)
-    if cfg.format == "json":
-        _emit(json.dumps(se.to_json_dict()) + "\n", cfg)
-    elif cfg.format == "csv":
-        _emit(_csv_text(_expansion_rows(se)), cfg)
+    if args.n > max_n:
+        raise SymconError(f"n={args.n} exceeds max_n={max_n}")
+    se = to_schur(module_char(mid, args.n), args.n, max_n=max_n)
+    if args.format == "json":
+        _emit(json.dumps(se.to_json_dict()) + "\n", args.out)
+    elif args.format == "csv":
+        _emit(_csv_text(_expansion_rows(se)), args.out)
     else:
-        _emit(se.pretty() + "\n" + f"verdict: {se.verdict}\n", cfg)
+        _emit(se.pretty() + "\n" + f"verdict: {se.verdict}\n", args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
+    max_n = _resolve_max_n(args)
     lines = []
     n_fail = n_pass = n_report = 0
-    for res in run_selector(args.selector, max_n=cfg.max_n):
+    for res in run_selector(args.selector, max_n=max_n):
         if res.status == "FAIL":
             n_fail += 1
         elif res.status == "REPORT":
             n_report += 1
         else:
             n_pass += 1
-        if cfg.format == "json":
+        if args.format == "json":
             lines.append(json.dumps(res.to_json_dict()))
-        elif cfg.format == "csv":
+        elif args.format == "csv":
             lines.append(
                 _csv_text(
                     [[res.id, res.n, res.status,
@@ -135,31 +127,31 @@ def cmd_verify(args) -> int:
                 res.detail and res.status != "PASS"
             ) else ""
             lines.append(f"{res.status} {res.id} n={res.n}{extra}")
-    if cfg.format == "pretty":
+    if args.format == "pretty":
         lines.append(f"checks: {n_pass} pass, {n_fail} fail, {n_report} report")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args.out)
     return 1 if n_fail else 0
 
 
 def cmd_table(args) -> int:
-    cfg = _resolve_config(args)
-    if not 1 <= args.n <= cfg.max_n:
-        raise SymconError(f"table degree n={args.n} out of range 1..{cfg.max_n}")
-    blocks = table_decomposition(args.kind, args.n, cfg.max_n)
-    if cfg.format == "json":
+    max_n = _resolve_max_n(args)
+    if not 1 <= args.n <= max_n:
+        raise SymconError(f"table degree n={args.n} out of range 1..{max_n}")
+    blocks = table_decomposition(args.kind, args.n, max_n)
+    if args.format == "json":
         payload = {
             "kind": args.kind,
             "n": args.n,
             "blocks": {name: se.to_json_dict() for name, se in blocks.items()},
         }
-        _emit(json.dumps(payload) + "\n", cfg)
+        _emit(json.dumps(payload) + "\n", args.out)
         return 0
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = []
         for name, se in blocks.items():
             for part, mult in _expansion_rows(se):
                 rows.append([part, mult] if len(blocks) == 1 else [name, part, mult])
-        _emit(_csv_text(rows), cfg)
+        _emit(_csv_text(rows), args.out)
         return 0
     indent = "  " if len(blocks) > 1 else ""
     chunks = []
@@ -167,7 +159,7 @@ def cmd_table(args) -> int:
         if indent:
             chunks.append(f"{name}:")
         chunks += (f"{indent}{pretty(nu)}  {m}" for nu, m in se.terms())
-    _emit("\n".join(chunks) + "\n", cfg)
+    _emit("\n".join(chunks) + "\n", args.out)
     return 0
 
 
@@ -183,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                       help=f"degree cap (default 12, hard cap {HARD_CAP})")
+                       help=f"degree cap (default {DEFAULT_MAX_N}, hard cap {TABLE_CAP})")
         p.add_argument("--format", choices=("pretty", "json", "csv"),
                        default="pretty")
         p.add_argument("--out", default=None, help="write output to a file")
@@ -208,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_tab = sub.add_parser("table", help="render a decomposition table column")
-    p_tab.add_argument("kind", choices=("t1", "t2", "t3", "t4"))
+    p_tab.add_argument("kind", choices=tuple(TABLES))
     p_tab.add_argument("n", type=int)
     common(p_tab)
     p_tab.set_defaults(func=cmd_table)

@@ -649,9 +649,11 @@ def plethysm_into(f: PExpr, R: Series) -> Series:
     R[p -> p*d]^(m_d).  Those powers are built packed, {degree: value}
     through R.trunc, once per call and shared by every key of f; with no
     constant term the m-th power starts at degree d*m.  Each key's product
-    stays packed and is taken only through the degrees the truncation
-    leaves room for; the keys are then summed with f's numerators, over its
-    denominator, in one kernel call per output degree and unpacked once.
+    stays packed and is taken through R.trunc from its first factor on, so
+    a key with one distinct part multiplies nothing; a power that vanishes
+    through R.trunc leaves the product empty.  The keys are then summed
+    with f's numerators, over its denominator, in one kernel call per
+    output degree and unpacked once.
     """
     if R.component(0):
         raise ParameterError("plethysm into a series requires zero constant term")
@@ -670,21 +672,13 @@ def plethysm_into(f: PExpr, R: Series) -> Series:
             pows.append(_series_product(pows[-1], pows[1], n))
         return pows[m]
 
-    triples: dict[int, list] = {}  # output degree -> (numerator, packed, packed)
+    triples: dict[int, list] = {}  # output degree -> (numerator, packed, one)
     for key, num in f.numerators.items():
-        factors = [power(d, m) for d, m in _multiplicities(key).items()]
-        if not all(factors):  # a power that vanishes through degree n
-            continue
-        # the product of all factors but the last, through the degrees the rest leave room for
-        head = {0: _ONE}
-        for i in range(len(factors) - 1):
-            top = n - sum(min(g) for g in factors[i + 1 :])
-            head = _series_product(head, factors[i], top)
-        last = factors[-1] if factors else {0: _ONE}
-        for a, x in head.items():
-            for b, y in last.items():
-                if a + b <= n:
-                    triples.setdefault(a + b, []).append((num, x, y))
+        prod, *rest = [power(d, m) for d, m in _multiplicities(key).items()] or [{0: _ONE}]
+        for g in rest:
+            prod = _series_product(prod, g, n)
+        for e, x in prod.items():
+            triples.setdefault(e, []).append((num, x, _ONE))
     return Series({e: R._unpack(_kernel(t, f.denominator)) for e, t in triples.items()}, n)
 
 

@@ -1,12 +1,14 @@
 """Identity catalog and batch verification harness.
 
 Every checkable claim is an Entry: a stable id, a group tag, the degrees
-it applies to, and a runner returning (status, detail) at one degree.  A
-runner never sees the id; Entry.check names the result.  Ids follow the
-external naming contract (thm/prop/cor/lem prefixes with equation-style
-suffixes, k-parameterized entries carrying ':k<k>').  Entries are
-independent; they run one after another and results are emitted in
-catalog order.
+it is declared for (data: a range or a tuple), a floor it always runs to,
+and a runner returning (status, detail) at one degree.  Entry.ns(max_n)
+is the declared degrees up to max_n, or up to the floor if that is higher;
+a run stops at DEFAULT_MAX_N unless asked for another degree.  A runner
+never sees the id; Entry.check names the result.  Ids follow the external
+naming contract (thm/prop/cor/lem prefixes with equation-style suffixes,
+k-parameterized entries carrying ':k<k>').  Entries are independent; they
+run one after another and results are emitted in catalog order.
 
 The linear identities (Theorems 4.2, 4.11, 4.15, 5.9 and 3.4,
 Propositions 4.13 and 6.5, Lemma 5.5 and Corollary 5.10) are rows of data,
@@ -25,7 +27,8 @@ The positivity and strictness claims (Theorem 1.1, Theorems 4.5, 4.9,
 are rows of one table, checked by one runner in both directions: every
 shape occurs but a documented exception, and the exception is absent.  The
 dimension and self-conjugacy claims are rows of another table, checked by
-one runner.
+one runner.  TABLES names each decomposition table's fixture and modules;
+the tables.* entries take their degrees from the fixture's keys.
 
 Statuses: PASS/FAIL for theorem-backed claims, REPORT for scans that are
 observations rather than assertions (counterexample confirmations,
@@ -41,6 +44,7 @@ from math import factorial
 
 from .characters import (
     ALTERNANT_MAX_N,
+    TABLE_CAP,
     SchurExpansion,
     alternant_oracle,
     character_table,
@@ -87,6 +91,8 @@ from .symfunc import (
 )
 from . import tables_data
 
+# the degree a catalog run stops at unless the caller asks for another
+DEFAULT_MAX_N = 12
 # the k of the k-parameterised entries: the k-families of thm1.1 and thm5.9 take
 # every k in KS, the w:k modules every k but the first (w needs k >= 2)
 KS = range(1, 7)
@@ -101,6 +107,8 @@ RAMANUJAN_TOP = 60  # oracles.ramanujan
 RAMANUJAN_KS = range(61)
 RAMANUJAN_PERIOD_KS = range(121)
 LEMMA_KS = range(13)
+# the highest degree of the positivity and strictness rows, thm6.4 and routes.w:k
+POSITIVITY_TOP = 12
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,16 @@ class CheckResult:
 class Entry:
     id: str
     group: str
-    ns: object  # callable max_n -> iterable of degrees
+    degrees: range | tuple[int, ...]  # every degree the entry is declared for, ascending
     run: object  # callable n -> (status, detail)
     tags: tuple[str, ...] = ()
+    floor: int = 0  # the entry runs up to this degree whatever max_n is
+
+    def ns(self, max_n: int) -> list[int]:
+        """The declared degrees a run to max_n checks: those up to max_n, or up
+        to the floor if that is higher."""
+        top = max(self.floor, max_n)
+        return [n for n in self.degrees if n <= top]
 
     def check(self, n: int) -> CheckResult:
         """The entry's result at degree n."""
@@ -135,24 +150,6 @@ class Entry:
         return self.id.startswith(selector + ".") or self.id.startswith(
             selector + ":"
         )
-
-
-def _span(lo: int, hi: int, floor: int = 0):
-    """Degrees lo..hi, cut at max_n but never below `floor`."""
-
-    def ns(max_n: int):
-        return range(lo, max(floor, min(hi, max_n)) + 1)
-
-    return ns
-
-
-def _fixed(values):
-    vals = tuple(values)
-
-    def ns(max_n: int):
-        return [v for v in vals if v <= max_n]
-
-    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +181,7 @@ def _first_failed(checks) -> tuple:
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True must miss and raise
-def _module_schur(mid: str, n: int, max_n: int = 20) -> SchurExpansion:
+def _module_schur(mid: str, n: int, max_n: int = TABLE_CAP) -> SchurExpansion:
     return to_schur(module_char(mid, n), n, max_n)
 
 
@@ -447,41 +444,42 @@ def _run_prop23(which: str, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Positivity and strictness entries
 #
-# A row is (id, lowest degree, target, mode, exceptions).  The target is a
-# module id or a FamilySpec; the lowest degree is an int (degrees run from it
-# to 12) or a tuple of the degrees themselves.  Exceptions are {degree:
-# shape}, a shape absent at a documented degree, or "sign", the sign shape
-# absent at every degree.
+# A row is (id, degrees, target, mode, exceptions), its degrees running from the
+# row's lowest to POSITIVITY_TOP but for cor4.12's, which skip 2.  The target is
+# a module id or a FamilySpec.  Exceptions are {degree: shape}, a shape absent
+# at a documented degree, or "sign", the sign shape absent at every degree.
 
 
-_POSITIVITY = (
-    [
-        (f"thm1.1.{kind}", lo, FamilySpec(kind), "NONNEG", {})
-        for kind, lo in (
-            ("all", 1), ("odd-parts", 1), ("even-sign", 1),
-            ("not-do-even-sign", 2), ("not-do", 2),
-        )
-    ]
-    + [
-        (f"thm1.1.{kind}:{k}", 1, FamilySpec(kind, k=k), "NONNEG", {})
-        for kind in ("one-or-k", "divides-k", "thm59")
-        for k in KS
-    ]
-    + [
-        (f"thm1.1.prime-family:{p}", 1, FamilySpec("prime-family", p=p), "NONNEG", {})
-        for p in (3, 5, 7)
-    ]
-    + [
-        ("thm4.5", 2, "psi", "STRICT", {2: (1, 1)}),
-        ("thm4.9", 1, "eps", "STRICT", {}),
-        ("thm4.17.1", 4, "psi-a", "STRICT", {}),
-        ("thm4.17.2", 2, "psi-abar", "STRICT", "sign"),
-        ("thm4.19.1", 4, "eps-a", "STRICT", {4: (2, 2)}),
-        ("thm4.19.2", 2, "eps-abar", "STRICT", "sign"),
-        ("cor4.18", 4, "u-plus", "STRICT", {}),
-        ("cor4.12", (1,) + tuple(range(3, 13)), FamilySpec("even-sign"), "STRICT", {}),
-    ]
-)
+_POSITIVITY = [
+    (cid, range(lo, POSITIVITY_TOP + 1), *row)
+    for cid, lo, *row in (
+        [
+            (f"thm1.1.{kind}", lo, FamilySpec(kind), "NONNEG", {})
+            for kind, lo in (
+                ("all", 1), ("odd-parts", 1), ("even-sign", 1),
+                ("not-do-even-sign", 2), ("not-do", 2),
+            )
+        ]
+        + [
+            (f"thm1.1.{kind}:{k}", 1, FamilySpec(kind, k=k), "NONNEG", {})
+            for kind in ("one-or-k", "divides-k", "thm59")
+            for k in KS
+        ]
+        + [
+            (f"thm1.1.prime-family:{p}", 1, FamilySpec("prime-family", p=p), "NONNEG", {})
+            for p in (3, 5, 7)
+        ]
+        + [
+            ("thm4.5", 2, "psi", "STRICT", {2: (1, 1)}),
+            ("thm4.9", 1, "eps", "STRICT", {}),
+            ("thm4.17.1", 4, "psi-a", "STRICT", {}),
+            ("thm4.17.2", 2, "psi-abar", "STRICT", "sign"),
+            ("thm4.19.1", 4, "eps-a", "STRICT", {4: (2, 2)}),
+            ("thm4.19.2", 2, "eps-abar", "STRICT", "sign"),
+            ("cor4.18", 4, "u-plus", "STRICT", {}),
+        ]
+    )
+] + [("cor4.12", (1, *range(3, POSITIVITY_TOP + 1)), FamilySpec("even-sign"), "STRICT", {})]
 _THM64 = ("alt-induced", "STRICT", {3: (2, 1)})  # target, mode, exceptions
 
 
@@ -702,29 +700,29 @@ def _run_feval_lemma(ks, n: int) -> tuple:
 # Tables, counterexamples, scans
 
 
-# table kind -> the modules of its blocks
-_TABLE_MODULES = {
-    "t1": ("psi",),
-    "t2": ("eps",),
-    "t3": ("psi-a", "psi-abar"),
-    "t4": ("eps-a", "eps-abar"),
+# table kind -> (fixture, the modules of its blocks, the degree the catalog
+# always checks it to), in table order; a fixture's keys are its degrees
+TABLES = {
+    "t1": (tables_data.T1, ("psi",), 10),
+    "t2": (tables_data.T2, ("eps",), 10),
+    "t3": (tables_data.T3, ("psi-a", "psi-abar"), 0),
+    "t4": (tables_data.T4, ("eps-a", "eps-abar"), 0),
 }
 
 
 def reproduce_table(kind: str, n: int) -> CheckResult:
     """Compare the computed decomposition with the transcribed fixture."""
     kind = kind.lower()
-    if kind not in tables_data.TABLE_KINDS:
+    if kind not in TABLES:
         raise ParameterError(f"unknown table {kind!r}")
     return _BY_ID[f"tables.{kind}"].check(n)
 
 
 def _run_table(kind: str, n: int) -> tuple:
-    lo, hi = tables_data.table_range(kind)
-    if not lo <= n <= hi:
+    fixtures, mids, _ = TABLES[kind]
+    if n not in fixtures:
         raise ParameterError(f"table {kind} has no fixture column for n={n}")
-    fixture = getattr(tables_data, kind.upper())[n]  # T1 .. T4
-    mids = _TABLE_MODULES[kind]
+    fixture = fixtures[n]
     if len(mids) == 1:  # one column: the leading partitions of n, in order
         wants = [(mids[0], nu, m) for nu, m in zip(partitions_of(n), fixture)]
     else:  # one block per module, absent shapes 0
@@ -742,13 +740,13 @@ def _run_table(kind: str, n: int) -> tuple:
     return "PASS", None
 
 
-def table_decomposition(kind: str, n: int, max_n: int = 20) -> dict[str, SchurExpansion]:
+def table_decomposition(kind: str, n: int, max_n: int = TABLE_CAP) -> dict[str, SchurExpansion]:
     """Computed decomposition(s) rendered by the CLI `table` command; max_n caps the
     character table's degree, as in to_schur."""
-    mids = _TABLE_MODULES.get(kind.lower())
-    if mids is None:
+    table = TABLES.get(kind.lower())
+    if table is None:
         raise ParameterError(f"unknown table {kind!r}")
-    return {mid: _module_schur(mid, n, max_n) for mid in mids}
+    return {mid: _module_schur(mid, n, max_n) for mid in table[1]}
 
 
 _CEX_B = FamilySpec(
@@ -818,8 +816,9 @@ def _run_coverage(n: int) -> tuple:
 
 
 def _build_catalog() -> list[Entry]:
-    """Catalog entries from rows (id, group, degrees, runner, runner arguments)."""
-    ten = _span(1, 10)
+    """Catalog entries from rows (id, group, degrees, runner, runner arguments),
+    a sixth field being the entry's floor."""
+    ten = range(1, 11)
 
     def linear(group, rows, ks=None, nonneg=False):
         """One table of linear identities: id group.eq, or group.eq:k<k> for each k in
@@ -850,20 +849,19 @@ def _build_catalog() -> list[Entry]:
         + [("cor5.10", "cor5.10", ten, _run_linear, (2, _COR510, _COR510_HALVES))]
     )
     def positivity(mode, group):
-        """The positivity rows of one mode, each up to degree 12."""
+        """The positivity rows of one mode."""
         return [
-            (row[0], group, _fixed(row[1]) if isinstance(row[1], tuple) else _span(row[1], 12),
-             _run_positivity, row[2:])
+            (row[0], group, row[1], _run_positivity, row[2:])
             for row in _POSITIVITY
             if row[3] == mode
         ]
 
     thm11 = positivity("NONNEG", "thm1.1")
     strict = positivity("STRICT", "strict") + [
-        ("thm6.4", "strict", _span(2, 12), _run_thm64, ())
+        ("thm6.4", "strict", range(2, POSITIVITY_TOP + 1), _run_thm64, ())
     ]
     dims = (
-        [(f"dims.{mid}", "dims", _span(lo, 10), _run_dims, (mid,))
+        [(f"dims.{mid}", "dims", range(lo, 11), _run_dims, (mid,))
          for mid, (lo, _, _) in _DIMS.items()]
         + [("cor4.14", "dims", ten, _run_cor414, ()),
            ("prop4.21", "dims", ten, _run_prop421, ()),
@@ -877,32 +875,31 @@ def _build_catalog() -> list[Entry]:
             for mid in MODULE_IDS
         ]
         + [
-            (f"routes.w:{k}", "routes", _span(0, 12), _run_routes_w, (k,))
+            (f"routes.w:{k}", "routes", range(POSITIVITY_TOP + 1), _run_routes_w, (k,))
             for k in KS[1:]
         ]
     )
     oracles = [
-        ("oracles.mn-alternant", "oracles", _span(1, ALTERNANT_MAX_N), _run_mn_alternant, ()),
-        ("oracles.ramanujan", "oracles", _span(1, RAMANUJAN_TOP, floor=RAMANUJAN_TOP),
-         _run_ramanujan, ()),
-        ("oracles.maj", "oracles", _span(1, 9), _run_maj, ()),
+        ("oracles.mn-alternant", "oracles", range(1, ALTERNANT_MAX_N + 1), _run_mn_alternant, ()),
+        ("oracles.ramanujan", "oracles", range(1, RAMANUJAN_TOP + 1), _run_ramanujan, (),
+         RAMANUJAN_TOP),
+        ("oracles.maj", "oracles", range(1, 10), _run_maj, ()),
     ]
-    lemma_ns = _span(1, LEMMA_TOP, floor=LEMMA_TOP)
-    lemmas = [("lem3.3", "lemmas", lemma_ns, _run_lem33, ())] + [
-        (cid, "lemmas", lemma_ns, _run_feval_lemma, (ks,))
+    lemma_ns = range(1, LEMMA_TOP + 1)
+    lemmas = [("lem3.3", "lemmas", lemma_ns, _run_lem33, (), LEMMA_TOP)] + [
+        (cid, "lemmas", lemma_ns, _run_feval_lemma, (ks,), LEMMA_TOP)
         for cid, ks in (("lem4.1", (0,)), ("lem5.1", (1,)), ("lem5.7", LEMMA_KS[1:]))
     ]
-    tables = [  # each over the degrees its fixture holds; t1 and t2 always reach 10
-        (f"tables.{kind}", "tables", _span(*tables_data.table_range(kind), floor=floor),
-         _run_table, (kind,))
-        for kind, floor in (("t1", 10), ("t2", 10), ("t3", 0), ("t4", 0))
+    tables = [
+        (f"tables.{kind}", "tables", tuple(fixture), _run_table, (kind,), floor)
+        for kind, (fixture, _, floor) in TABLES.items()
     ]
     cex = [
-        (f"cex.{which}", "counterexamples", _fixed(ns), _run_cex, (which,))
+        (f"cex.{which}", "counterexamples", ns, _run_cex, (which,))
         for which, ns in CEX_DEGREES.items()
     ]
     scans = [
-        ("conjecture1.5", "conjecture", _span(1, 8), _run_conjecture, ()),
+        ("conjecture1.5", "conjecture", range(1, 9), _run_conjecture, ()),
         ("remark4.20", "coverage", ten, _run_coverage, ()),
     ]
     sections = (
@@ -911,9 +908,9 @@ def _build_catalog() -> list[Entry]:
         ("tables", tables), ("counterexamples", cex), ("scans", scans),
     )
     return [
-        Entry(cid, group, ns, partial(runner, *args), (tag,))
+        Entry(cid, group, degrees, partial(runner, *args), (tag,), *floor)
         for tag, rows in sections
-        for cid, group, ns, runner, args in rows
+        for cid, group, degrees, runner, args, *floor in rows
     ]
 
 
@@ -936,7 +933,7 @@ def select_entries(selector: str) -> list[Entry]:
     return chosen
 
 
-def run_selector(selector: str, max_n: int = 12):
+def run_selector(selector: str, max_n: int = DEFAULT_MAX_N):
     """Yield CheckResults for all matching entries, in catalog order."""
     integer(max_n, "max_n")
     for entry in select_entries(selector):

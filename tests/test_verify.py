@@ -572,3 +572,101 @@ def test_results_do_not_depend_on_order_or_cache_state(catalog_order_results, da
     )
     for cid, n in plan:
         assert check_identity(cid, n) == catalog_order_results[cid, n]
+
+
+def test_catalog_plan_pinned():
+    # every (id, degree) a run plans, for every max_n from -1 to 31, in order
+    import hashlib
+
+    from symcon.verify import CATALOG
+
+    plan = [(m, e.id, n) for m in range(-1, 32) for e in CATALOG for n in e.ns(m)]
+    digest = hashlib.sha256(repr(plan).encode()).hexdigest()
+    assert digest == "4e71c2ef7b4a4a733820b760f032188b7038fca363571c7a1aa44f511afadfda"
+    counts = {m: sum(1 for e in CATALOG for _ in e.ns(m)) for m in (-1, 0, 1, 8, 12, 20, 30, 31)}
+    assert counts == {-1: 210, 0: 210, 1: 371, 8: 1620, 12: 2051, 20: 2055, 30: 2055, 31: 2055}
+
+
+def _schur(n, numerators):
+    from symcon.characters import SchurExpansion
+
+    return SchurExpansion(n, tuple(numerators), 1, "MIXED")
+
+
+def _with_module(mid, numerators):
+    """A _module_schur whose expansion of `mid` is replaced by the given numerators."""
+    def make(real):
+        return lambda m, n, *cap: _schur(n, numerators) if m == mid else real(m, n, *cap)
+    return make
+
+
+# (catalog id, degree, name in symcon.verify, replacement made from the real
+# one, the detail keys the FAIL must carry); at n = 4 the shapes are (4),
+# (3,1), (2,2), (2,1,1), (1^4), and psi is [5, 2, 3, 2, 1]
+_BROKEN_INPUTS = [
+    ("thm6.4", 4, "omega", lambda real: lambda f: -f, {"failed": "self-conjugate"}),
+    ("thm6.4", 4, "dimension", lambda real: lambda f, n: 0, {"failed": "dimension"}),
+    ("dims.psi", 4, "dimension", lambda real: lambda f, n: 0, {"failed": "dimension", "got": "0"}),
+    ("dims.eps", 4, "omega", lambda real: lambda f: -f, {"failed": "self-conjugacy"}),
+    ("cor4.14", 4, "_module_schur", _with_module("u-minus", (0, 0, 1, 0, 0)),
+     {"witness": [{"nu": [2, 2], "where": "u-minus"}]}),
+    ("cor4.14", 4, "_module_schur", _with_module("psi", (5, 2, 3, 2, 2)),
+     {"witness": [{"nu": [4], "where": "parity"}]}),
+    ("prop4.21", 4, "_module_schur", _with_module("psi", (4, 2, 3, 2, 1)),
+     {"failed": "trivial", "got": "4", "want": "5"}),
+    ("oracles.mn-alternant", 3, "alternant_oracle", lambda real: lambda nu, mu: 0,
+     {"witness": [{"nu": [3], "mu": [3]}]}),
+    ("oracles.ramanujan", 6, "ramanujan_sum_oracle",
+     lambda real: lambda d, k: real(d, k) + (k == 3), {"witness": [{"d": 6, "k": 3}]}),
+    ("oracles.maj", 4, "maj_multiplicity",
+     lambda real: lambda nu, n, k: real(nu, n, k) + (nu == (2, 2)), {"witness": [{"nu": [2, 2]}]}),
+    ("lem3.3", 6, "f_eval_direct",
+     lambda real: lambda n, k, x: real(n, k, x) + (x == -1 and k == 2), {"witness": [{"k": 2}]}),
+    ("lem5.7", 6, "f_eval",
+     lambda real: lambda n, k, x: real(n, k, x) + (k == 3 and x == -1),
+     {"witness": [{"k": 3, "sign": -1}]}),
+]
+
+
+@pytest.mark.parametrize("cid,n,name,broken,want", _BROKEN_INPUTS)
+def test_broken_inputs_fail_and_name_the_check(monkeypatch, cid, n, name, broken, want):
+    from symcon import verify
+
+    assert check_identity(cid, n).status == "PASS"
+    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    res = check_identity(cid, n)
+    assert res.status == "FAIL"
+    assert {key: res.detail.get(key) for key in want} == want
+
+
+def test_table_block_witness_names_the_block(monkeypatch):
+    even, odd = tables_data.T3[4]
+    (nu, m), *rest = odd
+    monkeypatch.setitem(tables_data.T3, 4, (even, [(nu, m + 1), *rest]))
+    res = reproduce_table("t3", 4)
+    assert res.status == "FAIL"
+    assert res.detail == {
+        "witness": [{"block": "psi-abar", "nu": list(nu), "computed": str(m), "fixture": m + 1}]
+    }
+
+
+def test_linear_runner_reports_a_failed_pair_before_a_nonneg_side():
+    from symcon.verify import _run_linear
+
+    pairs = (("differs", ((1, "H0"),), ((1, "all"),)),)
+    status, detail = _run_linear(0, pairs, (((-1, "H"),),), 4)  # -H is not nonnegative
+    assert status == "FAIL" and detail["failed"] == "differs"
+    status, detail = _run_linear(0, pairs[:0], (((-1, "H"),),), 4)  # no pair: the side is read
+    assert status == "FAIL" and detail["witness"][0] == {"nu": [4], "mult": "-5"}
+
+
+def test_table_degrees_are_the_fixture_keys():
+    from symcon.verify import TABLES
+
+    spans = {kind: (min(fixture), max(fixture)) for kind, (fixture, _, _) in TABLES.items()}
+    assert spans == {"t1": (1, 16), "t2": (1, 10), "t3": (2, 8), "t4": (2, 8)}  # in table order
+    assert list(spans) == ["t1", "t2", "t3", "t4"]
+    for kind, (fixture, _, _) in TABLES.items():
+        lo, hi = spans[kind]
+        assert list(fixture) == list(range(lo, hi + 1)), kind  # contiguous, ascending
+        assert select_entries(f"tables.{kind}")[0].degrees == tuple(fixture)
