@@ -21,7 +21,7 @@ import sys
 from .characters import TABLE_CAP, SchurExpansion, to_schur
 from .errors import SymconError
 from .partitions import pretty
-from .repmodels import module_char, parse_module
+from .repmodels import MODULE_IDS, module_char, parse_module
 from .verify import DEFAULT_MAX_N, TABLES, run_selector, table_decomposition
 
 ENV_MAX_N = "SYMCON_MAX_N"
@@ -53,14 +53,6 @@ def _resolve_max_n(args) -> int:
         raise SymconError(
             f"--max-n {max_n} exceeds the cap {cap} (raise {ENV_MAX_N} to override)"
         )
-    # --threads is validated but has no effect: the checks always run serially.
-    if getattr(args, "threads", None) not in (None, "auto"):
-        try:
-            threads = int(args.threads)
-        except ValueError:
-            raise SymconError("--threads must be an integer or 'auto'")
-        if threads < 1:
-            raise SymconError("--threads must be >= 1")
     return max_n
 
 
@@ -181,9 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
 
     p_exp = sub.add_parser("expand", help="Schur expansion of a module or family")
-    p_exp.add_argument("target", help=(
-        "psi, eps, psi-a, psi-abar, eps-a, eps-abar, u-plus, u-minus, u-do, "
-        "alt-induced, w:<k>, or family:<spec>"))
+    p_exp.add_argument("target", help=", ".join(MODULE_IDS) + ", w:<k>, or family:<spec>")
     p_exp.add_argument("n", type=int)
     common(p_exp)
     p_exp.set_defaults(func=cmd_expand)
@@ -193,9 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "'all', a group (thm4.2, thm1.1, tables, strict, dims, routes, "
         "oracles, lemmas, counterexamples, conjecture, coverage, "
         "identities, ...) or an exact id (thm4.2.6, thm5.9.5:k2, ...)"))
-    p_ver.add_argument("--threads", default=None,
-                       help="kept for compatibility (int >= 1 or 'auto'); "
-                       "checks always run serially, in catalog order")
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

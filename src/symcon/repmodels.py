@@ -41,16 +41,11 @@ from .symfunc import (
 )
 
 
-def cyclic_weight(d: int, k: int) -> int:
-    """psi_k(d): the Ramanujan sum c_d(k); c_d(0) is the totient."""
-    return ramanujan_sum(d, k)
-
-
 def foulkes(n: int, k: int) -> PExpr:
     """Characteristic of the k-th cyclic character induced from C_n to S_n."""
     integer(n, "foulkes degree n", 1)
     integer(k, "foulkes weight k", 0)
-    return PExpr({(d,) * (n // d): cyclic_weight(d, k) for d in divisors(n)}) * Fraction(1, n)
+    return PExpr({(d,) * (n // d): ramanujan_sum(d, k) for d in divisors(n)}) * Fraction(1, n)
 
 
 def f_eval_direct(n: int, k: int, sign: int) -> Fraction:
@@ -58,7 +53,7 @@ def f_eval_direct(n: int, k: int, sign: int) -> Fraction:
     (1/n) sum_{d | n} c_d(k) * sign^(n/d), summed over the integers."""
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
-    return Fraction(sum(cyclic_weight(d, k) * sign ** (n // d) for d in divisors(n)), n)
+    return Fraction(sum(ramanujan_sum(d, k) * sign ** (n // d) for d in divisors(n)), n)
 
 
 def f_eval(n: int, k: int, sign: int) -> int:

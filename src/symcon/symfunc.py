@@ -506,17 +506,15 @@ class Series:
         return all(self.component(d) == other.component(d) for d in range(n + 1))
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, Series):
-            n = min(self.trunc, other.trunc)
-            w = _width(n)  # no degree up to n has a multiplicity above n
-            mine = {a: _pack(f, w) for a, f in self.components.items() if a <= n}
-            theirs = {b: _pack(g, w) for b, g in other.components.items() if b <= n}
-            keys: dict[int, Partition] = {}
-            out = _series_product(mine, theirs, n)
-            return Series({d: _unpack(v, w, keys) for d, v in out.items()}, n)
-        return Series(
-            {d: f * other for d, f in self.components.items()}, self.trunc
-        )
+        if not isinstance(other, Series):
+            return NotImplemented
+        n = min(self.trunc, other.trunc)
+        w = _width(n)  # no degree up to n has a multiplicity above n
+        mine = {a: _pack(f, w) for a, f in self.components.items() if a <= n}
+        theirs = {b: _pack(g, w) for b, g in other.components.items() if b <= n}
+        keys: dict[int, Partition] = {}
+        out = _series_product(mine, theirs, n)
+        return Series({d: _unpack(v, w, keys) for d, v in out.items()}, n)
 
     __rmul__ = __mul__
 

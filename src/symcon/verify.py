@@ -940,6 +940,3 @@ def run_selector(selector: str, max_n: int = DEFAULT_MAX_N):
         for n in entry.ns(max_n):
             yield entry.check(n)
 
-
-def catalog_ids() -> list[str]:
-    return [e.id for e in CATALOG]

@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from symcon import verify
+from symcon.characters import to_schur
 from symcon.cli import main
+from symcon.symfunc import PExpr
 
 
 def run_cli(capsys, *argv):
@@ -94,14 +98,6 @@ def test_verify_exit_zero_and_json(capsys):
     assert [row["n"] for row in rows] == [2, 3, 4, 5, 6]
 
 
-def test_verify_deterministic_across_threads(capsys):
-    _, out1, _ = run_cli(capsys, "verify", "prop6.5", "--max-n", "6")
-    _, out2, _ = run_cli(
-        capsys, "verify", "prop6.5", "--max-n", "6", "--threads", "4"
-    )
-    assert out1 == out2
-
-
 def test_verify_repeat_is_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "verify", "tables", "--max-n", "6", "--format", "json")
     _, out2, _ = run_cli(capsys, "verify", "tables", "--max-n", "6", "--format", "json")
@@ -131,20 +127,48 @@ def test_table_honours_the_env_cap(capsys, monkeypatch):
     assert json.loads(out)["blocks"]["psi"] == json.loads(expanded)
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
 def test_env_max_n_must_be_positive(capsys, monkeypatch, value):
     monkeypatch.setenv("SYMCON_MAX_N", value)
     code, out, err = run_cli(capsys, "verify", "thm4.5")
     assert code == 2
     assert out == ""
     assert "error:" in err and "SYMCON_MAX_N" in err
+    assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "x"])
+# --threads is no longer an option: argparse refuses it, whatever its value, with exit 2
+@pytest.mark.parametrize("value", ["0", "-1", "x", "2"])
 def test_threads_still_validated(capsys, value):
-    code, _, err = run_cli(capsys, "verify", "prop6.5", "--max-n", "3", "--threads", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "prop6.5", "--max-n", "3", "--threads", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--threads" in captured.err
+
+
+def test_expand_above_max_n(capsys):
+    code, out, err = run_cli(capsys, "expand", "psi", "9", "--max-n", "8")
     assert code == 2
-    assert "--threads" in err
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    # one entry's runner FAILs at n = 2 only: exit 1, its FAIL line, "1 fail" in the summary
+    entry = verify._BY_ID["prop6.5.2"]
+
+    def run(n):
+        return ("FAIL", {"failed": "patched"}) if n == 2 else entry.run(n)
+
+    patched = dataclasses.replace(entry, run=run)
+    monkeypatch.setattr(verify, "CATALOG", [patched if e is entry else e for e in verify.CATALOG])
+    code, out, _ = run_cli(capsys, "verify", "prop6.5", "--max-n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert 'FAIL prop6.5.2 n=2  {"failed": "patched"}' in lines
+    assert lines[-1] == "checks: 11 pass, 1 fail, 0 report"
 
 
 def test_out_file(tmp_path, capsys):
@@ -176,6 +200,16 @@ def test_explicit_family_file_errors(capsys, tmp_path, content):
     assert out == ""
     assert err.startswith("error:") and str(path) in err
     assert "Traceback" not in err
+
+
+def test_explicit_family_file(capsys, tmp_path):
+    # an explicit family expands as the sum of its members' power sums
+    path = tmp_path / "family.json"
+    path.write_text("[[3,1],[2,2],[1,1,1,1]]", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "expand", f"family:explicit:{path}", "4", "--format", "json")
+    assert code == 0
+    p = PExpr.p
+    assert json.loads(out) == to_schur(p(3, 1) + p(2, 2) + p(1, 1, 1, 1)).to_json_dict()
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
@@ -223,7 +257,8 @@ def test_table_output_pinned(capsys, kind):
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[kind]
 
 
-# the other renderings of the same expansions; both dicts hold the parent's bytes
+# the other renderings of the same expansions, and of the catalog at n <= 8; all hold
+# the parent's bytes
 _RENDER_DIGESTS = {
     ("table", "t1", "csv"): "ac7bbd3b9001eaad67163bddcd3cd19dcc52410ff84168eff815bccf04af039a",
     ("table", "t1", "pretty"): "54322f2a9300ec6e7c6aa2f1da5c6ba767517c3194eacfc4429abd3965f868ed",
@@ -236,6 +271,14 @@ _RENDER_DIGESTS = {
     ("expand", "psi", "csv"): "ac7bbd3b9001eaad67163bddcd3cd19dcc52410ff84168eff815bccf04af039a",
     ("expand", "psi", "json"): "8cbc7202e32fad095119ac4837680f126ff67f1d3f844dabad7f3a3649072b4f",
     ("expand", "psi", "pretty"): "7f35e0b52bc65b7f82b8bccea2a88ab412a3a048ca00753a35cc066f40768eba",
+    ("verify", "all", "csv"): "52797cfff8f5e26cac1cd47196126ee4ca472b8e38d238c8015f1acbc12e3273",
+    ("verify", "all", "pretty"): "d0d8b6b4070e59a646c177ec7f123076d6a7eba23fa1427a3f137bbdc5b30a1d",
+}
+# the degree arguments of each command's pinned run
+_RENDER_DEGREES = {
+    "table": ("20", "--max-n", "20"),
+    "expand": ("20", "--max-n", "20"),
+    "verify": ("--max-n", "8"),
 }
 
 
@@ -243,7 +286,8 @@ _RENDER_DIGESTS = {
     "command,target,fmt", sorted(_RENDER_DIGESTS), ids="-".join
 )
 def test_render_output_pinned(capsys, command, target, fmt):
-    code, out, _ = run_cli(capsys, command, target, "20", "--max-n", "20", "--format", fmt)
+    argv = (command, target, *_RENDER_DEGREES[command], "--format", fmt)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _RENDER_DIGESTS[command, target, fmt]
 
@@ -299,7 +343,7 @@ def _argv(draw, out_dir):
             str(out_dir), str(out_dir / "missing" / "out.txt"),
         ]),
     }
-    if command == "verify" or draw(st.integers(0, 7)) == 0:  # other commands reject it
+    if draw(st.integers(0, 3)) == 0:  # every command refuses it
         options["--threads"] = st.sampled_from(["1", "2", "auto", "0", "x"])
     for flag, values in options.items():
         if draw(st.booleans()):

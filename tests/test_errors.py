@@ -9,7 +9,7 @@ from symcon.characters import (
     schur_to_power,
     to_schur,
 )
-from symcon.errors import ParameterError, integer
+from symcon.errors import DegreeError, ParameterError, SymconError, integer
 from symcon.numbertheory import (
     divisors,
     factorize,
@@ -25,7 +25,9 @@ from symcon.partitions import (
     maj_multiplicity,
     maj_residues,
     members,
+    parse_family,
     partition,
+    partition_from_json,
     partition_position,
     partitions_of,
     syt_count,
@@ -33,6 +35,7 @@ from symcon.partitions import (
 )
 from symcon.repmodels import (
     f_eval,
+    f_eval_direct,
     foulkes,
     foulkes_series,
     lie_identity,
@@ -55,7 +58,7 @@ from symcon.symfunc import (
     plethystic_sum,
     product_expansion,
 )
-from symcon.verify import CATALOG, run_selector
+from symcon.verify import CATALOG, run_selector, table_decomposition
 
 p = PExpr.p
 
@@ -217,3 +220,36 @@ def test_every_partition_argument_goes_through_the_one_rule(name):
 def test_explicit_family_needs_a_tuple_of_partitions(items):
     with pytest.raises(ParameterError):
         FamilySpec("explicit", items=items)
+
+
+# Every other refusal of a bad argument, each with the exact SymconError subclass it raises.
+REFUSALS = {
+    "to_schur of zero without n": (lambda: to_schur(PExpr.zero()), DegreeError),
+    "to_schur at a wrong n": (lambda: to_schur(p(2, 1), 4), DegreeError),
+    "maj_multiplicity r >= n": (lambda: maj_multiplicity((2, 1), 3, 3), ParameterError),
+    "prime-family:9": (lambda: parse_family("prime-family:9"), ParameterError),
+    "prime-family": (lambda: parse_family("prime-family"), ParameterError),
+    "lex-from": (lambda: parse_family("lex-from"), ParameterError),
+    "explicit": (lambda: parse_family("explicit"), ParameterError),
+    "odd-parts:2": (lambda: parse_family("odd-parts:2"), ParameterError),
+    "partition_from_json non-JSON": (lambda: partition_from_json("[2,"), ParameterError),
+    "partition_from_json non-list": (lambda: partition_from_json("5"), ParameterError),
+    "f_eval sign 0": (lambda: f_eval(2, 1, 0), ParameterError),
+    "f_eval_direct sign 0": (lambda: f_eval_direct(2, 1, 0), ParameterError),
+    "module_char unknown id": (lambda: module_char("bogus", 3), ParameterError),
+    "module_char_plethystic unknown id": (
+        lambda: module_char_plethystic("bogus", 3), ParameterError),
+    "Series component of a wrong degree": (lambda: Series({2: p(1)}, 3), DegreeError),
+    "Series.inverse without constant 1": (
+        lambda: Series({1: p(1)}, 3).inverse(), ParameterError),
+    "plethystic_sum kind": (lambda: plethystic_sum(F, 2, kind="x"), ParameterError),
+    "table_decomposition t9": (lambda: table_decomposition("t9", 3), ParameterError),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_each_refusal_raises_its_symcon_error(name):
+    call, kind = REFUSALS[name]
+    with pytest.raises(SymconError) as info:
+        call()
+    assert type(info.value) is kind

@@ -19,7 +19,6 @@ from symcon.repmodels import (
     MODULE_IDS,
     SERIES_TRUNC,
     SUMS,
-    cyclic_weight,
     f_eval,
     f_eval_direct,
     foulkes,
@@ -279,9 +278,6 @@ def test_degree_and_weight_arguments_must_be_integers(x):
             lie_identity(name, x)
     # warm: 2.0 and True compare equal to the cached 2 and 1
     foulkes_series(0, 2), foulkes_series(1, 1), foulkes_series(2, 1)
-    for args in ((x, 0), (4, x)):
-        with pytest.raises(ParameterError):
-            cyclic_weight(*args)
     for args in ((x, 0, 1), (2, x, 1)):
         with pytest.raises(ParameterError):
             f_eval(*args)

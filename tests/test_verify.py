@@ -7,8 +7,8 @@ from symcon.errors import CatalogError, ParameterError, TruncationError
 from symcon.partitions import FamilySpec, partitions_of, syt_count
 from symcon.symfunc import PExpr
 from symcon.verify import (
+    CATALOG,
     CheckResult,
-    catalog_ids,
     check_identity,
     check_positivity,
     conjecture_scan,
@@ -23,7 +23,7 @@ from symcon import tables_data
 
 
 def test_catalog_ids_unique():
-    ids = catalog_ids()
+    ids = [e.id for e in CATALOG]
     assert len(ids) == len(set(ids))
     assert len(ids) > 150
 
@@ -405,9 +405,9 @@ def test_non_integer_degrees_raise(n):
 
 def test_every_entry_rejects_a_negative_degree():
     # prop3.6 passed at n = -1: its sums over 0..n are empty there
-    for cid in catalog_ids():
+    for entry in CATALOG:
         with pytest.raises(ParameterError):
-            check_identity(cid, -1)
+            check_identity(entry.id, -1)
 
 
 def test_lie_identities_pass_without_detail_from_degree_zero():
