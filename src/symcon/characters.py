@@ -25,19 +25,26 @@ first at its level is that row with the lanes of odd |rho| - l(rho) negated,
 V - 2(((V + bias) & odd) - (bias & odd)) for the mask `odd` of those lanes.  The
 conjugate's bead mask is the complement of mu's within 2n slots, read
 backwards.  At n = 20 this derives 1,329 of the 2,713 rows and walks 20,504
-strip removals (40,260 when every row walks them).  Level j >= 1 is read
-only while m <= 2j, so it is dropped after level 2j; only level n is left for
-the transpose, and each of its rows is freed as it is scattered.  The lanes
-are 32 bits wide while the bound |chi^lam| <= f^lam <= sqrt(n!) fits a signed
-32-bit lane (n <= 20), 64 bits above, and past that the build raises
-CapacityError before enumerating anything.  Lanes are decoded by adding and
-XOR-ing the top bit of every lane and reading the bytes into an `array`, or
-one at a time by lifting the lanes up to it.
-Level n is transposed once into packed columns: `CharacterTable.columns[j]`
+strip removals (40,260 when every row walks them).  Level j is read by level
+j + k through its low c(j, k) lanes, fewer for each later reader, so each
+read stores the cut copy back as level j, and level j is dropped once the
+next level would read none of it (after level 2j).  Level n is never held:
+each of its rows, with the row of its conjugate, is copied into the
+transpose as soon as it is made.  The lanes are 32 bits wide while the bound
+|chi^lam| <= f^lam <= sqrt(n!) fits a signed 32-bit lane (n <= 20), 64 bits
+above, and past that the build raises CapacityError before enumerating
+anything.  Lanes are decoded by adding and XOR-ing the top bit of every lane
+and reading the bytes into an `array`, or one at a time by lifting the lanes
+up to it.
+The transpose is one bytearray of packed columns: `CharacterTable.columns[j]`
 packs chi^nu(mu_j) over nu in `partitions_of(n)` order in signed 64-bit
-lanes, and `to_schur` is one multiply-add of integer numerators against
-those columns per class; the Conjecture 1.5 scan
-(`CharacterTable.negative_segments`) is the same with every numerator 1.
+lanes.  The columns are read from the last one down, cutting the bytearray
+after each, so it gives its memory back while the columns grow.  At n = 26
+the bytearray (47.5 MB) and level 25 (31 MB) are what a `symcon expand psi
+26` process holds at its peak RSS of about 122 MB.  `to_schur` is one
+multiply-add of integer numerators against those columns per class; the
+Conjecture 1.5 scan (`CharacterTable.negative_segments`) is the same with
+every numerator 1.
 No other module reads the lanes.
 
 A `SchurExpansion` keeps what `to_schur` computes: one integer numerator per
@@ -46,7 +53,8 @@ when every multiplicity is an integer.  The verdict and the positivity checks
 read those integers; a `Fraction` is made only where a caller asks for one
 (`mult`, `mults`).  `SchurExpansion.terms()` is the one place that decides
 how a multiplicity is rendered (an int, or a "p/q" string), and the JSON,
-pretty and CSV renderings all read it.
+pretty and CSV renderings all read it; the JSON keys "[a,b,...]" of a degree
+are rendered once (`_json_keys`, one tuple per degree, 64 degrees kept).
 
 `mn_character` evaluates one value by the same rule as a recursion,
 removing strips for the largest remaining part of mu first, with values
@@ -209,29 +217,37 @@ class CharacterTable:
         return out
 
 
-def _top_level(n: int, width: int) -> tuple[list[int], list[Partition]]:
-    """V_n in `partitions_of(n)` order, and the class prefixes of its lanes in
-    lane order, built level by level in `width`-bit lanes."""
+def _top_level(n: int, width: int, scatter) -> list[Partition]:
+    """Build level n in `width`-bit lanes, level by level, handing each of its
+    rows to scatter(i, V_n[partitions_of(n)[i]]) as soon as it is made; return
+    the class prefixes of its lanes in lane order.  No row of level n is kept."""
+    if not n:
+        scatter(0, 1)  # chi^() = 1
+        return [()]
     # prefixes[m]: the class prefixes of level m in lane order; ends[m][k]:
-    # how many of them have no part below k (the lowest lanes).
+    # how many of them have no part below k (the lowest lanes), k up to n + 1.
     prefixes: list[list[Partition] | None] = [[()]]
-    ends = [[1] * (n + 1)]
-    values = [[1]]  # values[m][i] = V_m[partitions_of(m)[i]]
+    ends = [[1] * (n + 2)]
+    values = [[1]]  # values[m][i] = V_m[partitions_of(m)[i]], in the lanes still read
     where = [{_beads((), n): 0}]  # bead mask -> position, per level
     ones, zeros = b"\xff" * (width // 8), bytes(width // 8)
     for m in range(1, n + 1):
         level: list[Partition] = []
-        end = [0] * (n + 1)
+        end = [0] * (n + 2)
         blocks = []
         for k in range(m, 0, -1):
-            lanes = ends[m - k][k]
+            j = m - k
+            lanes = ends[j][k]
             if lanes:
-                prev = values[m - k]
-                if lanes < len(prefixes[m - k]):  # keep the low `lanes` lanes, signed
+                prev = values[j]
+                if lanes < len(prefixes[j]):  # later levels read fewer: keep these, signed
                     low, half = (1 << width * lanes) - 1, 1 << width * lanes - 1
-                    prev = [((v & low) ^ half) - half for v in prev]
-                blocks.append((k, prev, where[m - k], width * len(level)))
-                level += [rho + (k,) for rho in prefixes[m - k][:lanes]]
+                    prev = values[j] = [((v & low) ^ half) - half for v in prev]
+                    prefixes[j] = prefixes[j][:lanes]
+                blocks.append((k, prev, where[j], width * len(level)))
+                level += [rho + (k,) for rho in prefixes[j]]
+                if not ends[j][k + 1]:  # level m + 1 would read no lane of level j
+                    prefixes[j] = values[j] = where[j] = None
             end[k] = len(level)
         prefixes.append(level)
         ends.append(end)
@@ -241,15 +257,13 @@ def _top_level(n: int, width: int) -> tuple[list[int], list[Partition]]:
         )
         bias = _bias(len(level), width)
         odd_bias = bias & odd
-        row: list[int] = []
-        positions: dict[int, int] = {}
-        for mu in partitions_of(m):
-            beads = _beads(mu, n)
-            twin = positions.get(_conjugate_beads(beads, n))
-            positions[beads] = len(row)
-            if twin is not None:  # mu' came first: negate its odd lanes
-                v = row[twin]
-                row.append(v - 2 * (((v + bias) & odd) - odd_bias))
+        masks = [_beads(mu, n) for mu in partitions_of(m)]
+        positions = {beads: i for i, beads in enumerate(masks)}
+        row = [0] * len(masks)
+        emit = scatter if m == n else row.__setitem__
+        for i, beads in enumerate(masks):
+            twin = positions[_conjugate_beads(beads, n)]
+            if twin < i:  # made with mu', which came first
                 continue
             total = 0
             for k, prev, at, shift in blocks:
@@ -265,12 +279,12 @@ def _top_level(n: int, width: int) -> tuple[list[int], list[Partition]]:
                         strip += v
                 if strip:
                     total += strip << shift
-            row.append(total)
+            emit(i, total)
+            if twin > i:  # mu' comes later: its row is this one with the odd lanes negated
+                emit(twin, total - 2 * (((total + bias) & odd) - odd_bias))
         values.append(row)
         where.append(positions)
-        if m % 2 == 0:  # level m/2 was last read here (k <= m - k)
-            prefixes[m // 2] = values[m // 2] = where[m // 2] = None
-    return values[n], prefixes[n]
+    return level
 
 
 @lru_cache(maxsize=None)
@@ -279,27 +293,30 @@ def _build_table(n: int) -> CharacterTable:
     width = next((w for w in (32, 64) if bound < w), None)
     if width is None:
         raise CapacityError(f"character values of degree {n} overflow 64-bit lanes")
-    rows, order = _top_level(n, width)  # every lower level is freed on return
     parts, index = partitions_of(n), partition_index(n)
     count = len(parts)
-    # Transpose level n once, as bytes: with every lane lifted by 2^(width-1)
-    # the lanes are unsigned, so the little-endian lanes of shape i are copied
-    # to the low bytes of 64-bit lane i of every column in one strided copy,
-    # and each column drops the lift again.
+    # Transpose level n as it is built, as bytes: with every lane lifted by
+    # 2^(width-1) the lanes are unsigned, so the little-endian lanes of shape i
+    # are copied to the low bytes of 64-bit lane i of every column in one
+    # strided copy, and each column drops the lift again.
     step, size = width // 8, COLUMN_WIDTH // 8
     code, ratio = _TYPECODES[width], COLUMN_WIDTH // width
     lift = _bias(count, width)
     grid = bytearray(size * count * count)
     cells = memoryview(grid).cast(code)
-    for i, v in enumerate(rows):
-        rows[i] = None  # freed as it is scattered
+
+    def scatter(i: int, v: int) -> None:
         lifted = (v + lift).to_bytes(step * count, "little")
         cells[ratio * i :: ratio * count] = memoryview(lifted).cast(code)
+
+    order = _top_level(n, width, scatter)  # every lower level is freed on return
+    cells.release()  # a bytearray with a view on it cannot shrink
     drop = int.from_bytes((1 << width - 1).to_bytes(size, "little") * count, "little")
     columns = [0] * count
-    for j, rho in enumerate(order):
-        block = grid[size * count * j : size * count * (j + 1)]
-        columns[index[rho]] = int.from_bytes(block, "little") - drop
+    for j in reversed(range(count)):  # last column first, giving the grid back as it goes
+        start = size * count * j
+        columns[index[order[j]]] = int.from_bytes(grid[start:], "little") - drop
+        del grid[start:]  # CPython reallocates a bytearray down once it is under half full
     peak = max(_lanes(columns[-1], count, COLUMN_WIDTH))  # chi^lam(1^n) = f^lam
     return CharacterTable(n, parts, tuple(columns), index, peak)
 
@@ -344,20 +361,27 @@ class SchurExpansion:
     def mult(self, nu: Partition) -> Fraction:
         return Fraction(self.numerators[partition_position(nu, self.n)], self.denominator)
 
-    def terms(self):
+    def terms(self, names=None):
         """(nu, m) for every shape that occurs, in partitions_of(n) order: m is
-        the multiplicity as an int, or as its "p/q" string if it is not one."""
+        the multiplicity as an int, or as its "p/q" string if it is not one.
+        `names`, one per shape in that order, stand in for the shapes."""
         d = self.denominator
-        for nu, m in zip(partitions_of(self.n), self.numerators):
+        for nu, m in zip(partitions_of(self.n) if names is None else names, self.numerators):
             if m:
                 yield nu, m // d if m % d == 0 else str(Fraction(m, d))
 
     def to_json_dict(self) -> dict:
-        mults = {"[" + ",".join(map(str, nu)) + "]": m for nu, m in self.terms()}
+        mults = dict(self.terms(_json_keys(self.n)))
         return {"n": self.n, "mults": mults, "verdict": self.verdict}
 
     def pretty(self) -> str:
         return " + ".join(f"{m}·{pretty(nu)}" for nu, m in self.terms()) or "0"
+
+
+@lru_cache(maxsize=64)
+def _json_keys(n: int) -> tuple[str, ...]:
+    """The JSON key "[a,b,...]" of every shape of n, in partitions_of(n) order."""
+    return tuple("[" + ",".join(map(str, nu)) + "]" for nu in partitions_of(n))
 
 
 def to_schur(f: PExpr, n: int | None = None, max_n: int = TABLE_CAP) -> SchurExpansion:

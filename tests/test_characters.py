@@ -217,17 +217,39 @@ def test_conjugate_rows_against_mn_character():
             assert [table.chi(nu, mu) for mu in parts] == [mn_character(nu, mu) for mu in parts], nu
 
 
-def test_table_build_memory():
-    # each level is dropped once no later level reads it: a fresh build at
-    # n = 20 peaks near 6.3 MiB under tracemalloc (10.6 MiB holding every level)
-    character_table(20)  # partitions and their indexes cached
+def _fresh_build_peak(n):
+    """The tracemalloc peak of one fresh build of degree n, partitions cached."""
+    character_table(n, max_n=n)
     tracemalloc.start()
     try:
-        _build_table.__wrapped__(20)
-        peak = tracemalloc.get_traced_memory()[1]
+        _build_table.__wrapped__(n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20, peak
+
+
+def test_table_build_memory():
+    # each level keeps only the lanes later levels read and level n is
+    # scattered into the transpose as it is built: a fresh build at n = 20
+    # peaks near 5.1 MiB under tracemalloc (6.3 MiB holding level n whole)
+    peak = _fresh_build_peak(20)
+    assert peak < 6.5 * 2**20, peak
+
+
+def test_table_build_memory_64_bit_lanes():
+    # n = 21 peaks near 10.9 MiB (14.5 MiB holding level n whole)
+    peak = _fresh_build_peak(21)
+    assert peak < 13.5 * 2**20, peak
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_fresh_build_of_smallest_degrees(n):
+    # level n is level 0 at n = 0: its one row is scattered without a level loop
+    table = _build_table.__wrapped__(n)
+    assert table.parts == partitions_of(n)
+    assert _rows(table) == tuple(
+        tuple(mn_character(nu, mu) for mu in table.parts) for nu in table.parts
+    )
 
 
 def test_conjugate_row_sign_rule():

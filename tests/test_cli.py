@@ -283,7 +283,7 @@ _RENDER_DEGREES = {
 
 
 @pytest.mark.parametrize(
-    "command,target,fmt", sorted(_RENDER_DIGESTS), ids="-".join
+    "command,target,fmt", sorted(_RENDER_DIGESTS), ids=map("-".join, sorted(_RENDER_DIGESTS))
 )
 def test_render_output_pinned(capsys, command, target, fmt):
     argv = (command, target, *_RENDER_DEGREES[command], "--format", fmt)
