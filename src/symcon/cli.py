@@ -2,7 +2,7 @@
 
 Subcommands:
   expand   render the Schur expansion of a module or family at degree n
-  verify   run identity-catalog entries, streaming one result per line
+  verify   run identity-catalog entries and write one result per line once all have run
   table    render a decomposition table column/block
 
 Exit codes: 0 success (no FAIL), 1 verification failure, 2 usage error.

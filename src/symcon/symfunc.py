@@ -32,7 +32,8 @@ Every parity and sign option of the sum is (a*G_n + b*S_n)/2 for integer
 weights a, b, S the sum signed by (-1)^(n - len(lam)): one kernel call.
 h_m[f_i] is the same recurrence on f_i alone.  All of it stays packed
 in the width trunc.bit_length(); no degree up to trunc has a multiplicity
-above trunc.  Series products, inverses and plethysm_into pack each
+above trunc.  (H_lambda and E_lambda with |lam| above trunc run that
+recurrence for the one call, in the width |lam|.bit_length().)  Series products, inverses and plethysm_into pack each
 component once, in that width too; plethysm_into keeps the powers of its
 inner series for one call only.
 """
@@ -223,6 +224,8 @@ class PExpr:
 
     @staticmethod
     def from_json_dict(data: dict[str, str]) -> "PExpr":
+        if not (isinstance(data, dict) and all(isinstance(key, str) for key in data)):
+            raise ParameterError(f"not a power-sum JSON object: {data!r}")
         terms = {}
         for key, val in data.items():
             try:
@@ -549,27 +552,25 @@ class Series:
     def _unpack(self, value: Packed) -> PExpr:
         return _unpack(value, _width(self.trunc), self._keys)
 
-    def _pleth(self, kind: str, i: int, m: int) -> list[Packed]:
-        """The packed sequence h_0[f_i], h_1[f_i], ... ("h") or e_j[f_i] ("e"), through j = m.
-
-        The recurrence of _newton on f_i alone, at degree 1, cached under (kind, i).
-        Needs m * i <= trunc, which bounds the multiplicities by trunc.
-        """
-        comps = {1: self.component(i)}
-        return _newton(self._pleth_cache, (kind, i), comps, kind, False, m, _width(self.trunc))
-
 
 def _lambda_product(kind: str, lam, F: Series) -> PExpr:
-    """prod over distinct parts i of h_{m_i}[f_i] ("h") or e_{m_i}[f_i] ("e")."""
-    mults = _multiplicities(partition(lam, lo=1))
-    if sum(i * m for i, m in mults.items()) > F.trunc:
-        # beyond the width of F's packed sequences
-        pleth = plethysm_h if kind == "h" else plethysm_e
-        return prod((pleth(m, F.component(i)) for i, m in mults.items()), start=PExpr.one())
+    """prod over distinct parts i of h_{m_i}[f_i] ("h") or e_{m_i}[f_i] ("e").
+
+    Each factor is the recurrence of _newton on f_i alone, at degree 1.  While
+    |lam| <= F.trunc it runs in F's width and is cached on F under (kind, i);
+    beyond that it runs in the width of |lam|, which bounds the multiplicities,
+    and is kept for this call only.
+    """
+    lam = partition(lam, lo=1)
+    if sum(lam) <= F.trunc:
+        cache, w, keys = F._pleth_cache, _width(F.trunc), F._keys
+    else:
+        cache, w, keys = {}, _width(sum(lam)), {}
     out = _ONE
-    for i, m in mults.items():
-        out = _kernel([(1, out, F._pleth(kind, i, m)[m])])
-    return F._unpack(out)
+    for i, m in _multiplicities(lam).items():
+        seq = _newton(cache, (kind, i), {1: F.component(i)}, kind, False, m, w)
+        out = _kernel([(1, out, seq[m])])
+    return _unpack(out, w, keys)
 
 
 def H_lambda(lam: Partition, F: Series) -> PExpr:
@@ -703,7 +704,11 @@ def product_expansion(factors, n: int) -> PExpr:
     """
     integer(n, "degree", 0)
     polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
-    for m, c, sign in factors:
+    for factor in factors:
+        try:
+            m, c, sign = factor
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"a factor is (m, c, sign), got {factor!r}") from exc
         integer(m, "factor degree", 1)
         if sign not in (1, -1):
             raise ParameterError(f"factor sign must be +-1, got {sign}")

@@ -22,13 +22,17 @@ runner, pairing the two sides of repmodels.MODULE_FORMS.  The free-Lie
 identities of Corollary 5.2 and Proposition 5.4 compare the two sides of
 repmodels.lie_identity at the degree checked.
 
-The positivity and strictness claims (Theorem 1.1, Theorems 4.5, 4.9,
-4.17, 4.19, Corollaries 4.12, 4.18 and the positivity half of Theorem 6.4)
-are rows of one table, checked by one runner in both directions: every
-shape occurs but a documented exception, and the exception is absent.  The
-dimension and self-conjugacy claims are rows of another table, checked by
-one runner.  TABLES names each decomposition table's fixture and modules;
-the tables.* entries take their degrees from the fixture's keys.
+The positivity claims of Theorem 1.1 are a table of families, checked
+nonnegative; the strictness claims (Theorems 4.5, 4.9, 4.17, 4.19 and
+Corollary 4.18) are a table of modules with their documented exceptions.
+One runner checks both, and Corollary 4.12 and the positivity half of
+Theorem 6.4, in both directions: every shape occurs but a documented
+exception, and the exception is absent.  The trivial, sign and near-trivial
+counts of Propositions 4.21 and 4.22 and Lemma 4.7 are (label, shape,
+count) checks read by one helper.  The dimension and self-conjugacy claims
+are rows of a table, checked by one runner.  TABLES names each
+decomposition table's fixture and modules; the tables.* entries take their
+degrees from the fixture's keys.
 
 Statuses: PASS/FAIL for theorem-backed claims, REPORT for scans that are
 observations rather than assertions (counterexample confirmations,
@@ -147,9 +151,7 @@ class Entry:
     def matches(self, selector: str) -> bool:
         if selector in ("all", self.id, self.group) or selector in self.tags:
             return True
-        return self.id.startswith(selector + ".") or self.id.startswith(
-            selector + ":"
-        )
+        return self.id.startswith((selector + ".", selector + ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +168,17 @@ def _eq(pairs) -> tuple:
     """PASS iff every (label, lhs, rhs) pair agrees exactly."""
     for label, lhs, rhs in pairs:
         if lhs != rhs:
-            detail = {"failed": label}
-            detail.update(_diff_witness(lhs, rhs))
-            return "FAIL", detail
+            return "FAIL", {"failed": label, **_diff_witness(lhs, rhs)}
     return "PASS", None
 
 
-def _first_failed(checks) -> tuple:
-    """FAIL naming the first (label, ok) check that does not hold, else PASS."""
-    for label, ok in checks:
-        if not ok:
-            return "FAIL", {"failed": label}
+def _mults(se: SchurExpansion, checks) -> tuple:
+    """PASS iff every (label, nu, want) check has the multiplicity of s_nu in se equal to
+    want; else FAIL naming the first that does not, with the two values."""
+    for label, nu, want in checks:
+        got = se.mult(nu)
+        if got != want:
+            return "FAIL", {"failed": label, "got": str(got), "want": str(want)}
     return "PASS", None
 
 
@@ -205,22 +207,21 @@ def check_positivity(
         raise ParameterError(f"mode must be NONNEG, STRICT or STRICT_EXCEPT, got {mode!r}")
     if exceptions and mode != "STRICT_EXCEPT":
         raise ParameterError(f"exceptions need mode STRICT_EXCEPT, got {mode!r}")
-    if isinstance(spec_or_expr, FamilySpec):
-        f = power_sum_family(spec_or_expr, n)
-    else:
-        f = spec_or_expr
+    f = power_sum_family(spec_or_expr, n) if isinstance(spec_or_expr, FamilySpec) else spec_or_expr
+    if not isinstance(f, PExpr):
+        raise ParameterError(f"not a FamilySpec or a PExpr: {spec_or_expr!r}")
     return CheckResult(check_id, n, *_positivity(to_schur(f, n), mode, exceptions))
 
 
 def _positivity(se: SchurExpansion, mode: str, exceptions=()) -> tuple:
-    """check_positivity on an expansion already computed, read from its integers."""
+    """check_positivity on an expansion already computed, read from its integers;
+    exceptions are only given with STRICT_EXCEPT."""
     d = se.denominator
-    floor = d if mode in ("STRICT", "STRICT_EXCEPT") else 0
-    exempt = exceptions if mode == "STRICT_EXCEPT" else ()
+    floor = 0 if mode == "NONNEG" else d
     bad = [
         (nu, m)
         for nu, m in zip(partitions_of(se.n), se.numerators)
-        if m % d or m < (0 if nu in exempt else floor)
+        if m % d or m < (0 if nu in exceptions else floor)
     ]
     if bad:
         return "FAIL", {"witness": [{"nu": list(nu), "mult": str(Fraction(m, d))} for nu, m in bad[:6]]}
@@ -444,43 +445,29 @@ def _run_prop23(which: str, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Positivity and strictness entries
 #
-# A row is (id, degrees, target, mode, exceptions), its degrees running from the
-# row's lowest to POSITIVITY_TOP but for cor4.12's, which skip 2.  The target is
-# a module id or a FamilySpec.  Exceptions are {degree: shape}, a shape absent
-# at a documented degree, or "sign", the sign shape absent at every degree.
+# Each row runs from its lowest degree to POSITIVITY_TOP.  A Theorem 1.1 row
+# (id suffix, lowest degree, family) is checked NONNEG; a strictness row (id,
+# lowest degree, module, exceptions) is checked STRICT, its exceptions being
+# {degree: shape}, a shape absent at a documented degree, or "sign", the sign
+# shape absent at every degree.
 
 
-_POSITIVITY = [
-    (cid, range(lo, POSITIVITY_TOP + 1), *row)
-    for cid, lo, *row in (
-        [
-            (f"thm1.1.{kind}", lo, FamilySpec(kind), "NONNEG", {})
-            for kind, lo in (
-                ("all", 1), ("odd-parts", 1), ("even-sign", 1),
-                ("not-do-even-sign", 2), ("not-do", 2),
-            )
-        ]
-        + [
-            (f"thm1.1.{kind}:{k}", 1, FamilySpec(kind, k=k), "NONNEG", {})
-            for kind in ("one-or-k", "divides-k", "thm59")
-            for k in KS
-        ]
-        + [
-            (f"thm1.1.prime-family:{p}", 1, FamilySpec("prime-family", p=p), "NONNEG", {})
-            for p in (3, 5, 7)
-        ]
-        + [
-            ("thm4.5", 2, "psi", "STRICT", {2: (1, 1)}),
-            ("thm4.9", 1, "eps", "STRICT", {}),
-            ("thm4.17.1", 4, "psi-a", "STRICT", {}),
-            ("thm4.17.2", 2, "psi-abar", "STRICT", "sign"),
-            ("thm4.19.1", 4, "eps-a", "STRICT", {4: (2, 2)}),
-            ("thm4.19.2", 2, "eps-abar", "STRICT", "sign"),
-            ("cor4.18", 4, "u-plus", "STRICT", {}),
-        ]
-    )
-] + [("cor4.12", (1, *range(3, POSITIVITY_TOP + 1)), FamilySpec("even-sign"), "STRICT", {})]
-_THM64 = ("alt-induced", "STRICT", {3: (2, 1)})  # target, mode, exceptions
+_THM11 = (
+    [(kind, lo, FamilySpec(kind)) for kind, lo in (
+        ("all", 1), ("odd-parts", 1), ("even-sign", 1), ("not-do-even-sign", 2), ("not-do", 2))]
+    + [(f"{kind}:{k}", 1, FamilySpec(kind, k=k))
+       for kind in ("one-or-k", "divides-k", "thm59") for k in KS]
+    + [(f"prime-family:{p}", 1, FamilySpec("prime-family", p=p)) for p in (3, 5, 7)]
+)
+_STRICT = (
+    ("thm4.5", 2, "psi", {2: (1, 1)}),
+    ("thm4.9", 1, "eps", {}),
+    ("thm4.17.1", 4, "psi-a", {}),
+    ("thm4.17.2", 2, "psi-abar", "sign"),
+    ("thm4.19.1", 4, "eps-a", {4: (2, 2)}),
+    ("thm4.19.2", 2, "eps-abar", "sign"),
+    ("cor4.18", 4, "u-plus", {}),
+)
 
 
 def _run_positivity(target, mode: str, exceptions, n: int) -> tuple:
@@ -512,14 +499,14 @@ def _run_positivity(target, mode: str, exceptions, n: int) -> tuple:
 
 def _run_thm64(n: int) -> tuple:
     """Self-conjugacy, dimension n! and, at n = 3, the closed form 2 p_3 + p_1^3,
-    then the positivity row _THM64."""
+    then strictness with the shape (2, 1) absent at n = 3."""
     f = module_char("alt-induced", n)
     res = _eq([("self-conjugate", omega(f), f)])
     if res[0] != "PASS":
         return res
     if dimension(f, n) != factorial(n):
         return "FAIL", {"failed": "dimension"}
-    res = _run_positivity(*_THM64, n)
+    res = _run_positivity("alt-induced", "STRICT", {3: (2, 1)}, n)
     if n == 3:
         ok = res[0] == "PASS" and f == 2 * PExpr.p(3) + PExpr.p(1) ** 3
         return ("PASS" if ok else "FAIL"), {"expected-exception": {"nu": [2, 1]}}
@@ -576,67 +563,48 @@ def _run_cor414(n: int) -> tuple:
 
 
 def _run_prop421(n: int) -> tuple:
-    se = _module_schur("psi", n)
-    pairs = [
-        ("trivial", se.mult((n,)), Fraction(len(partitions_of(n)))),
-        ("sign", se.mult((1,) * n), Fraction(len(members(FamilySpec("do"), n)))),
+    checks = [
+        ("trivial", (n,), len(partitions_of(n))),
+        ("sign", (1,) * n, len(members(FamilySpec("do"), n))),
     ]
     if n >= 2:
         want = sum(len(set(lam)) - 1 for lam in partitions_of(n))
-        pairs.append(("near-trivial", se.mult((n - 1, 1)), Fraction(want)))
-    for label, got, want in pairs:
-        if got != want:
-            return "FAIL", {"failed": label, "got": str(got), "want": str(want)}
-    return "PASS", None
+        checks.append(("near-trivial", (n - 1, 1), want))
+    return _mults(_module_schur("psi", n), checks)
 
 
 def _run_prop422(n: int) -> tuple:
-    se = _module_schur("eps", n)
+    distinct = members(FamilySpec("distinct"), n)
     odd_count = len(members(FamilySpec("odd-parts"), n))
-    distinct_count = len(members(FamilySpec("distinct"), n))
-    checks = [
-        ("euler", odd_count == distinct_count),
-        ("trivial", se.mult((n,)) == odd_count),
-        ("sign", se.mult((1,) * n) == odd_count),
-    ]
+    if odd_count != len(distinct):
+        return "FAIL", {"failed": "euler"}
+    checks = [("trivial", (n,), odd_count), ("sign", (1,) * n, odd_count)]
     if n >= 2:
-        want = sum(len(lam) - 1 for lam in members(FamilySpec("distinct"), n)) + sum(
+        want = sum(len(lam) - 1 for lam in distinct) + sum(
             1  # one part twice, every other part once
             for lam in partitions_of(n)
             if len(lam) == len(set(lam)) + 1
         )
-        checks.append(("near-trivial", se.mult((n - 1, 1)) == want))
-        checks.append(("near-sign", se.mult((2,) + (1,) * (n - 2)) == want))
-    return _first_failed(checks)
+        checks += [("near-trivial", (n - 1, 1), want), ("near-sign", (2,) + (1,) * (n - 2), want)]
+    return _mults(_module_schur("eps", n), checks)
 
 
 def _run_lem47(n: int) -> tuple:
     se = to_schur(foulkes(n, 0), n)
-    checks = [("trivial once", se.mult((n,)) == 1)]
+    hooks = ((n - 1, 1), (2,) + (1,) * (n - 2))
+    checks = [("trivial once", (n,), 1)]
     if n >= 2:
-        checks.append(("near-trivial absent", se.mult((n - 1, 1)) == 0))
-        checks.append(
-            ("sign iff odd", se.mult((1,) * n) == (1 if n % 2 == 1 else 0))
-        )
-        checks.append(
-            (
-                "near-sign iff even",
-                se.mult((2,) + (1,) * (n - 2)) == (1 if n % 2 == 0 else 0),
-            )
-        )
-    if n % 2 == 1 and divisors(n) == (1, n):  # odd primes: everything else present
-        hooks_out = {(n - 1, 1), (2,) + (1,) * (n - 2)}
-        checks.append(
-            (
-                "prime coverage",
-                all(
-                    se.mult(nu) >= 1
-                    for nu in partitions_of(n)
-                    if nu not in hooks_out
-                ),
-            )
-        )
-    return _first_failed(checks)
+        checks += [
+            ("near-trivial absent", hooks[0], 0),
+            ("sign iff odd", (1,) * n, n % 2),
+            ("near-sign iff even", hooks[1], 1 - n % 2),
+        ]
+    res = _mults(se, checks)
+    if res[0] == "PASS" and n % 2 == 1 and divisors(n) == (1, n):
+        # odd primes: every shape but the two hooks occurs
+        if any(se.mult(nu) < 1 for nu in partitions_of(n) if nu not in hooks):
+            return "FAIL", {"failed": "prime coverage"}
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -710,12 +678,17 @@ TABLES = {
 }
 
 
+def _table_kind(kind: str) -> str:
+    """kind in lower case, a key of TABLES; ParameterError for anything else."""
+    key = kind.lower() if isinstance(kind, str) else None
+    if key not in TABLES:
+        raise ParameterError(f"unknown table {kind!r}")
+    return key
+
+
 def reproduce_table(kind: str, n: int) -> CheckResult:
     """Compare the computed decomposition with the transcribed fixture."""
-    kind = kind.lower()
-    if kind not in TABLES:
-        raise ParameterError(f"unknown table {kind!r}")
-    return _BY_ID[f"tables.{kind}"].check(n)
+    return _BY_ID[f"tables.{_table_kind(kind)}"].check(n)
 
 
 def _run_table(kind: str, n: int) -> tuple:
@@ -743,36 +716,25 @@ def _run_table(kind: str, n: int) -> tuple:
 def table_decomposition(kind: str, n: int, max_n: int = TABLE_CAP) -> dict[str, SchurExpansion]:
     """Computed decomposition(s) rendered by the CLI `table` command; max_n caps the
     character table's degree, as in to_schur."""
-    table = TABLES.get(kind.lower())
-    if table is None:
-        raise ParameterError(f"unknown table {kind!r}")
-    return {mid: _module_schur(mid, n, max_n) for mid in table[1]}
+    return {mid: _module_schur(mid, n, max_n) for mid in TABLES[_table_kind(kind)][1]}
 
 
-_CEX_B = FamilySpec(
-    "explicit",
-    items=((1,) * 6, (2, 1, 1, 1, 1), (3, 3), (4, 2), (4, 1, 1)),
-)
-_CEX_C = FamilySpec(
-    "explicit",
-    items=((1,) * 6, (2, 2, 2), (3, 1, 1, 1), (4, 1, 1), (4, 2)),
-)
+# cex.b and cex.c: (explicit family, the shape of multiplicity -1)
+_CEX = {
+    "b": (((1,) * 6, (2, 1, 1, 1, 1), (3, 3), (4, 2), (4, 1, 1)), (2, 1, 1, 1, 1)),
+    "c": (((1,) * 6, (2, 2, 2), (3, 1, 1, 1), (4, 1, 1), (4, 2)), (3, 3)),
+}
 
 
 def _run_cex(which: str, n: int) -> tuple:
+    """REPORT iff the documented shape has the documented multiplicity: for cex.a,
+    u-minus + p_(1^n) at the sign shape, 1 minus the number of odd-sign shapes."""
     if which == "a":
         f = module_char("u-minus", n) + PExpr.term((1,) * n)
-        nu = (1,) * n
-        odd_count = len(members(FamilySpec("odd-sign"), n))
-        want = Fraction(1 - odd_count)
-    elif which == "b":
-        f = power_sum_family(_CEX_B, n)
-        nu = (2, 1, 1, 1, 1)
-        want = Fraction(-1)
+        nu, want = (1,) * n, 1 - len(members(FamilySpec("odd-sign"), n))
     else:
-        f = power_sum_family(_CEX_C, n)
-        nu = (3, 3)
-        want = Fraction(-1)
+        items, nu = _CEX[which]
+        f, want = power_sum_family(FamilySpec("explicit", items=items), n), -1
     got = to_schur(f, n).mult(nu)
     status = "REPORT" if got == want else "FAIL"
     return status, {"nu": list(nu), "mult": str(got), "expected": str(want)}
@@ -848,17 +810,19 @@ def _build_catalog() -> list[Entry]:
         + linear("thm3.4", _THM34, ks=(0, 1, 2), nonneg=True)
         + [("cor5.10", "cor5.10", ten, _run_linear, (2, _COR510, _COR510_HALVES))]
     )
-    def positivity(mode, group):
-        """The positivity rows of one mode."""
-        return [
-            (row[0], group, row[1], _run_positivity, row[2:])
-            for row in _POSITIVITY
-            if row[3] == mode
-        ]
-
-    thm11 = positivity("NONNEG", "thm1.1")
-    strict = positivity("STRICT", "strict") + [
-        ("thm6.4", "strict", range(2, POSITIVITY_TOP + 1), _run_thm64, ())
+    thm11 = [
+        (f"thm1.1.{suffix}", "thm1.1", range(lo, POSITIVITY_TOP + 1), _run_positivity,
+         (spec, "NONNEG", {}))
+        for suffix, lo, spec in _THM11
+    ]
+    strict = [
+        (cid, "strict", range(lo, POSITIVITY_TOP + 1), _run_positivity, (mid, "STRICT", exceptions))
+        for cid, lo, mid, exceptions in _STRICT
+    ] + [
+        # the even-sign family is strict at every degree but 2, which the row skips
+        ("cor4.12", "strict", (1, *range(3, POSITIVITY_TOP + 1)), _run_positivity,
+         (FamilySpec("even-sign"), "STRICT", {})),
+        ("thm6.4", "strict", range(2, POSITIVITY_TOP + 1), _run_thm64, ()),
     ]
     dims = (
         [(f"dims.{mid}", "dims", range(lo, 11), _run_dims, (mid,))
@@ -927,7 +891,7 @@ def check_identity(check_id: str, n: int) -> CheckResult:
 
 
 def select_entries(selector: str) -> list[Entry]:
-    chosen = [e for e in CATALOG if e.matches(selector)]
+    chosen = [e for e in CATALOG if e.matches(selector)] if isinstance(selector, str) else []
     if not chosen:
         raise CatalogError(f"selector {selector!r} matches no catalog entries")
     return chosen

@@ -9,7 +9,7 @@ from symcon.characters import (
     schur_to_power,
     to_schur,
 )
-from symcon.errors import DegreeError, ParameterError, SymconError, integer
+from symcon.errors import CatalogError, DegreeError, ParameterError, SymconError, integer
 from symcon.numbertheory import (
     divisors,
     factorize,
@@ -58,7 +58,13 @@ from symcon.symfunc import (
     plethystic_sum,
     product_expansion,
 )
-from symcon.verify import CATALOG, run_selector, table_decomposition
+from symcon.verify import (
+    CATALOG,
+    check_positivity,
+    reproduce_table,
+    run_selector,
+    table_decomposition,
+)
 
 p = PExpr.p
 
@@ -244,6 +250,17 @@ REFUSALS = {
         lambda: Series({1: p(1)}, 3).inverse(), ParameterError),
     "plethystic_sum kind": (lambda: plethystic_sum(F, 2, kind="x"), ParameterError),
     "table_decomposition t9": (lambda: table_decomposition("t9", 3), ParameterError),
+    "table_decomposition None": (lambda: table_decomposition(None, 3), ParameterError),
+    "reproduce_table None": (lambda: reproduce_table(None, 3), ParameterError),
+    "reproduce_table 3": (lambda: reproduce_table(3, 3), ParameterError),
+    "check_positivity of a module id": (lambda: check_positivity("psi", 3), ParameterError),
+    "check_positivity of None": (lambda: check_positivity(None, 3), ParameterError),
+    "run_selector None": (lambda: list(run_selector(None)), CatalogError),
+    "PExpr.from_json_dict list": (lambda: PExpr.from_json_dict([1]), ParameterError),
+    "PExpr.from_json_dict None": (lambda: PExpr.from_json_dict(None), ParameterError),
+    "PExpr.from_json_dict int key": (lambda: PExpr.from_json_dict({1: "1"}), ParameterError),
+    "product_expansion pair": (lambda: product_expansion([(1, 1)], 3), ParameterError),
+    "product_expansion bare int": (lambda: product_expansion([1], 3), ParameterError),
 }
 
 

@@ -400,6 +400,12 @@ def test_lambda_products_beyond_truncation():
     assert E_lambda((1,) * 17, F) == e_n(17)
     with pytest.raises(TruncationError):
         H_lambda((16,), F)
+    # several parts, against the plethysm of each; nothing is cached on the series
+    G = Series(_totient_series(6).components, 6)
+    for product, pleth in ((H_lambda, plethysm_h), (E_lambda, plethysm_e)):
+        want = pleth(1, G.component(3)) * pleth(2, G.component(2)) * pleth(3, G.component(1))
+        assert product((3, 2, 2, 1, 1, 1), G) == want
+    assert G._pleth_cache == {}
 
 
 def _reference_sum(F, n, kind, parity=None, signed=None):
@@ -514,13 +520,12 @@ def test_series_pleth_matches_plethysm(k):
     from symcon.repmodels import foulkes_series
 
     F = Series(foulkes_series(k, 12).components, 12)
-    for kind, pleth in (("h", plethysm_h), ("e", plethysm_e)):
+    for product, pleth in ((H_lambda, plethysm_h), (E_lambda, plethysm_e)):
         for i in range(1, 13):
             # h ascends (the recurrence grows one step at a time), e descends
-            ms = range(12 // i + 1) if kind == "h" else range(12 // i, -1, -1)
+            ms = range(12 // i + 1) if product is H_lambda else range(12 // i, -1, -1)
             for m in ms:
-                got = F._unpack(F._pleth(kind, i, m)[m])
-                assert got == pleth(m, F.component(i)), (kind, i, m)
+                assert product((i,) * m, F) == pleth(m, F.component(i)), (pleth, i, m)
 
 
 @pytest.mark.parametrize("N", [15, 16, 17, 31, 32])

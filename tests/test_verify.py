@@ -625,6 +625,13 @@ _BROKEN_INPUTS = [
     ("lem5.7", 6, "f_eval",
      lambda real: lambda n, k, x: real(n, k, x) + (k == 3 and x == -1),
      {"witness": [{"k": 3, "sign": -1}]}),
+    ("prop4.22", 4, "_module_schur", _with_module("eps", (2, 3, 1, 2, 2)),  # eps is [2, 3, 1, 3, 2]
+     {"failed": "near-sign", "got": "2", "want": "3"}),
+    ("prop4.22", 4, "members",
+     lambda real: lambda spec, n: real(spec, n)[1:] if spec.kind == "distinct" else real(spec, n),
+     {"failed": "euler"}),
+    ("lem4.7", 4, "to_schur", lambda real: lambda f, n, *cap: _schur(n, (1, 1, 1, 1, 0)),
+     {"failed": "near-trivial absent", "got": "1", "want": "0"}),
 ]
 
 
