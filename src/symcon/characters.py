@@ -60,7 +60,12 @@ are rendered once (`_json_keys`, one tuple per degree, 64 degrees kept).
 removing strips for the largest remaining part of mu first, with values
 memoized on (remaining shape, remaining class); the tests hold the table
 to it.  A small alternant oracle recomputes chi^nu(mu) for n <= 6 from the
-bialternant definition, fully independently of both.
+bialternant definition, fully independently of both, one class column at a
+time: chi^nu(mu) is the coefficient of x^(nu+delta) in a_delta p_mu, and as
+p_mu is symmetric each of its monomials c_e x^e adds sign(sort) c_e to the nu
+whose nu + delta is e + delta sorted, when the entries of e + delta are
+distinct.  The columns are kept in a cache bounded by the 30 classes of
+degree <= 6, and `alternant_oracle(nu, mu)` reads one value of a column.
 """
 
 from __future__ import annotations
@@ -70,9 +75,8 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import factorial, isqrt
-from operator import mul, sub
+from operator import mul
 
 from .errors import CapacityError, DegreeError, integer
 from .partitions import (
@@ -183,8 +187,9 @@ class CharacterTable:
     """The matrix chi^nu(mu), rows and columns in reverse-lex order (`parts`).
 
     columns[j] packs the column of parts[j]: sum_i chi^parts[i](parts[j]) *
-    2^(64 i).  `chi` reads one lane, `negative_segments` scans their running
-    sums; `index` is `partition_index(n)`; `peak` is the largest |chi|.
+    2^(64 i).  `chi` reads one lane, `column` decodes a whole column,
+    `negative_segments` scans their running sums; `index` is
+    `partition_index(n)`; `peak` is the largest |chi|.
     """
 
     n: int
@@ -196,6 +201,11 @@ class CharacterTable:
     def chi(self, nu: Partition, mu: Partition) -> int:
         i, j = partition_position(nu, self.n), partition_position(mu, self.n)
         return _lane(self.columns[j], i, COLUMN_WIDTH)
+
+    def column(self, mu: Partition) -> array:
+        """chi^nu(mu) for every nu, in `parts` order: one column decoded whole."""
+        j = partition_position(mu, self.n)
+        return _lanes(self.columns[j], len(self.parts), COLUMN_WIDTH)
 
     def negative_segments(self) -> list[tuple[Partition, tuple[Partition, ...]]]:
         """(mu, the shapes nu of negative multiplicity) for each final segment
@@ -433,57 +443,68 @@ def schur_to_power(nu: Partition) -> PExpr:
     return PExpr({lam: Fraction(v, z_lambda(lam)) for lam, v in zip(table.parts, values) if v})
 
 
+def _hook_numerators(f: PExpr, n: int) -> tuple[int, int, int, int]:
+    """The multiplicities of s_(n), s_(1^n), s_(n-1,1) and s_(2,1^(n-2)) in
+    f = sum_mu c_mu p_mu of degree n >= 2, as numerators over f.denominator, read
+    from the coefficients alone: the trivial, sign and standard characters and
+    the sign twist of the standard are 1, sgn(mu), m_1(mu) - 1 and
+    sgn(mu) (m_1(mu) - 1) on the class mu, with sgn(mu) = (-1)^(n - l(mu)) and
+    m_1(mu) its number of parts 1 (Macdonald I.7)."""
+    even = odd = even_fixed = odd_fixed = 0  # sum c_mu and sum c_mu m_1(mu), by sgn(mu)
+    for mu, c in f.numerators.items():
+        if (n - len(mu)) & 1:
+            odd += c
+            odd_fixed += c * mu.count(1)
+        else:
+            even += c
+            even_fixed += c * mu.count(1)
+    trivial, sign = even + odd, even - odd
+    return trivial, sign, even_fixed + odd_fixed - trivial, even_fixed - odd_fixed - sign
+
+
 # ---------------------------------------------------------------------------
 # Alternant oracle (n <= 6)
 
 
-@lru_cache(maxsize=None)
-def _powersum_poly(mu: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Monomial expansion of p_mu in nvars variables, as (exponents, coeff)."""
-    poly = {(0,) * nvars: 1}
-    for part in mu:
-        new: dict[tuple[int, ...], int] = {}
-        for expo, coeff in poly.items():
-            for i in range(nvars):
-                key = expo[:i] + (expo[i] + part,) + expo[i + 1 :]
-                new[key] = new.get(key, 0) + coeff
-        poly = new
-    return tuple(poly.items())
-
-
 def alternant_oracle(nu: Partition, mu: Partition) -> int:
-    """chi^nu(mu) as the coefficient of x^(nu+delta) in p_mu * a_delta, n <= 6.
-
-    Read from the monomial side: every monomial x^e of p_mu meets the one
-    term sign(sigma) * x^(sigma(delta)) of the alternant a_delta with
-    sigma(delta) = nu + delta - e, if there is one.
-    """
+    """chi^nu(mu) as the coefficient of x^(nu+delta) in a_delta * p_mu, n <= 6:
+    one value of the column of mu, which is built on the first read and kept
+    while it is one of the 30 most recently read."""
     nu = partition(nu)
     n = sum(nu)
     mu = partition(mu, n)
     if n > ALTERNANT_MAX_N:
         raise CapacityError(f"alternant oracle capped at n={ALTERNANT_MAX_N}")
-    if n == 0:
-        return 1
-    target = [p + n - 1 - i for i, p in enumerate(nu + (0,) * (n - len(nu)))]
-    alternant = _alternant_terms(n)
-    total = 0
-    for expo, coeff in _powersum_poly(mu, n):
-        total += coeff * alternant.get(tuple(map(sub, target, expo)), 0)
-    return total
+    return _alternant_column(mu).get(nu, 0)
 
 
-@lru_cache(maxsize=ALTERNANT_MAX_N + 1)
-def _alternant_terms(n: int) -> dict[tuple[int, ...], int]:
-    """The alternant a_delta in n variables, delta = (n-1, ..., 0), as {sigma(delta): sign sigma}."""
-    delta = tuple(range(n - 1, -1, -1))
-    return {tuple(delta[p] for p in perm): _parity(perm) for perm in permutations(range(n))}
+@lru_cache(maxsize=30)  # every class of degree <= ALTERNANT_MAX_N
+def _alternant_column(mu: Partition) -> dict[Partition, int]:
+    """{nu: chi^nu(mu)} for nu |- n = |mu|; a shape it does not hold has value 0.
 
-
-def _parity(perm: tuple[int, ...]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    p_mu is symmetric, so a_delta * p_mu = sum_e c_e a_(e+delta) over its
+    monomials c_e x^e in n variables.  a_w is 0 when w repeats an entry, and
+    else sign(sort) a_(nu+delta) for w sorted decreasing into nu + delta, whose
+    coefficient of x^(nu+delta) is 1.
+    """
+    n = sum(mu)
+    bits = n.bit_length()
+    poly = {0: 1}  # p_mu in n variables, x^e keyed sum_i e_i 2^(bits i): no e_i exceeds n
+    for part in mu:
+        new: dict[int, int] = {}
+        for key, coeff in poly.items():
+            for i in range(n):
+                k = key + (part << bits * i)
+                new[k] = new.get(k, 0) + coeff
+        poly = new
+    mask = (1 << bits) - 1
+    column: dict[Partition, int] = {}
+    for key, coeff in poly.items():
+        w = [(key >> bits * i & mask) + n - 1 - i for i in range(n)]  # e + delta
+        if len(set(w)) < n:
+            continue
+        if sum(a < b for i, a in enumerate(w) for b in w[i + 1 :]) & 1:
+            coeff = -coeff
+        nu = tuple(p for p in (v - n + 1 + i for i, v in enumerate(sorted(w, reverse=True))) if p)
+        column[nu] = column.get(nu, 0) + coeff
+    return column

@@ -230,7 +230,7 @@ class PExpr:
         for key, val in data.items():
             try:
                 parts = tuple(int(x) for x in key.strip("[]").split(",") if x.strip())
-                coeff = Fraction(val)
+                coeff = _rational(val, "power-sum coefficient")  # a float is refused
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"not a power-sum term: {key!r}: {val!r}") from exc
             terms[parts] = terms.get(parts, 0) + coeff

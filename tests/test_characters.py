@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symcon.characters import (
+    ALTERNANT_MAX_N,
     COLUMN_WIDTH,
+    _alternant_column,
     _build_table,
+    _hook_numerators,
     _lanes,
     _mn,
     _strip_removals,
@@ -262,13 +265,35 @@ def test_conjugate_row_sign_rule():
 
 
 def test_alternant_oracle_exhaustive():
-    for n in range(1, 7):
-        for nu in partitions_of(n):
-            for mu in partitions_of(n):
+    # every value twice: each class column is built once, and the cache holds them all
+    classes = [mu for n in range(ALTERNANT_MAX_N + 1) for mu in partitions_of(n)]
+    assert _alternant_column.cache_info().maxsize == len(classes) == 30
+    _alternant_column.cache_clear()
+    for _ in range(2):
+        for mu in classes:
+            for nu in partitions_of(sum(mu)):
                 assert alternant_oracle(nu, mu) == mn_character(nu, mu)
+    info = _alternant_column.cache_info()
+    assert (info.misses, info.currsize) == (len(classes), len(classes))
     assert alternant_oracle((2, 1), (3,)) == -1
     with pytest.raises(CapacityError):
         alternant_oracle((7,), (7,))
+
+
+def test_hook_numerators_are_the_four_multiplicities():
+    from symcon.repmodels import SERIES_TRUNC, foulkes_series
+    from symcon.symfunc import E_lambda, H_lambda
+
+    F = foulkes_series(0, SERIES_TRUNC)
+    for n in range(2, 9):
+        hooks = ((n,), (1,) * n, (n - 1, 1), (2,) + (1,) * (n - 2))
+        exprs = [form(lam, F) for lam in partitions_of(n) for form in (H_lambda, E_lambda)]
+        exprs += [PExpr.term(mu) for mu in partitions_of(n)]  # the character values themselves
+        exprs += [Fraction(-3, 4) * PExpr.p(*(1,) * n) + Fraction(1, 6) * PExpr.p(n)]
+        for f in exprs:
+            se = to_schur(f, n)
+            got = [Fraction(m, f.denominator) for m in _hook_numerators(f, n)]
+            assert got == [se.mult(nu) for nu in hooks], (n, f)
 
 
 def test_to_schur_examples():

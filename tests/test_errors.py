@@ -60,6 +60,7 @@ from symcon.symfunc import (
 )
 from symcon.verify import (
     CATALOG,
+    check_identity,
     check_positivity,
     reproduce_table,
     run_selector,
@@ -259,6 +260,9 @@ REFUSALS = {
     "PExpr.from_json_dict list": (lambda: PExpr.from_json_dict([1]), ParameterError),
     "PExpr.from_json_dict None": (lambda: PExpr.from_json_dict(None), ParameterError),
     "PExpr.from_json_dict int key": (lambda: PExpr.from_json_dict({1: "1"}), ParameterError),
+    "PExpr.from_json_dict float": (lambda: PExpr.from_json_dict({"[1]": 0.1}), ParameterError),
+    "check_identity list id": (lambda: check_identity(["x"], 3), CatalogError),
+    "check_identity dict id": (lambda: check_identity({}, 3), CatalogError),
     "product_expansion pair": (lambda: product_expansion([(1, 1)], 3), ParameterError),
     "product_expansion bare int": (lambda: product_expansion([1], 3), ParameterError),
 }

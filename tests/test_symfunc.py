@@ -857,6 +857,12 @@ def test_json_roundtrip():
     assert PExpr.from_json_dict(f.to_json_dict()) == f
 
 
+def test_json_coefficients_load_exactly():
+    # ints and "p/q" strings load as they read; a float is refused (test_errors)
+    got = PExpr.from_json_dict({"[1]": 2, "[2]": "1/3", "[3]": "-4", "[2,1]": Fraction(5, 7)})
+    assert got == 2 * p(1) + Fraction(1, 3) * p(2) - 4 * p(3) + Fraction(5, 7) * p(2, 1)
+
+
 def test_noncanonical_keys_are_sorted():
     from symcon.characters import to_schur
 

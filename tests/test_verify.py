@@ -201,6 +201,39 @@ def test_conjecture_scan_reports_violating_segments(monkeypatch):
     assert detail == {"segments": count, "violations": want}
 
 
+def full_scan_coverage(n):
+    """remark4.20's detail by the full scan: every class expanded in the Schur basis,
+    kept when its verdict is POSITIVE (the reference for the witness-first scan)."""
+    from symcon.characters import to_schur
+    from symcon.repmodels import SERIES_TRUNC, foulkes_series
+    from symcon.symfunc import E_lambda, H_lambda
+
+    F = foulkes_series(0, SERIES_TRUNC)
+    return {
+        f"{kind}-covering": [
+            list(lam) for lam in partitions_of(n) if to_schur(form(lam, F), n).verdict == "POSITIVE"
+        ]
+        for kind, form in (("h", H_lambda), ("e", E_lambda))
+    }
+
+
+def test_coverage_scan_equals_the_full_scan():
+    for n in range(15):
+        assert per_class_coverage(n).detail == full_scan_coverage(n), n
+
+
+def test_coverage_scan_expands_only_the_survivors(monkeypatch):
+    from symcon import verify
+
+    expanded = []
+    real = verify.to_schur
+    monkeypatch.setattr(verify, "to_schur", lambda f, n: expanded.append(n) or real(f, n))
+    detail = per_class_coverage(20).detail
+    # seven classes cover, for h and e alike; every other class has a hook multiplicity 0
+    assert len(detail["h-covering"]) == len(detail["e-covering"]) == 7
+    assert len(expanded) <= 14
+
+
 def test_per_class_coverage_small():
     assert per_class_coverage(1).detail == {"h-covering": [[1]], "e-covering": [[1]]}
     assert per_class_coverage(2).detail == {"h-covering": [], "e-covering": []}
@@ -546,12 +579,14 @@ def test_exception_degrees_check_integrality(monkeypatch):
 
 
 def _clear_run_caches():
-    from symcon import characters, repmodels, verify
+    from symcon import characters, numbertheory, repmodels, verify
 
     for cached in (
         verify._module_schur, verify._restricted,
         repmodels.foulkes_series, repmodels._pi_alt,
-        characters._build_table,
+        characters._build_table, characters._alternant_column,
+        numbertheory._ramanujan, numbertheory._totient, numbertheory._moebius,
+        numbertheory._divisors, numbertheory.factorize,
     ):
         cached.cache_clear()
 
@@ -572,6 +607,20 @@ def test_results_do_not_depend_on_order_or_cache_state(catalog_order_results, da
     )
     for cid, n in plan:
         assert check_identity(cid, n) == catalog_order_results[cid, n]
+
+
+@pytest.mark.parametrize("cid,ns", [
+    ("oracles.mn-alternant", range(1, 7)),
+    ("oracles.ramanujan", range(1, 61)),
+    ("remark4.20", range(1, 11)),
+])
+def test_oracle_and_coverage_rows_equal_cold_and_warm(cid, ns):
+    cold = []
+    for n in ns:
+        _clear_run_caches()
+        cold.append(check_identity(cid, n))
+    assert [check_identity(cid, n) for n in ns] == cold
+    assert {r.status for r in cold} == {"REPORT" if cid == "remark4.20" else "PASS"}
 
 
 def test_catalog_plan_pinned():
