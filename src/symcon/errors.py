@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the one integer-argument rule.
+"""Exception types shared across the package, and the integer and name rules.
 
 Every integer argument of a public entry point (a degree, a weight k, a part,
 a truncation) is checked by `integer`, so a float, bool, string or None, or a
 value below the entry point's bound, raises ParameterError with one wording.
+Every name argument (a module id, a family or term name) is checked by
+`string` before any lookup reads it.
 """
 
 
@@ -37,3 +39,10 @@ def integer(x, what: str, lo: int | None = None) -> int:
         return x
     bound = "" if lo is None else f" >= {lo}"
     raise ParameterError(f"{what} must be an integer{bound}, got {x!r}")
+
+
+def string(x, what: str) -> str:
+    """x itself if it is a str; else ParameterError("{what} must be a string, got {x!r}")."""
+    if isinstance(x, str):
+        return x
+    raise ParameterError(f"{what} must be a string, got {x!r}")

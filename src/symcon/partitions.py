@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import ParameterError, integer
+from .errors import ParameterError, integer, string
+from .numbertheory import factorize
 
 Partition = tuple[int, ...]
 
@@ -48,14 +49,14 @@ def partition(parts, n: int | None = None, lo: int = 0) -> Partition:
     return parts if key == parts else key
 
 
-@lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, exactly once, in reverse-lexicographic order (ZS1).
+    """All partitions of n, exactly once, in reverse-lexicographic order (ZS1); n checked first."""
+    return _partitions_of(integer(n, "partition size", 0))
 
-    The check runs on a cache miss only; lru_cache keys 2.0 and True apart
-    from 2 and 1, so they always reach it.
-    """
-    if integer(n, "partition size", 0) == 0:
+
+@lru_cache(maxsize=None)
+def _partitions_of(n: int) -> tuple[Partition, ...]:
+    if n == 0:
         return ((),)
     x = [1] * n  # x[:m] is the current partition; x[h] its last part above 1
     x[0], m, h = n, 1, 0
@@ -77,9 +78,13 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def partition_index(n: int) -> dict[Partition, int]:
-    """{lam: position of lam in partitions_of(n)}, shared read-only."""
+    """{lam: position of lam in partitions_of(n)}, shared read-only; n checked first."""
+    return _partition_index(integer(n, "partition size", 0))
+
+
+@lru_cache(maxsize=None)
+def _partition_index(n: int) -> dict[Partition, int]:
     return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
@@ -197,17 +202,6 @@ FAMILY_KINDS = (
 _PARAM_K = ("one-or-k", "divides-k", "thm59")
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Symbolic description of a subset of the partitions of n.
@@ -229,7 +223,8 @@ class FamilySpec:
         if self.kind in _PARAM_K:
             integer(self.k, f"family {self.kind!r} parameter k", 1)
         if self.kind == "prime-family":
-            if not _is_odd_prime(integer(self.p, "prime-family parameter p")):
+            p = integer(self.p, "prime-family parameter p")
+            if not (p >= 3 and p % 2 and factorize(p) == ((p, 1),)):
                 raise ParameterError("prime-family needs an odd prime p")
         # mu and each explicit item must equal their own `partition`, so be tuples
         if self.kind == "lex-from" and partition(self.mu) != self.mu:
@@ -253,7 +248,7 @@ def _mask(lam: Partition) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=64)
 def _masks(n: int) -> tuple[tuple[Partition, int, int, int], ...]:
-    """(lam, *_mask(lam)) for every lam of partitions_of(n), in order; partitions_of checks n."""
+    """(lam, *_mask(lam)) for every lam of partitions_of(n), in order; n checked by the caller."""
     return tuple((lam, *_mask(lam)) for lam in partitions_of(n))
 
 
@@ -302,7 +297,7 @@ def members(spec: FamilySpec, n: int) -> tuple[Partition, ...]:
     One filter over the cached masks of degree n; lex-from is the suffix of
     partitions_of(n) from mu, and explicit a filter on the items.
     """
-    masks = _masks(n)  # checks n before the rule reads it
+    masks = _masks(integer(n, "partition size", 0))  # n checked before a cache reads it
     if spec.kind == "lex-from":
         return partitions_of(n)[partition_position(spec.mu, n):]
     if spec.kind == "explicit":
@@ -324,7 +319,7 @@ def parse_family(text: str) -> FamilySpec:
 
     'explicit:<path>' loads a JSON list of partitions from the file.
     """
-    kind, sep, arg = text.partition(":")
+    kind, sep, arg = string(text, "family").partition(":")
     if kind in _PARAM_K:
         if not sep:
             raise ParameterError(f"family {kind!r} needs a parameter, e.g. {kind}:2")

@@ -5,37 +5,40 @@ psi_k: f_n = (1/n) * sum_{d|n} psi_k(d) * p_d^(n/d), where psi_k(d) is
 the Ramanujan sum c_d(k).  k = 0 is the conjugation case (psi = totient);
 k = 1 is the Moebius case (the free Lie character).
 
-Every named module is produced two ways: a closed power-sum combination,
-and a plethystic sum of h_m[f_i] / e_m[f_i] products over partitions.
-Both forms of the ten modules are written once, in MODULE_FORMS, as
-sides: linear combinations of named terms (power-sum families on one
-side, the plethystic sums of SUMS on the other), evaluated by
-linear_combination.  The two routes agreeing exactly is part of the
-verification contract.  Every Foulkes series is read at one truncation,
-SERIES_TRUNC, so each weight k has one cached series for every reader.
+named_term(k, n, name) is the one resolver of a name at weight k and
+degree n, and linear_combination evaluates a side: a linear combination of
+named terms.  Every named module is produced two ways: a closed power-sum
+combination, and a plethystic sum of h_m[f_i] / e_m[f_i] products over
+partitions.  Both forms of the ten modules are written once, in
+MODULE_FORMS, and module_char and module_char_plethystic evaluate them
+through the resolver at k = 0.  The two routes agreeing exactly is part of
+the verification contract.  Every Foulkes series is read at one
+truncation, SERIES_TRUNC, so each weight k has one cached series for every
+reader.
 
-The free-Lie identities (k = 1: Corollary 5.2 and Proposition 5.4) are
-evaluated one degree at a time by lie_identity: a plethystic sum over the
-cached series L or pi^alt against the closed product form that
-product_expansion gives at that degree.
+The free-Lie identities (Corollary 5.2 and Proposition 5.4) are evaluated
+one degree at a time by lie_identity: a plethystic sum over the cached
+series L = F_1 or pi^alt against a weight-k product form at k = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
-from .errors import ParameterError, integer
+from .errors import ParameterError, integer, string
 from .numbertheory import divisors, ramanujan_sum
 from .partitions import FamilySpec, _parse_int, members, parse_family
 from .symfunc import (
+    H_lambda,
     PExpr,
     Series,
     _expr,
     h_n,
     omega,
     plethysm_into,
+    plethysm_p,
     plethystic_sum,
     product_expansion,
 )
@@ -82,11 +85,16 @@ def f_eval(n: int, k: int, sign: int) -> int:
 SERIES_TRUNC = 31
 
 
-@lru_cache(maxsize=None, typed=True)
 def foulkes_series(k: int, trunc: int) -> Series:
-    """Graded series of foulkes(i, k) for 1 <= i <= trunc (shared, read-only)."""
-    integer(k, "foulkes_series weight k", 0)
-    return Series.from_function(lambda i: foulkes(i, k), trunc)  # from_function checks trunc
+    """Graded series of foulkes(i, k) for 1 <= i <= trunc (shared, read-only); k and
+    trunc are checked before the cache reads them."""
+    k = integer(k, "foulkes_series weight k", 0)
+    return _foulkes_series(k, integer(trunc, "series truncation", 0))
+
+
+@lru_cache(maxsize=None)
+def _foulkes_series(k: int, trunc: int) -> Series:
+    return Series.from_function(lambda i: foulkes(i, k), trunc)
 
 
 def power_sum_family(spec: FamilySpec, n: int) -> PExpr:
@@ -95,7 +103,7 @@ def power_sum_family(spec: FamilySpec, n: int) -> PExpr:
 
 
 # ---------------------------------------------------------------------------
-# Named modules
+# Named terms and modules
 
 HALF = Fraction(1, 2)
 
@@ -131,6 +139,47 @@ SUMS = {
 }
 
 
+# Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
+# as name -> (x, c, s_m on odd m, s_m on even m).
+PRODUCT_FORMS = {
+    "sym": (1, -1, -1, -1),  # prod (1 - t^m p_m)^(-f_m(1))
+    "ext": (-1, 1, -1, -1),  # prod (1 - t^m p_m)^(f_m(-1))
+    "omega-ext": (-1, 1, -1, 1),  # omega of ext
+    "alt-ext": (1, 1, 1, 1),  # prod (1 + t^m p_m)^(f_m(1))
+    "alt-sym": (-1, -1, 1, 1),  # prod (1 + t^m p_m)^(-f_m(-1))
+    "mixed-ext": (1, 1, 1, -1),  # omega of alt-ext
+    "mixed-sym": (-1, -1, 1, -1),  # omega of alt-sym
+}
+
+
+def named_term(k: int, n: int, name: str) -> PExpr:
+    """The term `name` at weight k and degree n: a plethystic sum of SUMS over F_k,
+    a product form of PRODUCT_FORMS, a module id or "w:<k>" (also at n = 0),
+    "termwise" (Theorem 4.15.1), "E G[p2]" (Lemma 5.5) or a power-sum family kind."""
+    integer(k, "term weight k", 0)
+    integer(n, "term degree", 0)
+    if string(name, "term name") in SUMS:
+        return plethystic_sum(foulkes_series(k, SERIES_TRUNC), n, *SUMS[name])
+    if name in PRODUCT_FORMS:
+        x, c, odd, even = PRODUCT_FORMS[name]
+        fs = ((m, f_eval(m, k, x)) for m in range(1, n + 1))
+        return product_expansion([(m, c * f, odd if m % 2 else even) for m, f in fs if f], n)
+    if name in MODULE_FORMS:
+        return module_char(name, n)
+    if name.startswith("w:"):
+        return w_route_a(n, _w_weight(name))
+    if name == "termwise":  # sum of H_lam + omega(H_lam) over lam with odd sign
+        F = foulkes_series(k, SERIES_TRUNC)
+        total = sum((H_lambda(lam, F) for lam in members(FamilySpec("odd-sign"), n)), PExpr.zero())
+        return total + omega(total)
+    if name == "E G[p2]":  # E[F] times G[p2], G = H[F], at degree n
+        F = foulkes_series(k, SERIES_TRUNC)
+        parts = (plethystic_sum(F, n - 2 * j, "e") * plethysm_p(2, plethystic_sum(F, j))
+                 for j in range(n // 2 + 1))
+        return sum(parts, PExpr.zero())
+    return power_sum_family(FamilySpec(name, k=k or None), n)
+
+
 def linear_combination(side, term) -> PExpr:
     """sum of c * term(name) over the (c, name) terms of a side; "~name" takes omega."""
     total = None
@@ -148,10 +197,8 @@ def module_char(mid: str, n: int) -> PExpr:
     mid is a name in MODULE_IDS, "w:<k>" or "family:<spec>"; a "w:<k>" whose k
     is not an integer >= 2 raises ParameterError, as in parse_module."""
     integer(n, "module degree", 1)
-    if mid in MODULE_FORMS:
-        return linear_combination(
-            MODULE_FORMS[mid][0], lambda kind: power_sum_family(FamilySpec(kind), n)
-        )
+    if string(mid, "module id") in MODULE_FORMS:
+        return linear_combination(MODULE_FORMS[mid][0], partial(named_term, 0, n))
     if mid.startswith("w:"):
         return w_route_a(n, _w_weight(mid))
     if mid.startswith("family:"):
@@ -163,11 +210,8 @@ def module_char_plethystic(mid: str, n: int) -> PExpr:
     """The same characteristic as an explicit sum of induced centralizer pieces;
     TruncationError for a named module at n > SERIES_TRUNC."""
     integer(n, "module degree", 1)
-    if mid in MODULE_FORMS:
-        F = foulkes_series(0, SERIES_TRUNC)
-        return linear_combination(
-            MODULE_FORMS[mid][1], lambda name: plethystic_sum(F, n, *SUMS[name])
-        )
+    if string(mid, "module id") in MODULE_FORMS:
+        return linear_combination(MODULE_FORMS[mid][1], partial(named_term, 0, n))
     if mid.startswith("w:"):
         return w_route_b(n, _w_weight(mid))
     raise ParameterError(f"no plethystic route for module id {mid!r}")
@@ -176,7 +220,7 @@ def module_char_plethystic(mid: str, n: int) -> PExpr:
 def parse_module(text: str) -> str:
     """Validate a CLI module string and return it in canonical form; a "w:<k>" is
     read by the same parse as module_char and module_char_plethystic."""
-    if text in MODULE_IDS:
+    if string(text, "module") in MODULE_IDS:
         return text
     if text.startswith("w:"):
         _w_weight(text)
@@ -223,16 +267,16 @@ def w_route_b(n: int, k: int) -> PExpr:
 # ---------------------------------------------------------------------------
 # Series identities for the Moebius (free Lie) family
 #
-# L = foulkes_series(1, SERIES_TRUNC) and pi^alt = sum (-1)^(i-1) omega(L_i).
-# name -> (series of the left side's plethystic sum, its kind, the factors
-# (m, c, sign) of the right side's product_expansion, detail); cadogan-inverse
+# L = foulkes_series(1, SERIES_TRUNC) = F_1 and pi^alt = sum (-1)^(i-1) omega(L_i).
+# name -> (series of the left side's plethystic sum, its kind, the right side
+# as a product form of PRODUCT_FORMS at k = 1, detail); cadogan-inverse
 # composes pi^alt into sum_{i>=1} h_i instead, and its right side is h_1.
 LIE_IDENTITIES = {
-    "pbw": ("L", "h", ((1, -1, -1),), "H[L] vs p1^n"),
-    "cadogan": ("pi-alt", "h", ((1, 1, 1),), "H[pi-alt] vs 1 + h1"),
+    "pbw": ("L", "h", "sym", "H[L] vs p1^n"),
+    "cadogan": ("pi-alt", "h", "alt-ext", "H[pi-alt] vs 1 + h1"),
     "cadogan-inverse": (None, None, None, "pi-alt o (H-1) vs h1"),
-    "lie-ext": ("L", "e", ((2, 1, -1), (1, -1, -1)), "E[L] vs (1-t2p2)/(1-tp1)"),
-    "pi-ext": ("pi-alt", "e", ((1, 1, 1), (2, -1, 1)), "E[pi-alt] vs (1+tp1)/(1+t2p2)"),
+    "lie-ext": ("L", "e", "ext", "E[L] vs (1-t2p2)/(1-tp1)"),
+    "pi-ext": ("pi-alt", "e", "alt-sym", "E[pi-alt] vs (1+tp1)/(1+t2p2)"),
 }
 
 
@@ -249,16 +293,16 @@ def lie_identity(name: str, n: int) -> tuple[PExpr, PExpr]:
     The degree-n part of pi^alt o (H - 1) needs only pi^alt_1..pi^alt_n and
     h_1..h_n, so cadogan-inverse composes those and nothing beyond.
     """
-    if name not in LIE_IDENTITIES:
+    if string(name, "free-Lie identity name") not in LIE_IDENTITIES:
         raise ParameterError(f"unknown free-Lie identity {name!r}")
     integer(n, "free-Lie identity degree", 0)
-    series, kind, factors, _ = LIE_IDENTITIES[name]
+    series, kind, form, _ = LIE_IDENTITIES[name]
     if series is None:  # cadogan-inverse
         outer = sum(map(_pi_alt().component, range(1, n + 1)), PExpr.zero())
         left = plethysm_into(outer, Series.from_function(h_n, n)).component(n)
         return left, (PExpr.p(1) if n == 1 else PExpr.zero())
     F = foulkes_series(1, SERIES_TRUNC) if series == "L" else _pi_alt()
-    return plethystic_sum(F, n, kind), product_expansion(factors, n)
+    return plethystic_sum(F, n, kind), named_term(1, n, form)
 
 
 def lie_series_identities(n_max: int) -> list[tuple[str, int, bool, str]]:

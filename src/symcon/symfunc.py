@@ -703,6 +703,10 @@ def product_expansion(factors, n: int) -> PExpr:
     [x^(m_m(lam))] prod_{factors at m} (1 + sign*x)^c.
     """
     integer(n, "degree", 0)
+    try:
+        factors = iter(factors)
+    except TypeError:
+        raise ParameterError(f"factors must be an iterable, got {factors!r}") from None
     polys: dict[int, list[int]] = {}  # m -> coefficients of x^0..x^(n//m)
     for factor in factors:
         try:

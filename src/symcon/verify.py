@@ -14,13 +14,15 @@ The linear identities (Theorems 4.2, 4.11, 4.15, 5.9 and 3.4,
 Propositions 4.13 and 6.5, Lemma 5.5 and Corollary 5.10) are rows of data,
 all evaluated by one runner: each row pairs two sides, a side being a
 combination of named terms -- plethystic sums, product forms, module
-characteristics and power-sum families.  Theorem 4.2 is the k = 0 member
-of the weight-k family of Theorem 5.9, since c_d(0) = phi(d), and
+characteristics and power-sum families.  This module defines no term:
+every name is resolved by repmodels.named_term.  Theorem 4.2 is the k = 0
+member of the weight-k family of Theorem 5.9, since c_d(0) = phi(d), and
 Corollary 5.10 is Theorem 5.9 at k = 2 read through the parts-in-{1,2}
 module.  The routes entries of the ten named modules are rows of the same
 runner, pairing the two sides of repmodels.MODULE_FORMS.  The free-Lie
 identities of Corollary 5.2 and Proposition 5.4 compare the two sides of
-repmodels.lie_identity at the degree checked.
+repmodels.lie_identity at the degree checked; their right sides are
+weight-k product forms at k = 1, since the free Lie series L is F_1.
 
 The positivity claims of Theorem 1.1 are a table of families, checked
 nonnegative; the strictness claims (Theorems 4.5, 4.9, 4.17, 4.19 and
@@ -81,7 +83,6 @@ from .repmodels import (
     MODULE_FORMS,
     MODULE_IDS,
     SERIES_TRUNC,
-    SUMS,
     f_eval,
     f_eval_direct,
     foulkes,
@@ -89,6 +90,7 @@ from .repmodels import (
     lie_identity,
     linear_combination,
     module_char,
+    named_term,
     power_sum_family,
     w_route_a,
     w_route_b,
@@ -101,9 +103,7 @@ from .symfunc import (
     dimension,
     omega,
     p1_derivative,
-    plethysm_p,
     plethystic_sum,
-    product_expansion,
 )
 from . import tables_data
 
@@ -241,46 +241,12 @@ def _positivity(se: SchurExpansion, mode: str, exceptions=()) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Shared series and product forms
-
-
-def _F(k: int) -> Series:
-    return foulkes_series(k, SERIES_TRUNC)
-
-
-# Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
-# as flavor -> (x, c, s_m on odd m, s_m on even m).
-_FLAVORS = {
-    "sym": (1, -1, -1, -1),  # prod (1 - t^m p_m)^(-f_m(1))
-    "ext": (-1, 1, -1, -1),  # prod (1 - t^m p_m)^(f_m(-1))
-    "omega-ext": (-1, 1, -1, 1),  # omega of ext
-    "alt-ext": (1, 1, 1, 1),  # prod (1 + t^m p_m)^(f_m(1))
-    "alt-sym": (-1, -1, 1, 1),  # prod (1 + t^m p_m)^(-f_m(-1))
-    "mixed-ext": (1, 1, 1, -1),  # omega of alt-ext
-    "mixed-sym": (-1, -1, 1, -1),  # omega of alt-sym
-}
-
-
-def _general_factors(n: int, k: int, flavor: str):
-    """Factor list (m, exponent, sign) of one product form of the weight-k family."""
-    x, c, odd, even = _FLAVORS[flavor]
-    out = []
-    for m in range(1, n + 1):
-        f = f_eval(m, k, x)
-        if f:
-            out.append((m, c * f, odd if m % 2 else even))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Linear identities as data
 #
 # A row is (equation, pairs); a pair is (label, left side, right side), and a
 # side is a tuple of (coefficient, name) terms, "~name" meaning omega(name)
-# (repmodels.linear_combination).  A name at weight k is a plethystic sum of
-# SUMS over F_k, a product form of _FLAVORS, a module id or w:<k>, the
-# termwise sum of Theorem 4.15.1, the product E[F] G[p2] of Lemma 5.5 at
-# degree n, or a power-sum family kind (given k when k >= 1).
+# (repmodels.linear_combination).  A name is a term at the row's weight k,
+# resolved by repmodels.named_term.
 
 
 def _one(name: str) -> tuple:
@@ -360,43 +326,17 @@ _COR510 = (  # at k = 2; its two half sums must be Schur-nonnegative
 _COR510_HALVES = (((HALF, "w:2"), (HALF, "mixed-sym")), ((HALF, "w:2"), (-HALF, "mixed-sym")))
 
 
-def _term(k: int, n: int, name: str) -> PExpr:
-    """The named term of a linear identity at weight k and degree n."""
-    if name in SUMS:
-        return plethystic_sum(_F(k), n, *SUMS[name])
-    if name in _FLAVORS:
-        return product_expansion(_general_factors(n, k, name), n)
-    if name in MODULE_IDS:
-        return module_char(name, n)
-    if name.startswith("w:"):  # the parts-in-{1,k} module, also at n = 0
-        return w_route_a(n, int(name[2:]))
-    if name == "termwise":  # sum of H_lam + omega(H_lam) over lam with odd sign
-        total = PExpr.zero()
-        for lam in members(FamilySpec("odd-sign"), n):
-            h = H_lambda(lam, _F(k))
-            total = total + h + omega(h)
-        return total
-    if name == "E G[p2]":  # sum over j of E[F] at n - 2j times G = H[F] at j, through p2
-        F = _F(k)
-        return sum(
-            (plethystic_sum(F, n - 2 * j, "e") * plethysm_p(2, plethystic_sum(F, j))
-             for j in range(n // 2 + 1)),
-            PExpr.zero(),
-        )
-    return power_sum_family(FamilySpec(name, k=k or None), n)
-
-
 def _terms(k: int, n: int):
-    """name -> _term(k, n, name), each name built once: a name on several sides
-    of one check is shared."""
+    """name -> named_term(k, n, name), each name built once: a name on several
+    sides of one check is shared."""
     built: dict[str, PExpr] = {}
 
-    def term(name: str) -> PExpr:
+    def lookup(name: str) -> PExpr:
         if name not in built:
-            built[name] = _term(k, n, name)
+            built[name] = named_term(k, n, name)
         return built[name]
 
-    return term
+    return lookup
 
 
 def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
@@ -423,7 +363,7 @@ def _run_prop36(n: int) -> tuple:
     pairs = []
     p1 = PExpr.p(1)
     for kind in ("h", "e"):
-        comp = lambda d: plethystic_sum(_F(0), d, kind)
+        comp = lambda d: named_term(0, d, kind.upper())
         lhs = p1_derivative(comp(n + 1))
         rhs = PExpr.zero()
         for i in range(n + 1):
@@ -436,11 +376,11 @@ def _run_prop36(n: int) -> tuple:
 def _restricted(which: str) -> tuple[Series, Series]:
     """F_0 restricted to its odd degrees ("odd") or to degree 1 ("one"), and to the rest."""
     keep = (lambda d: d % 2 == 1) if which == "odd" else (lambda d: d == 1)
-    return _F(0).restrict(keep), _F(0).restrict(lambda d: not keep(d))
+    F = foulkes_series(0, SERIES_TRUNC)
+    return F.restrict(keep), F.restrict(lambda d: not keep(d))
 
 
 def _run_prop23(which: str, n: int) -> tuple:
-    F = _F(0)
     FS, FSbar = _restricted(which)
     pairs = []
     for kind, dual in (("h", "e"), ("e", "h")):
@@ -449,7 +389,7 @@ def _run_prop23(which: str, n: int) -> tuple:
         for a in range(n + 1):
             signed = plethystic_sum(FSbar, a, dual, signed="length")
             if signed:
-                rhs = rhs + signed * plethystic_sum(F, n - a, kind)
+                rhs = rhs + signed * named_term(0, n - a, kind.upper())
         pairs.append((f"{kind.upper()} restricted", lhs, rhs))
     return _eq(pairs)
 
@@ -787,7 +727,7 @@ def _covers(f: PExpr, n: int) -> bool:
 
 
 def _run_coverage(n: int) -> tuple:
-    F = _F(0)
+    F = foulkes_series(0, SERIES_TRUNC)
     return "REPORT", {
         f"{kind}-covering": [list(lam) for lam in partitions_of(n) if _covers(form(lam, F), n)]
         for kind, form in (("h", H_lambda), ("e", E_lambda))

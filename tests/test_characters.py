@@ -25,6 +25,7 @@ from symcon.partitions import (
     conjugate,
     partition_index,
     partitions_of,
+    _partitions_of,
     _sign_exponent,
     syt_count,
     z_lambda,
@@ -129,10 +130,10 @@ def test_table_capacity_error():
     with pytest.raises(CapacityError):
         character_table(11, max_n=10)
     # sqrt(34!) needs more than a signed 64-bit lane: refused before any enumeration
-    misses = partitions_of.cache_info().misses
+    misses = _partitions_of.cache_info().misses
     with pytest.raises(CapacityError):
         character_table(34, max_n=34)
-    assert partitions_of.cache_info().misses == misses
+    assert _partitions_of.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])

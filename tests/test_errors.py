@@ -28,6 +28,7 @@ from symcon.partitions import (
     parse_family,
     partition,
     partition_from_json,
+    partition_index,
     partition_position,
     partitions_of,
     syt_count,
@@ -42,6 +43,8 @@ from symcon.repmodels import (
     lie_series_identities,
     module_char,
     module_char_plethystic,
+    named_term,
+    parse_module,
     w_route_a,
     w_route_b,
 )
@@ -265,6 +268,26 @@ REFUSALS = {
     "check_identity dict id": (lambda: check_identity({}, 3), CatalogError),
     "product_expansion pair": (lambda: product_expansion([(1, 1)], 3), ParameterError),
     "product_expansion bare int": (lambda: product_expansion([1], 3), ParameterError),
+    # a name that is not a string
+    "module_char None": (lambda: module_char(None, 3), ParameterError),
+    "module_char 3": (lambda: module_char(3, 3), ParameterError),
+    "module_char_plethystic None": (lambda: module_char_plethystic(None, 3), ParameterError),
+    "parse_module None": (lambda: parse_module(None), ParameterError),
+    "parse_family None": (lambda: parse_family(None), ParameterError),
+    "lie_identity list": (lambda: lie_identity(["pbw"], 3), ParameterError),
+    "product_expansion None": (lambda: product_expansion(None, 2), ParameterError),
+    # a degree that cannot be hashed, refused before any cache reads it
+    "partitions_of list": (lambda: partitions_of([2]), ParameterError),
+    "partition_index list": (lambda: partition_index([2]), ParameterError),
+    "members list degree": (lambda: members(FamilySpec("all"), [3]), ParameterError),
+    "check_positivity list degree": (
+        lambda: check_positivity(FamilySpec("all"), [3]), ParameterError),
+    "foulkes_series list trunc": (lambda: foulkes_series(0, [3]), ParameterError),
+    "named_term None": (lambda: named_term(0, 3, None), ParameterError),
+    "named_term list": (lambda: named_term(0, 3, ["H"]), ParameterError),
+    "named_term unknown name": (lambda: named_term(0, 3, "bogus"), ParameterError),
+    "named_term negative weight": (lambda: named_term(-1, 3, "all"), ParameterError),
+    "named_term float degree": (lambda: named_term(0, 2.0, "sym"), ParameterError),
 }
 
 

@@ -294,7 +294,7 @@ _DEGREE_SPECS = (
 @pytest.mark.parametrize("n", [2.0, True, -1])
 def test_members_checks_the_degree_first(spec, n):
     # cold: nothing cached yet, so the degree check is the first thing to run
-    for cached in (partitions_of, symcon.partitions.partition_index,
+    for cached in (symcon.partitions._partitions_of, symcon.partitions._partition_index,
                    symcon.partitions._masks, symcon.partitions._rule):
         cached.cache_clear()
     with pytest.raises(ParameterError):

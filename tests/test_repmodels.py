@@ -19,6 +19,7 @@ from symcon.repmodels import (
     MODULE_IDS,
     SERIES_TRUNC,
     SUMS,
+    _foulkes_series,
     f_eval,
     f_eval_direct,
     foulkes,
@@ -28,12 +29,13 @@ from symcon.repmodels import (
     linear_combination,
     module_char,
     module_char_plethystic,
+    named_term,
     parse_module,
     power_sum_family,
     w_route_a,
     w_route_b,
 )
-from symcon.symfunc import PExpr, dimension, e_n, h_n, omega, plethystic_sum
+from symcon.symfunc import PExpr, dimension, e_n, h_n, omega, plethystic_sum, product_expansion
 
 p = PExpr.p
 
@@ -245,6 +247,32 @@ def test_lie_series_identities():
     assert failures == []
 
 
+# The right side of each free-Lie identity as factors (m, c, sign) of product_expansion:
+# 1/(1 - t p1), 1 + t p1, (1 - t^2 p2)/(1 - t p1) and (1 + t p1)/(1 + t^2 p2).
+_LIE_FACTORS = {
+    "pbw": ((1, -1, -1),),
+    "cadogan": ((1, 1, 1),),
+    "lie-ext": ((2, 1, -1), (1, -1, -1)),
+    "pi-ext": ((1, 1, 1), (2, -1, 1)),
+}
+
+
+def test_lie_right_sides_are_product_forms_at_k1():
+    # the catalog reads these rows only up to n = 20
+    for name, factors in _LIE_FACTORS.items():
+        form = LIE_IDENTITIES[name][2]
+        for n in range(SERIES_TRUNC + 1):
+            assert named_term(1, n, form) == product_expansion(factors, n), (name, n)
+
+
+def test_named_term_reads_every_kind_of_name():
+    assert named_term(0, 0, "w:3") == w_route_a(0, 3) == PExpr.one()
+    assert named_term(0, 5, "psi") == module_char("psi", 5)
+    assert named_term(0, 5, "H") == module_char_plethystic("psi", 5)
+    assert named_term(2, 5, "divides-k") == power_sum_family(FamilySpec("divides-k", k=2), 5)
+    assert named_term(0, 4, "sym") == named_term(0, 4, "all")  # Theorem 4.2.1 against 4.2.2
+
+
 def test_lie_identity_raises_outside_its_series():
     for name in LIE_IDENTITIES:
         with pytest.raises(TruncationError):
@@ -290,19 +318,19 @@ def test_degree_and_weight_arguments_must_be_integers(x):
 
 def test_foulkes_series_refuses_a_negative_weight():
     # the series agrees with foulkes(n, k), which refuses k < 0, and caches nothing
-    foulkes_series.cache_clear()
+    _foulkes_series.cache_clear()
     with pytest.raises(ParameterError):
         foulkes(1, -1)
     for trunc in (0, 3):
         with pytest.raises(ParameterError):
             foulkes_series(-1, trunc)
-    assert foulkes_series.cache_info().currsize == 0
+    assert _foulkes_series.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("N", [15, 16, 17])
 def test_two_routes_across_packed_width_boundaries(N):
     # a series truncated at N packs in N.bit_length() bits: 4 at 15, 5 at 16 and 17
-    foulkes_series.cache_clear()
+    _foulkes_series.cache_clear()
     F = foulkes_series(0, N)
     for mid in MODULE_IDS:
         pleth = linear_combination(
@@ -313,11 +341,11 @@ def test_two_routes_across_packed_width_boundaries(N):
 
 def test_module_routes_share_one_series():
     # every degree of every named module reads the one series of weight 0
-    foulkes_series.cache_clear()
+    _foulkes_series.cache_clear()
     for n in range(1, 21):
         for mid in MODULE_IDS:
             module_char_plethystic(mid, n)
-    assert foulkes_series.cache_info().currsize == 1
+    assert _foulkes_series.cache_info().currsize == 1
 
 
 def test_foulkes_products_report():

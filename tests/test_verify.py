@@ -302,8 +302,8 @@ def test_linear_runner_builds_each_name_once(monkeypatch):
     from symcon import verify
 
     built = []
-    term = verify._term
-    monkeypatch.setattr(verify, "_term", lambda k, n, name: built.append(name) or term(k, n, name))
+    term = verify.named_term
+    monkeypatch.setattr(verify, "named_term", lambda k, n, name: built.append(name) or term(k, n, name))
     # cor5.10 names w:2 and mixed-sym in its pairs and again in its two half sums
     assert check_identity("cor5.10", 6).status == "PASS"
     assert sorted(built) == ["H", "Hs", "mixed-sym", "w:2"]
@@ -315,8 +315,10 @@ def test_dims_runner_builds_each_name_once(monkeypatch):
     from symcon import verify
 
     built = Counter()
-    term = verify._term
-    monkeypatch.setattr(verify, "_term", lambda k, n, name: built.update((name,)) or term(k, n, name))
+    term = verify.named_term
+    monkeypatch.setattr(
+        verify, "named_term", lambda k, n, name: built.update((name,)) or term(k, n, name)
+    )
     # u-plus is read for the dimension and again for its self-conjugacy side;
     # u-do also for its "u+ + u-do" side
     for mid, names in (("u-plus", {"u-plus"}), ("u-do", {"u-do", "u-plus"})):
@@ -349,16 +351,19 @@ def test_routes_rows_share_the_catalog_series(monkeypatch):
     from symcon import repmodels, verify
 
     # the routes.<module> rows read the plethystic sums of the one catalog
-    # series _F(0), never a per-degree foulkes_series(0, n)
-    def per_degree_series(k, trunc):
-        raise AssertionError(f"foulkes_series({k}, {trunc}) built")
-
-    monkeypatch.setattr(repmodels, "foulkes_series", per_degree_series)
-    assert {r.status for r in run_selector("routes", max_n=6)} == {"PASS"}
-    # a broken plethystic side fails under the routes label
-    term = verify._term
+    # series F_0, truncated at SERIES_TRUNC, never a per-degree foulkes_series(0, n)
+    truncs = []
+    series = repmodels.foulkes_series
     monkeypatch.setattr(
-        verify, "_term", lambda k, n, name: 2 * term(k, n, name) if name == "H" else term(k, n, name)
+        repmodels, "foulkes_series", lambda k, trunc: truncs.append(trunc) or series(k, trunc)
+    )
+    assert {r.status for r in run_selector("routes", max_n=6)} == {"PASS"}
+    assert truncs and set(truncs) == {repmodels.SERIES_TRUNC}
+    # a broken plethystic side fails under the routes label
+    term = verify.named_term
+    monkeypatch.setattr(
+        verify, "named_term",
+        lambda k, n, name: 2 * term(k, n, name) if name == "H" else term(k, n, name),
     )
     res = check_identity("routes.psi", 3)
     assert res.status == "FAIL" and res.detail["failed"] == "power-sum vs plethystic"
@@ -583,7 +588,7 @@ def _clear_run_caches():
 
     for cached in (
         verify._module_schur, verify._restricted,
-        repmodels.foulkes_series, repmodels._pi_alt,
+        repmodels._foulkes_series, repmodels._pi_alt,
         characters._build_table, characters._alternant_column,
         numbertheory._ramanujan, numbertheory._totient, numbertheory._moebius,
         numbertheory._divisors, numbertheory.factorize,
