@@ -16,9 +16,10 @@ the verification contract.  Every Foulkes series is read at one
 truncation, SERIES_TRUNC, so each weight k has one cached series for every
 reader.
 
-The free-Lie identities (Corollary 5.2 and Proposition 5.4) are evaluated
-one degree at a time by lie_identity: a plethystic sum over the cached
-series L = F_1 or pi^alt against a weight-k product form at k = 1.
+The free-Lie identities (Corollary 5.2 and Proposition 5.4) are pairs of
+names in LIE_IDENTITIES, read at k = 1 since the free Lie series L is F_1:
+a plethystic sum over F_1 or pi^alt_1, or Cadogan's composition, against a
+product form.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ def _foulkes_series(k: int, trunc: int) -> Series:
     return Series.from_function(lambda i: foulkes(i, k), trunc)
 
 
+@lru_cache(maxsize=None)
+def _pi_alt(k: int) -> Series:
+    """pi^alt_k = sum (-1)^(i-1) omega(F_k,i), shared by every degree up to SERIES_TRUNC."""
+    return foulkes_series(k, SERIES_TRUNC).omega().alternate()
+
+
 def power_sum_family(spec: FamilySpec, n: int) -> PExpr:
     """sum of p_lam over the members of the family among partitions of n."""
     return _expr((1, dict.fromkeys(members(spec, n), 1)))  # members yields canonical keys
@@ -137,6 +144,8 @@ SUMS = {
     "E1": ("e", 1, None),
     "Es": ("e", None, "sign-exponent"),
 }
+# name -> kind of the plethystic sum over pi^alt_k instead of F_k
+PI_ALT_SUMS = {"H[pi-alt]": "h", "E[pi-alt]": "e"}
 
 
 # Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
@@ -153,13 +162,19 @@ PRODUCT_FORMS = {
 
 
 def named_term(k: int, n: int, name: str) -> PExpr:
-    """The term `name` at weight k and degree n: a plethystic sum of SUMS over F_k,
-    a product form of PRODUCT_FORMS, a module id or "w:<k>" (also at n = 0),
+    """The term `name` at weight k and degree n: a plethystic sum of SUMS over F_k
+    or of PI_ALT_SUMS over pi^alt_k, "1 + pi-alt o (H-1)" (Cadogan's inverse), a
+    product form of PRODUCT_FORMS, a module id or "w:<k>" (also at n = 0),
     "termwise" (Theorem 4.15.1), "E G[p2]" (Lemma 5.5) or a power-sum family kind."""
     integer(k, "term weight k", 0)
     integer(n, "term degree", 0)
     if string(name, "term name") in SUMS:
         return plethystic_sum(foulkes_series(k, SERIES_TRUNC), n, *SUMS[name])
+    if name in PI_ALT_SUMS:
+        return plethystic_sum(_pi_alt(k), n, PI_ALT_SUMS[name])
+    if name == "1 + pi-alt o (H-1)":  # degree n needs only pi^alt_1..n and h_1..h_n
+        outer = sum(map(_pi_alt(k).component, range(1, n + 1)), PExpr.one())
+        return plethysm_into(outer, Series.from_function(h_n, n)).component(n)
     if name in PRODUCT_FORMS:
         x, c, odd, even = PRODUCT_FORMS[name]
         fs = ((m, f_eval(m, k, x)) for m in range(1, n + 1))
@@ -267,52 +282,24 @@ def w_route_b(n: int, k: int) -> PExpr:
 # ---------------------------------------------------------------------------
 # Series identities for the Moebius (free Lie) family
 #
-# L = foulkes_series(1, SERIES_TRUNC) = F_1 and pi^alt = sum (-1)^(i-1) omega(L_i).
-# name -> (series of the left side's plethystic sum, its kind, the right side
-# as a product form of PRODUCT_FORMS at k = 1, detail); cadogan-inverse
-# composes pi^alt into sum_{i>=1} h_i instead, and its right side is h_1.
+# name -> (left name, right name, detail), both names read by named_term at
+# k = 1: L = F_1, so pbw and lie-ext are Theorem 5.9.1 and 5.9.3 at k = 1.
 LIE_IDENTITIES = {
-    "pbw": ("L", "h", "sym", "H[L] vs p1^n"),
-    "cadogan": ("pi-alt", "h", "alt-ext", "H[pi-alt] vs 1 + h1"),
-    "cadogan-inverse": (None, None, None, "pi-alt o (H-1) vs h1"),
-    "lie-ext": ("L", "e", "ext", "E[L] vs (1-t2p2)/(1-tp1)"),
-    "pi-ext": ("pi-alt", "e", "alt-sym", "E[pi-alt] vs (1+tp1)/(1+t2p2)"),
+    "pbw": ("H", "sym", "H[L] vs p1^n"),
+    "cadogan": ("H[pi-alt]", "alt-ext", "H[pi-alt] vs 1 + h1"),
+    "cadogan-inverse": ("1 + pi-alt o (H-1)", "alt-ext", "pi-alt o (H-1) vs h1"),
+    "lie-ext": ("E", "ext", "E[L] vs (1-t2p2)/(1-tp1)"),
+    "pi-ext": ("E[pi-alt]", "alt-sym", "E[pi-alt] vs (1+tp1)/(1+t2p2)"),
 }
-
-
-@lru_cache(maxsize=None)
-def _pi_alt() -> Series:
-    """pi^alt, shared by every degree up to SERIES_TRUNC."""
-    return foulkes_series(1, SERIES_TRUNC).omega().alternate()
-
-
-def lie_identity(name: str, n: int) -> tuple[PExpr, PExpr]:
-    """(left, right): both sides of the named free-Lie identity at degree n, over
-    the series truncated at SERIES_TRUNC; TruncationError for n > SERIES_TRUNC.
-
-    The degree-n part of pi^alt o (H - 1) needs only pi^alt_1..pi^alt_n and
-    h_1..h_n, so cadogan-inverse composes those and nothing beyond.
-    """
-    if string(name, "free-Lie identity name") not in LIE_IDENTITIES:
-        raise ParameterError(f"unknown free-Lie identity {name!r}")
-    integer(n, "free-Lie identity degree", 0)
-    series, kind, form, _ = LIE_IDENTITIES[name]
-    if series is None:  # cadogan-inverse
-        outer = sum(map(_pi_alt().component, range(1, n + 1)), PExpr.zero())
-        left = plethysm_into(outer, Series.from_function(h_n, n)).component(n)
-        return left, (PExpr.p(1) if n == 1 else PExpr.zero())
-    F = foulkes_series(1, SERIES_TRUNC) if series == "L" else _pi_alt()
-    return plethystic_sum(F, n, kind), named_term(1, n, form)
 
 
 def lie_series_identities(n_max: int) -> list[tuple[str, int, bool, str]]:
     """(identity name, degree, ok, detail) for every free-Lie identity at every
-    degree up to n_max, from lie_identity; cadogan-inverse from degree 1 on.
+    degree up to n_max; cadogan-inverse from degree 1 on.
     TruncationError for n_max > SERIES_TRUNC."""
     integer(n_max, "free-Lie identity degree")
-    out = []
-    for name, (*_, detail) in LIE_IDENTITIES.items():
-        for n in range(name == "cadogan-inverse", n_max + 1):
-            left, right = lie_identity(name, n)
-            out.append((name, n, left == right, detail))
-    return out
+    return [
+        (name, n, named_term(1, n, left) == named_term(1, n, right), detail)
+        for name, (left, right, detail) in LIE_IDENTITIES.items()
+        for n in range(name == "cadogan-inverse", n_max + 1)
+    ]

@@ -19,10 +19,9 @@ every name is resolved by repmodels.named_term.  Theorem 4.2 is the k = 0
 member of the weight-k family of Theorem 5.9, since c_d(0) = phi(d), and
 Corollary 5.10 is Theorem 5.9 at k = 2 read through the parts-in-{1,2}
 module.  The routes entries of the ten named modules are rows of the same
-runner, pairing the two sides of repmodels.MODULE_FORMS.  The free-Lie
-identities of Corollary 5.2 and Proposition 5.4 compare the two sides of
-repmodels.lie_identity at the degree checked; their right sides are
-weight-k product forms at k = 1, since the free Lie series L is F_1.
+runner, pairing the two sides of repmodels.MODULE_FORMS, and so are the
+free-Lie identities of Corollary 5.2 and Proposition 5.4: the name pairs of
+repmodels.LIE_IDENTITIES at k = 1, since the free Lie series L is F_1.
 
 The positivity claims of Theorem 1.1 are a table of families, checked
 nonnegative; the strictness claims (Theorems 4.5, 4.9, 4.17, 4.19 and
@@ -76,10 +75,12 @@ from .partitions import (
     conjugate,
     maj_multiplicity,
     members,
+    partition,
     partitions_of,
 )
 from .repmodels import (
     HALF,
+    LIE_IDENTITIES,
     MODULE_FORMS,
     MODULE_IDS,
     SERIES_TRUNC,
@@ -87,7 +88,6 @@ from .repmodels import (
     f_eval_direct,
     foulkes,
     foulkes_series,
-    lie_identity,
     linear_combination,
     module_char,
     named_term,
@@ -210,15 +210,20 @@ def check_positivity(
 
     NONNEG: all multiplicities integral and >= 0.
     STRICT: additionally every nu |- n occurs (mult >= 1).
-    STRICT_EXCEPT: strict outside `exceptions`; excepted shapes only need
-    nonnegativity (their absence is allowed, not required).  Its caller in
-    the catalog is _run_positivity, for the rows with an exception, and that
-    runner then also requires the excepted shape to be absent.
+    STRICT_EXCEPT: strict outside `exceptions`, each read as a partition of n
+    by partitions.partition; excepted shapes only need nonnegativity (their
+    absence is allowed, not required).  Its caller in the catalog is
+    _run_positivity, for the rows with an exception, and that runner then
+    also requires the excepted shape to be absent.
     """
     if mode not in ("NONNEG", "STRICT", "STRICT_EXCEPT"):
         raise ParameterError(f"mode must be NONNEG, STRICT or STRICT_EXCEPT, got {mode!r}")
     if exceptions and mode != "STRICT_EXCEPT":
         raise ParameterError(f"exceptions need mode STRICT_EXCEPT, got {mode!r}")
+    try:
+        exceptions = tuple(partition(e, n) for e in exceptions)
+    except TypeError:  # exceptions is not iterable
+        raise ParameterError(f"exceptions must be partitions, got {exceptions!r}") from None
     f = power_sum_family(spec_or_expr, n) if isinstance(spec_or_expr, FamilySpec) else spec_or_expr
     if not isinstance(f, PExpr):
         raise ParameterError(f"not a FamilySpec or a PExpr: {spec_or_expr!r}")
@@ -324,6 +329,8 @@ _COR510 = (  # at k = 2; its two half sums must be Schur-nonnegative
     ("alternating form", _one("mixed-sym"), _one("Hs")),
 )
 _COR510_HALVES = (((HALF, "w:2"), (HALF, "mixed-sym")), ((HALF, "w:2"), (-HALF, "mixed-sym")))
+# The free-Lie identities, read at k = 1: name -> the pair labelled by its name.
+_LIE = {name: (name, _one(lhs), _one(rhs)) for name, (lhs, rhs, _) in LIE_IDENTITIES.items()}
 
 
 def _terms(k: int, n: int):
@@ -352,11 +359,6 @@ def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
             return res
         res = _positivity(to_schur(linear_combination(side, term), n), "NONNEG")
     return res
-
-
-def _run_lie(names, n: int) -> tuple:
-    """PASS iff both sides of each named free-Lie identity agree at degree n."""
-    return _eq((name, *lie_identity(name, n)) for name in names)
 
 
 def _run_prop36(n: int) -> tuple:
@@ -761,10 +763,11 @@ def _build_catalog() -> list[Entry]:
         + linear("prop6.5", _PROP65)
         + linear("thm5.9", _THM59, ks=KS)
         + [
-            (f"cor5.2.{i}", "cor5.2", ten, _run_lie, (names,))
+            (f"cor5.2.{i}", "cor5.2", ten, _run_linear,
+             (1, tuple(_LIE[name] for name in names), ()))
             for i, names in enumerate((("pbw",), ("cadogan", "cadogan-inverse"), ("lie-ext",)), 1)
         ]
-        + [("prop5.4", "prop5.4", ten, _run_lie, (("pi-ext",),))]
+        + [("prop5.4", "prop5.4", ten, _run_linear, (1, (_LIE["pi-ext"],), ()))]
         + [(f"lem5.5:k{k}", "lem5.5", ten, _run_linear, (k, _LEM55, ())) for k in (0, 1, 2)]
         + [("prop3.6", "prop3.6", ten, _run_prop36, ())]
         + [(f"prop2.3.{w}", "prop2.3", ten, _run_prop23, (w,)) for w in ("odd", "one")]

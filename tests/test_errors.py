@@ -39,7 +39,6 @@ from symcon.repmodels import (
     f_eval_direct,
     foulkes,
     foulkes_series,
-    lie_identity,
     lie_series_identities,
     module_char,
     module_char_plethystic,
@@ -129,7 +128,7 @@ ENTRY_POINTS = {
     "module_char_plethystic": lambda: module_char_plethystic("psi", NON_INT),
     "w_route_a": lambda: w_route_a(NON_INT, 2),
     "w_route_b": lambda: w_route_b(4, NON_INT),
-    "lie_identity": lambda: lie_identity("pbw", NON_INT),
+    "named_term": lambda: named_term(1, NON_INT, "1 + pi-alt o (H-1)"),
     "lie_series_identities": lambda: lie_series_identities(NON_INT),
     "PExpr.__pow__": lambda: p(1) ** NON_INT,
     "dimension": lambda: dimension(p(1, 1), NON_INT),
@@ -259,6 +258,13 @@ REFUSALS = {
     "reproduce_table 3": (lambda: reproduce_table(3, 3), ParameterError),
     "check_positivity of a module id": (lambda: check_positivity("psi", 3), ParameterError),
     "check_positivity of None": (lambda: check_positivity(None, 3), ParameterError),
+    "check_positivity int exceptions": (
+        lambda: check_positivity(FamilySpec("all"), 3, "STRICT_EXCEPT", exceptions=5),
+        ParameterError),
+    "check_positivity exception of another size": (
+        lambda: check_positivity(FamilySpec("all"), 2, "STRICT_EXCEPT", ((3,),)), ParameterError),
+    "check_positivity string exception": (
+        lambda: check_positivity(FamilySpec("all"), 2, "STRICT_EXCEPT", ("ab",)), ParameterError),
     "run_selector None": (lambda: list(run_selector(None)), CatalogError),
     "PExpr.from_json_dict list": (lambda: PExpr.from_json_dict([1]), ParameterError),
     "PExpr.from_json_dict None": (lambda: PExpr.from_json_dict(None), ParameterError),
@@ -274,7 +280,7 @@ REFUSALS = {
     "module_char_plethystic None": (lambda: module_char_plethystic(None, 3), ParameterError),
     "parse_module None": (lambda: parse_module(None), ParameterError),
     "parse_family None": (lambda: parse_family(None), ParameterError),
-    "lie_identity list": (lambda: lie_identity(["pbw"], 3), ParameterError),
+    "named_term pi-alt list": (lambda: named_term(1, 3, ["H[pi-alt]"]), ParameterError),
     "product_expansion None": (lambda: product_expansion(None, 2), ParameterError),
     # a degree that cannot be hashed, refused before any cache reads it
     "partitions_of list": (lambda: partitions_of([2]), ParameterError),

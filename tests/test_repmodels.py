@@ -24,7 +24,6 @@ from symcon.repmodels import (
     f_eval_direct,
     foulkes,
     foulkes_series,
-    lie_identity,
     lie_series_identities,
     linear_combination,
     module_char,
@@ -260,7 +259,7 @@ _LIE_FACTORS = {
 def test_lie_right_sides_are_product_forms_at_k1():
     # the catalog reads these rows only up to n = 20
     for name, factors in _LIE_FACTORS.items():
-        form = LIE_IDENTITIES[name][2]
+        form = LIE_IDENTITIES[name][1]
         for n in range(SERIES_TRUNC + 1):
             assert named_term(1, n, form) == product_expansion(factors, n), (name, n)
 
@@ -274,13 +273,22 @@ def test_named_term_reads_every_kind_of_name():
 
 
 def test_lie_identity_raises_outside_its_series():
-    for name in LIE_IDENTITIES:
+    # every left name of a free-Lie identity reads a series truncated at SERIES_TRUNC
+    for left, _, _ in LIE_IDENTITIES.values():
         with pytest.raises(TruncationError):
-            lie_identity(name, SERIES_TRUNC + 1)
+            named_term(1, SERIES_TRUNC + 1, left)
         with pytest.raises(ParameterError):
-            lie_identity(name, -1)
+            named_term(1, -1, left)
     with pytest.raises(ParameterError):
-        lie_identity("pbw2", 3)
+        named_term(1, 3, "pbw2")
+
+
+def test_pi_alt_sums_are_omega_of_the_signed_sums():
+    # the pi^alt route is a second route to Theorem 5.9.6 and 5.9.7's left sides
+    for k in range(4):
+        for n in range(13):
+            assert named_term(k, n, "H[pi-alt]") == omega(named_term(k, n, "Es")), (k, n)
+            assert named_term(k, n, "E[pi-alt]") == omega(named_term(k, n, "Hs")), (k, n)
 
 
 @pytest.mark.parametrize("x", [2.5, 2.0, True])
@@ -301,9 +309,11 @@ def test_degree_and_weight_arguments_must_be_integers(x):
         module_char("psi", x)
     with pytest.raises(ParameterError):
         power_sum_family(FamilySpec("all"), x)
-    for name in LIE_IDENTITIES:
+    for left, _, _ in LIE_IDENTITIES.values():
         with pytest.raises(ParameterError):
-            lie_identity(name, x)
+            named_term(1, x, left)
+        with pytest.raises(ParameterError):
+            named_term(x, 3, left)
     # warm: 2.0 and True compare equal to the cached 2 and 1
     foulkes_series(0, 2), foulkes_series(1, 1), foulkes_series(2, 1)
     for args in ((x, 0, 1), (2, x, 1)):

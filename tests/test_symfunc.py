@@ -434,7 +434,7 @@ def _reference_series():
         out[name] = F.restrict(keep)
         out[f"not-{name}"] = F.restrict(lambda d, keep=keep: not keep(d))
     out["dense"] = Series.from_function(h_n, 10)
-    out["pi-alt"] = _pi_alt()  # fractional and negative coefficients
+    out["pi-alt"] = _pi_alt(1)  # fractional and negative coefficients
     out["even"] = F.restrict(lambda d: d % 2 == 0)
     return out
 

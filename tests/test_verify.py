@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from symcon.errors import CatalogError, ParameterError, TruncationError
 from symcon.partitions import FamilySpec, partitions_of, syt_count
+from symcon.repmodels import module_char
 from symcon.symfunc import PExpr
 from symcon.verify import (
     CATALOG,
@@ -59,6 +60,13 @@ def test_check_positivity_rejects_unknown_mode_and_stray_exceptions(mode, except
     # a misspelled mode must not run as NONNEG, nor may exceptions be dropped in silence
     with pytest.raises(ParameterError):
         check_positivity(FamilySpec("all"), 2, mode, exceptions=exceptions)
+
+
+def test_check_positivity_reads_each_exception_as_a_partition():
+    # a list or a zero part names the same shape as its canonical tuple
+    psi2 = module_char("psi", 2)
+    for exception in ((1, 1), [1, 1], (1, 1, 0)):
+        assert check_positivity(psi2, 2, "STRICT_EXCEPT", (exception,)).status == "PASS"
 
 
 def test_fixture_checksums():
@@ -477,7 +485,7 @@ def test_lie_identities_stay_at_the_degree_checked():
         assert {r.status for r in run_selector(selector, 3)} == {"PASS"}
         degrees = {
             key[2]
-            for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt())
+            for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt(1))
             for key in _cache_keys(F)
             if key[0] == "sum"
         }
@@ -485,7 +493,7 @@ def test_lie_identities_stay_at_the_degree_checked():
         # the exponential sequences behind those sums are extended to degree 3 only
         lengths = {
             len(seq)
-            for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt())
+            for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt(1))
             for key, state in F._pleth_cache.items()
             if key[0] == "exp"
             for seq in state
@@ -554,18 +562,29 @@ def test_identities_do_not_depend_on_the_series_truncation(monkeypatch):
 )
 def test_a_broken_lie_side_fails_and_names_the_identity(monkeypatch, cid, broken):
     from symcon import verify
+    from symcon.repmodels import LIE_IDENTITIES
 
-    real = verify.lie_identity
+    real, left = verify.named_term, LIE_IDENTITIES[broken][0]
 
-    def lie_identity(name, n):
-        left, right = real(name, n)
-        return (left + PExpr.p(1) ** n if name == broken else left), right
+    def named_term(k, n, name):
+        term = real(k, n, name)
+        return term + PExpr.p(1) ** n if name == left else term
 
-    monkeypatch.setattr(verify, "lie_identity", lie_identity)
+    monkeypatch.setattr(verify, "named_term", named_term)
     res = check_identity(cid, 4)
     assert res.status == "FAIL"
     assert res.detail["failed"] == broken
     assert res.detail["mismatch"] == [{"p": [1, 1, 1, 1], "lhs-rhs": "1"}]
+
+
+def test_cor52_1_and_3_are_thm59_1_and_3_at_k1():
+    # L = F_1: pbw and lie-ext run the same linear runner on the same names
+    runs = {e.id: e.run for e in CATALOG}
+    for cor, thm in (("cor5.2.1", "thm5.9.1:k1"), ("cor5.2.3", "thm5.9.3:k1")):
+        assert runs[cor].func is runs[thm].func
+        (k, lie_pairs, _), (k59, thm_pairs, _) = runs[cor].args, runs[thm].args
+        assert k == k59 == 1
+        assert [pair[1:] for pair in lie_pairs] == [pair[1:] for pair in thm_pairs]
 
 
 def test_exception_degrees_check_integrality(monkeypatch):
