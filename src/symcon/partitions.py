@@ -284,6 +284,8 @@ def in_family(lam, spec: FamilySpec) -> bool:
     lam goes through `partition`; lex-from and explicit ask `members` at |lam|.
     """
     lam = partition(lam)
+    if not isinstance(spec, FamilySpec):
+        raise ParameterError(f"not a FamilySpec: {spec!r}")
     if spec.kind in ("lex-from", "explicit"):
         return lam in members(spec, sum(lam))
     forbid, repeat, negate, signs = _rule(spec, sum(lam))
@@ -297,6 +299,8 @@ def members(spec: FamilySpec, n: int) -> tuple[Partition, ...]:
     One filter over the cached masks of degree n; lex-from is the suffix of
     partitions_of(n) from mu, and explicit a filter on the items.
     """
+    if not isinstance(spec, FamilySpec):
+        raise ParameterError(f"not a FamilySpec: {spec!r}")
     masks = _masks(integer(n, "partition size", 0))  # n checked before a cache reads it
     if spec.kind == "lex-from":
         return partitions_of(n)[partition_position(spec.mu, n):]

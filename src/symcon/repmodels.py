@@ -14,7 +14,8 @@ MODULE_FORMS, and module_char and module_char_plethystic evaluate them
 through the resolver at k = 0.  The two routes agreeing exactly is part of
 the verification contract.  Every Foulkes series is read at one
 truncation, SERIES_TRUNC, so each weight k has one cached series for every
-reader.
+reader; a plethystic sum "X" of SUMS reads it, and "X[over]" the series
+F_k[over] derived from it (DERIVED_SERIES), built here once per (k, over).
 
 The free-Lie identities (Corollary 5.2 and Proposition 5.4) are pairs of
 names in LIE_IDENTITIES, read at k = 1 since the free Lie series L is F_1:
@@ -98,10 +99,21 @@ def _foulkes_series(k: int, trunc: int) -> Series:
     return Series.from_function(lambda i: foulkes(i, k), trunc)
 
 
+# over -> F_k[over] built from F_k: pi^alt_k, or F_k on the degrees d it keeps
+DERIVED_SERIES = {
+    "pi-alt": lambda F: F.omega().alternate(),
+    "odd": lambda F: F.restrict(lambda d: d % 2 == 1),
+    "even": lambda F: F.restrict(lambda d: d % 2 == 0),
+    "one": lambda F: F.restrict(lambda d: d == 1),
+    "not-one": lambda F: F.restrict(lambda d: d != 1),
+}
+
+
 @lru_cache(maxsize=None)
-def _pi_alt(k: int) -> Series:
-    """pi^alt_k = sum (-1)^(i-1) omega(F_k,i), shared by every degree up to SERIES_TRUNC."""
-    return foulkes_series(k, SERIES_TRUNC).omega().alternate()
+def _derived_series(k: int, over: str) -> Series:
+    """F_k[over] at SERIES_TRUNC (shared, read-only), over a key of DERIVED_SERIES;
+    pi^alt_k = sum (-1)^(i-1) omega(F_k,i)."""
+    return DERIVED_SERIES[over](foulkes_series(k, SERIES_TRUNC))
 
 
 def power_sum_family(spec: FamilySpec, n: int) -> PExpr:
@@ -133,7 +145,7 @@ MODULE_IDS = tuple(MODULE_FORMS)
 
 # name -> (kind, parity, signed) arguments of plethystic_sum: the sum over
 # lam |- n of H_lambda or E_lambda, its halves with n - len(lam) even (0)
-# or odd (1), and its twist by (-1)^(n - len(lam)) (s).
+# or odd (1), and its twist by (-1)^(n - len(lam)) (s); "X[over]" sums over F_k[over].
 SUMS = {
     "H": ("h", None, None),
     "H0": ("h", 0, None),
@@ -144,8 +156,6 @@ SUMS = {
     "E1": ("e", 1, None),
     "Es": ("e", None, "sign-exponent"),
 }
-# name -> kind of the plethystic sum over pi^alt_k instead of F_k
-PI_ALT_SUMS = {"H[pi-alt]": "h", "E[pi-alt]": "e"}
 
 
 # Product forms prod_m (1 + s_m t^m p_m)^(c * f_m(x)) of the weight-k family,
@@ -162,18 +172,18 @@ PRODUCT_FORMS = {
 
 
 def named_term(k: int, n: int, name: str) -> PExpr:
-    """The term `name` at weight k and degree n: a plethystic sum of SUMS over F_k
-    or of PI_ALT_SUMS over pi^alt_k, "1 + pi-alt o (H-1)" (Cadogan's inverse), a
-    product form of PRODUCT_FORMS, a module id or "w:<k>" (also at n = 0),
-    "termwise" (Theorem 4.15.1), "E G[p2]" (Lemma 5.5) or a power-sum family kind."""
+    """The term `name` at weight k and degree n: a plethystic sum "X" of SUMS over F_k
+    or "X[over]" over F_k[over], "1 + pi-alt o (H-1)" (Cadogan's inverse), a product
+    form, a module id or "w:<k>" (also at n = 0), "one-or-k binomial" (w_route_b at
+    weight k), "termwise" (Theorem 4.15.1), "E G[p2]" (Lemma 5.5) or a family kind."""
     integer(k, "term weight k", 0)
     integer(n, "term degree", 0)
-    if string(name, "term name") in SUMS:
-        return plethystic_sum(foulkes_series(k, SERIES_TRUNC), n, *SUMS[name])
-    if name in PI_ALT_SUMS:
-        return plethystic_sum(_pi_alt(k), n, PI_ALT_SUMS[name])
+    base, bracket, over = string(name, "term name").partition("[")
+    if base in SUMS and (not bracket or over.endswith("]") and over[:-1] in DERIVED_SERIES):
+        F = _derived_series(k, over[:-1]) if bracket else foulkes_series(k, SERIES_TRUNC)
+        return plethystic_sum(F, n, *SUMS[base])
     if name == "1 + pi-alt o (H-1)":  # degree n needs only pi^alt_1..n and h_1..h_n
-        outer = sum(map(_pi_alt(k).component, range(1, n + 1)), PExpr.one())
+        outer = sum(map(_derived_series(k, "pi-alt").component, range(1, n + 1)), PExpr.one())
         return plethysm_into(outer, Series.from_function(h_n, n)).component(n)
     if name in PRODUCT_FORMS:
         x, c, odd, even = PRODUCT_FORMS[name]
@@ -183,6 +193,8 @@ def named_term(k: int, n: int, name: str) -> PExpr:
         return module_char(name, n)
     if name.startswith("w:"):
         return w_route_a(n, _w_weight(name))
+    if name == "one-or-k binomial":
+        return w_route_b(n, k)
     if name == "termwise":  # sum of H_lam + omega(H_lam) over lam with odd sign
         F = foulkes_series(k, SERIES_TRUNC)
         total = sum((H_lambda(lam, F) for lam in members(FamilySpec("odd-sign"), n)), PExpr.zero())

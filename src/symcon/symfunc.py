@@ -40,6 +40,7 @@ inner series for one call only.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
@@ -89,6 +90,8 @@ class PExpr:
         """sum of c * p_key over the terms; each key is read by `partition` with
         lowest part 1 (there is no p_0), so its parts may come in any order."""
         clean: dict[Partition, Rational] = {}
+        if not isinstance(terms, Mapping | None):
+            raise ParameterError(f"power-sum terms must be a mapping, got {terms!r}")
         for key, val in (terms or {}).items():
             val = _rational(val, "power-sum coefficient")
             key = partition(key, lo=1)
@@ -478,6 +481,8 @@ class Series:
     def __init__(self, components: dict[int, PExpr], trunc: int):
         self.trunc = integer(trunc, "series truncation", 0)
         self.components: dict[int, PExpr] = {}
+        if not isinstance(components, Mapping):
+            raise ParameterError(f"series components must be a mapping, got {components!r}")
         for d, f in components.items():
             if integer(d, "series degree") > trunc or not f:
                 continue
@@ -601,31 +606,25 @@ def plethystic_sum(
     """sum over lam |- n of (optional sign) * H_lambda or E_lambda.
 
     parity: keep only lam with (n - len(lam)) % 2 == parity.
-    signed: "sign-exponent" weights by (-1)^(n - len(lam)),
-            "length" weights by (-1)^len(lam).
+    signed: None, or "sign-exponent" to weight by (-1)^(n - len(lam)).
 
     Every option is (a*G_n + b*S_n)/2 for integer weights (a, b), G_n the
     plain sum (the Newton recurrence on H[F] or E[F], see _newton) and S_n
     its twin signed by (-1)^(n - len(lam)): (2, 0) for the whole sum,
-    (1, 1) and (1, -1) for parity 0 and 1; a sign swaps the weights, and
-    "length" also multiplies them by (-1)^n.  The result is cached on the
-    series under ("sum", kind, n, a, b).
+    (1, 1) and (1, -1) for parity 0 and 1; the sign swaps the weights.  The
+    result is cached on the series under ("sum", kind, n, a, b).
     """
     integer(n, "degree", 0)
     if kind not in ("h", "e"):
         raise ParameterError(f"kind must be 'h' or 'e', got {kind!r}")
     if not (parity is None or type(parity) is int and parity in (0, 1)):
         raise ParameterError(f"parity must be None, 0 or 1, got {parity!r}")
-    if signed not in (None, "sign-exponent", "length"):
-        raise ParameterError(
-            f"signed must be None, 'sign-exponent' or 'length', got {signed!r}"
-        )
+    if signed not in (None, "sign-exponent"):
+        raise ParameterError(f"signed must be None or 'sign-exponent', got {signed!r}")
     F.component(n)  # TruncationError beyond trunc
     a, b = (2, 0) if parity is None else (1, 1 - 2 * parity)
     if signed is not None:
         a, b = b, a
-        if signed == "length" and n % 2:
-            a, b = -a, -b
     key = ("sum", kind, n, a, b)
     cache = F._pleth_cache
     total = cache.get(key)

@@ -19,9 +19,11 @@ every name is resolved by repmodels.named_term.  Theorem 4.2 is the k = 0
 member of the weight-k family of Theorem 5.9, since c_d(0) = phi(d), and
 Corollary 5.10 is Theorem 5.9 at k = 2 read through the parts-in-{1,2}
 module.  The routes entries of the ten named modules are rows of the same
-runner, pairing the two sides of repmodels.MODULE_FORMS, and so are the
+runner, pairing the two sides of repmodels.MODULE_FORMS, and so are
+routes.w:k (one-or-k against its binomial closed form, at weight k) and the
 free-Lie identities of Corollary 5.2 and Proposition 5.4: the name pairs of
 repmodels.LIE_IDENTITIES at k = 1, since the free Lie series L is F_1.
+Proposition 2.3 reads its restricted sums as names too ("H[odd]", ...).
 
 The positivity claims of Theorem 1.1 are a table of families, checked
 nonnegative; the strictness claims (Theorems 4.5, 4.9, 4.17, 4.19 and
@@ -92,19 +94,8 @@ from .repmodels import (
     module_char,
     named_term,
     power_sum_family,
-    w_route_a,
-    w_route_b,
 )
-from .symfunc import (
-    E_lambda,
-    H_lambda,
-    PExpr,
-    Series,
-    dimension,
-    omega,
-    p1_derivative,
-    plethystic_sum,
-)
+from .symfunc import E_lambda, H_lambda, PExpr, dimension, omega, p1_derivative
 from . import tables_data
 
 # the degree a catalog run stops at unless the caller asks for another
@@ -374,25 +365,18 @@ def _run_prop36(n: int) -> tuple:
     return _eq(pairs)
 
 
-@lru_cache(maxsize=None)
-def _restricted(which: str) -> tuple[Series, Series]:
-    """F_0 restricted to its odd degrees ("odd") or to degree 1 ("one"), and to the rest."""
-    keep = (lambda d: d % 2 == 1) if which == "odd" else (lambda d: d == 1)
-    F = foulkes_series(0, SERIES_TRUNC)
-    return F.restrict(keep), F.restrict(lambda d: not keep(d))
-
-
-def _run_prop23(which: str, n: int) -> tuple:
-    FS, FSbar = _restricted(which)
+def _run_prop23(over: str, rest: str, n: int) -> tuple:
+    """H[over] = sum_a (-1)^a Es[rest]_a H_(n-a) at k = 0, and E[over] likewise through
+    Hs: the sum over lam |- a of (-1)^len(lam) E_lam is (-1)^a Es_a."""
+    term = partial(named_term, 0)
     pairs = []
-    for kind, dual in (("h", "e"), ("e", "h")):
-        lhs = plethystic_sum(FS, n, kind)
+    for kind, dual in (("H", f"Es[{rest}]"), ("E", f"Hs[{rest}]")):
         rhs = PExpr.zero()
         for a in range(n + 1):
-            signed = plethystic_sum(FSbar, a, dual, signed="length")
+            signed = term(a, dual)
             if signed:
-                rhs = rhs + signed * named_term(0, n - a, kind.upper())
-        pairs.append((f"{kind.upper()} restricted", lhs, rhs))
+                rhs = rhs + (-signed if a % 2 else signed) * term(n - a, kind)
+        pairs.append((f"{kind} restricted", term(n, f"{kind}[{over}]"), rhs))
     return _eq(pairs)
 
 
@@ -565,10 +549,6 @@ def _run_lem47(n: int) -> tuple:
 # Route and oracle entries
 
 
-def _run_routes_w(k: int, n: int) -> tuple:
-    return _eq([("route A vs route B", w_route_a(n, k), w_route_b(n, k))])
-
-
 def _run_mn_alternant(n: int) -> tuple:
     table = character_table(n)
     parts = partitions_of(n)
@@ -674,7 +654,8 @@ def _run_table(kind: str, n: int) -> tuple:
 
 def table_decomposition(kind: str, n: int, max_n: int = TABLE_CAP) -> dict[str, SchurExpansion]:
     """Computed decomposition(s) rendered by the CLI `table` command; max_n caps the
-    character table's degree, as in to_schur."""
+    character table's degree, as in to_schur; both are checked before the cache reads them."""
+    n, max_n = integer(n, "table degree"), integer(max_n, "character table cap")
     return {mid: _module_schur(mid, n, max_n) for mid in TABLES[_table_kind(kind)][1]}
 
 
@@ -770,7 +751,8 @@ def _build_catalog() -> list[Entry]:
         + [("prop5.4", "prop5.4", ten, _run_linear, (1, (_LIE["pi-ext"],), ()))]
         + [(f"lem5.5:k{k}", "lem5.5", ten, _run_linear, (k, _LEM55, ())) for k in (0, 1, 2)]
         + [("prop3.6", "prop3.6", ten, _run_prop36, ())]
-        + [(f"prop2.3.{w}", "prop2.3", ten, _run_prop23, (w,)) for w in ("odd", "one")]
+        + [(f"prop2.3.{s}", "prop2.3", ten, _run_prop23, (s, rest))
+           for s, rest in (("odd", "even"), ("one", "not-one"))]
         + linear("thm3.4", _THM34, ks=(0, 1, 2), nonneg=True)
         + [("cor5.10", "cor5.10", ten, _run_linear, (2, _COR510, _COR510_HALVES))]
     )
@@ -803,7 +785,8 @@ def _build_catalog() -> list[Entry]:
             for mid in MODULE_IDS
         ]
         + [
-            (f"routes.w:{k}", "routes", range(POSITIVITY_TOP + 1), _run_routes_w, (k,))
+            (f"routes.w:{k}", "routes", range(POSITIVITY_TOP + 1), _run_linear,
+             (k, (("route A vs route B", _one("one-or-k"), _one("one-or-k binomial")),), ()))
             for k in KS[1:]
         ]
     )

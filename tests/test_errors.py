@@ -22,6 +22,7 @@ from symcon.partitions import (
     FamilySpec,
     conjugate,
     hook_lengths,
+    in_family,
     maj_multiplicity,
     maj_residues,
     members,
@@ -44,6 +45,7 @@ from symcon.repmodels import (
     module_char_plethystic,
     named_term,
     parse_module,
+    power_sum_family,
     w_route_a,
     w_route_b,
 )
@@ -294,6 +296,17 @@ REFUSALS = {
     "named_term unknown name": (lambda: named_term(0, 3, "bogus"), ParameterError),
     "named_term negative weight": (lambda: named_term(-1, 3, "all"), ParameterError),
     "named_term float degree": (lambda: named_term(0, 2.0, "sym"), ParameterError),
+    "table_decomposition list degree": (lambda: table_decomposition("t1", [2]), ParameterError),
+    "table_decomposition list cap": (
+        lambda: table_decomposition("t1", 2, [20]), ParameterError),
+    # a family that is not a FamilySpec
+    "members of a string": (lambda: members("all", 3), ParameterError),
+    "in_family of a string": (lambda: in_family((1,), "all"), ParameterError),
+    "power_sum_family of a string": (lambda: power_sum_family("all", 3), ParameterError),
+    # a constructor given something that is not a mapping
+    "PExpr int": (lambda: PExpr(5), ParameterError),
+    "PExpr list": (lambda: PExpr([((1,), 1)]), ParameterError),
+    "Series None": (lambda: Series(None, 3), ParameterError),
 }
 
 

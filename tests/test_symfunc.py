@@ -418,14 +418,14 @@ def _reference_sum(F, n, kind, parity=None, signed=None):
         if parity is not None and odd != parity:
             continue
         term = product(lam, F)
-        if (signed == "sign-exponent" and odd) or (signed == "length" and len(lam) % 2):
+        if signed == "sign-exponent" and odd:
             term = -term
         total = total + term
     return total
 
 
 def _reference_series():
-    from symcon.repmodels import _pi_alt, foulkes_series
+    from symcon.repmodels import _derived_series, foulkes_series
 
     out = {f"k{k}": foulkes_series(k, 10) for k in (0, 1, 2, 5)}
     F = foulkes_series(0, 10)
@@ -434,7 +434,7 @@ def _reference_series():
         out[name] = F.restrict(keep)
         out[f"not-{name}"] = F.restrict(lambda d, keep=keep: not keep(d))
     out["dense"] = Series.from_function(h_n, 10)
-    out["pi-alt"] = _pi_alt(1)  # fractional and negative coefficients
+    out["pi-alt"] = _derived_series(1, "pi-alt")  # fractional and negative coefficients
     out["even"] = F.restrict(lambda d: d % 2 == 0)
     return out
 
@@ -442,7 +442,7 @@ def _reference_series():
 SUM_OPTIONS = [
     (parity, signed)
     for parity in (None, 0, 1)
-    for signed in (None, "sign-exponent", "length")
+    for signed in (None, "sign-exponent")
 ]
 
 
@@ -471,9 +471,34 @@ def test_plethystic_sum_independent_of_cache_state():
     E_lambda((1,) * 10, warm)  # the e-recurrence on f_1 is already at m = 10
     for n in (9, 2, 10, 5):
         plethystic_sum(warm, n, "e", parity=1)
-        plethystic_sum(warm, n, "h", signed="length")
+        plethystic_sum(warm, n, "h", signed="sign-exponent")
     for (kind, n, opts), want in sorted(fresh.items(), key=lambda kv: -kv[0][1]):
         assert plethystic_sum(warm, n, kind, *opts) == want, (kind, n, opts)
+
+
+def test_every_derived_sum_name_is_the_partition_sum_over_its_series():
+    # "X[over]" is the SUMS entry X over F_k[over], each series built here by hand
+    from symcon.repmodels import SUMS, foulkes_series, named_term
+
+    for k in (0, 1):
+        F = foulkes_series(k, 10)
+        comps = F.components
+        derived = {
+            "pi-alt": {d: (-1) ** (d - 1) * omega(f) for d, f in comps.items()},
+            "odd": {d: f for d, f in comps.items() if d % 2},
+            "even": {d: f for d, f in comps.items() if d % 2 == 0},
+            "one": {1: comps[1]},
+            "not-one": {d: f for d, f in comps.items() if d != 1},
+        }
+        for over, components in derived.items():
+            G = Series(components, 10)
+            for name, (kind, parity, signed) in SUMS.items():
+                for n in range(11):
+                    want = _reference_sum(G, n, kind, parity, signed)
+                    assert named_term(k, n, f"{name}[{over}]") == want, (k, over, name, n)
+    for name in ("H[bogus]", "H[odd", "H[odd]]", "H[]", "bogus[odd]"):
+        with pytest.raises(ParameterError):
+            named_term(0, 3, name)
 
 
 def test_plethystic_sum_beyond_truncation():
@@ -496,6 +521,7 @@ def test_plethystic_sum_beyond_truncation():
         {"parity": 1.0},
         {"parity": 0.0},
         {"parity": 1.0, "signed": "sign-exponent"},
+        {"signed": "length"},
     ],
 )
 def test_plethystic_sum_rejects_unknown_options(options):
@@ -802,6 +828,11 @@ def test_two_path_generating_functions():
             assert ext == prod_ext, (k, n)
 
 
+def _length_signed(product, F, a):
+    """The literal sum over lam |- a of (-1)^len(lam) * product(lam, F)."""
+    return sum(((-1) ** len(lam) * product(lam, F) for lam in partitions_of(a)), PExpr.zero())
+
+
 def test_subset_factorization():
     # restricting the family to a part-degree subset S factors the symmetric
     # power through the signed exterior power of the complement
@@ -813,16 +844,12 @@ def test_subset_factorization():
             lhs = plethystic_sum(FS, n, "h")
             rhs = PExpr.zero()
             for a in range(n + 1):
-                epm = plethystic_sum(FSbar, a, "e", signed="length")
-                if epm:
-                    rhs = rhs + epm * plethystic_sum(F, n - a, "h")
+                rhs = rhs + _length_signed(E_lambda, FSbar, a) * plethystic_sum(F, n - a, "h")
             assert lhs == rhs, n
             lhs_e = plethystic_sum(FS, n, "e")
             rhs_e = PExpr.zero()
             for a in range(n + 1):
-                hpm = plethystic_sum(FSbar, a, "h", signed="length")
-                if hpm:
-                    rhs_e = rhs_e + hpm * plethystic_sum(F, n - a, "e")
+                rhs_e = rhs_e + _length_signed(H_lambda, FSbar, a) * plethystic_sum(F, n - a, "e")
             assert lhs_e == rhs_e, n
 
 

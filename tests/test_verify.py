@@ -375,6 +375,12 @@ def test_routes_rows_share_the_catalog_series(monkeypatch):
     )
     res = check_identity("routes.psi", 3)
     assert res.status == "FAIL" and res.detail["failed"] == "power-sum vs plethystic"
+    # a broken closed form of the parts-in-{1,k} module fails routes.w:k under its label
+    assert check_identity("routes.w:3", 4).status == "PASS"
+    route_b = repmodels.w_route_b
+    monkeypatch.setattr(repmodels, "w_route_b", lambda n, k: 2 * route_b(n, k))
+    res = check_identity("routes.w:3", 4)
+    assert res.status == "FAIL" and res.detail["failed"] == "route A vs route B"
 
 
 def test_positivity_rows_check_both_directions():
@@ -478,14 +484,14 @@ def _cache_keys(F):
 
 def test_lie_identities_stay_at_the_degree_checked():
     # a run to degree 3 expands the plethystic sums of L and pi^alt to degree 3 only
-    from symcon.repmodels import SERIES_TRUNC, _pi_alt, foulkes_series
+    from symcon.repmodels import SERIES_TRUNC, _derived_series, foulkes_series
 
     for selector in ("cor5.2", "prop5.4"):
         _clear_run_caches()
         assert {r.status for r in run_selector(selector, 3)} == {"PASS"}
         degrees = {
             key[2]
-            for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt(1))
+            for F in (foulkes_series(1, SERIES_TRUNC), _derived_series(1, "pi-alt"))
             for key in _cache_keys(F)
             if key[0] == "sum"
         }
@@ -493,7 +499,7 @@ def test_lie_identities_stay_at_the_degree_checked():
         # the exponential sequences behind those sums are extended to degree 3 only
         lengths = {
             len(seq)
-            for F in (foulkes_series(1, SERIES_TRUNC), _pi_alt(1))
+            for F in (foulkes_series(1, SERIES_TRUNC), _derived_series(1, "pi-alt"))
             for key, state in F._pleth_cache.items()
             if key[0] == "exp"
             for seq in state
@@ -606,8 +612,7 @@ def _clear_run_caches():
     from symcon import characters, numbertheory, repmodels, verify
 
     for cached in (
-        verify._module_schur, verify._restricted,
-        repmodels._foulkes_series, repmodels._pi_alt,
+        verify._module_schur, repmodels._foulkes_series, repmodels._derived_series,
         characters._build_table, characters._alternant_column,
         numbertheory._ramanujan, numbertheory._totient, numbertheory._moebius,
         numbertheory._divisors, numbertheory.factorize,
