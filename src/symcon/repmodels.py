@@ -7,9 +7,12 @@ k = 1 is the Moebius case (the free Lie character).
 
 named_term(k, n, name) is the one resolver of a name at weight k and
 degree n, and linear_combination evaluates a side: a linear combination of
-named terms.  Every named module is produced two ways: a closed power-sum
-combination, and a plethystic sum of h_m[f_i] / e_m[f_i] products over
-partitions.  Both forms of the ten modules are written once, in
+named terms.  Inside a run (in_run; verify opens one for each catalog run)
+each (k, n, name) is resolved once and kept in the run's memo, so a name
+that many checks read, or that a module form reads inside another term, is
+built once; the memo goes with the run, and outside a run nothing is kept.
+Every named module is produced two ways: a closed power-sum combination,
+and a plethystic sum of h_m[f_i] / e_m[f_i] products over partitions.  Both forms of the ten modules are written once, in
 MODULE_FORMS, and module_char and module_char_plethystic evaluate them
 through the resolver at k = 0.  The two routes agreeing exactly is part of
 the verification contract.  Every Foulkes series is read at one
@@ -31,12 +34,13 @@ from math import comb
 
 from .errors import ParameterError, integer, string
 from .numbertheory import divisors, ramanujan_sum
-from .partitions import FamilySpec, _parse_int, members, parse_family
+from .partitions import FAMILY_KINDS, FamilySpec, _parse_int, members, parse_family
 from .symfunc import (
     H_lambda,
     PExpr,
     Series,
     _expr,
+    _reduce,
     h_n,
     omega,
     plethysm_into,
@@ -171,14 +175,52 @@ PRODUCT_FORMS = {
 }
 
 
+# The memos of the open runs, innermost last.  A run is one dict: named_term keeps
+# each term it resolves under (k, n, name), and verify its module expansions under
+# keys of its own.  Outside a run the list is empty and nothing is kept.
+_RUNS: list[dict] = []
+
+
+class in_run:
+    """`with in_run(memo):` makes memo the open run for the block; the outer run, if
+    any, is open again after it, however the block ends.  A class rather than a
+    generator, as a catalog run enters one for every check."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, memo: dict):
+        self.memo = memo
+
+    def __enter__(self) -> dict:
+        _RUNS.append(self.memo)
+        return self.memo
+
+    def __exit__(self, *exc) -> None:
+        _RUNS.pop()
+
+
+def run_memo() -> dict:
+    """The open run's memo; outside a run, a new dict that nothing keeps."""
+    return _RUNS[-1] if _RUNS else {}
+
+
 def named_term(k: int, n: int, name: str) -> PExpr:
     """The term `name` at weight k and degree n: a plethystic sum "X" of SUMS over F_k
     or "X[over]" over F_k[over], "1 + pi-alt o (H-1)" (Cadogan's inverse), a product
     form, a module id or "w:<k>" (also at n = 0), "one-or-k binomial" (w_route_b at
-    weight k), "termwise" (Theorem 4.15.1), "E G[p2]" (Lemma 5.5) or a family kind."""
-    integer(k, "term weight k", 0)
-    integer(n, "term degree", 0)
-    base, bracket, over = string(name, "term name").partition("[")
+    weight k), "termwise" (Theorem 4.15.1), "E G[p2]" (Lemma 5.5) or a family kind;
+    ParameterError("unknown term ...") for any other name.  The arguments are checked
+    first; inside a run the term is then read from, or kept in, the run's memo."""
+    key = (integer(k, "term weight k", 0), integer(n, "term degree", 0), string(name, "term name"))
+    memo = run_memo()
+    if key not in memo:
+        memo[key] = _resolve(*key)
+    return memo[key]
+
+
+def _resolve(k: int, n: int, name: str) -> PExpr:
+    """named_term(k, n, name) built anew, its arguments already checked."""
+    base, bracket, over = name.partition("[")
     if base in SUMS and (not bracket or over.endswith("]") and over[:-1] in DERIVED_SERIES):
         F = _derived_series(k, over[:-1]) if bracket else foulkes_series(k, SERIES_TRUNC)
         return plethystic_sum(F, n, *SUMS[base])
@@ -204,6 +246,8 @@ def named_term(k: int, n: int, name: str) -> PExpr:
         parts = (plethystic_sum(F, n - 2 * j, "e") * plethysm_p(2, plethystic_sum(F, j))
                  for j in range(n // 2 + 1))
         return sum(parts, PExpr.zero())
+    if name not in FAMILY_KINDS:
+        raise ParameterError(f"unknown term {name!r}")
     return power_sum_family(FamilySpec(name, k=k or None), n)
 
 
@@ -277,18 +321,20 @@ def w_route_a(n: int, k: int) -> PExpr:
 def w_route_b(n: int, k: int) -> PExpr:
     """p_1^t times the binomial closed form on the full k-multiple block.
 
-    With n = m*k + t, alpha = p_1^k - p_k and beta = p_1^k + p_k:
-    block = 2^(-m) * sum over odd j of C(m+1, j) * beta^(m+1-j) * alpha^(j-1).
+    With n = m*k + t, X = p_1^k, Y = p_k, alpha = X - Y and beta = X + Y:
+    block = 2^(-m) * sum over odd j of C(m+1, j) * beta^(m+1-j) * alpha^(j-1),
+    a form of degree m in X and Y, expanded here in integers: c[i] is the
+    coefficient of X^(m-i) Y^i, and the result is 2^(-m) * sum_i c[i] p_k^i p_1^(k(m-i)+t).
     """
     integer(n, "w degree n", 0)
     integer(k, "w parameter k", 2)
     m, t = divmod(n, k)
-    alpha = PExpr.p(1) ** k - PExpr.p(k)
-    beta = PExpr.p(1) ** k + PExpr.p(k)
-    block = PExpr.zero()
-    for j in range(1, m + 2, 2):
-        block = block + comb(m + 1, j) * beta ** (m + 1 - j) * alpha ** (j - 1)
-    return PExpr.p(1) ** t * block * Fraction(1, 2**m) if t else block * Fraction(1, 2**m)
+    c = [0] * (m + 1)
+    for j in range(1, m + 2, 2):  # Y^a from beta^(m+1-j), Y^b from alpha^(j-1)
+        for a in range(m + 2 - j):
+            for b in range(j):
+                c[a + b] += comb(m + 1, j) * comb(m + 1 - j, a) * comb(j - 1, b) * (-1) ** b
+    return _expr(_reduce(2**m, {(k,) * i + (1,) * (k * (m - i) + t): ci for i, ci in enumerate(c)}))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,8 @@ class PExpr:
             w = _width(_longest(self) + _longest(other))
             return _unpack(_kernel([(1, _pack(self, w), _pack(other, w))]), w, {})
         c = _rational(other, "scalar")
+        if c == 1 or c == -1:  # already reduced: no rebuild, no gcd
+            return self if c == 1 else -self
         nums = {k: v * c.numerator for k, v in self.numerators.items()}
         return _expr(_reduce(self.denominator * c.denominator, nums))
 

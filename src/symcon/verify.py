@@ -10,6 +10,14 @@ naming contract (thm/prop/cor/lem prefixes with equation-style suffixes,
 k-parameterized entries carrying ':k<k>').  Entries are independent; they
 run one after another and results are emitted in catalog order.
 
+run_selector runs all of its checks in one run (repmodels.in_run): a memo
+of every named term and module Schur expansion a check builds, which the
+later checks of the run read.  A bare Entry.check, and check_identity and
+the one-shot helpers over it, run in a run of their own, so nothing they
+build is kept after them.  The run is open only while a check computes and
+is dropped once the generator is exhausted or closed; this module keeps no
+cache that outlives it.
+
 The linear identities (Theorems 4.2, 4.11, 4.15, 5.9 and 3.4,
 Propositions 4.13 and 6.5, Lemma 5.5 and Corollary 5.10) are rows of data,
 all evaluated by one runner: each row pairs two sides, a side being a
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import factorial
 
 from .characters import (
@@ -90,10 +98,11 @@ from .repmodels import (
     f_eval_direct,
     foulkes,
     foulkes_series,
+    in_run,
     linear_combination,
-    module_char,
     named_term,
     power_sum_family,
+    run_memo,
 )
 from .symfunc import E_lambda, H_lambda, PExpr, dimension, omega, p1_derivative
 from . import tables_data
@@ -148,8 +157,10 @@ class Entry:
         return [n for n in self.degrees if n <= top]
 
     def check(self, n: int) -> CheckResult:
-        """The entry's result at degree n."""
-        return CheckResult(self.id, integer(n, "degree", 0), *self.run(n))
+        """The entry's result at degree n, in the open run, or in a run of its own."""
+        n = integer(n, "degree", 0)
+        with in_run(run_memo()):
+            return CheckResult(self.id, n, *self.run(n))
 
     def matches(self, selector: str) -> bool:
         if selector in ("all", self.id, self.group) or selector in self.tags:
@@ -185,9 +196,14 @@ def _mults(se: SchurExpansion, checks) -> tuple:
     return "PASS", None
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True must miss and raise
 def _module_schur(mid: str, n: int, max_n: int = TABLE_CAP) -> SchurExpansion:
-    return to_schur(module_char(mid, n), n, max_n)
+    """to_schur of the named module mid at degree n, kept in the open run; n and max_n
+    are checked before the memo is read, so 2.0 and True raise and never hit."""
+    key = ("to_schur", mid, integer(n, "module degree", 1), integer(max_n, "character table cap"))
+    memo = run_memo()
+    if key not in memo:
+        memo[key] = to_schur(named_term(0, n, mid), n, max_n)
+    return memo[key]
 
 
 def check_positivity(
@@ -324,23 +340,10 @@ _COR510_HALVES = (((HALF, "w:2"), (HALF, "mixed-sym")), ((HALF, "w:2"), (-HALF, 
 _LIE = {name: (name, _one(lhs), _one(rhs)) for name, (lhs, rhs, _) in LIE_IDENTITIES.items()}
 
 
-def _terms(k: int, n: int):
-    """name -> named_term(k, n, name), each name built once: a name on several
-    sides of one check is shared."""
-    built: dict[str, PExpr] = {}
-
-    def lookup(name: str) -> PExpr:
-        if name not in built:
-            built[name] = named_term(k, n, name)
-        return built[name]
-
-    return lookup
-
-
 def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
     """PASS iff both sides of every pair agree and every side of `nonneg` is
-    Schur-nonnegative."""
-    term = _terms(k, n)
+    Schur-nonnegative; a name on several sides is built once, in the run's memo."""
+    term = partial(named_term, k, n)
     res = _eq([
         (label, linear_combination(lhs, term), linear_combination(rhs, term))
         for label, lhs, rhs in pairs
@@ -438,7 +441,7 @@ def _run_positivity(target, mode: str, exceptions, n: int) -> tuple:
 def _run_thm64(n: int) -> tuple:
     """Self-conjugacy, dimension n! and, at n = 3, the closed form 2 p_3 + p_1^3,
     then strictness with the shape (2, 1) absent at n = 3."""
-    f = module_char("alt-induced", n)
+    f = named_term(0, n, "alt-induced")
     res = _eq([("self-conjugate", omega(f), f)])
     if res[0] != "PASS":
         return res
@@ -476,7 +479,7 @@ _DIMS = {
 
 def _run_dims(mid: str, n: int) -> tuple:
     _, ratio, sides = _DIMS[mid]
-    term = _terms(0, n)
+    term = partial(named_term, 0, n)
     got = dimension(term(mid), n)
     if got != ratio * factorial(n):
         return "FAIL", {"failed": "dimension", "got": str(got)}
@@ -627,7 +630,7 @@ def _table_kind(kind: str) -> str:
 
 def reproduce_table(kind: str, n: int) -> CheckResult:
     """Compare the computed decomposition with the transcribed fixture."""
-    return _BY_ID[f"tables.{_table_kind(kind)}"].check(n)
+    return check_identity(f"tables.{_table_kind(kind)}", n)
 
 
 def _run_table(kind: str, n: int) -> tuple:
@@ -670,7 +673,7 @@ def _run_cex(which: str, n: int) -> tuple:
     """REPORT iff the documented shape has the documented multiplicity: for cex.a,
     u-minus + p_(1^n) at the sign shape, 1 minus the number of odd-sign shapes."""
     if which == "a":
-        f = module_char("u-minus", n) + PExpr.term((1,) * n)
+        f = named_term(0, n, "u-minus") + PExpr.term((1,) * n)
         nu, want = (1,) * n, 1 - len(members(FamilySpec("odd-sign"), n))
     else:
         items, nu = _CEX[which]
@@ -693,12 +696,12 @@ def _run_conjecture(n: int) -> tuple:
 
 def conjecture_scan(n: int) -> list[CheckResult]:
     """Schur-nonnegativity of every final reverse-lex segment sum (report only)."""
-    return [_BY_ID["conjecture1.5"].check(n)]
+    return [check_identity("conjecture1.5", n)]
 
 
 def per_class_coverage(n: int) -> CheckResult:
     """Classes whose single-orbit (twisted) conjugation piece hits every irreducible."""
-    return _BY_ID["remark4.20"].check(n)
+    return check_identity("remark4.20", n)
 
 
 def _covers(f: PExpr, n: int) -> bool:
@@ -830,11 +833,13 @@ _BY_ID = {e.id: e for e in CATALOG}
 
 
 def check_identity(check_id: str, n: int) -> CheckResult:
-    """Run one catalog entry at degree n."""
+    """Run one catalog entry at degree n, in a run of its own: inside an open run too,
+    which it leaves as it found it."""
     entry = _BY_ID.get(check_id) if isinstance(check_id, str) else None
     if entry is None:
         raise CatalogError(f"unknown catalog id {check_id!r}")
-    return entry.check(n)
+    with in_run({}):
+        return entry.check(n)
 
 
 def select_entries(selector: str) -> list[Entry]:
@@ -845,9 +850,17 @@ def select_entries(selector: str) -> list[Entry]:
 
 
 def run_selector(selector: str, max_n: int = DEFAULT_MAX_N):
-    """Yield CheckResults for all matching entries, in catalog order."""
+    """Yield CheckResults for all matching entries, in catalog order, every check in
+    one run.  The run is open only while a check computes, never across a yield, and
+    its memo is dropped once the generator is exhausted or closed."""
     integer(max_n, "max_n")
-    for entry in select_entries(selector):
-        for n in entry.ns(max_n):
-            yield entry.check(n)
+    memo = {}
+    try:
+        for entry in select_entries(selector):
+            for n in entry.ns(max_n):
+                with in_run(memo):
+                    result = entry.check(n)
+                yield result
+    finally:
+        memo.clear()
 

@@ -233,7 +233,8 @@ def test_explicit_family_needs_a_tuple_of_partitions(items):
         FamilySpec("explicit", items=items)
 
 
-# Every other refusal of a bad argument, each with the exact SymconError subclass it raises.
+# Every other refusal of a bad argument, each with the exact SymconError subclass it raises
+# and, where the wording is pinned, a pattern its message must match.
 REFUSALS = {
     "to_schur of zero without n": (lambda: to_schur(PExpr.zero()), DegreeError),
     "to_schur at a wrong n": (lambda: to_schur(p(2, 1), 4), DegreeError),
@@ -293,7 +294,13 @@ REFUSALS = {
     "foulkes_series list trunc": (lambda: foulkes_series(0, [3]), ParameterError),
     "named_term None": (lambda: named_term(0, 3, None), ParameterError),
     "named_term list": (lambda: named_term(0, 3, ["H"]), ParameterError),
-    "named_term unknown name": (lambda: named_term(0, 3, "bogus"), ParameterError),
+    "named_term unknown name": (
+        lambda: named_term(0, 3, "bogus"), ParameterError, r"^unknown term 'bogus'$"),
+    "named_term unknown bracket name": (
+        lambda: named_term(0, 3, "H[bogus]"), ParameterError, r"^unknown term 'H\[bogus\]'$"),
+    # a real family kind with a bad parameter keeps the family's message
+    "named_term family without its k": (
+        lambda: named_term(0, 3, "one-or-k"), ParameterError, "family 'one-or-k' parameter k"),
     "named_term negative weight": (lambda: named_term(-1, 3, "all"), ParameterError),
     "named_term float degree": (lambda: named_term(0, 2.0, "sym"), ParameterError),
     "table_decomposition list degree": (lambda: table_decomposition("t1", [2]), ParameterError),
@@ -312,7 +319,7 @@ REFUSALS = {
 
 @pytest.mark.parametrize("name", REFUSALS)
 def test_each_refusal_raises_its_symcon_error(name):
-    call, kind = REFUSALS[name]
-    with pytest.raises(SymconError) as info:
+    call, kind, *pattern = REFUSALS[name]
+    with pytest.raises(SymconError, match=pattern[0] if pattern else None) as info:
         call()
     assert type(info.value) is kind

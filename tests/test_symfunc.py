@@ -90,7 +90,20 @@ def test_mul_large_parts_and_mixed_degrees():
         assert terms == want
 
 
-@pytest.mark.parametrize("scalar", ["x", None, [1], object()])
+@settings(max_examples=40)
+@given(mixed_pexprs(), st.sampled_from([1, -1, Fraction(1), Fraction(-1), True]))
+def test_mul_by_one_or_minus_one_keeps_the_fields_reduced(f, c):
+    # 1 and -1 return the expression itself or its negation, with no rebuild
+    for g in (f * c, c * f):
+        if c == 1:
+            assert g is f
+        assert g == (f if c == 1 else -f)
+        assert g.denominator >= 1 and all(g.numerators.values())
+        assert gcd(g.denominator, *g.numerators.values()) == 1
+        assert g.terms == {k: c * v for k, v in f.terms.items()}
+
+
+@pytest.mark.parametrize("scalar", ["x", None, [1], object(), 1.0, -1.0])
 def test_mul_rejects_non_numeric_scalar(scalar):
     with pytest.raises(ParameterError):
         p(1) * scalar

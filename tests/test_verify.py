@@ -307,11 +307,11 @@ def test_linear_runner_names_the_failing_pair():
 
 
 def test_linear_runner_builds_each_name_once(monkeypatch):
-    from symcon import verify
+    from symcon import repmodels
 
     built = []
-    term = verify.named_term
-    monkeypatch.setattr(verify, "named_term", lambda k, n, name: built.append(name) or term(k, n, name))
+    build = repmodels._resolve
+    monkeypatch.setattr(repmodels, "_resolve", lambda k, n, name: built.append(name) or build(k, n, name))
     # cor5.10 names w:2 and mixed-sym in its pairs and again in its two half sums
     assert check_identity("cor5.10", 6).status == "PASS"
     assert sorted(built) == ["H", "Hs", "mixed-sym", "w:2"]
@@ -320,16 +320,20 @@ def test_linear_runner_builds_each_name_once(monkeypatch):
 def test_dims_runner_builds_each_name_once(monkeypatch):
     from collections import Counter
 
-    from symcon import verify
+    from symcon import repmodels
 
     built = Counter()
-    term = verify.named_term
+    build = repmodels._resolve
     monkeypatch.setattr(
-        verify, "named_term", lambda k, n, name: built.update((name,)) or term(k, n, name)
+        repmodels, "_resolve", lambda k, n, name: built.update((name,)) or build(k, n, name)
     )
     # u-plus is read for the dimension and again for its self-conjugacy side;
-    # u-do also for its "u+ + u-do" side
-    for mid, names in (("u-plus", {"u-plus"}), ("u-do", {"u-do", "u-plus"})):
+    # u-do also for its "u+ + u-do" side; each module's power-sum form reads its
+    # family once too
+    for mid, names in (
+        ("u-plus", {"u-plus", "not-do-even-sign"}),
+        ("u-do", {"u-do", "do", "u-plus", "not-do-even-sign"}),
+    ):
         built.clear()
         assert check_identity(f"dims.{mid}", 8).status == "PASS"
         assert built == Counter(names)
@@ -609,15 +613,100 @@ def test_exception_degrees_check_integrality(monkeypatch):
 
 
 def _clear_run_caches():
-    from symcon import characters, numbertheory, repmodels, verify
+    from symcon import characters, numbertheory, repmodels
 
+    repmodels._RUNS.clear()  # the open runs' memos, with every module expansion
     for cached in (
-        verify._module_schur, repmodels._foulkes_series, repmodels._derived_series,
+        repmodels._foulkes_series, repmodels._derived_series,
         characters._build_table, characters._alternant_column,
         numbertheory._ramanujan, numbertheory._totient, numbertheory._moebius,
         numbertheory._divisors, numbertheory.factorize,
     ):
         cached.cache_clear()
+
+
+def test_two_runs_in_one_process_agree():
+    from symcon import repmodels
+
+    first = list(run_selector("all", 8))
+    assert not repmodels._RUNS
+    assert list(run_selector("all", 8)) == first
+
+
+def test_a_run_closed_early_leaves_no_run_open():
+    from symcon import repmodels
+
+    results = run_selector("all", 8)
+    next(results)
+    assert not repmodels._RUNS  # open only while a check computes
+    results.close()
+    assert not repmodels._RUNS
+    # a check that raises inside its run closes the run too
+    with pytest.raises(ParameterError, match="no fixture column"):
+        check_identity("tables.t1", 99)
+    assert not repmodels._RUNS
+
+
+def test_a_run_keeps_each_term_until_it_ends():
+    from symcon import repmodels
+    from symcon.repmodels import in_run, named_term
+
+    memo = {}
+    with in_run(memo):
+        term = named_term(0, 5, "sym")
+        assert named_term(0, 5, "sym") is term
+        assert list(memo) == [(0, 5, "sym")]
+    assert not repmodels._RUNS
+    assert named_term(0, 5, "sym") is not term  # outside a run nothing is kept
+
+
+def test_check_identity_inside_a_run_leaves_its_memo_alone():
+    from symcon import repmodels
+    from symcon.repmodels import in_run, named_term
+
+    memo = {}
+    with in_run(memo):
+        named_term(0, 4, "H")
+        before = dict(memo)
+        assert check_identity("thm4.2.1", 4).status == "PASS"  # reads H and sym at 4
+        assert reproduce_table("t1", 4).status == "PASS"
+        assert memo == before and all(memo[key] is before[key] for key in memo)
+        assert repmodels._RUNS == [memo]
+    assert not repmodels._RUNS
+
+
+@pytest.mark.parametrize("in_a_run", [False, True])
+def test_module_schur_refuses_float_and_bool_degrees(in_a_run):
+    from contextlib import nullcontext
+
+    from symcon.repmodels import in_run
+    from symcon.verify import _module_schur
+
+    with in_run({}) if in_a_run else nullcontext():
+        for n in (1, 2):  # in a run, the keys that True and 2.0 equal are kept
+            _module_schur("psi", n)
+        for bad in (2.0, True):
+            with pytest.raises(ParameterError):
+                _module_schur("psi", bad)
+            with pytest.raises(ParameterError):
+                _module_schur("psi", 2, bad)
+
+
+def test_a_run_holds_no_term_or_expansion_once_it_ends():
+    import gc
+    from collections import Counter
+
+    from symcon.characters import SchurExpansion
+
+    def alive():
+        gc.collect()
+        kinds = (PExpr, SchurExpansion)
+        return Counter(type(o).__name__ for o in gc.get_objects() if isinstance(o, kinds))
+
+    list(run_selector("all", 6))  # the process caches are warm
+    before = alive()
+    assert list(run_selector("all", 6))
+    assert alive() == before
 
 
 @pytest.fixture(scope="module")
