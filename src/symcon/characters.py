@@ -78,7 +78,7 @@ from functools import lru_cache
 from math import factorial, isqrt
 from operator import mul
 
-from .errors import CapacityError, DegreeError, integer
+from .errors import CapacityError, DegreeError, instance, integer
 from .partitions import (
     Partition, partition, partition_index, partition_position, partitions_of, pretty, z_lambda
 )
@@ -399,6 +399,7 @@ def to_schur(f: PExpr, n: int | None = None, max_n: int = TABLE_CAP) -> SchurExp
 
     mult(nu) = sum_lam c_lam * chi^nu(lam).
     """
+    instance(f, PExpr, "to_schur argument")
     if n is not None:
         integer(n, "Schur expansion degree")
     deg = f.homogeneous_degree()

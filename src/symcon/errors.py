@@ -4,7 +4,8 @@ Every integer argument of a public entry point (a degree, a weight k, a part,
 a truncation) is checked by `integer`, so a float, bool, string or None, or a
 value below the entry point's bound, raises ParameterError with one wording.
 Every name argument (a module id, a family or term name) is checked by
-`string` before any lookup reads it.
+`string` before any lookup reads it, and every power-sum expression or
+series argument by `instance` before any of its fields is read.
 """
 
 
@@ -46,3 +47,11 @@ def string(x, what: str) -> str:
     if isinstance(x, str):
         return x
     raise ParameterError(f"{what} must be a string, got {x!r}")
+
+
+def instance(x, cls: type, what: str):
+    """x itself if it is an instance of cls; else
+    ParameterError("{what} must be a {cls.__name__}, got {x!r}")."""
+    if isinstance(x, cls):
+        return x
+    raise ParameterError(f"{what} must be a {cls.__name__}, got {x!r}")

@@ -51,10 +51,14 @@ from .symfunc import (
 
 
 def foulkes(n: int, k: int) -> PExpr:
-    """Characteristic of the k-th cyclic character induced from C_n to S_n."""
+    """Characteristic of the k-th cyclic character induced from C_n to S_n:
+    (1/n) sum_{d|n} c_d(k) p_d^(n/d), built straight into its reduced fields.
+
+    Each key (d,) * (n // d) is canonical and each c_d(k) an int, so the one
+    _reduce over the denominator n drops the zero weights and divides out the gcd."""
     integer(n, "foulkes degree n", 1)
     integer(k, "foulkes weight k", 0)
-    return PExpr({(d,) * (n // d): ramanujan_sum(d, k) for d in divisors(n)}) * Fraction(1, n)
+    return _expr(_reduce(n, {(d,) * (n // d): ramanujan_sum(d, k) for d in divisors(n)}))
 
 
 def f_eval_direct(n: int, k: int, sign: int) -> Fraction:

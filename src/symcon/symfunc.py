@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
 
-from .errors import DegreeError, ParameterError, TruncationError, integer
+from .errors import DegreeError, ParameterError, TruncationError, instance, integer
 from .partitions import (
     Partition, _multiplicities, _shapes, _sign_exponent, partition, partitions_of, z_lambda
 )
@@ -206,6 +206,7 @@ class PExpr:
         return degs.pop()
 
     def component(self, d: int) -> "PExpr":
+        integer(d, "component degree", 0)
         nums = {k: v for k, v in self.numerators.items() if sum(k) == d}
         return _expr(_reduce(self.denominator, nums))
 
@@ -343,12 +344,15 @@ def _series_product(a: dict[int, Packed], b: dict[int, Packed], top: int) -> dic
 
 def omega(f: PExpr) -> PExpr:
     """The involution with omega(p_i) = (-1)^(i-1) p_i."""
+    instance(f, PExpr, "omega argument")
     nums = {k: (v if _sign_exponent(k) % 2 == 0 else -v) for k, v in f.numerators.items()}
     return _expr((f.denominator, nums))
 
 
 def inner_product(f: PExpr, g: PExpr) -> Fraction:
     """Hall pairing; requires both arguments homogeneous of equal degree."""
+    instance(f, PExpr, "inner_product argument")
+    instance(g, PExpr, "inner_product argument")
     df, dg = f.homogeneous_degree(), g.homogeneous_degree()
     if df is not None and dg is not None and df != dg:
         raise DegreeError(f"inner product of degrees {df} and {dg}")
@@ -363,6 +367,7 @@ def inner_product(f: PExpr, g: PExpr) -> Fraction:
 
 def p1_derivative(f: PExpr) -> PExpr:
     """d/dp_1: each key loses one part equal to 1, scaled by its multiplicity."""
+    instance(f, PExpr, "p1_derivative argument")
     out: dict[Partition, int] = {}
     for key, val in f.numerators.items():
         m1 = 0
@@ -379,6 +384,7 @@ def p1_derivative(f: PExpr) -> PExpr:
 
 def dimension(f: PExpr, n: int | None = None) -> Fraction:
     """n! times the coefficient of p_(1^n); the degree of the (virtual) module."""
+    instance(f, PExpr, "dimension argument")
     if n is None:
         n = f.homogeneous_degree()
         if n is None:
@@ -410,6 +416,7 @@ def e_n(n: int) -> PExpr:
 
 def plethysm_p(a: int, g: PExpr) -> PExpr:
     """p_a[g]: replace every key part i by a*i; coefficients unchanged."""
+    instance(g, PExpr, "plethysm_p argument")
     if integer(a, "plethysm_p index a", 1) == 1:
         return g
     return _expr((g.denominator, {tuple(a * p for p in k): v for k, v in g.numerators.items()}))
@@ -440,6 +447,7 @@ def _newton(cache: dict, key, comps: dict[int, PExpr], kind: str, signed: bool, 
 
 
 def _plethysm(kind: str, m: int, g: PExpr) -> PExpr:
+    instance(g, PExpr, f"plethysm_{kind} argument")
     w = _width(integer(m, "plethysm order", 0) * _longest(g))
     return _unpack(_newton({}, None, {1: g}, kind, False, m, w)[m], w, {})
 
@@ -568,6 +576,7 @@ def _lambda_product(kind: str, lam, F: Series) -> PExpr:
     beyond that it runs in the width of |lam|, which bounds the multiplicities,
     and is kept for this call only.
     """
+    instance(F, Series, f"{kind.upper()}_lambda series")
     lam = partition(lam, lo=1)
     if sum(lam) <= F.trunc:
         cache, w, keys = F._pleth_cache, _width(F.trunc), F._keys
@@ -616,6 +625,7 @@ def plethystic_sum(
     (1, 1) and (1, -1) for parity 0 and 1; the sign swaps the weights.  The
     result is cached on the series under ("sum", kind, n, a, b).
     """
+    instance(F, Series, "plethystic_sum series")
     integer(n, "degree", 0)
     if kind not in ("h", "e"):
         raise ParameterError(f"kind must be 'h' or 'e', got {kind!r}")
@@ -655,6 +665,8 @@ def plethysm_into(f: PExpr, R: Series) -> Series:
     with f's numerators, over its denominator, in one kernel call per
     output degree and unpacked once.
     """
+    instance(f, PExpr, "plethysm_into argument")
+    instance(R, Series, "plethysm_into series")
     if R.component(0):
         raise ParameterError("plethysm into a series requires zero constant term")
     n = R.trunc

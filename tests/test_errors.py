@@ -57,7 +57,12 @@ from symcon.symfunc import (
     dimension,
     e_n,
     h_n,
+    inner_product,
+    omega,
+    p1_derivative,
+    plethysm_e,
     plethysm_h,
+    plethysm_into,
     plethysm_p,
     plethystic_sum,
     product_expansion,
@@ -133,6 +138,7 @@ ENTRY_POINTS = {
     "named_term": lambda: named_term(1, NON_INT, "1 + pi-alt o (H-1)"),
     "lie_series_identities": lambda: lie_series_identities(NON_INT),
     "PExpr.__pow__": lambda: p(1) ** NON_INT,
+    "PExpr.component": lambda: p(1).component(NON_INT),
     "dimension": lambda: dimension(p(1, 1), NON_INT),
     "h_n": lambda: h_n(NON_INT),
     "e_n": lambda: e_n(NON_INT),
@@ -314,6 +320,22 @@ REFUSALS = {
     "PExpr int": (lambda: PExpr(5), ParameterError),
     "PExpr list": (lambda: PExpr([((1,), 1)]), ParameterError),
     "Series None": (lambda: Series(None, 3), ParameterError),
+    # a power-sum or series argument of another type
+    "omega of an int": (
+        lambda: omega(5), ParameterError, r"^omega argument must be a PExpr, got 5$"),
+    "plethysm_p of an int": (lambda: plethysm_p(2, 5), ParameterError),
+    "plethysm_h of an int": (lambda: plethysm_h(2, 5), ParameterError),
+    "plethysm_e of None": (lambda: plethysm_e(2, None), ParameterError),
+    "p1_derivative of an int": (lambda: p1_derivative(5), ParameterError),
+    "dimension of an int": (lambda: dimension(5, 2), ParameterError),
+    "inner_product with an int": (lambda: inner_product(p(1), 3), ParameterError),
+    "to_schur of an int": (lambda: to_schur(5, 3), ParameterError),
+    "plethysm_into of an int": (lambda: plethysm_into(3, F), ParameterError),
+    "plethystic_sum of an int": (
+        lambda: plethystic_sum(5, 2), ParameterError,
+        r"^plethystic_sum series must be a Series, got 5$"),
+    "H_lambda over an int": (lambda: H_lambda((2, 1), 5), ParameterError),
+    "E_lambda over None": (lambda: E_lambda((1,), None), ParameterError),
 }
 
 

@@ -3,8 +3,10 @@ from math import comb, factorial
 
 import pytest
 
+from symcon import repmodels
 from symcon.characters import to_schur
 from symcon.errors import ParameterError, TruncationError
+from symcon.numbertheory import divisors, ramanujan_sum
 from symcon.partitions import (
     FAMILY_KINDS,
     FamilySpec,
@@ -48,6 +50,36 @@ def test_foulkes_base_cases():
         PExpr.term((1,) * 6) - PExpr.term((2, 2, 2)) - PExpr.term((3, 3))
         + PExpr.term((6,))
     )
+
+
+def test_foulkes_fields_match_the_canonicalising_constructor():
+    # built straight into reduced fields: the same denominator, numerators and key
+    # order as the validating constructor scaled by 1/n
+    for n in range(1, 41):
+        for k in range(25):
+            want = PExpr({(d,) * (n // d): ramanujan_sum(d, k) for d in divisors(n)})
+            want = want * Fraction(1, n)
+            got = foulkes(n, k)
+            assert got.denominator == want.denominator, (n, k)
+            assert list(got.numerators.items()) == list(want.numerators.items()), (n, k)
+
+
+def test_foulkes_series_components_are_the_characters():
+    for k in range(7):
+        F = foulkes_series(k, SERIES_TRUNC)
+        for i in range(1, SERIES_TRUNC + 1):
+            assert F.component(i) == foulkes(i, k), (k, i)
+
+
+@pytest.mark.parametrize("args", [(2.0, 1), (True, 1), (0, 1), (3, 2.0), (3, True), (3, -1)])
+def test_foulkes_refuses_before_any_work(args, monkeypatch):
+    def no_work(*_):
+        raise AssertionError("foulkes read a divisor or a weight before its checks")
+
+    monkeypatch.setattr(repmodels, "divisors", no_work)
+    monkeypatch.setattr(repmodels, "ramanujan_sum", no_work)
+    with pytest.raises(ParameterError):
+        foulkes(*args)
 
 
 def test_foulkes_dimension():

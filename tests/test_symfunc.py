@@ -624,6 +624,8 @@ def test_degrees_and_exponents_are_checked_before_they_are_compared(n):
         product_expansion([], n)
     with pytest.raises(ParameterError):
         Series({1: p(1)}, 3).component(n)
+    with pytest.raises(ParameterError):  # True read as 1 gave p(1), a string gave zero
+        (p(2) + p(1)).component(n)
     with pytest.raises(ParameterError):
         p(1) ** n
 
