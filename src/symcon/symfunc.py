@@ -24,18 +24,27 @@ Graded series (class Series) collect one homogeneous expression per
 degree up to a truncation bound; the formal variable t is never
 materialized because every t-power equals the degree it multiplies.
 The plethystic sum  sum_{lam |- n} prod_i h_{m_i}[f_i]  is the degree-n
-part G_n of H[F] = exp(sum_k p_k[F]/k) (Macdonald I.2, I.8), so
-n*G_n = sum_j A_j*G_{n-j}, A_j = sum_{d*k=j} d*p_k[f_d]: one Newton
-recurrence per kind and sign, cached on the series and extended on demand
-(the three cache kinds are listed under Series).
-Every parity and sign option of the sum is (a*G_n + b*S_n)/2 for integer
+part G_n of H[F] = exp(sum_k p_k[F]/k) (Macdonald I.2, I.8).  Every
+parity and sign option of the sum is (a*G_n + b*S_n)/2 for integer
 weights a, b, S the sum signed by (-1)^(n - len(lam)): one kernel call.
-h_m[f_i] is the same recurrence on f_i alone.  All of it stays packed
-in the width trunc.bit_length(); no degree up to trunc has a multiplicity
-above trunc.  (H_lambda and E_lambda with |lam| above trunc run that
-recurrence for the one call, in the width |lam|.bit_length().)  Series products, inverses and plethysm_into pack each
-component once, in that width too; plethysm_into keeps the powers of its
-inner series for one call only.
+G_n is built one of two ways, chosen by the input:
+
+  * when every key of every component f_d is a pure power p_e^b, as in
+    each Foulkes character f_d = (1/d) sum_{e|d} c_e(k) p_e^(d/e), the log
+    of H[F] is sum_{a,b} C_{a,b} p_a^b, so H[F] = prod_a g_a(p_a) with one
+    univariate series g_a(x) = exp(sum_b C_{a,b} x^b) per part value a:
+    the coefficient of p_lam in G_n is the product of g_a[m_a(lam)];
+  * otherwise n*G_n = sum_j A_j*G_{n-j}, A_j = sum_{d*k=j} d*p_k[f_d]: one
+    Newton recurrence per kind and sign.
+
+Both are cached on the series and extended on demand (the cache kinds are
+listed under Series).  h_m[f_i] is the Newton recurrence on f_i alone.
+All of it stays packed in the width trunc.bit_length(); no degree up to
+trunc has a multiplicity above trunc.  (H_lambda and E_lambda with |lam|
+above trunc run that recurrence for the one call, in the width
+|lam|.bit_length().)  Series products, inverses and plethysm_into pack
+each component once, in that width too; plethysm_into keeps the powers of
+its inner series for one call only.
 """
 
 from __future__ import annotations
@@ -446,6 +455,97 @@ def _newton(cache: dict, key, comps: dict[int, PExpr], kind: str, signed: bool, 
     return G
 
 
+def _part_sequence(N: list, B: list, comps: dict[int, PExpr], kind: str, signed: bool, a: int,
+                   m: int) -> list:
+    """N, extended in place so that N[j] / N[0] = g_a[j] for j <= m, where g_a(x) =
+    exp(sum_b C_b x^b) is the factor of p_a in H[F] or E[F] when every key of F is a
+    pure power (a,)*b.
+
+    The log of _newton's product is sum over d, k of sigma*p_k[f_d]/k, the same sigma,
+    and p_k[p_e^b] = p_{ke}^b, so C_b = sum over e | a of sigma(d = e*b, k = a/e) *
+    [p_e^b]f_{e*b} / (a/e), and j*g_a[j] = sum_{b=1..j} b*C_b*g_a[j-b].  B, extended
+    alongside, holds B[b] / B[0] = b*C_b.  Both start as [1]: the first entry is the
+    denominator, grown only when a new term needs it, and the list is rescaled then.
+    """
+    for j in range(len(N), m + 1):
+        c = 0  # j*C_j times B[0]: the term of e is sigma * j * [p_e^j]f_{e*j} / k
+        for k in range(1, a + 1):
+            if a % k:
+                continue
+            e = a // k
+            f = comps.get(e * j)
+            v = f.numerators.get((e,) * j) if f else 0
+            if v:
+                v *= j
+                den = f.denominator * k
+                g = gcd(v, den)
+                v, den = v // g, den // g
+                if B[0] % den:
+                    scale = lcm(B[0], den) // B[0]
+                    c *= scale
+                    B[:] = [x * scale for x in B]
+                c += (-1) ** ((kind == "e") * (k - 1) + signed * (e * j - 1) * k) * v * (B[0] // den)
+        B.append(c)
+        total = 0
+        for b in range(1, j + 1):
+            total += B[b] * N[j - b]
+        den = j * B[0] * N[0]
+        g = gcd(total, den)
+        num, den = total // g, den // g
+        if N[0] % den:
+            scale = lcm(N[0], den) // N[0]
+            N[:] = [x * scale for x in N]
+        N.append(num * (N[0] // den))
+    return N
+
+
+def _pure_exp(cache: dict, comps: dict[int, PExpr], kind: str, signed: bool, n: int, w: int):
+    """G_n of _newton, packed in width w, for F whose keys are all pure powers: the
+    coefficient of p_lam is the product over the part values a <= n of g_a[m_a(lam)].
+
+    The triple (Ns, Bs, G) is cached under ("parts", kind, signed): the sequences N
+    and B of each part value a at index a of Ns and Bs, and G = {n: G_n}.  G_n is a
+    walk over the part values from n down, the multiplicity of 1 forced last, over
+    the denominator prod_{a <= n} D_a, D_a = N[0] of part a, left unreduced.
+    """
+    Ns, Bs, G = cache.setdefault(("parts", kind, signed), ([None], [None], {0: _ONE}))
+    value = G.get(n)
+    if value is not None:
+        return value
+    for _ in range(len(Ns), n + 1):
+        Ns.append([1])
+        Bs.append([1])
+    seqs = [[1]]
+    seqs += (_part_sequence(Ns[a], Bs[a], comps, kind, signed, a, n // a) for a in range(1, n + 1))
+    P = [1]  # P[a]: the product of D_1..D_a, the factor of the parts up to a left out
+    for seq in seqs[1:]:
+        P.append(P[-1] * seq[0])
+    ones = seqs[1]
+    out: dict[int, int] = {}
+    stack = [(n, n, 1, 0)]  # (largest part left, degree left, numerator, code)
+    while stack:
+        a, r, num, code = stack.pop()
+        if a == 1:
+            x = ones[r]
+            if x:
+                out[code + r] = num * x
+            continue
+        seq = seqs[a]
+        shift = 1 << (w * (a - 1))
+        for j in range(r // a + 1):
+            x = seq[j]
+            if x:
+                left = r - a * j
+                b = a - 1 if left >= a else left
+                x *= num * (P[a - 1] // P[b])
+                if b:
+                    stack.append((b, left, x, code + j * shift))
+                else:
+                    out[code + j * shift] = x
+    value = G[n] = P[n], out
+    return value
+
+
 def _plethysm(kind: str, m: int, g: PExpr) -> PExpr:
     instance(g, PExpr, f"plethysm_{kind} argument")
     w = _width(integer(m, "plethysm order", 0) * _longest(g))
@@ -473,10 +573,17 @@ class Series:
     reading one raises TruncationError.  Instances memoize in
     _pleth_cache, for as long as they live:
 
+      * ("pure",): whether every key of f_1, f_2, ... is a pure power
+        (a,)*b, which selects the route of the plethystic exponential;
       * ("exp", kind, signed): the pair (A, G) of the Newton recurrence
         on the plethystic exponential H[F] or E[F], plain or signed,
-        packed in width trunc.bit_length() (see _newton);
-      * (kind, i): the same pair for f_i alone, whose G is the plethysms
+        packed in width trunc.bit_length() (see _newton), for a series
+        with a key that is not a pure power;
+      * ("parts", kind, signed), for a series of pure powers: the factor
+        g_a(p_a) of that exponential for each part value a, as an integer
+        sequence over one denominator (see _part_sequence), and its
+        degree-n parts G_n, packed (see _pure_exp);
+      * (kind, i): the Newton pair for f_i alone, whose G is the plethysms
         h_0..h_M[f_i] / e_0..e_M[f_i];
       * ("sum", kind, n, a, b): the plethystic sum (a*G_n + b*S_n)/2,
         G and S the plain and signed sequences, of every option it was
@@ -494,7 +601,7 @@ class Series:
         if not isinstance(components, Mapping):
             raise ParameterError(f"series components must be a mapping, got {components!r}")
         for d, f in components.items():
-            if integer(d, "series degree") > trunc or not f:
+            if integer(d, "series degree") > trunc or not instance(f, PExpr, "series component"):
                 continue
             fd = f.homogeneous_degree()
             if fd is not None and fd != d:
@@ -620,9 +727,13 @@ def plethystic_sum(
     signed: None, or "sign-exponent" to weight by (-1)^(n - len(lam)).
 
     Every option is (a*G_n + b*S_n)/2 for integer weights (a, b), G_n the
-    plain sum (the Newton recurrence on H[F] or E[F], see _newton) and S_n
-    its twin signed by (-1)^(n - len(lam)): (2, 0) for the whole sum,
-    (1, 1) and (1, -1) for parity 0 and 1; the sign swaps the weights.  The
+    degree-n part of H[F] or E[F] and S_n its twin signed by
+    (-1)^(n - len(lam)): (2, 0) for the whole sum, (1, 1) and (1, -1) for
+    parity 0 and 1; the sign swaps the weights.  The input selects how G_n
+    and S_n are built: when every key of f_1, f_2, ... is a pure power
+    (a,)*b, as in every Foulkes series and each series derived from one,
+    the exponential is a product of one series g_a(p_a) per part value a
+    (see _pure_exp); otherwise the Newton recurrence (see _newton).  The
     result is cached on the series under ("sum", kind, n, a, b).
     """
     instance(F, Series, "plethystic_sum series")
@@ -642,11 +753,17 @@ def plethystic_sum(
     total = cache.get(key)
     if total is None:
         w = _width(F.trunc)
-        triples = [
-            (c, _newton(cache, ("exp", kind, sign), F.components, kind, sign, n, w)[n], _ONE)
-            for c, sign in ((a, False), (b, True))
-            if c  # a zero weight never extends its recurrence
-        ]
+        pure = cache.get(("pure",))
+        if pure is None:
+            pure = cache["pure",] = all(
+                lam[0] == lam[-1] for d, f in F.components.items() if d for lam in f.numerators
+            )
+        triples = []
+        for c, sign in ((a, False), (b, True)):
+            if c:  # a zero weight never extends its sequences
+                G = (_pure_exp(cache, F.components, kind, sign, n, w) if pure else
+                     _newton(cache, ("exp", kind, sign), F.components, kind, sign, n, w)[n])
+                triples.append((c, G, _ONE))
         total = cache[key] = F._unpack(_kernel(triples, 2))
     return total
 

@@ -320,6 +320,11 @@ REFUSALS = {
     "PExpr int": (lambda: PExpr(5), ParameterError),
     "PExpr list": (lambda: PExpr([((1,), 1)]), ParameterError),
     "Series None": (lambda: Series(None, 3), ParameterError),
+    # a series component that is not a PExpr, falsy or not
+    "Series component int": (
+        lambda: Series({1: 5}, 3), ParameterError, r"^series component must be a PExpr, got 5$"),
+    "Series component None": (lambda: Series({1: None}, 3), ParameterError),
+    "Series.from_function of ints": (lambda: Series.from_function(lambda d: 3, 2), ParameterError),
     # a power-sum or series argument of another type
     "omega of an int": (
         lambda: omega(5), ParameterError, r"^omega argument must be a PExpr, got 5$"),

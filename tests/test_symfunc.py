@@ -7,11 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from symcon.errors import DegreeError, ParameterError, TruncationError
 from symcon.partitions import partitions_of
+from symcon.repmodels import DERIVED_SERIES
 from symcon.symfunc import (
+    _ONE,
     E_lambda,
     H_lambda,
     PExpr,
     Series,
+    _kernel,
+    _newton,
+    _unpack,
+    _width,
     dimension,
     e_n,
     h_n,
@@ -487,6 +493,21 @@ def test_plethystic_sum_independent_of_cache_state():
         plethystic_sum(warm, n, "h", signed="sign-exponent")
     for (kind, n, opts), want in sorted(fresh.items(), key=lambda kv: -kv[0][1]):
         assert plethystic_sum(warm, n, kind, *opts) == want, (kind, n, opts)
+    # at trunc 31 the factors g_a are extended in whichever order the degrees are read:
+    # ascending, descending and interleaved; over p_1 alone, whose g_a(x) is exp(+-x/a),
+    # each new term rescales the sequence to a larger denominator
+    orders = [range(21), range(20, -1, -1), [n for i in range(11) for n in (i, 20 - i)]]
+    for F in (foulkes_series(1, 31), Series({1: p(1)}, 31)):
+        reads = []
+        for order in orders:
+            G = Series(F.components, 31)
+            reads.append({
+                (kind, n, opts): plethystic_sum(G, n, kind, *opts)
+                for n in order
+                for kind in ("h", "e")
+                for opts in SUM_OPTIONS
+            })
+        assert reads[0] == reads[1] == reads[2]
 
 
 def test_every_derived_sum_name_is_the_partition_sum_over_its_series():
@@ -542,16 +563,78 @@ def test_plethystic_sum_rejects_unknown_options(options):
         plethystic_sum(_totient_series(4), 4, "h", **options)
 
 
+def _mixed_foulkes_series(trunc):
+    """F_0 with p_(2,1), a key that is not a pure power, added to its degree-3 component."""
+    from symcon.repmodels import foulkes_series
+
+    comps = dict(foulkes_series(0, trunc).components)
+    comps[3] = comps[3] + p(2, 1)
+    return Series(comps, trunc)
+
+
+def _exponential_states(F, signed):
+    """(route, kind) of each state of the plethystic exponential cached on F with the sign."""
+    return {
+        (key[0], key[1]) for key in F._pleth_cache if key[0] in ("exp", "parts") and key[2] is signed
+    }
+
+
 def test_plain_sum_leaves_the_signed_recurrence_cold():
     from symcon.repmodels import foulkes_series
 
-    for kind in ("h", "e"):
-        F = Series(foulkes_series(0, 10).components, 10)
-        plethystic_sum(F, 10, kind)
-        assert ("exp", kind, False) in F._pleth_cache
-        assert not any(key[0] == "exp" and key[2] for key in F._pleth_cache), kind
-        plethystic_sum(F, 10, kind, parity=1)
-        assert ("exp", kind, True) in F._pleth_cache
+    for base, route in ((foulkes_series(0, 10), "parts"), (_mixed_foulkes_series(10), "exp")):
+        for kind in ("h", "e"):
+            F = Series(base.components, 10)
+            plethystic_sum(F, 10, kind)
+            assert _exponential_states(F, False) == {(route, kind)}
+            assert not _exponential_states(F, True), kind
+            plethystic_sum(F, 10, kind, parity=1)
+            assert _exponential_states(F, True) == {(route, kind)}
+
+
+def test_a_key_that_is_not_a_pure_power_takes_the_newton_route():
+    from symcon.repmodels import SUMS
+
+    F = _mixed_foulkes_series(8)
+    for n in range(9):
+        for kind, parity, signed in SUMS.values():
+            want = _reference_sum(F, n, kind, parity, signed)
+            assert plethystic_sum(F, n, kind, parity, signed) == want, (n, kind, parity, signed)
+    assert F._pleth_cache["pure",] is False
+
+
+def _newton_sum(F, n, kind, parity, signed, cache):
+    """plethystic_sum(F, n, kind, parity, signed) from _newton's recurrence alone, kept
+    in cache: (a*G_n + b*S_n)/2 with the weights plethystic_sum documents."""
+    a, b = (2, 0) if parity is None else (1, 1 - 2 * parity)
+    if signed is not None:
+        a, b = b, a
+    w = _width(F.trunc)
+    triples = [
+        (c, _newton(cache, ("exp", kind, sign), F.components, kind, sign, n, w)[n], _ONE)
+        for c, sign in ((a, False), (b, True))
+        if c
+    ]
+    return _unpack(_kernel(triples, 2), w, {})
+
+
+@pytest.mark.parametrize("name", ["k0", "k1", "k5", *DERIVED_SERIES])
+def test_pure_power_sums_match_the_newton_recurrence(name):
+    # every Foulkes series, and each derived one, takes the product over part values
+    from symcon.repmodels import SERIES_TRUNC, SUMS, _derived_series, foulkes_series
+
+    if name in DERIVED_SERIES:
+        F = _derived_series(1, name)
+    else:
+        F = foulkes_series(int(name[1:]), SERIES_TRUNC)
+    G = Series(F.components, SERIES_TRUNC)
+    newton: dict = {}
+    for n in range(25):
+        for kind, parity, signed in SUMS.values():
+            want = _newton_sum(F, n, kind, parity, signed, newton)
+            assert plethystic_sum(G, n, kind, parity, signed) == want, (name, n, kind, parity, signed)
+    assert G._pleth_cache["pure",] is True
+    assert not any(key[0] == "exp" for key in G._pleth_cache)
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -475,15 +475,27 @@ def test_lie_identities_pass_without_detail_from_degree_zero():
 
 
 def _cache_keys(F):
-    """The keys of F._pleth_cache, each checked to be one of the three kinds
+    """The keys of F._pleth_cache, each checked to be one of the kinds
     the Series docstring lists."""
     for key in F._pleth_cache:
         assert (
-            key[0] == "exp" and len(key) == 3 and key[1] in ("h", "e")
+            key == ("pure",)
+            or key[0] == "exp" and len(key) == 3 and key[1] in ("h", "e")
+            or key[0] == "parts" and len(key) == 3 and key[1] in ("h", "e")
             or key[0] == "sum" and len(key) == 5 and key[1] in ("h", "e")
             or len(key) == 2 and key[0] in ("h", "e") and type(key[1]) is int
         ), key
     return list(F._pleth_cache)
+
+
+def _exponential_degree(key, state):
+    """The highest degree a cached state of the plethystic exponential reaches: the
+    Newton pair (A, G) to len - 1; for the product over part values (Ns, Bs, G), each
+    factor g_a to a times its last exponent, and G to its largest n."""
+    if key[0] == "exp":
+        return max(map(len, state)) - 1
+    Ns, _, G = state
+    return max(max(G), *(a * (len(N) - 1) for a, N in enumerate(Ns) if a))
 
 
 def test_lie_identities_stay_at_the_degree_checked():
@@ -501,14 +513,13 @@ def test_lie_identities_stay_at_the_degree_checked():
         }
         assert max(degrees) == 3
         # the exponential sequences behind those sums are extended to degree 3 only
-        lengths = {
-            len(seq)
+        reached = {
+            _exponential_degree(key, state)
             for F in (foulkes_series(1, SERIES_TRUNC), _derived_series(1, "pi-alt"))
             for key, state in F._pleth_cache.items()
-            if key[0] == "exp"
-            for seq in state
+            if key[0] in ("exp", "parts")
         }
-        assert max(lengths) == 4
+        assert max(reached) == 3
 
 
 @pytest.mark.parametrize("n", [13, 20])
