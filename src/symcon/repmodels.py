@@ -7,10 +7,11 @@ k = 1 is the Moebius case (the free Lie character).
 
 named_term(k, n, name) is the one resolver of a name at weight k and
 degree n, and linear_combination evaluates a side: a linear combination of
-named terms.  Inside a run (in_run; verify opens one for each catalog run)
-each (k, n, name) is resolved once and kept in the run's memo, so a name
-that many checks read, or that a module form reads inside another term, is
-built once; the memo goes with the run, and outside a run nothing is kept.
+named terms, among them Cauchy products "A * B" of names behind MODIFIERS.
+Inside a run (in_run; verify opens one for each catalog run) each (k, n,
+name) is resolved once and kept in the run's memo, so a name that many
+checks read, or that a module form reads inside another term, is built
+once; the memo goes with the run, and outside a run nothing is kept.
 Every named module is produced two ways: a closed power-sum combination,
 and a plethystic sum of h_m[f_i] / e_m[f_i] products over partitions.  Both forms of the ten modules are written once, in
 MODULE_FORMS, and module_char and module_char_plethystic evaluate them
@@ -40,9 +41,12 @@ from .symfunc import (
     PExpr,
     Series,
     _expr,
+    _products,
     _reduce,
+    _sum_exprs,
     h_n,
     omega,
+    p1_derivative,
     plethysm_into,
     plethysm_p,
     plethystic_sum,
@@ -208,13 +212,20 @@ def run_memo() -> dict:
     return _RUNS[-1] if _RUNS else {}
 
 
+# The modifiers of a factor of a product term, read outside in: at degree a, "(-1)^deg A"
+# is (-1)^a A_a, "d/dp1 A" is d/dp_1 A_(a+1), and "p2 o A" is p_2[A_(a/2)], 0 at odd a.
+MODIFIERS = ("(-1)^deg ", "d/dp1 ", "p2 o ")
+
+
 def named_term(k: int, n: int, name: str) -> PExpr:
     """The term `name` at weight k and degree n: a plethystic sum "X" of SUMS over F_k
     or "X[over]" over F_k[over], "1 + pi-alt o (H-1)" (Cadogan's inverse), a product
     form, a module id or "w:<k>" (also at n = 0), "one-or-k binomial" (w_route_b at
-    weight k), "termwise" (Theorem 4.15.1), "E G[p2]" (Lemma 5.5) or a family kind;
-    ParameterError("unknown term ...") for any other name.  The arguments are checked
-    first; inside a run the term is then read from, or kept in, the run's memo."""
+    weight k), "termwise" (Theorem 4.15.1), "1/(1-p1)" (p_1^n), a family kind, a
+    product "A * B" (the sum over a + b = n of A_a B_b) or one factor A, each factor a
+    name behind any MODIFIERS; ParameterError("unknown term ...") for any other name,
+    or for a factor that is no name, naming it.  The arguments are checked first;
+    inside a run the term is then read from, or kept in, the run's memo."""
     key = (integer(k, "term weight k", 0), integer(n, "term degree", 0), string(name, "term name"))
     memo = run_memo()
     if key not in memo:
@@ -229,7 +240,8 @@ def _resolve(k: int, n: int, name: str) -> PExpr:
         F = _derived_series(k, over[:-1]) if bracket else foulkes_series(k, SERIES_TRUNC)
         return plethystic_sum(F, n, *SUMS[base])
     if name == "1 + pi-alt o (H-1)":  # degree n needs only pi^alt_1..n and h_1..h_n
-        outer = sum(map(_derived_series(k, "pi-alt").component, range(1, n + 1)), PExpr.one())
+        pi = _derived_series(k, "pi-alt")
+        outer = _sum_exprs([(1, PExpr.one())] + [(1, pi.component(d)) for d in range(1, n + 1)])
         return plethysm_into(outer, Series.from_function(h_n, n)).component(n)
     if name in PRODUCT_FORMS:
         x, c, odd, even = PRODUCT_FORMS[name]
@@ -237,33 +249,43 @@ def _resolve(k: int, n: int, name: str) -> PExpr:
         return product_expansion([(m, c * f, odd if m % 2 else even) for m, f in fs if f], n)
     if name in MODULE_FORMS:
         return module_char(name, n)
+    left, star, right = name.partition(" * ")  # no other name holds " * " or a modifier
+    if star:
+        return _products((1, _factor(k, a, left), _factor(k, n - a, right)) for a in range(n + 1))
+    if name.startswith(MODIFIERS):
+        return _factor(k, n, name)
     if name.startswith("w:"):
         return w_route_a(n, _w_weight(name))
     if name == "one-or-k binomial":
         return w_route_b(n, k)
     if name == "termwise":  # sum of H_lam + omega(H_lam) over lam with odd sign
         F = foulkes_series(k, SERIES_TRUNC)
-        total = sum((H_lambda(lam, F) for lam in members(FamilySpec("odd-sign"), n)), PExpr.zero())
+        total = _sum_exprs((1, H_lambda(lam, F)) for lam in members(FamilySpec("odd-sign"), n))
         return total + omega(total)
-    if name == "E G[p2]":  # E[F] times G[p2], G = H[F], at degree n
-        F = foulkes_series(k, SERIES_TRUNC)
-        parts = (plethystic_sum(F, n - 2 * j, "e") * plethysm_p(2, plethystic_sum(F, j))
-                 for j in range(n // 2 + 1))
-        return sum(parts, PExpr.zero())
+    if name == "1/(1-p1)":
+        return _expr((1, {(1,) * n: 1}))
     if name not in FAMILY_KINDS:
         raise ParameterError(f"unknown term {name!r}")
     return power_sum_family(FamilySpec(name, k=k or None), n)
 
 
+def _factor(k: int, a: int, text: str) -> PExpr:
+    """The factor `text` of a product term at weight k and degree a: a name behind any MODIFIERS."""
+    if text.startswith("(-1)^deg "):
+        return (-1) ** a * _factor(k, a, text[9:])
+    if text.startswith("d/dp1 "):
+        return p1_derivative(_factor(k, a + 1, text[6:]))
+    if text.startswith("p2 o "):
+        f = _factor(k, a // 2, text[5:])  # read at odd a too, so an unknown name raises
+        return PExpr.zero() if a % 2 else plethysm_p(2, f)
+    return named_term(k, a, text)
+
+
 def linear_combination(side, term) -> PExpr:
     """sum of c * term(name) over the (c, name) terms of a side; "~name" takes omega."""
-    total = None
-    for c, name in side:
-        f = omega(term(name[1:])) if name.startswith("~") else term(name)
-        if c != 1:
-            f = c * f
-        total = f if total is None else total + f
-    return PExpr.zero() if total is None else total
+    return _sum_exprs(
+        (c, omega(term(name[1:])) if name.startswith("~") else term(name)) for c, name in side
+    )
 
 
 def module_char(mid: str, n: int) -> PExpr:

@@ -12,7 +12,8 @@ equal fields.  Conventions:
   * plethysm by a power sum replaces each part i of every key by a*i,
     leaving coefficients untouched.
 
-Every product runs through one integer kernel on packed values.  A
+Every weighted sum runs through one helper, _sum, over one denominator,
+and every product through one integer kernel on packed values.  A
 packed value is (denominator, {code: numerator}), an expression with each
 key replaced by its code; the code of lam in width w is  sum over its parts
 p of 2^(w*(p-1)), one w-bit field per part value holding its multiplicity,
@@ -42,9 +43,9 @@ listed under Series).  h_m[f_i] is the Newton recurrence on f_i alone.
 All of it stays packed in the width trunc.bit_length(); no degree up to
 trunc has a multiplicity above trunc.  (H_lambda and E_lambda with |lam|
 above trunc run that recurrence for the one call, in the width
-|lam|.bit_length().)  Series products, inverses and plethysm_into pack
-each component once, in that width too; plethysm_into keeps the powers of
-its inner series for one call only.
+|lam|.bit_length().)  A series product or inverse is one _products call
+per degree; plethysm_into packs each component once, in that width too,
+and keeps the powers of its inner series for one call only.
 """
 
 from __future__ import annotations
@@ -89,6 +90,23 @@ def _reduce(denom: int, nums: dict) -> tuple[int, dict]:
     return denom, nums
 
 
+def _sum(pairs, divisor: int = 1) -> tuple[int, dict]:
+    """(1/divisor) * sum of c * value over the (c, value) pairs, c an int or a Fraction and
+    each value a (denominator, numerators) pair keyed by partitions or codes alike: the
+    weights are divided by their gcd with divisor, every value is added into one dict over
+    one lcm denominator, and _reduce runs once."""
+    pairs = [(c, value) for c, value in pairs if c and value[1]]
+    g = gcd(divisor, *(c.numerator for c, _ in pairs))
+    denom = lcm(*(d * c.denominator for c, (d, _) in pairs))
+    out: dict = {}
+    get = out.get
+    for c, (d, nums) in pairs:
+        scale = c.numerator // g * (denom // (d * c.denominator))
+        for k, v in nums.items():
+            out[k] = get(k, 0) + v * scale
+    return _reduce(denom * (divisor // g), out)
+
+
 class PExpr:
     """Sparse symmetric function in the power-sum basis: numerators[lam] / denominator
     is the coefficient of p_lam, and `terms` the same as {lam: Fraction}, built on read."""
@@ -98,16 +116,11 @@ class PExpr:
     def __init__(self, terms=None):
         """sum of c * p_key over the terms; each key is read by `partition` with
         lowest part 1 (there is no p_0), so its parts may come in any order."""
-        clean: dict[Partition, Rational] = {}
         if not isinstance(terms, Mapping | None):
             raise ParameterError(f"power-sum terms must be a mapping, got {terms!r}")
-        for key, val in (terms or {}).items():
-            val = _rational(val, "power-sum coefficient")
-            key = partition(key, lo=1)
-            clean[key] = clean.get(key, 0) + val
-        denom = lcm(*(c.denominator for c in clean.values()))
-        self.denominator, self.numerators = _reduce(
-            denom, {k: c.numerator * (denom // c.denominator) for k, c in clean.items()}
+        self.denominator, self.numerators = _sum(
+            (_rational(val, "power-sum coefficient"), (1, {partition(key, lo=1): 1}))
+            for key, val in (terms or {}).items()
         )
 
     @property
@@ -153,16 +166,8 @@ class PExpr:
 
     def __add__(self, other: "PExpr") -> "PExpr":
         if not isinstance(other, PExpr):
-            if other == 0:  # permits sum()
-                return self
-            return NotImplemented
-        denom = lcm(self.denominator, other.denominator)
-        scale = denom // self.denominator
-        out = {k: v * scale for k, v in self.numerators.items()}
-        scale = denom // other.denominator
-        for k, v in other.numerators.items():
-            out[k] = out.get(k, 0) + v * scale
-        return _expr(_reduce(denom, out))
+            return self if other == 0 else NotImplemented  # 0 permits sum()
+        return _sum_exprs(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -174,26 +179,16 @@ class PExpr:
 
     def __mul__(self, other) -> "PExpr":
         if isinstance(other, PExpr):
-            # a part occurs in the product at most as often as the two longest keys have parts
-            w = _width(_longest(self) + _longest(other))
-            return _unpack(_kernel([(1, _pack(self, w), _pack(other, w))]), w, {})
+            return _products(((1, self, other),))
         c = _rational(other, "scalar")
-        if c == 1 or c == -1:  # already reduced: no rebuild, no gcd
-            return self if c == 1 else -self
-        nums = {k: v * c.numerator for k, v in self.numerators.items()}
-        return _expr(_reduce(self.denominator * c.denominator, nums))
+        return -self if c == -1 else _sum_exprs(((c, self),))  # 1 * self is self itself
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "PExpr":
-        integer(exp, "power exponent", 0)
         out = PExpr.one()
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base if exp > 1 else base
-            exp >>= 1
+        for _ in range(integer(exp, "power exponent", 0)):
+            out = out * self
         return out
 
     # -- inspection --------------------------------------------------------
@@ -259,6 +254,15 @@ def _expr(value: tuple[int, dict[Partition, int]]) -> PExpr:
     return res
 
 
+def _sum_exprs(pairs) -> PExpr:
+    """sum of c * f over the (c, f) pairs, c rational and f a PExpr, by _sum; a lone
+    term of weight 1 is f itself, already reduced."""
+    pairs = [(c, f) for c, f in pairs if c]
+    if len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
+    return _expr(_sum((c, (f.denominator, f.numerators)) for c, f in pairs))
+
+
 # ---------------------------------------------------------------------------
 # Packed values and the product kernel
 
@@ -315,7 +319,7 @@ def _kernel(triples, divisor: int = 1) -> Packed:
 
     The products are summed as integers over one denominator, then reduced.
     """
-    triples = [t for t in triples if t[0] and t[1][1] and t[2][1]]
+    triples = list(triples)
     denom = lcm(*(a[0] * b[0] for _, a, b in triples))
     out: dict[int, int] = {}
     get = out.get
@@ -330,6 +334,14 @@ def _kernel(triples, divisor: int = 1) -> Packed:
                 k = k1 + k2
                 out[k] = get(k, 0) + x * y
     return _reduce(denom * divisor, out)
+
+
+def _products(triples) -> PExpr:
+    """sum of c * f * g over the (c, f, g) triples, c an integer and f, g PExprs: one kernel
+    call, in the width of the longest pair of keys, which no part multiplicity can exceed."""
+    triples = [(c, f, g) for c, f, g in triples if c and f and g]
+    w = _width(max((_longest(f) + _longest(g) for _, f, g in triples), default=0))
+    return _unpack(_kernel([(c, _pack(f, w), _pack(g, w)) for c, f, g in triples]), w, {})
 
 
 def _series_product(a: dict[int, Packed], b: dict[int, Packed], top: int) -> dict[int, Packed]:
@@ -375,19 +387,10 @@ def inner_product(f: PExpr, g: PExpr) -> Fraction:
 
 
 def p1_derivative(f: PExpr) -> PExpr:
-    """d/dp_1: each key loses one part equal to 1, scaled by its multiplicity."""
+    """d/dp_1: each key with a part 1 loses one, scaled by its count of 1s; the keys
+    stay distinct, so no two terms meet."""
     instance(f, PExpr, "p1_derivative argument")
-    out: dict[Partition, int] = {}
-    for key, val in f.numerators.items():
-        m1 = 0
-        for p in reversed(key):
-            if p == 1:
-                m1 += 1
-            else:
-                break
-        if m1:
-            nk = key[:-1]
-            out[nk] = out.get(nk, 0) + val * m1
+    out = {k[:-1]: v * k.count(1) for k, v in f.numerators.items() if k and k[-1] == 1}
     return _expr(_reduce(f.denominator, out))
 
 
@@ -445,11 +448,11 @@ def _newton(cache: dict, key, comps: dict[int, PExpr], kind: str, signed: bool, 
     A, G = cache.setdefault(key, ([_ZERO], [_ONE]))
     for j in range(len(A), m + 1):
         dk = [(d, j // d) for d in comps if d and j % d == 0]
-        A.append(_kernel([
+        A.append(_sum(
             ((-1) ** ((kind == "e") * (k - 1) + signed * (d - 1) * k) * d,
-             _pack(plethysm_p(k, comps[d]), w), _ONE)
+             _pack(plethysm_p(k, comps[d]), w))
             for d, k in dk
-        ]))
+        ))
     for n in range(len(G), m + 1):
         G.append(_kernel([(1, A[j], G[n - j]) for j in range(1, n + 1)], n))
     return G
@@ -634,12 +637,8 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.trunc, other.trunc)
-        w = _width(n)  # no degree up to n has a multiplicity above n
-        mine = {a: _pack(f, w) for a, f in self.components.items() if a <= n}
-        theirs = {b: _pack(g, w) for b, g in other.components.items() if b <= n}
-        keys: dict[int, Partition] = {}
-        out = _series_product(mine, theirs, n)
-        return Series({d: _unpack(v, w, keys) for d, v in out.items()}, n)
+        return Series({e: _products((1, self.component(a), other.component(e - a))
+                                    for a in range(e + 1)) for e in range(n + 1)}, n)
 
     __rmul__ = __mul__
 
@@ -647,13 +646,10 @@ class Series:
         """Multiplicative inverse; requires constant term exactly 1."""
         if self.component(0) != PExpr.one():
             raise ParameterError("series inverse needs constant term 1")
-        w = _width(self.trunc)
-        comps = [_pack(self.component(k), w) for k in range(self.trunc + 1)]
-        inv = [_ONE]
+        inv = [PExpr.one()]
         for d in range(1, self.trunc + 1):
-            inv.append(_kernel([(-1, comps[k], inv[d - k]) for k in range(1, d + 1)]))
-        keys: dict[int, Partition] = {}
-        return Series({d: _unpack(f, w, keys) for d, f in enumerate(inv)}, self.trunc)
+            inv.append(_products((-1, self.component(k), inv[d - k]) for k in range(1, d + 1)))
+        return Series(dict(enumerate(inv)), self.trunc)
 
     def omega(self) -> "Series":
         return Series({d: omega(f) for d, f in self.components.items()}, self.trunc)
@@ -689,11 +685,11 @@ def _lambda_product(kind: str, lam, F: Series) -> PExpr:
         cache, w, keys = F._pleth_cache, _width(F.trunc), F._keys
     else:
         cache, w, keys = {}, _width(sum(lam)), {}
-    out = _ONE
+    out = None
     for i, m in _multiplicities(lam).items():
-        seq = _newton(cache, (kind, i), {1: F.component(i)}, kind, False, m, w)
-        out = _kernel([(1, out, seq[m])])
-    return _unpack(out, w, keys)
+        value = _newton(cache, (kind, i), {1: F.component(i)}, kind, False, m, w)[m]
+        out = value if out is None else _kernel([(1, out, value)])
+    return _unpack(out or _ONE, w, keys)
 
 
 def H_lambda(lam: Partition, F: Series) -> PExpr:
@@ -758,13 +754,13 @@ def plethystic_sum(
             pure = cache["pure",] = all(
                 lam[0] == lam[-1] for d, f in F.components.items() if d for lam in f.numerators
             )
-        triples = []
+        pairs = []
         for c, sign in ((a, False), (b, True)):
             if c:  # a zero weight never extends its sequences
                 G = (_pure_exp(cache, F.components, kind, sign, n, w) if pure else
                      _newton(cache, ("exp", kind, sign), F.components, kind, sign, n, w)[n])
-                triples.append((c, G, _ONE))
-        total = cache[key] = F._unpack(_kernel(triples, 2))
+                pairs.append((c, G))
+        total = cache[key] = F._unpack(_sum(pairs, 2))
     return total
 
 
@@ -779,8 +775,8 @@ def plethysm_into(f: PExpr, R: Series) -> Series:
     stays packed and is taken through R.trunc from its first factor on, so
     a key with one distinct part multiplies nothing; a power that vanishes
     through R.trunc leaves the product empty.  The keys are then summed
-    with f's numerators, over its denominator, in one kernel call per
-    output degree and unpacked once.
+    with f's numerators, over its denominator, in one _sum per output
+    degree and unpacked once.
     """
     instance(f, PExpr, "plethysm_into argument")
     instance(R, Series, "plethysm_into series")
@@ -801,14 +797,14 @@ def plethysm_into(f: PExpr, R: Series) -> Series:
             pows.append(_series_product(pows[-1], pows[1], n))
         return pows[m]
 
-    triples: dict[int, list] = {}  # output degree -> (numerator, packed, one)
+    terms: dict[int, list] = {}  # output degree -> (numerator, packed)
     for key, num in f.numerators.items():
         prod, *rest = [power(d, m) for d, m in _multiplicities(key).items()] or [{0: _ONE}]
         for g in rest:
             prod = _series_product(prod, g, n)
         for e, x in prod.items():
-            triples.setdefault(e, []).append((num, x, _ONE))
-    return Series({e: R._unpack(_kernel(t, f.denominator)) for e, t in triples.items()}, n)
+            terms.setdefault(e, []).append((num, x))
+    return Series({e: R._unpack(_sum(t, f.denominator)) for e, t in terms.items()}, n)
 
 
 # ---------------------------------------------------------------------------

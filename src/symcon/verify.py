@@ -18,20 +18,21 @@ build is kept after them.  The run is open only while a check computes and
 is dropped once the generator is exhausted or closed; this module keeps no
 cache that outlives it.
 
-The linear identities (Theorems 4.2, 4.11, 4.15, 5.9 and 3.4,
-Propositions 4.13 and 6.5, Lemma 5.5 and Corollary 5.10) are rows of data,
-all evaluated by one runner: each row pairs two sides, a side being a
+Every identity (Theorems 4.2, 4.11, 4.15, 5.9 and 3.4, Propositions 2.3,
+3.6, 4.13 and 6.5, Lemma 5.5 and Corollary 5.10) is a row of data, all
+evaluated by one runner: each row pairs two sides, a side being a linear
 combination of named terms -- plethystic sums, product forms, module
-characteristics and power-sum families.  This module defines no term:
-every name is resolved by repmodels.named_term.  Theorem 4.2 is the k = 0
-member of the weight-k family of Theorem 5.9, since c_d(0) = phi(d), and
-Corollary 5.10 is Theorem 5.9 at k = 2 read through the parts-in-{1,2}
-module.  The routes entries of the ten named modules are rows of the same
-runner, pairing the two sides of repmodels.MODULE_FORMS, and so are
-routes.w:k (one-or-k against its binomial closed form, at weight k) and the
-free-Lie identities of Corollary 5.2 and Proposition 5.4: the name pairs of
+characteristics, power-sum families and Cauchy products of these.  This
+module defines no term: every name is resolved by repmodels.named_term.
+Theorem 4.2 is the k = 0 member of the weight-k family of Theorem 5.9,
+since c_d(0) = phi(d), and Corollary 5.10 is Theorem 5.9 at k = 2 read
+through the parts-in-{1,2} module; Propositions 2.3 and 3.6 and Lemma 5.5
+read their right sides as Cauchy products ("E * p2 o H", ...).  The routes
+entries of the ten named modules are rows of the same runner, pairing the
+two sides of repmodels.MODULE_FORMS, and so are routes.w:k (one-or-k
+against its binomial closed form, at weight k) and the free-Lie identities
+of Corollary 5.2 and Proposition 5.4: the name pairs of
 repmodels.LIE_IDENTITIES at k = 1, since the free Lie series L is F_1.
-Proposition 2.3 reads its restricted sums as names too ("H[odd]", ...).
 
 The positivity claims of Theorem 1.1 are a table of families, checked
 nonnegative; the strictness claims (Theorems 4.5, 4.9, 4.17, 4.19 and
@@ -104,7 +105,7 @@ from .repmodels import (
     power_sum_family,
     run_memo,
 )
-from .symfunc import E_lambda, H_lambda, PExpr, dimension, omega, p1_derivative
+from .symfunc import E_lambda, H_lambda, PExpr, dimension, omega
 from . import tables_data
 
 # the degree a catalog run stops at unless the caller asks for another
@@ -330,7 +331,18 @@ _PROP65 = (
     (4, (("u+ recovery", _one("u-plus"), ((1, "psi"), (1, "~psi"), (-1, "alt-induced"))),)),
 )
 # Lemma 5.5, E[F] = G / G[p2] with G = H[F], multiplied out: G[p2] has constant term 1.
-_LEM55 = (("G == E[F] G[p2]", _one("H"), _one("E G[p2]")),)
+_LEM55 = (("G == E[F] G[p2]", _one("H"), _one("E * p2 o H")),)
+# Proposition 3.6 at k = 0: d/dp_1 H_(n+1) = sum_i H_(n-i) p_1^i, and the e form likewise.
+_PROP36 = tuple((f"{kind} recurrence", _one(f"d/dp1 {kind.upper()}"),
+                 _one(f"{kind.upper()} * 1/(1-p1)")) for kind in ("h", "e"))
+# Proposition 2.3 at k = 0: H[over]_n = sum_a (-1)^a Es[rest]_a H_(n-a), and E[over] through
+# Hs: the sum over lam |- a of (-1)^len(lam) E_lam is (-1)^a Es_a.
+_PROP23 = tuple(
+    (over, tuple((f"{kind} restricted", _one(f"{kind}[{over}]"),
+                  _one(f"(-1)^deg {dual}[{rest}] * {kind}"))
+                 for kind, dual in (("H", "Es"), ("E", "Hs"))))
+    for over, rest in (("odd", "even"), ("one", "not-one"))
+)
 _COR510 = (  # at k = 2; its two half sums must be Schur-nonnegative
     ("W == sum H", _one("w:2"), _one("H")),
     ("alternating form", _one("mixed-sym"), _one("Hs")),
@@ -353,34 +365,6 @@ def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
             return res
         res = _positivity(to_schur(linear_combination(side, term), n), "NONNEG")
     return res
-
-
-def _run_prop36(n: int) -> tuple:
-    pairs = []
-    p1 = PExpr.p(1)
-    for kind in ("h", "e"):
-        comp = lambda d: named_term(0, d, kind.upper())
-        lhs = p1_derivative(comp(n + 1))
-        rhs = PExpr.zero()
-        for i in range(n + 1):
-            rhs = rhs + comp(n - i) * p1**i
-        pairs.append((f"{kind} recurrence", lhs, rhs))
-    return _eq(pairs)
-
-
-def _run_prop23(over: str, rest: str, n: int) -> tuple:
-    """H[over] = sum_a (-1)^a Es[rest]_a H_(n-a) at k = 0, and E[over] likewise through
-    Hs: the sum over lam |- a of (-1)^len(lam) E_lam is (-1)^a Es_a."""
-    term = partial(named_term, 0)
-    pairs = []
-    for kind, dual in (("H", f"Es[{rest}]"), ("E", f"Hs[{rest}]")):
-        rhs = PExpr.zero()
-        for a in range(n + 1):
-            signed = term(a, dual)
-            if signed:
-                rhs = rhs + (-signed if a % 2 else signed) * term(n - a, kind)
-        pairs.append((f"{kind} restricted", term(n, f"{kind}[{over}]"), rhs))
-    return _eq(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +737,8 @@ def _build_catalog() -> list[Entry]:
         ]
         + [("prop5.4", "prop5.4", ten, _run_linear, (1, (_LIE["pi-ext"],), ()))]
         + [(f"lem5.5:k{k}", "lem5.5", ten, _run_linear, (k, _LEM55, ())) for k in (0, 1, 2)]
-        + [("prop3.6", "prop3.6", ten, _run_prop36, ())]
-        + [(f"prop2.3.{s}", "prop2.3", ten, _run_prop23, (s, rest))
-           for s, rest in (("odd", "even"), ("one", "not-one"))]
+        + [("prop3.6", "prop3.6", ten, _run_linear, (0, _PROP36, ()))]
+        + linear("prop2.3", _PROP23)
         + linear("thm3.4", _THM34, ks=(0, 1, 2), nonneg=True)
         + [("cor5.10", "cor5.10", ten, _run_linear, (2, _COR510, _COR510_HALVES))]
     )

@@ -304,6 +304,19 @@ REFUSALS = {
         lambda: named_term(0, 3, "bogus"), ParameterError, r"^unknown term 'bogus'$"),
     "named_term unknown bracket name": (
         lambda: named_term(0, 3, "H[bogus]"), ParameterError, r"^unknown term 'H\[bogus\]'$"),
+    # a product term "A * B", or one factor behind a modifier, with no name to read
+    "named_term product with no right factor": (
+        lambda: named_term(0, 3, "H *"), ParameterError, r"^unknown term 'H \*'$"),
+    "named_term product with no left factor": (
+        lambda: named_term(0, 3, "* H"), ParameterError, r"^unknown term '\* H'$"),
+    "named_term product with an unknown factor": (
+        lambda: named_term(0, 3, "H * nope"), ParameterError, r"^unknown term 'nope'$"),
+    "named_term bare modifier": (
+        lambda: named_term(0, 3, "d/dp1"), ParameterError, r"^unknown term 'd/dp1'$"),
+    "named_term modifier of an unknown name at odd degree": (
+        lambda: named_term(0, 3, "p2 o nope"), ParameterError, r"^unknown term 'nope'$"),
+    "named_term bracket plethysm": (
+        lambda: named_term(0, 3, "X[p2]"), ParameterError, r"^unknown term 'X\[p2\]'$"),
     # a real family kind with a bad parameter keeps the family's message
     "named_term family without its k": (
         lambda: named_term(0, 3, "one-or-k"), ParameterError, "family 'one-or-k' parameter k"),

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -26,6 +27,7 @@ from symcon.repmodels import (
     f_eval_direct,
     foulkes,
     foulkes_series,
+    in_run,
     lie_series_identities,
     linear_combination,
     module_char,
@@ -36,7 +38,9 @@ from symcon.repmodels import (
     w_route_a,
     w_route_b,
 )
-from symcon.symfunc import PExpr, dimension, e_n, h_n, omega, plethystic_sum, product_expansion
+from symcon.symfunc import (
+    PExpr, dimension, e_n, h_n, omega, p1_derivative, plethysm_p, plethystic_sum, product_expansion
+)
 
 p = PExpr.p
 
@@ -303,6 +307,84 @@ def test_named_term_reads_every_kind_of_name():
     assert named_term(0, 5, "H") == module_char_plethystic("psi", 5)
     assert named_term(2, 5, "divides-k") == power_sum_family(FamilySpec("divides-k", k=2), 5)
     assert named_term(0, 4, "sym") == named_term(0, 4, "all")  # Theorem 4.2.1 against 4.2.2
+
+
+# The right sides of Proposition 2.3, Proposition 3.6 and Lemma 5.5 as their own runners
+# once wrote them, pairwise sums of products, pinned against the product terms that replace them.
+def _prop23_sum(n, kind, dual):
+    """sum over a of (-1)^a dual_a * kind_(n-a) at k = 0."""
+    rhs = PExpr.zero()
+    for a in range(n + 1):
+        signed = named_term(0, a, dual)
+        if signed:
+            rhs = rhs + (-signed if a % 2 else signed) * named_term(0, n - a, kind)
+    return rhs
+
+
+def _prop36_sides(n, kind):
+    """(d/dp_1 kind_(n+1), sum over i of kind_(n-i) p_1^i) at k = 0."""
+    rhs = PExpr.zero()
+    for i in range(n + 1):
+        rhs = rhs + named_term(0, n - i, kind) * p(1) ** i
+    return p1_derivative(named_term(0, n + 1, kind)), rhs
+
+
+def _lemma55_sum(k, n):
+    """E[F] times G[p2], G = H[F], at degree n."""
+    F = foulkes_series(k, SERIES_TRUNC)
+    parts = (plethystic_sum(F, n - 2 * j, "e") * plethysm_p(2, plethystic_sum(F, j))
+             for j in range(n // 2 + 1))
+    return sum(parts, PExpr.zero())
+
+
+def test_product_terms_equal_the_retired_runners():
+    with in_run({}):
+        for n in range(SERIES_TRUNC):
+            for kind, dual in (("H", "Es"), ("E", "Hs")):
+                for rest in ("even", "not-one"):
+                    want = _prop23_sum(n, kind, f"{dual}[{rest}]")
+                    assert named_term(0, n, f"(-1)^deg {dual}[{rest}] * {kind}") == want, (n, kind)
+                lhs, rhs = _prop36_sides(n, kind)
+                assert named_term(0, n, f"d/dp1 {kind}") == lhs, (n, kind)
+                assert named_term(0, n, f"{kind} * 1/(1-p1)") == rhs, (n, kind)
+            for k in (0, 1, 2):
+                assert named_term(k, n, "E * p2 o H") == _lemma55_sum(k, n), (k, n)
+
+
+def test_product_terms_read_factors_and_modifiers():
+    assert named_term(0, 4, "1/(1-p1)") == p(1) ** 4
+    assert named_term(0, 0, "1/(1-p1)") == PExpr.one()
+    # a factor with no modifier is the name itself, and a product with 1/(1-p1) at degree 0
+    assert named_term(0, 3, "H * 1/(1-p1)") == sum((named_term(0, a, "H") * p(1) ** (3 - a)
+                                                     for a in range(4)), PExpr.zero())
+    assert named_term(1, 5, "(-1)^deg E") == -named_term(1, 5, "E")
+    assert named_term(1, 4, "(-1)^deg E") == named_term(1, 4, "E")
+    assert named_term(0, 3, "p2 o H") == PExpr.zero()
+    assert named_term(0, 6, "p2 o H") == plethysm_p(2, named_term(0, 3, "H"))
+    assert named_term(0, 3, "d/dp1 d/dp1 H") == p1_derivative(p1_derivative(named_term(0, 5, "H")))
+    # a factor read by a prefix of its own
+    assert named_term(0, 3, "w:2 * H") == sum(
+        (w_route_a(a, 2) * named_term(0, 3 - a, "H") for a in range(4)), PExpr.zero())
+    # three factors: A * (B * C)
+    assert named_term(0, 4, "H * E * 1/(1-p1)") == sum(
+        (named_term(0, a, "H") * named_term(0, 4 - a, "E * 1/(1-p1)") for a in range(5)),
+        PExpr.zero())
+    # d/dp1 reads its factor one degree up, so the last degree the series holds is refused
+    with pytest.raises(TruncationError):
+        named_term(0, SERIES_TRUNC, "d/dp1 H")
+
+
+@pytest.mark.parametrize("name, unknown", [
+    ("H *", "H *"), ("* H", "* H"), ("H * nope", "nope"), ("nope * H", "nope"), ("H * ", ""),
+    ("d/dp1", "d/dp1"), ("p2 o", "p2 o"), ("(-1)^deg", "(-1)^deg"), ("p2 o nope", "nope"),
+    ("X[p2]", "X[p2]"), ("H[p2]", "H[p2]"), ("E G[p2]", "E G[p2]"),
+])
+def test_malformed_product_names_are_unknown_terms(name, unknown):
+    # a product or modifier whose factor is no name raises, naming that factor, at odd
+    # degrees too, where p2 o reads nothing
+    for n in (0, 3):
+        with pytest.raises(ParameterError, match=f"^{re.escape(f'unknown term {unknown!r}')}$"):
+            named_term(0, n, name)
 
 
 def test_lie_identity_raises_outside_its_series():

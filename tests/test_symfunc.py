@@ -14,8 +14,11 @@ from symcon.symfunc import (
     H_lambda,
     PExpr,
     Series,
+    _expr,
     _kernel,
     _newton,
+    _pack,
+    _sum,
     _unpack,
     _width,
     dimension,
@@ -107,6 +110,50 @@ def test_mul_by_one_or_minus_one_keeps_the_fields_reduced(f, c):
         assert g.denominator >= 1 and all(g.numerators.values())
         assert gcd(g.denominator, *g.numerators.values()) == 1
         assert g.terms == {k: c * v for k, v in f.terms.items()}
+
+
+def _fraction_sum(pairs, divisor):
+    """(1/divisor) * sum of c * f term by term in Fraction arithmetic, zeros dropped."""
+    out = {}
+    for c, f in pairs:
+        for key, v in f.terms.items():
+            out[key] = out.get(key, Fraction(0)) + Fraction(c) * v / divisor
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_reduced(denom, nums):
+    assert denom >= 1 and all(nums.values())
+    assert gcd(denom, *nums.values()) == 1
+
+
+WEIGHTS = st.one_of(
+    st.integers(-6, 6),  # zero included
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 9])),
+)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(WEIGHTS, mixed_pexprs()), max_size=6),
+       st.sampled_from([1, 2, 3, 6, 10]), st.booleans())
+def test_weighted_sum_matches_pairwise_addition(pairs, divisor, cancel):
+    # the empty list, zero weights and, with cancel, every term again with its weight
+    # negated, so the whole sum is zero
+    if cancel:
+        pairs = pairs + [(-c, f) for c, f in pairs]
+    want = _fraction_sum(pairs, divisor)
+    value = _sum(((c, (f.denominator, f.numerators)) for c, f in pairs), divisor)
+    _assert_reduced(*value)
+    got = _expr(value)
+    assert got.terms == want
+    pairwise = sum((c * f for c, f in pairs), PExpr.zero()) * Fraction(1, divisor)
+    assert (got.denominator, got.numerators) == (pairwise.denominator, pairwise.numerators)
+    if cancel:
+        assert value == (1, {})
+    # packed codes sum alike, in a width that holds every key
+    w = _width(max((len(k) for _, f in pairs for k in f.numerators), default=0))
+    packed = _sum(((c, _pack(f, w)) for c, f in pairs), divisor)
+    _assert_reduced(*packed)
+    assert _unpack(packed, w, {}) == got
 
 
 @pytest.mark.parametrize("scalar", ["x", None, [1], object(), 1.0, -1.0])
@@ -635,6 +682,35 @@ def test_pure_power_sums_match_the_newton_recurrence(name):
             assert plethystic_sum(G, n, kind, parity, signed) == want, (name, n, kind, parity, signed)
     assert G._pleth_cache["pure",] is True
     assert not any(key[0] == "exp" for key in G._pleth_cache)
+
+
+@st.composite
+def pure_power_series(draw, max_trunc=9):
+    """A series whose every key is a pure power p_e^b: rational, negative and zero
+    coefficients over unlike denominators, and degrees with no component."""
+    trunc = draw(st.integers(1, max_trunc))
+    coeff = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 5, 7, 12]))
+    comps = {}
+    for d in sorted(draw(st.sets(st.integers(1, trunc)))):  # the degrees not drawn are gaps
+        powers = [e for e in range(1, d + 1) if d % e == 0]
+        kept = draw(st.sets(st.sampled_from(powers)))
+        comps[d] = PExpr({(e,) * (d // e): draw(coeff) for e in kept})
+    return Series(comps, trunc)
+
+
+@settings(max_examples=40)
+@given(pure_power_series())
+def test_random_pure_power_sums_match_the_newton_recurrence(F):
+    # the product over part values against the Newton recurrence, each on a fresh cache,
+    # for every kind, parity and sign option at every degree
+    G = Series(F.components, F.trunc)
+    newton: dict = {}
+    for n in range(F.trunc + 1):
+        for kind in ("h", "e"):
+            for parity, signed in SUM_OPTIONS:
+                want = _newton_sum(F, n, kind, parity, signed, newton)
+                assert plethystic_sum(G, n, kind, parity, signed) == want, (n, kind, parity, signed)
+    assert G._pleth_cache["pure",] is True
 
 
 @pytest.mark.parametrize("k", [0, 1])
