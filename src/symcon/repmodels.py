@@ -212,9 +212,14 @@ def run_memo() -> dict:
     return _RUNS[-1] if _RUNS else {}
 
 
-# The modifiers of a factor of a product term, read outside in: at degree a, "(-1)^deg A"
-# is (-1)^a A_a, "d/dp1 A" is d/dp_1 A_(a+1), and "p2 o A" is p_2[A_(a/2)], 0 at odd a.
-MODIFIERS = ("(-1)^deg ", "d/dp1 ", "p2 o ")
+# The modifiers of a factor of a product term, read outside in: prefix -> the factor at
+# degree a, given A, the rest of the factor as a function of its degree.  "p2 o A" reads
+# A at odd a too, so an unknown name raises there as well.
+MODIFIERS = {
+    "(-1)^deg ": lambda A, a: (-1) ** a * A(a),
+    "d/dp1 ": lambda A, a: p1_derivative(A(a + 1)),
+    "p2 o ": lambda A, a: plethysm_p(2, A(a // 2)) * (1 - a % 2),  # 0 at odd a
+}
 
 
 def named_term(k: int, n: int, name: str) -> PExpr:
@@ -252,7 +257,7 @@ def _resolve(k: int, n: int, name: str) -> PExpr:
     left, star, right = name.partition(" * ")  # no other name holds " * " or a modifier
     if star:
         return _products((1, _factor(k, a, left), _factor(k, n - a, right)) for a in range(n + 1))
-    if name.startswith(MODIFIERS):
+    if name.startswith(tuple(MODIFIERS)):
         return _factor(k, n, name)
     if name.startswith("w:"):
         return w_route_a(n, _w_weight(name))
@@ -271,13 +276,9 @@ def _resolve(k: int, n: int, name: str) -> PExpr:
 
 def _factor(k: int, a: int, text: str) -> PExpr:
     """The factor `text` of a product term at weight k and degree a: a name behind any MODIFIERS."""
-    if text.startswith("(-1)^deg "):
-        return (-1) ** a * _factor(k, a, text[9:])
-    if text.startswith("d/dp1 "):
-        return p1_derivative(_factor(k, a + 1, text[6:]))
-    if text.startswith("p2 o "):
-        f = _factor(k, a // 2, text[5:])  # read at odd a too, so an unknown name raises
-        return PExpr.zero() if a % 2 else plethysm_p(2, f)
+    for prefix, modify in MODIFIERS.items():
+        if text.startswith(prefix):
+            return modify(lambda d: _factor(k, d, text.removeprefix(prefix)), a)
     return named_term(k, a, text)
 
 

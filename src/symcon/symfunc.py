@@ -43,9 +43,9 @@ listed under Series).  h_m[f_i] is the Newton recurrence on f_i alone.
 All of it stays packed in the width trunc.bit_length(); no degree up to
 trunc has a multiplicity above trunc.  (H_lambda and E_lambda with |lam|
 above trunc run that recurrence for the one call, in the width
-|lam|.bit_length().)  A series product or inverse is one _products call
-per degree; plethysm_into packs each component once, in that width too,
-and keeps the powers of its inner series for one call only.
+|lam|.bit_length().)  Series products, inverses and plethysm_into pack
+each component once, in that width too; plethysm_into keeps the powers of
+its inner series for one call only.
 """
 
 from __future__ import annotations
@@ -186,9 +186,14 @@ class PExpr:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "PExpr":
+        integer(exp, "power exponent", 0)
         out = PExpr.one()
-        for _ in range(integer(exp, "power exponent", 0)):
-            out = out * self
+        base = self
+        while exp:
+            if exp & 1:
+                out = out * base
+            base = base * base if exp > 1 else base
+            exp >>= 1
         return out
 
     # -- inspection --------------------------------------------------------
@@ -319,7 +324,7 @@ def _kernel(triples, divisor: int = 1) -> Packed:
 
     The products are summed as integers over one denominator, then reduced.
     """
-    triples = list(triples)
+    triples = [t for t in triples if t[0] and t[1][1] and t[2][1]]
     denom = lcm(*(a[0] * b[0] for _, a, b in triples))
     out: dict[int, int] = {}
     get = out.get
@@ -387,10 +392,19 @@ def inner_product(f: PExpr, g: PExpr) -> Fraction:
 
 
 def p1_derivative(f: PExpr) -> PExpr:
-    """d/dp_1: each key with a part 1 loses one, scaled by its count of 1s; the keys
-    stay distinct, so no two terms meet."""
+    """d/dp_1: each key loses one part equal to 1, scaled by its multiplicity."""
     instance(f, PExpr, "p1_derivative argument")
-    out = {k[:-1]: v * k.count(1) for k, v in f.numerators.items() if k and k[-1] == 1}
+    out: dict[Partition, int] = {}
+    for key, val in f.numerators.items():
+        m1 = 0
+        for p in reversed(key):
+            if p == 1:
+                m1 += 1
+            else:
+                break
+        if m1:
+            nk = key[:-1]
+            out[nk] = out.get(nk, 0) + val * m1
     return _expr(_reduce(f.denominator, out))
 
 
@@ -637,8 +651,12 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.trunc, other.trunc)
-        return Series({e: _products((1, self.component(a), other.component(e - a))
-                                    for a in range(e + 1)) for e in range(n + 1)}, n)
+        w = _width(n)  # no degree up to n has a multiplicity above n
+        mine = {a: _pack(f, w) for a, f in self.components.items() if a <= n}
+        theirs = {b: _pack(g, w) for b, g in other.components.items() if b <= n}
+        keys: dict[int, Partition] = {}
+        out = _series_product(mine, theirs, n)
+        return Series({d: _unpack(v, w, keys) for d, v in out.items()}, n)
 
     __rmul__ = __mul__
 
@@ -646,10 +664,13 @@ class Series:
         """Multiplicative inverse; requires constant term exactly 1."""
         if self.component(0) != PExpr.one():
             raise ParameterError("series inverse needs constant term 1")
-        inv = [PExpr.one()]
+        w = _width(self.trunc)
+        comps = [_pack(self.component(k), w) for k in range(self.trunc + 1)]
+        inv = [_ONE]
         for d in range(1, self.trunc + 1):
-            inv.append(_products((-1, self.component(k), inv[d - k]) for k in range(1, d + 1)))
-        return Series(dict(enumerate(inv)), self.trunc)
+            inv.append(_kernel([(-1, comps[k], inv[d - k]) for k in range(1, d + 1)]))
+        keys: dict[int, Partition] = {}
+        return Series({d: _unpack(f, w, keys) for d, f in enumerate(inv)}, self.trunc)
 
     def omega(self) -> "Series":
         return Series({d: omega(f) for d, f in self.components.items()}, self.trunc)
