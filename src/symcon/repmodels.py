@@ -13,9 +13,10 @@ name) is resolved once and kept in the run's memo, so a name that many
 checks read, or that a module form reads inside another term, is built
 once; the memo goes with the run, and outside a run nothing is kept.
 Every named module is produced two ways: a closed power-sum combination,
-and a plethystic sum of h_m[f_i] / e_m[f_i] products over partitions.  Both forms of the ten modules are written once, in
-MODULE_FORMS, and module_char and module_char_plethystic evaluate them
-through the resolver at k = 0.  The two routes agreeing exactly is part of
+and a plethystic sum of h_m[f_i] / e_m[f_i] products over partitions, both
+written once, in MODULE_FORMS.  named_term reads every module string that
+parse_module accepts (a module id as its closed side), and module_char is
+named_term at k = 0.  The two routes agreeing exactly is part of
 the verification contract.  Every Foulkes series is read at one
 truncation, SERIES_TRUNC, so each weight k has one cached series for every
 reader; a plethystic sum "X" of SUMS reads it, and "X[over]" the series
@@ -223,14 +224,15 @@ MODIFIERS = {
 
 
 def named_term(k: int, n: int, name: str) -> PExpr:
-    """The term `name` at weight k and degree n: a plethystic sum "X" of SUMS over F_k
-    or "X[over]" over F_k[over], "1 + pi-alt o (H-1)" (Cadogan's inverse), a product
-    form, a module id or "w:<k>" (also at n = 0), "one-or-k binomial" (w_route_b at
-    weight k), "termwise" (Theorem 4.15.1), "1/(1-p1)" (p_1^n), a family kind, a
-    product "A * B" (the sum over a + b = n of A_a B_b) or one factor A, each factor a
-    name behind any MODIFIERS; ParameterError("unknown term ...") for any other name,
-    or for a factor that is no name, naming it.  The arguments are checked first;
-    inside a run the term is then read from, or kept in, the run's memo."""
+    """The term `name` at weight k and degree n: a module id (its closed side), "w:<k>"
+    (the family one-or-k) or "family:<spec>", a plethystic sum "X" of SUMS over F_k or
+    "X[over]" over F_k[over], "1 + pi-alt o (H-1)" (Cadogan's inverse), a product form,
+    "one-or-k binomial" (w_route_b at weight k), "termwise" (Theorem 4.15.1),
+    "1/(1-p1)" (p_1^n), a family kind, a product "A * B" (the sum over a + b = n of
+    A_a B_b) or one factor A, each factor a name behind any MODIFIERS;
+    ParameterError("unknown term ...") for any other name, or for a factor that is no
+    name, naming it.  The arguments are checked first; inside a run the term is then
+    read from, or kept in, the run's memo."""
     key = (integer(k, "term weight k", 0), integer(n, "term degree", 0), string(name, "term name"))
     memo = run_memo()
     if key not in memo:
@@ -240,6 +242,10 @@ def named_term(k: int, n: int, name: str) -> PExpr:
 
 def _resolve(k: int, n: int, name: str) -> PExpr:
     """named_term(k, n, name) built anew, its arguments already checked."""
+    if name in MODULE_FORMS:
+        return linear_combination(MODULE_FORMS[name][0], partial(named_term, 0, n))
+    if name.startswith("family:"):  # before the product split: an explicit path may hold " * "
+        return power_sum_family(parse_family(name.removeprefix("family:")), n)
     base, bracket, over = name.partition("[")
     if base in SUMS and (not bracket or over.endswith("]") and over[:-1] in DERIVED_SERIES):
         F = _derived_series(k, over[:-1]) if bracket else foulkes_series(k, SERIES_TRUNC)
@@ -252,15 +258,13 @@ def _resolve(k: int, n: int, name: str) -> PExpr:
         x, c, odd, even = PRODUCT_FORMS[name]
         fs = ((m, f_eval(m, k, x)) for m in range(1, n + 1))
         return product_expansion([(m, c * f, odd if m % 2 else even) for m, f in fs if f], n)
-    if name in MODULE_FORMS:
-        return module_char(name, n)
     left, star, right = name.partition(" * ")  # no other name holds " * " or a modifier
     if star:
         return _products((1, _factor(k, a, left), _factor(k, n - a, right)) for a in range(n + 1))
     if name.startswith(tuple(MODIFIERS)):
         return _factor(k, n, name)
     if name.startswith("w:"):
-        return w_route_a(n, _w_weight(name))
+        return power_sum_family(FamilySpec("one-or-k", k=_w_weight(name)), n)
     if name == "one-or-k binomial":
         return w_route_b(n, k)
     if name == "termwise":  # sum of H_lam + omega(H_lam) over lam with odd sign
@@ -290,18 +294,10 @@ def linear_combination(side, term) -> PExpr:
 
 
 def module_char(mid: str, n: int) -> PExpr:
-    """Closed power-sum form of a named module's characteristic.
-
-    mid is a name in MODULE_IDS, "w:<k>" or "family:<spec>"; a "w:<k>" whose k
-    is not an integer >= 2 raises ParameterError, as in parse_module."""
+    """Closed power-sum form of a named module's characteristic: named_term at k = 0
+    of mid, a name in MODULE_IDS, "w:<k>" or "family:<spec>" as parse_module reads it."""
     integer(n, "module degree", 1)
-    if string(mid, "module id") in MODULE_FORMS:
-        return linear_combination(MODULE_FORMS[mid][0], partial(named_term, 0, n))
-    if mid.startswith("w:"):
-        return w_route_a(n, _w_weight(mid))
-    if mid.startswith("family:"):
-        return power_sum_family(parse_family(mid.split(":", 1)[1]), n)
-    raise ParameterError(f"unknown module id {mid!r}")
+    return named_term(0, n, parse_module(mid))
 
 
 def module_char_plethystic(mid: str, n: int) -> PExpr:
@@ -311,20 +307,20 @@ def module_char_plethystic(mid: str, n: int) -> PExpr:
     if string(mid, "module id") in MODULE_FORMS:
         return linear_combination(MODULE_FORMS[mid][1], partial(named_term, 0, n))
     if mid.startswith("w:"):
-        return w_route_b(n, _w_weight(mid))
+        return named_term(_w_weight(mid), n, "one-or-k binomial")
     raise ParameterError(f"no plethystic route for module id {mid!r}")
 
 
 def parse_module(text: str) -> str:
-    """Validate a CLI module string and return it in canonical form; a "w:<k>" is
-    read by the same parse as module_char and module_char_plethystic."""
+    """Validate a module string (a name in MODULE_IDS, "w:<k>" with k an integer >= 2,
+    or "family:<spec>") and return it in canonical form; named_term reads it."""
     if string(text, "module") in MODULE_IDS:
         return text
     if text.startswith("w:"):
         _w_weight(text)
         return text
     if text.startswith("family:"):
-        parse_family(text.split(":", 1)[1])
+        parse_family(text.removeprefix("family:"))
         return text
     raise ParameterError(f"unknown module or family {text!r}")
 
@@ -335,14 +331,7 @@ def _w_weight(mid: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The parts-in-{1,k} module, two routes
-
-
-def w_route_a(n: int, k: int) -> PExpr:
-    """sum_r p_k^r * p_1^(n - k*r): the family one-or-k."""
-    integer(n, "w degree n", 0)
-    integer(k, "w parameter k", 2)
-    return power_sum_family(FamilySpec("one-or-k", k=k), n)
+# The parts-in-{1,k} module: the binomial route (the other is the family one-or-k)
 
 
 def w_route_b(n: int, k: int) -> PExpr:

@@ -448,6 +448,11 @@ def plethysm_p(a: int, g: PExpr) -> PExpr:
     return _expr((g.denominator, {tuple(a * p for p in k): v for k, v in g.numerators.items()}))
 
 
+def _sigma(kind: str, signed: bool, d: int, k: int) -> int:
+    """(-1)^([e](k-1) + signed*(d-1)*k): the sign of p_k[f_d] in the log of H[F] or E[F]."""
+    return (-1) ** ((kind == "e") * (k - 1) + signed * (d - 1) * k)
+
+
 def _newton(cache: dict, key, comps: dict[int, PExpr], kind: str, signed: bool, m: int, w: int):
     """G_0..G_m, packed in width w: G_n is the degree-n part of prod_d H(f_d) ("h") or
     prod_d E(f_d) ("e") over the components f_d of comps, each term weighted by
@@ -455,18 +460,14 @@ def _newton(cache: dict, key, comps: dict[int, PExpr], kind: str, signed: bool, 
 
     H[F] = exp(sum_k p_k[F]/k) and E[F] = exp(sum_k (-1)^(k-1) p_k[F]/k) (Macdonald
     I.2, I.8), so n*G_n = sum_{j=1..n} A_j*G_{n-j} with A_j the sum over d*k = j of
-    sigma*d*p_k[f_d], sigma = (-1)^(k-1) for "e" times (-1)^((d-1)*k) if signed.  The
-    pair (A, G) is cached under key and extended on demand; w must hold every part
-    multiplicity of the keys of G_m.
+    sigma*d*p_k[f_d], sigma = _sigma(kind, signed, d, k).  The pair (A, G) is cached under
+    key and extended on demand; w must hold every part multiplicity of the keys of G_m.
     """
     A, G = cache.setdefault(key, ([_ZERO], [_ONE]))
     for j in range(len(A), m + 1):
         dk = [(d, j // d) for d in comps if d and j % d == 0]
-        A.append(_sum(
-            ((-1) ** ((kind == "e") * (k - 1) + signed * (d - 1) * k) * d,
-             _pack(plethysm_p(k, comps[d]), w))
-            for d, k in dk
-        ))
+        A.append(_sum((_sigma(kind, signed, d, k) * d, _pack(plethysm_p(k, comps[d]), w))
+                      for d, k in dk))
     for n in range(len(G), m + 1):
         G.append(_kernel([(1, A[j], G[n - j]) for j in range(1, n + 1)], n))
     return G
@@ -501,7 +502,7 @@ def _part_sequence(N: list, B: list, comps: dict[int, PExpr], kind: str, signed:
                     scale = lcm(B[0], den) // B[0]
                     c *= scale
                     B[:] = [x * scale for x in B]
-                c += (-1) ** ((kind == "e") * (k - 1) + signed * (e * j - 1) * k) * v * (B[0] // den)
+                c += _sigma(kind, signed, e * j, k) * v * (B[0] // den)
         B.append(c)
         total = 0
         for b in range(1, j + 1):

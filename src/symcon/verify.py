@@ -220,9 +220,9 @@ def check_positivity(
     STRICT: additionally every nu |- n occurs (mult >= 1).
     STRICT_EXCEPT: strict outside `exceptions`, each read as a partition of n
     by partitions.partition; excepted shapes only need nonnegativity (their
-    absence is allowed, not required).  Its caller in the catalog is
-    _run_positivity, for the rows with an exception, and that runner then
-    also requires the excepted shape to be absent.
+    absence is allowed, not required).  No catalog row calls it: _run_positivity
+    reads _positivity itself, and for a row with an exception also requires the
+    excepted shape to be absent.
     """
     if mode not in ("NONNEG", "STRICT", "STRICT_EXCEPT"):
         raise ParameterError(f"mode must be NONNEG, STRICT or STRICT_EXCEPT, got {mode!r}")

@@ -19,7 +19,7 @@ from symcon.repmodels import (
     foulkes,
     module_char,
     module_char_plethystic,
-    w_route_a,
+    named_term,
     w_route_b,
 )
 from symcon.symfunc import dimension, omega
@@ -180,7 +180,7 @@ def test_criterion_8_closed_form_evaluations():
                 ok = ok and Fraction(f_eval(n, k, sign)) == f_eval_direct(n, k, sign)
     for n in range(0, 13):
         for k in range(2, 7):
-            ok = ok and w_route_a(n, k) == w_route_b(n, k)
+            ok = ok and named_term(0, n, f"w:{k}") == w_route_b(n, k)
     elapsed = time.time() - t0
     _report(
         "criterion 8 (closed-form evaluations)",

@@ -41,6 +41,14 @@ def test_expand_w_closed_form(capsys):
     assert data["verdict"] == "POSITIVE"
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_expand_w_is_its_family(capsys, fmt):
+    # "w:<k>" names the family one-or-k at k: one reading, so one output
+    _, w, _ = run_cli(capsys, "expand", "w:3", "6", "--format", fmt)
+    _, family, _ = run_cli(capsys, "expand", "family:one-or-k:3", "6", "--format", fmt)
+    assert w and w == family
+
+
 def test_expand_parse_failure(capsys):
     code, _, err = run_cli(capsys, "expand", "not-a-module", "3")
     assert code == 2

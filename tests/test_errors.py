@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -46,7 +47,6 @@ from symcon.repmodels import (
     named_term,
     parse_module,
     power_sum_family,
-    w_route_a,
     w_route_b,
 )
 from symcon.symfunc import (
@@ -133,7 +133,7 @@ ENTRY_POINTS = {
     "foulkes_series trunc": lambda: foulkes_series(0, NON_INT),
     "module_char": lambda: module_char("psi", NON_INT),
     "module_char_plethystic": lambda: module_char_plethystic("psi", NON_INT),
-    "w_route_a": lambda: w_route_a(NON_INT, 2),
+    "named_term w:2": lambda: named_term(0, NON_INT, "w:2"),
     "w_route_b": lambda: w_route_b(4, NON_INT),
     "named_term": lambda: named_term(1, NON_INT, "1 + pi-alt o (H-1)"),
     "lie_series_identities": lambda: lie_series_identities(NON_INT),
@@ -283,6 +283,13 @@ REFUSALS = {
     "check_identity dict id": (lambda: check_identity({}, 3), CatalogError),
     "product_expansion pair": (lambda: product_expansion([(1, 1)], 3), ParameterError),
     "product_expansion bare int": (lambda: product_expansion([1], 3), ParameterError),
+    # a bad module id, refused by every reader in parse_module's words
+    **{f"{reader} {mid}": (partial(read, mid), ParameterError, pattern)
+       for reader, read in (("parse_module", parse_module), ("named_term", partial(named_term, 0, 3)),
+                            ("module_char", lambda mid: module_char(mid, 3)))
+       for mid, pattern in (("w:1", r"^w parameter k must be an integer >= 2, got 1$"),
+                            ("w:x", r"^expected an integer parameter, got 'x'$"),
+                            ("family:bogus", r"^unknown family kind 'bogus'$"))},
     # a name that is not a string
     "module_char None": (lambda: module_char(None, 3), ParameterError),
     "module_char 3": (lambda: module_char(3, 3), ParameterError),

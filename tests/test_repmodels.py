@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -35,7 +36,6 @@ from symcon.repmodels import (
     named_term,
     parse_module,
     power_sum_family,
-    w_route_a,
     w_route_b,
 )
 from symcon.symfunc import (
@@ -254,19 +254,19 @@ def test_multiplicity_formulas():
 
 
 def test_w_examples():
-    assert w_route_a(4, 2) == p(1) ** 4 + p(2) * p(1) ** 2 + p(2, 2)
+    assert named_term(0, 4, "w:2") == p(1) ** 4 + p(2) * p(1) ** 2 + p(2, 2)
     h2, e2 = h_n(2), e_n(2)
     assert w_route_b(4, 2) == 3 * h2 * h2 + e2 * e2
-    assert w_route_a(3, 5) == p(1) ** 3  # k > n keeps only the identity block
+    assert named_term(0, 3, "w:5") == p(1) ** 3  # k > n keeps only the identity block
     with pytest.raises(ParameterError):
-        w_route_a(4, 1)
+        named_term(0, 4, "w:1")
 
 
 def test_w_routes_agree():
     # route B reads no family: its binomial sum is expanded in integers by power of p_k
     for n in range(0, 31):
         for k in range(2, 13):
-            assert w_route_a(n, k) == w_route_b(n, k), (n, k)
+            assert named_term(0, n, f"w:{k}") == w_route_b(n, k), (n, k)
 
 
 def test_w_even_binomial_form():
@@ -275,7 +275,7 @@ def test_w_even_binomial_form():
         rhs = PExpr.zero()
         for j in range(1, m + 2, 2):
             rhs = rhs + comb(m + 1, j) * h2 ** (m + 1 - j) * e2 ** (j - 1)
-        assert w_route_a(2 * m, 2) == rhs
+        assert named_term(0, 2 * m, "w:2") == rhs
 
 
 def test_lie_series_identities():
@@ -302,11 +302,31 @@ def test_lie_right_sides_are_product_forms_at_k1():
 
 
 def test_named_term_reads_every_kind_of_name():
-    assert named_term(0, 0, "w:3") == w_route_a(0, 3) == PExpr.one()
+    assert named_term(0, 0, "w:3") == named_term(0, 0, "family:one-or-k:3") == PExpr.one()
     assert named_term(0, 5, "psi") == module_char("psi", 5)
     assert named_term(0, 5, "H") == module_char_plethystic("psi", 5)
     assert named_term(2, 5, "divides-k") == power_sum_family(FamilySpec("divides-k", k=2), 5)
     assert named_term(0, 4, "sym") == named_term(0, 4, "all")  # Theorem 4.2.1 against 4.2.2
+
+
+def test_module_ids_are_named_terms_at_degree_0():
+    # the trivial module of S_0 is 1: each id's closed side there is its plethystic side
+    for mid, c in zip(MODULE_IDS, (1, 1, 1, 0, 1, 0, 0, 0, 1, 2)):
+        pleth = linear_combination(MODULE_FORMS[mid][1], partial(named_term, 0, 0))
+        assert named_term(0, 0, mid) == pleth == c * PExpr.one(), mid
+    # so a product reads a module id as a factor at degree 0 too
+    for n in range(9):
+        psi = [PExpr.one()] + [module_char("psi", a) for a in range(1, n + 1)]
+        assert named_term(0, n, "psi * H") == sum(
+            (psi[a] * named_term(0, n - a, "H") for a in range(n + 1)), PExpr.zero()), n
+
+
+def test_module_char_is_named_term_at_weight_0():
+    mids = MODULE_IDS + tuple(f"w:{k}" for k in range(2, 7))
+    for mid in mids + ("family:odd-parts", "family:prime-family:3"):
+        for n in range(1, 9):
+            assert module_char(mid, n) == named_term(0, n, mid), (mid, n)
+    assert module_char("w:3", 6) == module_char("family:one-or-k:3", 6)
 
 
 # The right sides of Proposition 2.3, Proposition 3.6 and Lemma 5.5 as their own runners
@@ -364,7 +384,7 @@ def test_product_terms_read_factors_and_modifiers():
     assert named_term(0, 3, "d/dp1 d/dp1 H") == p1_derivative(p1_derivative(named_term(0, 5, "H")))
     # a factor read by a prefix of its own
     assert named_term(0, 3, "w:2 * H") == sum(
-        (w_route_a(a, 2) * named_term(0, 3 - a, "H") for a in range(4)), PExpr.zero())
+        (named_term(0, a, "w:2") * named_term(0, 3 - a, "H") for a in range(4)), PExpr.zero())
     # three factors: A * (B * C)
     assert named_term(0, 4, "H * E * 1/(1-p1)") == sum(
         (named_term(0, a, "H") * named_term(0, 4 - a, "E * 1/(1-p1)") for a in range(5)),
@@ -413,11 +433,11 @@ def test_degree_and_weight_arguments_must_be_integers(x):
     with pytest.raises(ParameterError):
         foulkes(4, x)
     with pytest.raises(ParameterError):
-        w_route_a(x, 2)
+        named_term(0, x, "w:2")
     with pytest.raises(ParameterError):
         w_route_b(x, 2)
     with pytest.raises(ParameterError):
-        w_route_a(4, x)
+        module_char(f"w:{x}", 4)
     with pytest.raises(ParameterError):
         w_route_b(4, x)
     with pytest.raises(ParameterError):
@@ -505,7 +525,7 @@ def test_one_or_k_from_prime_weights():
     for k in (2, 3, 5):
         F = foulkes_series(k, 8)
         for n in range(0, 9):
-            assert plethystic_sum(F, n, "h") == w_route_a(n, k)
+            assert plethystic_sum(F, n, "h") == named_term(0, n, f"w:{k}")
 
 
 def test_parse_module():
@@ -524,5 +544,5 @@ def test_w_module_ids_are_read_by_one_parse(mid):
     for read in (parse_module, lambda m: module_char(m, 3), lambda m: module_char_plethystic(m, 3)):
         with pytest.raises(ParameterError):
             read(mid)
-    assert module_char("w:3", 7) == w_route_a(7, 3)
+    assert module_char("w:3", 7) == power_sum_family(FamilySpec("one-or-k", k=3), 7)
     assert module_char_plethystic("w:3", 7) == w_route_b(7, 3)
