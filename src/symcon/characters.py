@@ -446,7 +446,7 @@ def schur_to_power(nu: Partition) -> PExpr:
 
 def _hook_numerators(f: PExpr, n: int) -> tuple[int, int, int, int]:
     """The multiplicities of s_(n), s_(1^n), s_(n-1,1) and s_(2,1^(n-2)) in
-    f = sum_mu c_mu p_mu of degree n >= 2, as numerators over f.denominator, read
+    f = sum_mu c_mu p_mu of degree n (the first two only at n = 1), over f.denominator, read
     from the coefficients alone: the trivial, sign and standard characters and
     the sign twist of the standard are 1, sgn(mu), m_1(mu) - 1 and
     sgn(mu) (m_1(mu) - 1) on the class mu, with sgn(mu) = (-1)^(n - l(mu)) and

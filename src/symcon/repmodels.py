@@ -185,7 +185,7 @@ PRODUCT_FORMS = {
 
 
 # The memos of the open runs, innermost last.  A run is one dict: named_term keeps
-# each term it resolves under (k, n, name), and verify its module expansions under
+# each term it resolves under (k, n, name), and verify its Schur expansions under
 # keys of its own.  Outside a run the list is empty and nothing is kept.
 _RUNS: list[dict] = []
 

@@ -10,13 +10,14 @@ naming contract (thm/prop/cor/lem prefixes with equation-style suffixes,
 k-parameterized entries carrying ':k<k>').  Entries are independent; they
 run one after another and results are emitted in catalog order.
 
-run_selector runs all of its checks in one run (repmodels.in_run): a memo
-of every named term and module Schur expansion a check builds, which the
-later checks of the run read.  A bare Entry.check, and check_identity and
-the one-shot helpers over it, run in a run of their own, so nothing they
-build is kept after them.  The run is open only while a check computes and
-is dropped once the generator is exhausted or closed; this module keeps no
-cache that outlives it.
+run_selector runs all of its checks in one run (repmodels.in_run), whose
+memo keeps every named term and Schur expansion for the later checks;
+_expand keys an expansion on the expression (by its reduced fields), the
+degree and the table cap, so thm1.1.all and psi share one.  A bare
+Entry.check, and check_identity and the helpers over it, run in a run of
+their own, so nothing they build outlives them.  The run is open only
+while a check computes and is dropped once the generator is exhausted or
+closed; this module keeps no cache that outlives it.
 
 Every identity (Theorems 4.2, 4.11, 4.15, 5.9 and 3.4, Propositions 2.3,
 3.6, 4.13 and 6.5, Lemma 5.5 and Corollary 5.10) is a row of data, all
@@ -34,17 +35,18 @@ against its binomial closed form, at weight k) and the free-Lie identities
 of Corollary 5.2 and Proposition 5.4: the name pairs of
 repmodels.LIE_IDENTITIES at k = 1, since the free Lie series L is F_1.
 
-The positivity claims of Theorem 1.1 are a table of families, checked
-nonnegative; the strictness claims (Theorems 4.5, 4.9, 4.17, 4.19 and
-Corollary 4.18) are a table of modules with their documented exceptions.
-One runner checks both, and Corollary 4.12 and the positivity half of
-Theorem 6.4, in both directions: every shape occurs but a documented
-exception, and the exception is absent.  The trivial, sign and near-trivial
-counts of Propositions 4.21 and 4.22 and Lemma 4.7 are (label, shape,
-count) checks read by one helper.  The dimension and self-conjugacy claims
-are rows of a table, checked by one runner.  TABLES names each
-decomposition table's fixture and modules; the tables.* entries take their
-degrees from the fixture's keys.
+A row of that runner also carries claims (side, exceptions), read by one
+helper, _claim, both ways: the side is Schur-nonnegative, and with
+exceptions every shape occurs but a documented one, which is absent.  The
+rows of Theorem 1.1, the strictness rows (Theorems 4.5, 4.9, 4.17, 4.19,
+Corollaries 4.12 and 4.18) and the half sums of Theorem 3.4 and Corollary
+5.10 are such claims; Theorem 6.4 reads _claim too.  The trivial, sign and
+near-trivial counts of Propositions 4.21 and 4.22 and Lemma 4.7 are read
+off the power sums (characters._hook_numerators) with no table; only
+lem4.7's prime coverage expands f_n.  The dimension and self-conjugacy
+claims are rows of a table, checked by one runner.  TABLES names each
+decomposition table's fixture and modules; the tables.* entries take
+their degrees from the fixture's keys.
 
 The oracle rows compute each value once: oracles.mn-alternant decodes each
 table column once and reads the alternant oracle's class columns, and
@@ -101,6 +103,7 @@ from .repmodels import (
     foulkes_series,
     in_run,
     linear_combination,
+    module_char,
     named_term,
     power_sum_family,
     run_memo,
@@ -187,23 +190,28 @@ def _eq(pairs) -> tuple:
     return "PASS", None
 
 
-def _mults(se: SchurExpansion, checks) -> tuple:
-    """PASS iff every (label, nu, want) check has the multiplicity of s_nu in se equal to
-    want; else FAIL naming the first that does not, with the two values."""
-    for label, nu, want in checks:
-        got = se.mult(nu)
+# the hooks s_(n), s_(1^n), s_(n-1,1) and s_(2,1^(n-2)) of n, indexing _hook_numerators
+TRIVIAL, SIGN, NEAR_TRIVIAL, NEAR_SIGN = range(4)
+
+
+def _hooks(f: PExpr, n: int, checks) -> tuple:
+    """PASS iff every (label, hook, want) check has that hook's multiplicity in f equal to
+    want, read off f's power sums with no table; else FAIL naming the first that does not."""
+    counts = _hook_numerators(f, n)
+    for label, hook, want in checks:
+        got = Fraction(counts[hook], f.denominator)
         if got != want:
             return "FAIL", {"failed": label, "got": str(got), "want": str(want)}
     return "PASS", None
 
 
-def _module_schur(mid: str, n: int, max_n: int = TABLE_CAP) -> SchurExpansion:
-    """to_schur of the named module mid at degree n, kept in the open run; n and max_n
-    are checked before the memo is read, so 2.0 and True raise and never hit."""
-    key = ("to_schur", mid, integer(n, "module degree", 1), integer(max_n, "character table cap"))
+def _expand(f: PExpr, n: int, max_n: int = TABLE_CAP) -> SchurExpansion:
+    """to_schur of f at degree n and table cap max_n, kept in the open run under (f, n, max_n):
+    n and max_n are checked before the memo is read, so 2.0 and True raise and never hit."""
+    key = (f, integer(n, "Schur expansion degree"), integer(max_n, "character table cap"))
     memo = run_memo()
     if key not in memo:
-        memo[key] = to_schur(named_term(0, n, mid), n, max_n)
+        memo[key] = to_schur(f, n, max_n)
     return memo[key]
 
 
@@ -220,9 +228,8 @@ def check_positivity(
     STRICT: additionally every nu |- n occurs (mult >= 1).
     STRICT_EXCEPT: strict outside `exceptions`, each read as a partition of n
     by partitions.partition; excepted shapes only need nonnegativity (their
-    absence is allowed, not required).  No catalog row calls it: _run_positivity
-    reads _positivity itself, and for a row with an exception also requires the
-    excepted shape to be absent.
+    absence is allowed, not required).  No catalog row calls it: a row's claim
+    (_claim) also requires its excepted shape to be absent.
     """
     if mode not in ("NONNEG", "STRICT", "STRICT_EXCEPT"):
         raise ParameterError(f"mode must be NONNEG, STRICT or STRICT_EXCEPT, got {mode!r}")
@@ -235,7 +242,7 @@ def check_positivity(
     f = power_sum_family(spec_or_expr, n) if isinstance(spec_or_expr, FamilySpec) else spec_or_expr
     if not isinstance(f, PExpr):
         raise ParameterError(f"not a FamilySpec or a PExpr: {spec_or_expr!r}")
-    return CheckResult(check_id, n, *_positivity(to_schur(f, n), mode, exceptions))
+    return CheckResult(check_id, n, *_positivity(_expand(f, n), mode, exceptions))
 
 
 def _positivity(se: SchurExpansion, mode: str, exceptions=()) -> tuple:
@@ -347,69 +354,36 @@ _COR510 = (  # at k = 2; its two half sums must be Schur-nonnegative
     ("W == sum H", _one("w:2"), _one("H")),
     ("alternating form", _one("mixed-sym"), _one("Hs")),
 )
-_COR510_HALVES = (((HALF, "w:2"), (HALF, "mixed-sym")), ((HALF, "w:2"), (-HALF, "mixed-sym")))
+_COR510_HALVES = tuple((((HALF, "w:2"), (sign * HALF, "mixed-sym")), None) for sign in (1, -1))
 # The free-Lie identities, read at k = 1: name -> the pair labelled by its name.
 _LIE = {name: (name, _one(lhs), _one(rhs)) for name, (lhs, rhs, _) in LIE_IDENTITIES.items()}
 
 
-def _run_linear(k: int, pairs, nonneg, n: int) -> tuple:
-    """PASS iff both sides of every pair agree and every side of `nonneg` is
-    Schur-nonnegative; a name on several sides is built once, in the run's memo."""
+def _run_linear(k: int, pairs, claims, n: int) -> tuple:
+    """PASS iff both sides of every pair agree and then every claim (side, exceptions)
+    holds (_claim); a name on several sides is built once, in the run's memo."""
     term = partial(named_term, k, n)
     res = _eq([
         (label, linear_combination(lhs, term), linear_combination(rhs, term))
         for label, lhs, rhs in pairs
     ])
-    for side in nonneg:
+    for side, exceptions in claims:
         if res[0] != "PASS":
             return res
-        res = _positivity(to_schur(linear_combination(side, term), n), "NONNEG")
+        res = _claim(linear_combination(side, term), exceptions, n)
     return res
 
 
-# ---------------------------------------------------------------------------
-# Positivity and strictness entries
-#
-# Each row runs from its lowest degree to POSITIVITY_TOP.  A Theorem 1.1 row
-# (id suffix, lowest degree, family) is checked NONNEG; a strictness row (id,
-# lowest degree, module, exceptions) is checked STRICT, its exceptions being
-# {degree: shape}, a shape absent at a documented degree, or "sign", the sign
-# shape absent at every degree.
-
-
-_THM11 = (
-    [(kind, lo, FamilySpec(kind)) for kind, lo in (
-        ("all", 1), ("odd-parts", 1), ("even-sign", 1), ("not-do-even-sign", 2), ("not-do", 2))]
-    + [(f"{kind}:{k}", 1, FamilySpec(kind, k=k))
-       for kind in ("one-or-k", "divides-k", "thm59") for k in KS]
-    + [(f"prime-family:{p}", 1, FamilySpec("prime-family", p=p)) for p in (3, 5, 7)]
-)
-_STRICT = (
-    ("thm4.5", 2, "psi", {2: (1, 1)}),
-    ("thm4.9", 1, "eps", {}),
-    ("thm4.17.1", 4, "psi-a", {}),
-    ("thm4.17.2", 2, "psi-abar", "sign"),
-    ("thm4.19.1", 4, "eps-a", {4: (2, 2)}),
-    ("thm4.19.2", 2, "eps-abar", "sign"),
-    ("cor4.18", 4, "u-plus", {}),
-)
-
-
-def _run_positivity(target, mode: str, exceptions, n: int) -> tuple:
-    """Schur positivity of a row's target at degree n, checked both ways.
-
-    NONNEG: every multiplicity is an integer >= 0.  STRICT: every shape occurs,
-    except the excepted one, which must be absent; every multiplicity is an
-    integer >= 0 either way.  A degree exception always reports the excepted
-    shape's multiplicity.
-    """
-    if isinstance(target, FamilySpec):
-        se = to_schur(power_sum_family(target, n), n)
-    else:
-        se = _module_schur(target, n)
-    absent = (1,) * n if exceptions == "sign" else exceptions.get(n)
+def _claim(f: PExpr, exceptions, n: int) -> tuple:
+    """Schur positivity of f at degree n, checked both ways: with no exceptions (None)
+    every multiplicity is an integer >= 0; otherwise also every shape occurs but the
+    excepted one, which must be absent.  exceptions is {degree: shape}, a shape absent at
+    a documented degree, whose multiplicity is always reported, or "sign", the sign shape
+    absent at every degree."""
+    se = _expand(f, n)
+    absent = (1,) * n if exceptions == "sign" else (exceptions or {}).get(n)
     if absent is None:
-        return _positivity(se, mode)
+        return _positivity(se, "NONNEG" if exceptions is None else "STRICT")
     res = _positivity(se, "STRICT_EXCEPT", (absent,))
     mult = se.mult(absent)
     if exceptions == "sign":
@@ -422,6 +396,32 @@ def _run_positivity(target, mode: str, exceptions, n: int) -> tuple:
     return ("PASS" if mult == 0 else "FAIL"), detail
 
 
+# ---------------------------------------------------------------------------
+# Positivity and strictness rows
+#
+# Each row runs from its lowest degree to POSITIVITY_TOP, as one claim of
+# _run_linear on one term.  A Theorem 1.1 row (id suffix, lowest degree, weight
+# k, family term) is Schur-nonnegative; a strictness row (id, lowest degree,
+# term, exceptions) is strict, with the exceptions _claim reads.
+
+
+_THM11 = (
+    [(kind, lo, 0, kind) for kind, lo in (
+        ("all", 1), ("odd-parts", 1), ("even-sign", 1), ("not-do-even-sign", 2), ("not-do", 2))]
+    + [(f"{kind}:{k}", 1, k, kind) for kind in ("one-or-k", "divides-k", "thm59") for k in KS]
+    + [(f"prime-family:{p}", 1, 0, f"family:prime-family:{p}") for p in (3, 5, 7)]
+)
+_STRICT = (
+    ("thm4.5", 2, "psi", {2: (1, 1)}),
+    ("thm4.9", 1, "eps", {}),
+    ("thm4.17.1", 4, "psi-a", {}),
+    ("thm4.17.2", 2, "psi-abar", "sign"),
+    ("thm4.19.1", 4, "eps-a", {4: (2, 2)}),
+    ("thm4.19.2", 2, "eps-abar", "sign"),
+    ("cor4.18", 4, "u-plus", {}),
+)
+
+
 def _run_thm64(n: int) -> tuple:
     """Self-conjugacy, dimension n! and, at n = 3, the closed form 2 p_3 + p_1^3,
     then strictness with the shape (2, 1) absent at n = 3."""
@@ -431,7 +431,7 @@ def _run_thm64(n: int) -> tuple:
         return res
     if dimension(f, n) != factorial(n):
         return "FAIL", {"failed": "dimension"}
-    res = _run_positivity("alt-induced", "STRICT", {3: (2, 1)}, n)
+    res = _claim(f, {3: (2, 1)}, n)
     if n == 3:
         ok = res[0] == "PASS" and f == 2 * PExpr.p(3) + PExpr.p(1) ** 3
         return ("PASS" if ok else "FAIL"), {"expected-exception": {"nu": [2, 1]}}
@@ -475,8 +475,7 @@ def _run_dims(mid: str, n: int) -> tuple:
 
 
 def _run_cor414(n: int) -> tuple:
-    se = _module_schur("psi", n)
-    u_minus = _module_schur("u-minus", n)
+    se, u_minus = (_expand(module_char(mid, n), n) for mid in ("psi", "u-minus"))
     for nu in partitions_of(n):
         nut = conjugate(nu)
         if nu == nut:
@@ -489,13 +488,13 @@ def _run_cor414(n: int) -> tuple:
 
 def _run_prop421(n: int) -> tuple:
     checks = [
-        ("trivial", (n,), len(partitions_of(n))),
-        ("sign", (1,) * n, len(members(FamilySpec("do"), n))),
+        ("trivial", TRIVIAL, len(partitions_of(n))),
+        ("sign", SIGN, len(members(FamilySpec("do"), n))),
     ]
     if n >= 2:
         want = sum(len(set(lam)) - 1 for lam in partitions_of(n))
-        checks.append(("near-trivial", (n - 1, 1), want))
-    return _mults(_module_schur("psi", n), checks)
+        checks.append(("near-trivial", NEAR_TRIVIAL, want))
+    return _hooks(module_char("psi", n), n, checks)
 
 
 def _run_prop422(n: int) -> tuple:
@@ -503,30 +502,30 @@ def _run_prop422(n: int) -> tuple:
     odd_count = len(members(FamilySpec("odd-parts"), n))
     if odd_count != len(distinct):
         return "FAIL", {"failed": "euler"}
-    checks = [("trivial", (n,), odd_count), ("sign", (1,) * n, odd_count)]
+    checks = [("trivial", TRIVIAL, odd_count), ("sign", SIGN, odd_count)]
     if n >= 2:
         want = sum(len(lam) - 1 for lam in distinct) + sum(
             1  # one part twice, every other part once
             for lam in partitions_of(n)
             if len(lam) == len(set(lam)) + 1
         )
-        checks += [("near-trivial", (n - 1, 1), want), ("near-sign", (2,) + (1,) * (n - 2), want)]
-    return _mults(_module_schur("eps", n), checks)
+        checks += [("near-trivial", NEAR_TRIVIAL, want), ("near-sign", NEAR_SIGN, want)]
+    return _hooks(module_char("eps", n), n, checks)
 
 
 def _run_lem47(n: int) -> tuple:
-    se = to_schur(foulkes(n, 0), n)
-    hooks = ((n - 1, 1), (2,) + (1,) * (n - 2))
-    checks = [("trivial once", (n,), 1)]
+    f = foulkes(n, 0)
+    checks = [("trivial once", TRIVIAL, 1)]
     if n >= 2:
         checks += [
-            ("near-trivial absent", hooks[0], 0),
-            ("sign iff odd", (1,) * n, n % 2),
-            ("near-sign iff even", hooks[1], 1 - n % 2),
+            ("near-trivial absent", NEAR_TRIVIAL, 0),
+            ("sign iff odd", SIGN, n % 2),
+            ("near-sign iff even", NEAR_SIGN, 1 - n % 2),
         ]
-    res = _mults(se, checks)
+    res = _hooks(f, n, checks)
     if res[0] == "PASS" and n % 2 == 1 and divisors(n) == (1, n):
         # odd primes: every shape but the two hooks occurs
+        se, hooks = _expand(f, n), ((n - 1, 1), (2,) + (1,) * (n - 2))
         if any(se.mult(nu) < 1 for nu in partitions_of(n) if nu not in hooks):
             return "FAIL", {"failed": "prime coverage"}
     return res
@@ -563,7 +562,7 @@ def _run_ramanujan(d: int) -> tuple:
 
 
 def _run_maj(n: int) -> tuple:
-    se = to_schur(foulkes(n, 0), n)
+    se = _expand(foulkes(n, 0), n)
     for nu in partitions_of(n):
         if se.mult(nu) != maj_multiplicity(nu, n, 0):
             return "FAIL", {"witness": [{"nu": list(nu)}]}
@@ -630,7 +629,7 @@ def _run_table(kind: str, n: int) -> tuple:
             for mid, fix in zip(mids, map(dict, fixture))
             for nu in partitions_of(n)
         ]
-    got = {mid: dict(_module_schur(mid, n).terms()) for mid in mids}
+    got = {mid: dict(_expand(module_char(mid, n), n).terms()) for mid in mids}
     for mid, nu, want in wants:
         m = got[mid].get(nu, 0)
         if m != want:
@@ -643,7 +642,7 @@ def table_decomposition(kind: str, n: int, max_n: int = TABLE_CAP) -> dict[str, 
     """Computed decomposition(s) rendered by the CLI `table` command; max_n caps the
     character table's degree, as in to_schur; both are checked before the cache reads them."""
     n, max_n = integer(n, "table degree"), integer(max_n, "character table cap")
-    return {mid: _module_schur(mid, n, max_n) for mid in TABLES[_table_kind(kind)][1]}
+    return {mid: _expand(module_char(mid, n), n, max_n) for mid in TABLES[_table_kind(kind)][1]}
 
 
 # cex.b and cex.c: (explicit family, the shape of multiplicity -1)
@@ -662,7 +661,7 @@ def _run_cex(which: str, n: int) -> tuple:
     else:
         items, nu = _CEX[which]
         f, want = power_sum_family(FamilySpec("explicit", items=items), n), -1
-    got = to_schur(f, n).mult(nu)
+    got = _expand(f, n).mult(nu)
     status = "REPORT" if got == want else "FAIL"
     return status, {"nu": list(nu), "mult": str(got), "expected": str(want)}
 
@@ -693,7 +692,7 @@ def _covers(f: PExpr, n: int) -> bool:
     first, then the full expansion."""
     if n >= 2 and min(_hook_numerators(f, n)) < f.denominator:
         return False
-    return to_schur(f, n).verdict == "POSITIVE"
+    return _expand(f, n).verdict == "POSITIVE"
 
 
 def _run_coverage(n: int) -> tuple:
@@ -718,7 +717,7 @@ def _build_catalog() -> list[Entry]:
         ks; with nonneg, each row's first left side must be Schur-nonnegative."""
         return [
             (f"{group}.{eq}" if ks is None else f"{group}.{eq}:k{k}", group, ten,
-             _run_linear, (k, pairs, (pairs[0][1],) if nonneg else ()))
+             _run_linear, (k, pairs, ((pairs[0][1], None),) if nonneg else ()))
             for eq, pairs in rows
             for k in ks or (0,)
         ]
@@ -742,19 +741,19 @@ def _build_catalog() -> list[Entry]:
         + linear("thm3.4", _THM34, ks=(0, 1, 2), nonneg=True)
         + [("cor5.10", "cor5.10", ten, _run_linear, (2, _COR510, _COR510_HALVES))]
     )
-    thm11 = [
-        (f"thm1.1.{suffix}", "thm1.1", range(lo, POSITIVITY_TOP + 1), _run_positivity,
-         (spec, "NONNEG", {}))
-        for suffix, lo, spec in _THM11
-    ]
-    strict = [
-        (cid, "strict", range(lo, POSITIVITY_TOP + 1), _run_positivity, (mid, "STRICT", exceptions))
-        for cid, lo, mid, exceptions in _STRICT
-    ] + [
+    top = POSITIVITY_TOP + 1
+
+    def claim(cid, group, degrees, k, name, exceptions):
+        """A row of _run_linear with the one claim (the term name at weight k, exceptions)."""
+        return cid, group, degrees, _run_linear, (k, (), ((_one(name), exceptions),))
+
+    thm11 = [claim(f"thm1.1.{suffix}", "thm1.1", range(lo, top), k, name, None)
+             for suffix, lo, k, name in _THM11]
+    strict = [claim(cid, "strict", range(lo, top), 0, name, exceptions)
+              for cid, lo, name, exceptions in _STRICT] + [
         # the even-sign family is strict at every degree but 2, which the row skips
-        ("cor4.12", "strict", (1, *range(3, POSITIVITY_TOP + 1)), _run_positivity,
-         (FamilySpec("even-sign"), "STRICT", {})),
-        ("thm6.4", "strict", range(2, POSITIVITY_TOP + 1), _run_thm64, ()),
+        claim("cor4.12", "strict", (1, *range(3, top)), 0, "even-sign", {}),
+        ("thm6.4", "strict", range(2, top), _run_thm64, ()),
     ]
     dims = (
         [(f"dims.{mid}", "dims", range(lo, 11), _run_dims, (mid,))

@@ -9,6 +9,9 @@ from symcon.repmodels import module_char
 from symcon.symfunc import PExpr
 from symcon.verify import (
     CATALOG,
+    NEAR_SIGN,
+    NEAR_TRIVIAL,
+    TRIVIAL,
     CheckResult,
     check_identity,
     check_positivity,
@@ -235,7 +238,7 @@ def test_coverage_scan_expands_only_the_survivors(monkeypatch):
 
     expanded = []
     real = verify.to_schur
-    monkeypatch.setattr(verify, "to_schur", lambda f, n: expanded.append(n) or real(f, n))
+    monkeypatch.setattr(verify, "to_schur", lambda f, n, *cap: expanded.append(n) or real(f, n, *cap))
     detail = per_class_coverage(20).detail
     # seven classes cover, for h and e alike; every other class has a hook multiplicity 0
     assert len(detail["h-covering"]) == len(detail["e-covering"]) == 7
@@ -302,7 +305,7 @@ def test_linear_runner_names_the_failing_pair():
     # equal sides that are not Schur-nonnegative fail only under nonneg
     negative = (("omega", ((1, "~u-minus"),), ((-1, "u-minus"),)),)
     assert _run_linear(0, negative, (), 2)[0] == "PASS"
-    status, detail = _run_linear(0, negative, (negative[0][1],), 2)
+    status, detail = _run_linear(0, negative, ((negative[0][1], None),), 2)
     assert status == "FAIL" and detail["witness"][0]["nu"] == [2]
 
 
@@ -388,23 +391,26 @@ def test_routes_rows_share_the_catalog_series(monkeypatch):
 
 
 def test_positivity_rows_check_both_directions():
-    from symcon.verify import _run_positivity
+    from symcon.verify import _run_linear
+
+    def strict(mid, exceptions, n):  # a strictness row: one claim on the module mid
+        return _run_linear(0, (), ((((1, mid),), exceptions),), n)
 
     # psi at n = 3 contains the sign shape, so excepting it fails
-    status, detail = _run_positivity("psi", "STRICT", {3: (1, 1, 1)}, 3)
+    status, detail = strict("psi", {3: (1, 1, 1)}, 3)
     assert status == "FAIL"
     assert detail == {"expected-exception": {"nu": [1, 1, 1], "mult": "1"}}
     # psi at n = 2 lacks the sign shape, so the unexcepted row fails
-    status, detail = _run_positivity("psi", "STRICT", {}, 2)
+    status, detail = strict("psi", {}, 2)
     assert status == "FAIL"
     assert detail == {"witness": [{"nu": [1, 1], "mult": "0"}]}
-    status, detail = _run_positivity("psi", "STRICT", "sign", 3)
+    status, detail = strict("psi", "sign", 3)
     assert status == "FAIL"
     assert detail == {"witness": [{"nu": [1, 1, 1], "mult": "nonzero"}]}
     # the documented exceptions hold
-    status, detail = _run_positivity("psi", "STRICT", {2: (1, 1)}, 2)
+    status, detail = strict("psi", {2: (1, 1)}, 2)
     assert status == "PASS" and detail["expected-exception"]["mult"] == "0"
-    assert _run_positivity("psi-abar", "STRICT", "sign", 5)[0] == "PASS"
+    assert strict("psi-abar", "sign", 5)[0] == "PASS"
 
 
 def test_lem47_prime_coverage_beyond_seven(monkeypatch):
@@ -617,7 +623,7 @@ def test_exception_degrees_check_integrality(monkeypatch):
     # thm4.5 excepts (1, 1) at degree 2; a fractional (2) there must fail
     fake = SchurExpansion(2, (3, 0), 2, "NON_INTEGRAL")
     assert fake.mults == {(2,): Fraction(3, 2)}
-    monkeypatch.setattr(verify, "_module_schur", lambda mid, n: fake)
+    monkeypatch.setattr(verify, "_expand", lambda f, n, *cap: fake)
     res = check_identity("thm4.5", 2)
     assert res.status == "FAIL"
     assert res.detail == {"witness": [{"nu": [2], "mult": "3/2"}]}
@@ -691,16 +697,17 @@ def test_module_schur_refuses_float_and_bool_degrees(in_a_run):
     from contextlib import nullcontext
 
     from symcon.repmodels import in_run
-    from symcon.verify import _module_schur
+    from symcon.verify import _expand
 
     with in_run({}) if in_a_run else nullcontext():
+        psi = {n: module_char("psi", n) for n in (1, 2)}
         for n in (1, 2):  # in a run, the keys that True and 2.0 equal are kept
-            _module_schur("psi", n)
+            _expand(psi[n], n)
         for bad in (2.0, True):
             with pytest.raises(ParameterError):
-                _module_schur("psi", bad)
+                _expand(psi[int(bad)], bad)
             with pytest.raises(ParameterError):
-                _module_schur("psi", 2, bad)
+                _expand(psi[2], 2, bad)
 
 
 def test_a_run_holds_no_term_or_expansion_once_it_ends():
@@ -718,6 +725,52 @@ def test_a_run_holds_no_term_or_expansion_once_it_ends():
     before = alive()
     assert list(run_selector("all", 6))
     assert alive() == before
+
+
+def test_a_run_expands_each_expression_once(monkeypatch):
+    import gc
+
+    from symcon import verify
+    from symcon.characters import TABLE_CAP, SchurExpansion
+
+    calls = []
+    real = verify.to_schur
+
+    def record(f, n=None, max_n=TABLE_CAP):
+        calls.append((f, n, max_n))
+        return real(f, n, max_n)
+
+    monkeypatch.setattr(verify, "to_schur", record)
+    assert list(run_selector("all", 8))
+    distinct = len(set(calls))  # thm1.1.all and psi share one expansion, ...
+    assert 0 < len(calls) == distinct
+
+    def alive():
+        gc.collect()
+        return sum(isinstance(o, SchurExpansion) for o in gc.get_objects())
+
+    before = alive()
+    assert check_positivity(FamilySpec("all"), 5).status == "PASS"
+    assert set(table_decomposition("t3", 5)) == {"psi-a", "psi-abar"}
+    assert alive() == before  # outside a run nothing is kept
+
+
+def test_hook_rows_need_no_character_table(monkeypatch):
+    from symcon import characters
+    from symcon.errors import CapacityError
+
+    def no_table(n):
+        raise AssertionError(f"character table of degree {n} built")
+
+    monkeypatch.setattr(characters, "_build_table", no_table)
+    for n in range(21, 26):
+        assert check_identity("prop4.21", n).status == "PASS"
+        assert check_identity("prop4.22", n).status == "PASS"
+    for n in (21, 22, 24, 25):
+        assert check_identity("lem4.7", n).status == "PASS"
+    # at an odd prime, lem4.7's coverage reads the full expansion: its one table
+    with pytest.raises(CapacityError):
+        check_identity("lem4.7", 23)
 
 
 @pytest.fixture(scope="module")
@@ -772,9 +825,19 @@ def _schur(n, numerators):
 
 
 def _with_module(mid, numerators):
-    """A _module_schur whose expansion of `mid` is replaced by the given numerators."""
+    """An _expand whose expansion of the module `mid` is replaced by the given numerators."""
     def make(real):
-        return lambda m, n, *cap: _schur(n, numerators) if m == mid else real(m, n, *cap)
+        return lambda f, n, *cap: (
+            _schur(n, numerators) if f == module_char(mid, n) else real(f, n, *cap))
+    return make
+
+
+def _with_hooks(hook, count):
+    """A _hook_numerators whose multiplicity of `hook` (an index such as verify.SIGN)
+    is replaced by count."""
+    def make(real):
+        return lambda f, n: tuple(
+            f.denominator * count if i == hook else m for i, m in enumerate(real(f, n)))
     return make
 
 
@@ -786,11 +849,11 @@ _BROKEN_INPUTS = [
     ("thm6.4", 4, "dimension", lambda real: lambda f, n: 0, {"failed": "dimension"}),
     ("dims.psi", 4, "dimension", lambda real: lambda f, n: 0, {"failed": "dimension", "got": "0"}),
     ("dims.eps", 4, "omega", lambda real: lambda f: -f, {"failed": "self-conjugacy"}),
-    ("cor4.14", 4, "_module_schur", _with_module("u-minus", (0, 0, 1, 0, 0)),
+    ("cor4.14", 4, "_expand", _with_module("u-minus", (0, 0, 1, 0, 0)),
      {"witness": [{"nu": [2, 2], "where": "u-minus"}]}),
-    ("cor4.14", 4, "_module_schur", _with_module("psi", (5, 2, 3, 2, 2)),
+    ("cor4.14", 4, "_expand", _with_module("psi", (5, 2, 3, 2, 2)),
      {"witness": [{"nu": [4], "where": "parity"}]}),
-    ("prop4.21", 4, "_module_schur", _with_module("psi", (4, 2, 3, 2, 1)),
+    ("prop4.21", 4, "_hook_numerators", _with_hooks(TRIVIAL, 4),  # psi has (4) 5 times
      {"failed": "trivial", "got": "4", "want": "5"}),
     ("oracles.mn-alternant", 3, "alternant_oracle", lambda real: lambda nu, mu: 0,
      {"witness": [{"nu": [3], "mu": [3]}]}),
@@ -803,12 +866,12 @@ _BROKEN_INPUTS = [
     ("lem5.7", 6, "f_eval",
      lambda real: lambda n, k, x: real(n, k, x) + (k == 3 and x == -1),
      {"witness": [{"k": 3, "sign": -1}]}),
-    ("prop4.22", 4, "_module_schur", _with_module("eps", (2, 3, 1, 2, 2)),  # eps is [2, 3, 1, 3, 2]
+    ("prop4.22", 4, "_hook_numerators", _with_hooks(NEAR_SIGN, 2),  # eps is [2, 3, 1, 3, 2]
      {"failed": "near-sign", "got": "2", "want": "3"}),
     ("prop4.22", 4, "members",
      lambda real: lambda spec, n: real(spec, n)[1:] if spec.kind == "distinct" else real(spec, n),
      {"failed": "euler"}),
-    ("lem4.7", 4, "to_schur", lambda real: lambda f, n, *cap: _schur(n, (1, 1, 1, 1, 0)),
+    ("lem4.7", 4, "_hook_numerators", _with_hooks(NEAR_TRIVIAL, 1),  # f_4 has (3,1) 0 times
      {"failed": "near-trivial absent", "got": "1", "want": "0"}),
 ]
 
@@ -839,9 +902,9 @@ def test_linear_runner_reports_a_failed_pair_before_a_nonneg_side():
     from symcon.verify import _run_linear
 
     pairs = (("differs", ((1, "H0"),), ((1, "all"),)),)
-    status, detail = _run_linear(0, pairs, (((-1, "H"),),), 4)  # -H is not nonnegative
+    status, detail = _run_linear(0, pairs, ((((-1, "H"),), None),), 4)  # -H is not nonnegative
     assert status == "FAIL" and detail["failed"] == "differs"
-    status, detail = _run_linear(0, pairs[:0], (((-1, "H"),),), 4)  # no pair: the side is read
+    status, detail = _run_linear(0, pairs[:0], ((((-1, "H"),), None),), 4)  # no pair: the side is read
     assert status == "FAIL" and detail["witness"][0] == {"nu": [4], "mult": "-5"}
 
 
