@@ -21,7 +21,7 @@ import sys
 from .characters import TABLE_CAP, SchurExpansion, to_schur
 from .errors import SymconError
 from .partitions import pretty
-from .repmodels import MODULE_IDS, module_char, parse_module
+from .repmodels import MODULE_IDS, in_run, module_char, parse_module
 from .verify import DEFAULT_MAX_N, TABLES, run_selector, table_decomposition
 
 ENV_MAX_N = "SYMCON_MAX_N"
@@ -81,10 +81,11 @@ def _expansion_rows(se: SchurExpansion):
 
 def cmd_expand(args) -> int:
     max_n = _resolve_max_n(args)
-    mid = parse_module(args.target)
-    if args.n > max_n:
-        raise SymconError(f"n={args.n} exceeds max_n={max_n}")
-    se = to_schur(module_char(mid, args.n), args.n, max_n=max_n)
+    with in_run({}):  # the module is parsed once: an explicit family's file is read once
+        mid = parse_module(args.target)  # a bad module is refused before a bad n
+        if args.n > max_n:
+            raise SymconError(f"n={args.n} exceeds max_n={max_n}")
+        se = to_schur(module_char(mid, args.n), args.n, max_n=max_n)
     if args.format == "json":
         _emit(json.dumps(se.to_json_dict()) + "\n", args.out)
     elif args.format == "csv":

@@ -68,10 +68,23 @@ def foulkes(n: int, k: int) -> PExpr:
 
 def f_eval_direct(n: int, k: int, sign: int) -> Fraction:
     """Direct evaluation of the one-variable polynomial f_n at +-1: the divisor sum
-    (1/n) sum_{d | n} c_d(k) * sign^(n/d), summed over the integers."""
+    (1/n) sum_{d | n} c_d(k) * sign^(n/d), summed over the integers.  n and k are
+    checked first; inside a run the sums at +1 and -1 are then read from, or kept in,
+    the run's memo, one pass over the divisors giving both."""
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
-    return Fraction(sum(ramanujan_sum(d, k) * sign ** (n // d) for d in divisors(n)), n)
+    key = ("f_eval_direct", integer(n, "f_eval_direct degree n", 1))
+    integer(k, "f_eval_direct weight k")
+    memo = run_memo()
+    sums = memo.get(key)
+    if sums is None:
+        sums = memo[key] = {}  # k -> (the sum at +1, the sum at -1)
+    pair = sums.get(k)
+    if pair is None:
+        terms = [(ramanujan_sum(d, k), n // d) for d in divisors(n)]
+        pair = sums[k] = (Fraction(sum(c for c, _ in terms), n),
+                          Fraction(sum(-c if e & 1 else c for c, e in terms), n))
+    return pair[0] if sign == 1 else pair[1]
 
 
 def f_eval(n: int, k: int, sign: int) -> int:
@@ -245,7 +258,7 @@ def _resolve(k: int, n: int, name: str) -> PExpr:
     if name in MODULE_FORMS:
         return linear_combination(MODULE_FORMS[name][0], partial(named_term, 0, n))
     if name.startswith("family:"):  # before the product split: an explicit path may hold " * "
-        return power_sum_family(parse_family(name.removeprefix("family:")), n)
+        return power_sum_family(_family(name), n)
     base, bracket, over = name.partition("[")
     if base in SUMS and (not bracket or over.endswith("]") and over[:-1] in DERIVED_SERIES):
         F = _derived_series(k, over[:-1]) if bracket else foulkes_series(k, SERIES_TRUNC)
@@ -320,9 +333,19 @@ def parse_module(text: str) -> str:
         _w_weight(text)
         return text
     if text.startswith("family:"):
-        parse_family(text.removeprefix("family:"))
+        _family(text)
         return text
     raise ParameterError(f"unknown module or family {text!r}")
+
+
+def _family(text: str) -> FamilySpec:
+    """The family of the module string "family:<spec>", parsed once per run: inside a run
+    it is kept in the run's memo, so an explicit family's file is read once."""
+    key = ("family", text)
+    memo = run_memo()
+    if key not in memo:
+        memo[key] = parse_family(text.removeprefix("family:"))
+    return memo[key]
 
 
 def _w_weight(mid: str) -> int:

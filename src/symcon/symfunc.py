@@ -605,7 +605,11 @@ class Series:
         h_0..h_M[f_i] / e_0..e_M[f_i];
       * ("sum", kind, n, a, b): the plethystic sum (a*G_n + b*S_n)/2,
         G and S the plain and signed sequences, of every option it was
-        asked for (see plethystic_sum).
+        asked for (see plethystic_sum);
+      * ("hooks", kind, i): for each multiplicity m so far, the four
+        integer scalars of h_m[f_i] / e_m[f_i] and their denominator,
+        from which the hook multiplicities of H_lambda / E_lambda are
+        combined without building either (see _factor_hooks).
 
     The cached PExprs take their keys from one per-series map of codes
     to key tuples, so they share one tuple per partition.
@@ -712,6 +716,61 @@ def _lambda_product(kind: str, lam, F: Series) -> PExpr:
         value = _newton(cache, (kind, i), {1: F.component(i)}, kind, False, m, w)[m]
         out = value if out is None else _kernel([(1, out, value)])
     return _unpack(out or _ONE, w, keys)
+
+
+def _hook_sums(f: PExpr, n: int) -> tuple[int, int, int, int]:
+    """T, S, T1 and S1 of f = sum_mu c_mu p_mu of degree n, over f.denominator: sum c_mu,
+    sum c_mu sgn(mu), sum c_mu m_1(mu) and sum c_mu m_1(mu) sgn(mu), with
+    sgn(mu) = (-1)^(n - l(mu)) and m_1(mu) the number of parts 1 of mu."""
+    T = S = T1 = S1 = 0
+    for mu, c in f.numerators.items():
+        signed, ones = (-c if (n - len(mu)) & 1 else c), mu.count(1)
+        T, S, T1, S1 = T + c, S + signed, T1 + c * ones, S1 + signed * ones
+    return T, S, T1, S1
+
+
+def _factor_hooks(kind: str, i: int, m: int, F: Series) -> tuple[int, int, int, int, int]:
+    """(D, T, S, T1, S1) of the factor g = h_m[f_i] ("h") or e_m[f_i] ("e") of F, g not built:
+    with g = sum_mu c_mu p_mu and sgn(mu) = (-1)^(|mu| - l(mu)), T, S, T1 and S1 over D are
+    sum c_mu, sum c_mu sgn(mu), sum c_mu m_1(mu) and sum c_mu m_1(mu) sgn(mu).
+
+    For phi+ : p_j -> 1 and phi- : p_j -> (-1)^(j-1), g -> (phi(g), phi(dg/dp_1)) is a ring
+    homomorphism into the dual numbers (Macdonald I.7): (T, T1) under phi+, (S, S1) under
+    phi-.  It sends p_1[f_i] = f_i to f_i's own pair (V, V1), and p_r[f_i], r >= 2, which
+    has no part 1, to (q^(r-1) V, 0) with q = 1 under phi+ and (-1)^i under phi-.  So the
+    generating function sum_m g_m t^m, the exponential of sum_r sigma^(r-1) p_r[f_i] t^r / r
+    (sigma = 1 for h, -1 for e), goes to (1 - Q t)^(-Q V) (1 + V1 t), Q = sigma q:
+    phi(g_m) = prod_(s<m) (V + Q s) / m! and phi(dg_m/dp_1) = V1 phi(g_(m-1)).  Over
+    D = d^m m!, d the denominator of f_i, all four are integers.  The quintuples of every
+    m so far are cached on F under ("hooks", kind, i), the one of m = 1 being f_i's own.
+    """
+    out = F._pleth_cache.get(("hooks", kind, i))
+    if out is None:
+        f = F.component(i)
+        out = F._pleth_cache["hooks", kind, i] = [(1, 1, 1, 0, 0), (f.denominator, *_hook_sums(f, i))]
+    d, t, s, t1, s1 = out[1]
+    sigma = -1 if kind == "e" else 1
+    for j in range(len(out), m + 1):
+        D, T, S, _, _ = out[-1]
+        steps = (j - 1) * d * sigma  # Q (j - 1) d, Q = sigma under phi+, sigma (-1)^i under phi-
+        out.append((D * d * j, T * (t + steps), S * (s + steps * (-1) ** i), t1 * j * T, s1 * j * S))
+    return out[m]
+
+
+def _lambda_hooks(kind: str, lam: Partition, F: Series) -> tuple[tuple[int, int, int, int], int]:
+    """_hook_numerators of H_lambda ("h") or E_lambda ("e") at lam, and the denominator they
+    are over, with neither the product nor its factors built.
+
+    The sums T and S of a product are the products of its factors' (_factor_hooks), and
+    T1 and S1 follow by the Leibniz rule, m_1 being additive; the four multiplicities are
+    then T, S, T1 - T and S1 - S."""
+    D = T = S = 1
+    T1 = S1 = 0
+    for i, m in _multiplicities(lam).items():
+        d, t, s, t1, s1 = _factor_hooks(kind, i, m, F)
+        T1, S1 = T1 * t + T * t1, S1 * s + S * s1
+        D, T, S = D * d, T * t, S * s
+    return (T, S, T1 - T, S1 - S), D
 
 
 def H_lambda(lam: Partition, F: Series) -> PExpr:

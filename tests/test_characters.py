@@ -281,6 +281,37 @@ def test_alternant_oracle_exhaustive():
         alternant_oracle((7,), (7,))
 
 
+def _alternant_column_alone(mu):
+    """The alternant column of mu with every exponent vector classified for this column
+    alone: the reference for the classification shared by the columns of a degree."""
+    n = sum(mu)
+    poly = {(0,) * n: 1}  # p_mu in n variables, keyed by the exponent vector
+    for part in mu:
+        new = {}
+        for e, coeff in poly.items():
+            for i in range(n):
+                f = e[:i] + (e[i] + part,) + e[i + 1 :]
+                new[f] = new.get(f, 0) + coeff
+        poly = new
+    column = {}
+    for e, coeff in poly.items():
+        w = [x + n - 1 - i for i, x in enumerate(e)]  # e + delta
+        if len(set(w)) < n:
+            continue
+        if sum(a < b for i, a in enumerate(w) for b in w[i + 1 :]) & 1:
+            coeff = -coeff
+        nu = tuple(p for p in (v - n + 1 + i for i, v in enumerate(sorted(w, reverse=True))) if p)
+        column[nu] = column.get(nu, 0) + coeff
+    return column
+
+
+def test_shared_alternant_classes_give_the_columns_alone():
+    classes = [mu for n in range(1, ALTERNANT_MAX_N + 1) for mu in partitions_of(n)]
+    assert len(classes) == 29
+    for mu in classes:
+        assert _alternant_column(mu) == _alternant_column_alone(mu), mu
+
+
 def test_hook_numerators_are_the_four_multiplicities():
     from symcon.repmodels import SERIES_TRUNC, foulkes_series
     from symcon.symfunc import E_lambda, H_lambda

@@ -220,6 +220,23 @@ def test_explicit_family_file(capsys, tmp_path):
     assert json.loads(out) == to_schur(p(3, 1) + p(2, 2) + p(1, 1, 1, 1)).to_json_dict()
 
 
+def test_explicit_family_file_is_read_once(capsys, tmp_path, monkeypatch):
+    # expand parses the module before it checks n against max_n, and reads the file once
+    import builtins
+
+    path = tmp_path / "family.json"
+    path.write_text("[[3],[2,1]]", encoding="utf-8")
+    opened, real = [], builtins.open
+    monkeypatch.setattr(
+        builtins, "open", lambda file, *a, **k: opened.append(file) or real(file, *a, **k))
+    code, out, _ = run_cli(capsys, "expand", f"family:explicit:{path}", "3")
+    assert code == 0 and out.endswith("verdict: MIXED\n")
+    assert opened.count(str(path)) == 1
+    path.write_text("[[3", encoding="utf-8")  # a bad module is still refused before a bad n
+    code, _, err = run_cli(capsys, "expand", f"family:explicit:{path}", "30")
+    assert code == 2 and "not valid JSON" in err
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
 def test_out_file_errors(capsys, tmp_path, where):
     if where == "missing-dir":

@@ -41,6 +41,7 @@ from symcon.repmodels import (
     f_eval_direct,
     foulkes,
     foulkes_series,
+    in_run,
     lie_series_identities,
     module_char,
     module_char_plethystic,
@@ -129,6 +130,8 @@ ENTRY_POINTS = {
     "foulkes k": lambda: foulkes(2, NON_INT),
     "f_eval n": lambda: f_eval(NON_INT, 0, 1),
     "f_eval k": lambda: f_eval(2, NON_INT, 1),
+    "f_eval_direct n": lambda: f_eval_direct(NON_INT, 1, 1),
+    "f_eval_direct k": lambda: f_eval_direct(2, NON_INT, 1),
     "foulkes_series k": lambda: foulkes_series(NON_INT, 2),
     "foulkes_series trunc": lambda: foulkes_series(0, NON_INT),
     "module_char": lambda: module_char("psi", NON_INT),
@@ -161,6 +164,16 @@ ENTRY_POINTS = {
 def test_every_integer_argument_goes_through_the_one_rule(name):
     with pytest.raises(ParameterError, match=r" must be an integer( >= -?\d+)?, got "):
         ENTRY_POINTS[name]()
+
+
+@pytest.mark.parametrize("bad", [(2.0, 1, 1), (2, True, 1)])
+def test_f_eval_direct_checks_before_the_run_memo(bad):
+    # the run keeps each divisor sum under (n, k, sign); 2.0 and True equal 2 and 1 as keys,
+    # so n and k are checked before the memo is read, and a warm run refuses them too
+    with in_run({}):
+        assert f_eval_direct(2, 1, 1) == 0
+        with pytest.raises(ParameterError, match=r" must be an integer( >= 1)?, got "):
+            f_eval_direct(*bad)
 
 
 # Every entry point that reads a partition, each given the same bad ones: all of

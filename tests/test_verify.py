@@ -245,6 +245,40 @@ def test_coverage_scan_expands_only_the_survivors(monkeypatch):
     assert len(expanded) <= 14
 
 
+def test_coverage_sieve_equals_the_hooks_of_the_built_class():
+    # the four hook numerators of H_lam[F] and E_lam[F], combined from per-factor scalars,
+    # against _hook_numerators of the built product, as values over their denominators
+    from fractions import Fraction
+
+    from symcon.characters import _hook_numerators
+    from symcon.repmodels import SERIES_TRUNC, foulkes_series
+    from symcon.symfunc import E_lambda, H_lambda, _lambda_hooks
+
+    F = foulkes_series(0, SERIES_TRUNC)
+    for n in range(15):
+        for lam in partitions_of(n):
+            for kind, form in (("h", H_lambda), ("e", E_lambda)):
+                f = form(lam, F)
+                counts, denominator = _lambda_hooks(kind, lam, F)
+                got = [Fraction(c, denominator) for c in counts]
+                want = [Fraction(c, f.denominator) for c in _hook_numerators(f, n)]
+                assert got == want, (kind, lam)
+
+
+def test_coverage_sieve_builds_no_refuted_class(monkeypatch):
+    from symcon import verify
+
+    built = []
+    for name in ("H_lambda", "E_lambda"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda lam, F, real=real: built.append(lam) or real(lam, F))
+    detail = verify._run_coverage(8)[1]
+    # at n = 8 two classes pass the four hooks, for h and e alike, and only they are built:
+    # (7, 1) covers, and (5, 3) is refuted by its expansion
+    assert built == [(7, 1), (5, 3)] * 2
+    assert detail == {"h-covering": [[7, 1]], "e-covering": [[7, 1]]}
+
+
 def test_per_class_coverage_small():
     assert per_class_coverage(1).detail == {"h-covering": [[1]], "e-covering": [[1]]}
     assert per_class_coverage(2).detail == {"h-covering": [], "e-covering": []}
