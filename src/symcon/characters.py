@@ -25,17 +25,16 @@ first at its level is that row with the lanes of odd |rho| - l(rho) negated,
 V - 2(((V + bias) & odd) - (bias & odd)) for the mask `odd` of those lanes.  The
 conjugate's bead mask is the complement of mu's within 2n slots, read
 backwards.  At n = 20 this derives 1,329 of the 2,713 rows and walks 20,504
-strip removals (40,260 when every row walks them).  Level j is read by level
-j + k through its low c(j, k) lanes, fewer for each later reader, so each
-read stores the cut copy back as level j, and level j is dropped once the
-next level would read none of it (after level 2j).  Level n is never held:
-each of its rows, with the row of its conjugate, is copied into the
-transpose as soon as it is made.  The lanes are 32 bits wide while the bound
-|chi^lam| <= f^lam <= sqrt(n!) fits a signed 32-bit lane (n <= 20), 64 bits
-above, and past that the build raises CapacityError before enumerating
-anything.  Lanes are decoded by adding and XOR-ing the top bit of every lane
-and reading the bytes into an `array`, or one at a time by lifting the lanes
-up to it.
+strip removals.  Level j is read by level j + k through its low c(j, k)
+lanes, fewer for each later reader, so each read stores the cut copy back
+as level j, and level j is dropped once the next level would read none of
+it (after level 2j).  Level n is never held: each of its rows, with the row
+of its conjugate, is copied into the transpose as soon as it is made.  The
+lanes are 32 bits wide while the bound |chi^lam| <= f^lam <= sqrt(n!) fits a
+signed 32-bit lane (n <= 20), 64 bits above, and past that the build raises
+CapacityError before enumerating anything.  Lanes are decoded by adding and
+XOR-ing the top bit of every lane and reading the bytes into an `array`, or
+one at a time by lifting the lanes up to it.
 The transpose is one bytearray of packed columns: `CharacterTable.columns[j]`
 packs chi^nu(mu_j) over nu in `partitions_of(n)` order in signed 64-bit
 lanes.  The columns are read from the last one down, cutting the bytearray
@@ -67,10 +66,9 @@ whose nu + delta is e + delta sorted, when the entries of e + delta are
 distinct.  Each exponent vector e is classified once per degree, as None
 (e + delta repeats an entry) or (sign of the sort, nu), in a map every column
 of that degree reads, which keeps the classifications that are not None:
-637 classifications for n <= 6, where classifying per column made 2,680.
-The maps are kept for the degrees <= 6 and the columns in a cache bounded by
-the 30 classes of those degrees; `alternant_oracle(nu, mu)` reads one value
-of a column.
+637 classifications for n <= 6.  The maps are kept for the degrees <= 6 and
+the columns in a cache bounded by the 30 classes of those degrees;
+`alternant_oracle(nu, mu)` reads one value of a column.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ from .errors import CapacityError, DegreeError, instance, integer
 from .partitions import (
     Partition, partition, partition_index, partition_position, partitions_of, pretty, z_lambda
 )
-from .symfunc import PExpr, _hook_sums
+from .symfunc import PExpr
 
 ALTERNANT_MAX_N = 6
 TABLE_CAP = 20  # the highest table degree built unless a caller raises the cap
@@ -447,17 +445,6 @@ def schur_to_power(nu: Partition) -> PExpr:
     i = table.index[nu]
     values = (_lane(column, i, COLUMN_WIDTH) for column in table.columns)
     return PExpr({lam: Fraction(v, z_lambda(lam)) for lam, v in zip(table.parts, values) if v})
-
-
-def _hook_numerators(f: PExpr, n: int) -> tuple[int, int, int, int]:
-    """The multiplicities of s_(n), s_(1^n), s_(n-1,1) and s_(2,1^(n-2)) in
-    f = sum_mu c_mu p_mu of degree n (the first two only at n = 1), over f.denominator, read
-    from the coefficients alone: the trivial, sign and standard characters and
-    the sign twist of the standard are 1, sgn(mu), m_1(mu) - 1 and
-    sgn(mu) (m_1(mu) - 1) on the class mu, with sgn(mu) = (-1)^(n - l(mu)) and
-    m_1(mu) its number of parts 1 (Macdonald I.7)."""
-    trivial, sign, fixed, signed_fixed = _hook_sums(f, n)
-    return trivial, sign, fixed - trivial, signed_fixed - sign
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 
 from .characters import TABLE_CAP, SchurExpansion, to_schur
 from .errors import SymconError
@@ -98,14 +99,9 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     max_n = _resolve_max_n(args)
     lines = []
-    n_fail = n_pass = n_report = 0
+    counts = Counter()
     for res in run_selector(args.selector, max_n=max_n):
-        if res.status == "FAIL":
-            n_fail += 1
-        elif res.status == "REPORT":
-            n_report += 1
-        else:
-            n_pass += 1
+        counts[res.status] += 1
         if args.format == "json":
             lines.append(json.dumps(res.to_json_dict()))
         elif args.format == "csv":
@@ -121,9 +117,9 @@ def cmd_verify(args) -> int:
             ) else ""
             lines.append(f"{res.status} {res.id} n={res.n}{extra}")
     if args.format == "pretty":
-        lines.append(f"checks: {n_pass} pass, {n_fail} fail, {n_report} report")
+        lines.append("checks: {PASS} pass, {FAIL} fail, {REPORT} report".format_map(counts))
     _emit("\n".join(lines) + "\n", args.out)
-    return 1 if n_fail else 0
+    return 1 if counts["FAIL"] else 0
 
 
 def cmd_table(args) -> int:

@@ -12,6 +12,7 @@ Inside a run (in_run; verify opens one for each catalog run) each (k, n,
 name) is resolved once and kept in the run's memo, so a name that many
 checks read, or that a module form reads inside another term, is built
 once; the memo goes with the run, and outside a run nothing is kept.
+kept(key, build, *args) is the one reader and writer of a run's memo.
 Every named module is produced two ways: a closed power-sum combination,
 and a plethystic sum of h_m[f_i] / e_m[f_i] products over partitions, both
 written once, in MODULE_FORMS.  named_term reads every module string that
@@ -69,22 +70,20 @@ def foulkes(n: int, k: int) -> PExpr:
 def f_eval_direct(n: int, k: int, sign: int) -> Fraction:
     """Direct evaluation of the one-variable polynomial f_n at +-1: the divisor sum
     (1/n) sum_{d | n} c_d(k) * sign^(n/d), summed over the integers.  n and k are
-    checked first; inside a run the sums at +1 and -1 are then read from, or kept in,
-    the run's memo, one pass over the divisors giving both."""
+    checked first; inside a run the sums at +1 and -1 are then kept under
+    ("f_eval_direct", n, k), one pass over the divisors giving both."""
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
-    key = ("f_eval_direct", integer(n, "f_eval_direct degree n", 1))
-    integer(k, "f_eval_direct weight k")
-    memo = run_memo()
-    sums = memo.get(key)
-    if sums is None:
-        sums = memo[key] = {}  # k -> (the sum at +1, the sum at -1)
-    pair = sums.get(k)
-    if pair is None:
-        terms = [(ramanujan_sum(d, k), n // d) for d in divisors(n)]
-        pair = sums[k] = (Fraction(sum(c for c, _ in terms), n),
-                          Fraction(sum(-c if e & 1 else c for c, e in terms), n))
-    return pair[0] if sign == 1 else pair[1]
+    n, k = integer(n, "f_eval_direct degree n", 1), integer(k, "f_eval_direct weight k")
+    plus, minus = kept(("f_eval_direct", n, k), _divisor_sums, n, k)
+    return plus if sign == 1 else minus
+
+
+def _divisor_sums(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """f_eval_direct(n, k, 1) and f_eval_direct(n, k, -1), its arguments already checked."""
+    terms = [(ramanujan_sum(d, k), n // d) for d in divisors(n)]
+    return (Fraction(sum(c for c, _ in terms), n),
+            Fraction(sum(-c if e & 1 else c for c, e in terms), n))
 
 
 def f_eval(n: int, k: int, sign: int) -> int:
@@ -197,10 +196,11 @@ PRODUCT_FORMS = {
 }
 
 
-# The memos of the open runs, innermost last.  A run is one dict: named_term keeps
-# each term it resolves under (k, n, name), and verify its Schur expansions under
-# keys of its own.  Outside a run the list is empty and nothing is kept.
+# The memos of the open runs, innermost last.  A run is one dict, read and written
+# only by kept: named_term keeps each term under (k, n, name), and the other readers
+# under keys of their own.  Outside a run the list is empty and nothing is kept.
 _RUNS: list[dict] = []
+_MISSING = object()  # no value a run keeps
 
 
 class in_run:
@@ -226,6 +226,19 @@ def run_memo() -> dict:
     return _RUNS[-1] if _RUNS else {}
 
 
+def kept(key, build, *args):
+    """The value kept under key in the open run's memo, built as build(*args) and kept
+    on the first read; outside a run, build(*args) anew, and nothing is kept.  A kept
+    value is found by one lookup, as hashing an expression key walks all its terms."""
+    if not _RUNS:
+        return build(*args)
+    memo = _RUNS[-1]
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = build(*args)
+    return value
+
+
 # The modifiers of a factor of a product term, read outside in: prefix -> the factor at
 # degree a, given A, the rest of the factor as a function of its degree.  "p2 o A" reads
 # A at odd a too, so an unknown name raises there as well.
@@ -247,10 +260,7 @@ def named_term(k: int, n: int, name: str) -> PExpr:
     name, naming it.  The arguments are checked first; inside a run the term is then
     read from, or kept in, the run's memo."""
     key = (integer(k, "term weight k", 0), integer(n, "term degree", 0), string(name, "term name"))
-    memo = run_memo()
-    if key not in memo:
-        memo[key] = _resolve(*key)
-    return memo[key]
+    return kept(key, _resolve, k, n, name)
 
 
 def _resolve(k: int, n: int, name: str) -> PExpr:
@@ -341,11 +351,7 @@ def parse_module(text: str) -> str:
 def _family(text: str) -> FamilySpec:
     """The family of the module string "family:<spec>", parsed once per run: inside a run
     it is kept in the run's memo, so an explicit family's file is read once."""
-    key = ("family", text)
-    memo = run_memo()
-    if key not in memo:
-        memo[key] = parse_family(text.removeprefix("family:"))
-    return memo[key]
+    return kept(("family", text), parse_family, text.removeprefix("family:"))
 
 
 def _w_weight(mid: str) -> int:

@@ -729,6 +729,17 @@ def _hook_sums(f: PExpr, n: int) -> tuple[int, int, int, int]:
     return T, S, T1, S1
 
 
+def _hook_numerators(f: PExpr, n: int) -> tuple[int, int, int, int]:
+    """The multiplicities of s_(n), s_(1^n), s_(n-1,1) and s_(2,1^(n-2)) in
+    f = sum_mu c_mu p_mu of degree n (the first two only at n = 1), over f.denominator, read
+    from the coefficients alone (_hook_sums): the trivial, sign and standard characters and
+    the sign twist of the standard are 1, sgn(mu), m_1(mu) - 1 and
+    sgn(mu) (m_1(mu) - 1) on the class mu, with sgn(mu) = (-1)^(n - l(mu)) and
+    m_1(mu) its number of parts 1 (Macdonald I.7)."""
+    trivial, sign, fixed, signed_fixed = _hook_sums(f, n)
+    return trivial, sign, fixed - trivial, signed_fixed - sign
+
+
 def _factor_hooks(kind: str, i: int, m: int, F: Series) -> tuple[int, int, int, int, int]:
     """(D, T, S, T1, S1) of the factor g = h_m[f_i] ("h") or e_m[f_i] ("e") of F, g not built:
     with g = sum_mu c_mu p_mu and sgn(mu) = (-1)^(|mu| - l(mu)), T, S, T1 and S1 over D are

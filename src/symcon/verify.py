@@ -35,18 +35,20 @@ against its binomial closed form, at weight k) and the free-Lie identities
 of Corollary 5.2 and Proposition 5.4: the name pairs of
 repmodels.LIE_IDENTITIES at k = 1, since the free Lie series L is F_1.
 
-A row of that runner also carries claims (side, exceptions), read by one
-helper, _claim, both ways: the side is Schur-nonnegative, and with
-exceptions every shape occurs but a documented one, which is absent.  The
-rows of Theorem 1.1, the strictness rows (Theorems 4.5, 4.9, 4.17, 4.19,
-Corollaries 4.12 and 4.18) and the half sums of Theorem 3.4 and Corollary
-5.10 are such claims; Theorem 6.4 reads _claim too.  The trivial, sign and
-near-trivial counts of Propositions 4.21 and 4.22 and Lemma 4.7 are read
-off the power sums (characters._hook_numerators) with no table; only
-lem4.7's prime coverage expands f_n.  The dimension and self-conjugacy
-claims are rows of a table, checked by one runner.  TABLES names each
-decomposition table's fixture and modules; the tables.* entries take
-their degrees from the fixture's keys.
+A row of that runner also carries claims (reader, side, argument): _claim
+reads Schur positivity both ways (the side is Schur-nonnegative, and with
+exceptions every shape occurs but a documented one, which is absent), and
+_dimension reads that the side has dimension argument * n!.  The rows of
+Theorem 1.1, the strictness rows (Theorems 4.5, 4.9, 4.17, 4.19,
+Corollaries 4.12 and 4.18), the half sums of Theorem 3.4 and Corollary
+5.10 and the dims.* rows (k = 0: each self-conjugacy a pair (label, side,
+~side), the dimension a claim) are such rows, and so is Theorem 6.4: only
+its n = 3 closed form 2 p_3 + p_1^3 has code of its own.  The trivial, sign
+and near-trivial counts of Propositions 4.21 and 4.22 and Lemma 4.7 are
+read off the power sums (symfunc._hook_numerators) with no table; only
+lem4.7's prime coverage expands f_n.  TABLES names each decomposition
+table's fixture and modules; the tables.* entries take their degrees from
+the fixture's keys.
 
 The oracle, lemma and coverage rows compute each value once.
 oracles.mn-alternant decodes each table column once and reads the alternant
@@ -79,7 +81,6 @@ from .characters import (
     ALTERNANT_MAX_N,
     TABLE_CAP,
     SchurExpansion,
-    _hook_numerators,
     alternant_oracle,
     character_table,
     to_schur,
@@ -106,13 +107,14 @@ from .repmodels import (
     foulkes,
     foulkes_series,
     in_run,
+    kept,
     linear_combination,
     module_char,
     named_term,
     power_sum_family,
     run_memo,
 )
-from .symfunc import E_lambda, H_lambda, PExpr, _lambda_hooks, dimension, omega
+from .symfunc import E_lambda, H_lambda, PExpr, _hook_numerators, _lambda_hooks, dimension
 from . import tables_data
 
 # the degree a catalog run stops at unless the caller asks for another
@@ -212,11 +214,8 @@ def _hooks(f: PExpr, n: int, checks) -> tuple:
 def _expand(f: PExpr, n: int, max_n: int = TABLE_CAP) -> SchurExpansion:
     """to_schur of f at degree n and table cap max_n, kept in the open run under (f, n, max_n):
     n and max_n are checked before the memo is read, so 2.0 and True raise and never hit."""
-    key = (f, integer(n, "Schur expansion degree"), integer(max_n, "character table cap"))
-    memo = run_memo()
-    if key not in memo:
-        memo[key] = to_schur(f, n, max_n)
-    return memo[key]
+    n, max_n = integer(n, "Schur expansion degree"), integer(max_n, "character table cap")
+    return kept((f, n, max_n), to_schur, f, n, max_n)
 
 
 def check_positivity(
@@ -358,23 +357,23 @@ _COR510 = (  # at k = 2; its two half sums must be Schur-nonnegative
     ("W == sum H", _one("w:2"), _one("H")),
     ("alternating form", _one("mixed-sym"), _one("Hs")),
 )
-_COR510_HALVES = tuple((((HALF, "w:2"), (sign * HALF, "mixed-sym")), None) for sign in (1, -1))
+_COR510_HALVES = tuple(((HALF, "w:2"), (sign * HALF, "mixed-sym")) for sign in (1, -1))
 # The free-Lie identities, read at k = 1: name -> the pair labelled by its name.
 _LIE = {name: (name, _one(lhs), _one(rhs)) for name, (lhs, rhs, _) in LIE_IDENTITIES.items()}
 
 
 def _run_linear(k: int, pairs, claims, n: int) -> tuple:
-    """PASS iff both sides of every pair agree and then every claim (side, exceptions)
-    holds (_claim); a name on several sides is built once, in the run's memo."""
+    """PASS iff both sides of every pair agree and then reader(side, argument, n) of every
+    claim; a name on several sides is built once, in the run's memo."""
     term = partial(named_term, k, n)
     res = _eq([
         (label, linear_combination(lhs, term), linear_combination(rhs, term))
         for label, lhs, rhs in pairs
     ])
-    for side, exceptions in claims:
+    for reader, side, argument in claims:
         if res[0] != "PASS":
             return res
-        res = _claim(linear_combination(side, term), exceptions, n)
+        res = reader(linear_combination(side, term), argument, n)
     return res
 
 
@@ -398,6 +397,19 @@ def _claim(f: PExpr, exceptions, n: int) -> tuple:
         return res
     detail = {"expected-exception": {"nu": list(absent), "mult": str(mult)}}
     return ("PASS" if mult == 0 else "FAIL"), detail
+
+
+def _dimension(f: PExpr, ratio, n: int) -> tuple:
+    """PASS iff f has dimension ratio * n!; else FAIL with the dimension it has."""
+    got = dimension(f, n)
+    if got != ratio * factorial(n):
+        return "FAIL", {"failed": "dimension", "got": str(got)}
+    return "PASS", None
+
+
+def _self_conjugate(side, label: str = "self-conjugacy") -> tuple:
+    """The pair (label, side, ~side): side is fixed by omega."""
+    return label, side, tuple((c, "~" + name) for c, name in side)
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +438,18 @@ _STRICT = (
 )
 
 
+_ALT = _one("alt-induced")
+# Theorem 6.4: alt-induced is self-conjugate, of dimension n!, and strict but for (2, 1) at n = 3
+_THM64 = ((_self_conjugate(_ALT, "self-conjugate"),),
+          ((_dimension, _ALT, 1), (_claim, _ALT, {3: (2, 1)})))
+
+
 def _run_thm64(n: int) -> tuple:
-    """Self-conjugacy, dimension n! and, at n = 3, the closed form 2 p_3 + p_1^3,
-    then strictness with the shape (2, 1) absent at n = 3."""
-    f = named_term(0, n, "alt-induced")
-    res = _eq([("self-conjugate", omega(f), f)])
-    if res[0] != "PASS":
-        return res
-    if dimension(f, n) != factorial(n):
-        return "FAIL", {"failed": "dimension"}
-    res = _claim(f, {3: (2, 1)}, n)
+    """_THM64's pair and claims (_run_linear), and at n = 3 the closed form 2 p_3 + p_1^3."""
+    res = _run_linear(0, *_THM64, n)
     if n == 3:
-        ok = res[0] == "PASS" and f == 2 * PExpr.p(3) + PExpr.p(1) ** 3
+        closed = 2 * PExpr.p(3) + PExpr.p(1) ** 3
+        ok = res[0] == "PASS" and named_term(0, n, "alt-induced") == closed
         return ("PASS" if ok else "FAIL"), {"expected-exception": {"nu": [2, 1]}}
     return res
 
@@ -446,36 +458,19 @@ def _run_thm64(n: int) -> tuple:
 # Dimension / self-conjugacy / structural entries
 
 
-def _self_conjugate(mid: str) -> tuple:
-    return (("self-conjugacy", _one(mid)),)
-
-
-# mid -> (lowest degree, dimension / n!, labelled sides that must be self-conjugate)
+# mid -> (lowest degree, dimension / n!)
 _DIMS = {
-    "psi": (1, 1, ()),
-    "eps": (1, 1, _self_conjugate("eps")),
-    "psi-a": (2, HALF, ()),
-    "psi-abar": (2, HALF, ()),
-    "eps-a": (2, HALF, ()),
-    "eps-abar": (2, HALF, ()),
-    "u-plus": (2, 1, _self_conjugate("u-plus")),
-    "u-minus": (1, 0, ()),
-    "u-do": (2, 0, _self_conjugate("u-do") + (("u+ + u-do self-conjugacy", _U_EVEN),)),
-    "alt-induced": (2, 1, _self_conjugate("alt-induced")),
-} | {f"w:{k}": (0, 1, ()) for k in KS[1:]}
-
-
-def _run_dims(mid: str, n: int) -> tuple:
-    _, ratio, sides = _DIMS[mid]
-    term = partial(named_term, 0, n)
-    got = dimension(term(mid), n)
-    if got != ratio * factorial(n):
-        return "FAIL", {"failed": "dimension", "got": str(got)}
-    for label, side in sides:
-        g = linear_combination(side, term)
-        if omega(g) != g:
-            return "FAIL", {"failed": label}
-    return "PASS", None
+    "psi": (1, 1), "eps": (1, 1), "psi-a": (2, HALF), "psi-abar": (2, HALF),
+    "eps-a": (2, HALF), "eps-abar": (2, HALF), "u-plus": (2, 1), "u-minus": (1, 0),
+    "u-do": (2, 0), "alt-induced": (2, 1),
+} | {f"w:{k}": (0, 1) for k in KS[1:]}
+# mid -> the self-conjugacy pairs of its dims row
+_SELF_CONJUGATE = {
+    "eps": (_self_conjugate(_one("eps")),),
+    "u-plus": (_self_conjugate(_one("u-plus")),),
+    "u-do": (_self_conjugate(_one("u-do")), _self_conjugate(_U_EVEN, "u+ + u-do self-conjugacy")),
+    "alt-induced": (_self_conjugate(_one("alt-induced")),),
+}
 
 
 def _run_cor414(n: int) -> tuple:
@@ -724,7 +719,7 @@ def _build_catalog() -> list[Entry]:
         ks; with nonneg, each row's first left side must be Schur-nonnegative."""
         return [
             (f"{group}.{eq}" if ks is None else f"{group}.{eq}:k{k}", group, ten,
-             _run_linear, (k, pairs, ((pairs[0][1], None),) if nonneg else ()))
+             _run_linear, (k, pairs, ((_claim, pairs[0][1], None),) if nonneg else ()))
             for eq, pairs in rows
             for k in ks or (0,)
         ]
@@ -746,13 +741,14 @@ def _build_catalog() -> list[Entry]:
         + [("prop3.6", "prop3.6", ten, _run_linear, (0, _PROP36, ()))]
         + linear("prop2.3", _PROP23)
         + linear("thm3.4", _THM34, ks=(0, 1, 2), nonneg=True)
-        + [("cor5.10", "cor5.10", ten, _run_linear, (2, _COR510, _COR510_HALVES))]
+        + [("cor5.10", "cor5.10", ten, _run_linear,
+            (2, _COR510, tuple((_claim, half, None) for half in _COR510_HALVES)))]
     )
     top = POSITIVITY_TOP + 1
 
     def claim(cid, group, degrees, k, name, exceptions):
         """A row of _run_linear with the one claim (the term name at weight k, exceptions)."""
-        return cid, group, degrees, _run_linear, (k, (), ((_one(name), exceptions),))
+        return cid, group, degrees, _run_linear, (k, (), ((_claim, _one(name), exceptions),))
 
     thm11 = [claim(f"thm1.1.{suffix}", "thm1.1", range(lo, top), k, name, None)
              for suffix, lo, k, name in _THM11]
@@ -764,8 +760,9 @@ def _build_catalog() -> list[Entry]:
         ("thm6.4", "strict", range(2, top), _run_thm64, ()),
     ]
     dims = (
-        [(f"dims.{mid}", "dims", range(lo, 11), _run_dims, (mid,))
-         for mid, (lo, _, _) in _DIMS.items()]
+        [(f"dims.{mid}", "dims", range(lo, 11), _run_linear,
+          (0, _SELF_CONJUGATE.get(mid, ()), ((_dimension, _one(mid), ratio),)))
+         for mid, (lo, ratio) in _DIMS.items()]
         + [("cor4.14", "dims", ten, _run_cor414, ()),
            ("prop4.21", "dims", ten, _run_prop421, ()),
            ("prop4.22", "dims", ten, _run_prop422, ()),

@@ -10,7 +10,6 @@ from symcon.characters import (
     COLUMN_WIDTH,
     _alternant_column,
     _build_table,
-    _hook_numerators,
     _lanes,
     _mn,
     _strip_removals,
@@ -30,7 +29,7 @@ from symcon.partitions import (
     syt_count,
     z_lambda,
 )
-from symcon.symfunc import PExpr
+from symcon.symfunc import PExpr, _hook_numerators
 
 
 def test_trivial_and_sign_characters():

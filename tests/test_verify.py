@@ -250,9 +250,8 @@ def test_coverage_sieve_equals_the_hooks_of_the_built_class():
     # against _hook_numerators of the built product, as values over their denominators
     from fractions import Fraction
 
-    from symcon.characters import _hook_numerators
     from symcon.repmodels import SERIES_TRUNC, foulkes_series
-    from symcon.symfunc import E_lambda, H_lambda, _lambda_hooks
+    from symcon.symfunc import E_lambda, H_lambda, _hook_numerators, _lambda_hooks
 
     F = foulkes_series(0, SERIES_TRUNC)
     for n in range(15):
@@ -325,7 +324,7 @@ def test_failure_reports_carry_witness():
 
 
 def test_linear_runner_names_the_failing_pair():
-    from symcon.verify import _run_linear
+    from symcon.verify import _claim, _run_linear
 
     pairs = (
         ("agrees", ((1, "H"),), ((1, "psi"),)),
@@ -339,7 +338,7 @@ def test_linear_runner_names_the_failing_pair():
     # equal sides that are not Schur-nonnegative fail only under nonneg
     negative = (("omega", ((1, "~u-minus"),), ((-1, "u-minus"),)),)
     assert _run_linear(0, negative, (), 2)[0] == "PASS"
-    status, detail = _run_linear(0, negative, ((negative[0][1], None),), 2)
+    status, detail = _run_linear(0, negative, ((_claim, negative[0][1], None),), 2)
     assert status == "FAIL" and detail["witness"][0]["nu"] == [2]
 
 
@@ -425,10 +424,10 @@ def test_routes_rows_share_the_catalog_series(monkeypatch):
 
 
 def test_positivity_rows_check_both_directions():
-    from symcon.verify import _run_linear
+    from symcon.verify import _claim, _run_linear
 
     def strict(mid, exceptions, n):  # a strictness row: one claim on the module mid
-        return _run_linear(0, (), ((((1, mid),), exceptions),), n)
+        return _run_linear(0, (), ((_claim, ((1, mid),), exceptions),), n)
 
     # psi at n = 3 contains the sign shape, so excepting it fails
     status, detail = strict("psi", {3: (1, 1, 1)}, 3)
@@ -663,17 +662,58 @@ def test_exception_degrees_check_integrality(monkeypatch):
     assert res.detail == {"witness": [{"nu": [2], "mult": "3/2"}]}
 
 
+def _process_caches() -> list:
+    """Every lru_cache bound in a symcon module, found by its cache_clear."""
+    import importlib
+    import pkgutil
+
+    import symcon
+
+    modules = [importlib.import_module(f"symcon.{info.name}")
+               for info in pkgutil.iter_modules(symcon.__path__)]
+    found = {id(value): value for module in modules for value in vars(module).values()
+             if hasattr(value, "cache_clear")}
+    return list(found.values())
+
+
 def _clear_run_caches():
-    from symcon import characters, numbertheory, repmodels
+    from symcon import repmodels
 
     repmodels._RUNS.clear()  # the open runs' memos, with every module expansion
-    for cached in (
-        repmodels._foulkes_series, repmodels._derived_series,
-        characters._build_table, characters._alternant_column,
-        numbertheory._ramanujan, numbertheory._totient, numbertheory._moebius,
-        numbertheory._divisors, numbertheory.factorize,
-    ):
+    for cached in _process_caches():
         cached.cache_clear()
+
+
+def test_cache_scan_finds_the_process_caches():
+    from symcon import characters, numbertheory, partitions, repmodels
+
+    found = _process_caches()
+    for cached in (
+        characters._alternant_classes, characters._alternant_column, characters._build_table,
+        repmodels._foulkes_series, repmodels._derived_series, numbertheory._ramanujan,
+        partitions._partitions_of,
+    ):
+        assert any(c is cached for c in found), cached.__name__
+
+
+def test_kept_builds_once_per_key_in_a_run_and_keeps_nothing_outside():
+    from symcon import repmodels
+    from symcon.repmodels import in_run, kept
+
+    calls = []
+
+    def build(x):
+        calls.append(x)
+        return [x]
+
+    memo = {}
+    with in_run(memo):
+        first = kept("a", build, 1)
+        assert kept("a", build, 2) is first and kept("b", build, 3) == [3]
+        assert calls == [1, 3] and memo == {"a": [1], "b": [3]}
+    assert not repmodels._RUNS
+    assert kept("a", build, 4) == [4] and kept("a", build, 4) == [4]
+    assert calls == [1, 3, 4, 4] and memo == {"a": [1], "b": [3]}
 
 
 def test_two_runs_in_one_process_agree():
@@ -875,9 +915,11 @@ def _with_hooks(hook, count):
     return make
 
 
-# (catalog id, degree, name in symcon.verify, replacement made from the real
-# one, the detail keys the FAIL must carry); at n = 4 the shapes are (4),
-# (3,1), (2,2), (2,1,1), (1^4), and psi is [5, 2, 3, 2, 1]
+# (catalog id, degree, name in symcon.verify, or in symcon.repmodels if verify
+# does not bind it, replacement made from the real one, the detail keys the FAIL
+# must carry); "omega" is the one repmodels.linear_combination reads for a
+# "~name" of a side; at n = 4 the shapes are (4), (3,1), (2,2), (2,1,1), (1^4),
+# and psi is [5, 2, 3, 2, 1]
 _BROKEN_INPUTS = [
     ("thm6.4", 4, "omega", lambda real: lambda f: -f, {"failed": "self-conjugate"}),
     ("thm6.4", 4, "dimension", lambda real: lambda f, n: 0, {"failed": "dimension"}),
@@ -912,10 +954,11 @@ _BROKEN_INPUTS = [
 
 @pytest.mark.parametrize("cid,n,name,broken,want", _BROKEN_INPUTS)
 def test_broken_inputs_fail_and_name_the_check(monkeypatch, cid, n, name, broken, want):
-    from symcon import verify
+    from symcon import repmodels, verify
 
+    module = verify if hasattr(verify, name) else repmodels
     assert check_identity(cid, n).status == "PASS"
-    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
     res = check_identity(cid, n)
     assert res.status == "FAIL"
     assert {key: res.detail.get(key) for key in want} == want
@@ -933,12 +976,13 @@ def test_table_block_witness_names_the_block(monkeypatch):
 
 
 def test_linear_runner_reports_a_failed_pair_before_a_nonneg_side():
-    from symcon.verify import _run_linear
+    from symcon.verify import _claim, _run_linear
 
     pairs = (("differs", ((1, "H0"),), ((1, "all"),)),)
-    status, detail = _run_linear(0, pairs, ((((-1, "H"),), None),), 4)  # -H is not nonnegative
+    negative = ((_claim, ((-1, "H"),), None),)  # -H is not nonnegative
+    status, detail = _run_linear(0, pairs, negative, 4)
     assert status == "FAIL" and detail["failed"] == "differs"
-    status, detail = _run_linear(0, pairs[:0], ((((-1, "H"),), None),), 4)  # no pair: the side is read
+    status, detail = _run_linear(0, pairs[:0], negative, 4)  # no pair: the side is read
     assert status == "FAIL" and detail["witness"][0] == {"nu": [4], "mult": "-5"}
 
 
